@@ -212,8 +212,11 @@ def verify_certificate(
                     f"axiom {idx}: not a member of the declared source/width families",
                 )
             continue
-        if any(i >= idx for i in e.inputs):
-            return VerificationResult(False, f"step {idx}: forward reference")
+        bad = [i for i in e.inputs if not 0 <= i < idx]
+        if bad:
+            return VerificationResult(
+                False, f"step {idx}: input {bad[0]} is a forward or negative reference"
+            )
         if e.trace is None:
             return VerificationResult(False, f"step {idx}: missing construction trace")
         try:
@@ -614,36 +617,47 @@ def _build_near_unanimity(
     return _extend_cert(algebra, n, inner, op, trace, _full_set(algebra))
 
 
-def _build_two_element(algebra: Algebra, n: int, count_cap: int) -> Certificate:
-    """Dispatch over the term operations of a two-element idempotent algebra;
-    fails exactly when the algebra is essentially a G-set."""
+def _two_element_dispatch(algebra: Algebra, count_cap: int) -> tuple[Operation, Trace]:
+    """The dispatch operation of a two-element idempotent algebra, with its
+    trace: the first semilattice with a unit, else the first Mal'tsev
+    operation, dual discriminator or near-unanimity operation up to arity 3,
+    in that priority and in discovery order. Fails exactly when the algebra is
+    essentially a G-set.
+
+    A unit semilattice is binary, and the arity-2 prefix of the term closure
+    (operations, order, traces) does not depend on the arity cap, so the
+    arity-3 closure runs only when that prefix holds none.
+    """
     if algebra.domain.size != 2:
         raise BuildError("two_element applies to two-element algebras only")
-    terms = generate_term_operations(algebra, 3, count_cap)
-    semilattice = maltsev = dualdisc = nu = None
-    for op in terms.operations:
+    terms = generate_term_operations(algebra, 2, count_cap)
+    for op in terms.of_arity(2):
         t = tag_operation(op)
-        if semilattice is None and t.semilattice and t.unit_element is not None:
-            semilattice = (op, t.unit_element)
-        if maltsev is None and t.maltsev:
-            maltsev = op
-        if dualdisc is None and t.dual_discriminator:
-            dualdisc = op
-        if nu is None and t.near_unanimity:
-            nu = op
-    if semilattice is not None:
-        op, unit = semilattice
-        return _build_unit_chain(algebra, n, op, terms.traces[op], unit)
-    if maltsev is not None:
-        return _build_maltsev_chain(algebra, n, maltsev, terms.traces[maltsev], 0)
-    if dualdisc is not None:
-        return _build_dualdisc_chain(algebra, n, dualdisc, terms.traces[dualdisc], 0, 1)
-    if nu is not None:
-        return _build_near_unanimity(algebra, n, nu, terms.traces[nu], 0)
+        if t.semilattice and t.unit_element is not None:
+            return op, terms.traces[op]
+    terms = generate_term_operations(algebra, 3, count_cap)
+    tagged = [(op, tag_operation(op)) for op in terms.of_arity(3)]
+    for kind in ("maltsev", "dual_discriminator", "near_unanimity"):
+        for op, t in tagged:
+            if getattr(t, kind):
+                return op, terms.traces[op]
     raise BuildError(
         "no semilattice, Mal'tsev, dual discriminator, or near-unanimity term "
         "operation up to arity 3: the algebra is a G-set"
     )
+
+
+def _build_two_element(algebra: Algebra, n: int, op: Operation, trace: Trace) -> Certificate:
+    """The chain for a dispatch operation of `_two_element_dispatch`; its kind
+    is read off its tags in the dispatch's priority order."""
+    t = tag_operation(op)
+    if op.arity == 2:
+        return _build_unit_chain(algebra, n, op, trace, t.unit_element)
+    if t.maltsev:
+        return _build_maltsev_chain(algebra, n, op, trace, 0)
+    if t.dual_discriminator:
+        return _build_dualdisc_chain(algebra, n, op, trace, 0, 1)
+    return _build_near_unanimity(algebra, n, op, trace, 0)
 
 
 def _special_semilattice_shape(op: Operation) -> int | None:
@@ -843,7 +857,8 @@ def build_certificate(builder: CertificateBuilder, algebra: Algebra, n: int) -> 
     if strategy == "pair_minimal":
         return _build_pair_minimal(algebra, n, count_cap)
     if strategy == "two_element":
-        return _build_two_element(algebra, n, count_cap)
+        op, trace = p.get("dispatch") or _two_element_dispatch(algebra, count_cap)
+        return _build_two_element(algebra, n, op, trace)
     if strategy == "quotient_lift":
         congruence = disjoint_maximal_congruence(algebra)
         if congruence is None:
@@ -886,8 +901,10 @@ def plan_certificate(
     if d == 1:
         return CertificateBuilder("singleton", {"element": 0}), []
     if d == 2:
-        probe = _build_two_element(algebra, 1, count_cap)  # raises on G-sets
-        return CertificateBuilder("two_element", {"count_cap": count_cap}), list(probe.warnings)
+        dispatch = _two_element_dispatch(algebra, count_cap)  # raises on G-sets
+        return CertificateBuilder(
+            "two_element", {"count_cap": count_cap, "dispatch": dispatch}
+        ), []
     notes: list[str] = []
 
     def tagged_builder(op: Operation, trace: Trace) -> CertificateBuilder | None:

@@ -6,8 +6,9 @@ pointwise application of polymorphisms to satisfying assignments.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardrailError, StructuralError
 from .model import Algebra, ConstraintLanguage, Operation, Relation
@@ -287,6 +288,35 @@ class TermOperationSet:
         return [f for f in self.operations if f.arity == k]
 
 
+def _frontier_images(
+    op: Operation,
+    old: list[tuple[int, ...]],
+    frontier: list[tuple[int, ...]],
+    current: list[tuple[int, ...]],
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+    """One semi-naive round: (combo, image) for every combination of
+    `op.arity` vectors from `current` (= `old` + nonempty `frontier`) that
+    uses a frontier vector, where image applies the operation coordinate-wise.
+
+    The first frontier argument sits at position p, earlier ones come from
+    `old`, so each combination appears once. The row indices of all but the
+    last argument are summed once per prefix, so each combination costs one
+    vector addition and one table lookup.
+    """
+    d = op.domain_size
+    size = len(frontier[0])
+    getitem = op.table.__getitem__
+    for p in range(op.arity):
+        *heads, last = [old] * p + [frontier] + [current] * (op.arity - 1 - p)
+        for head in itertools.product(*heads):
+            base = [0] * size
+            for h in head:
+                base = [b * d + v for b, v in zip(base, h)]
+            base = [b * d for b in base]
+            for c in last:
+                yield head + (c,), tuple(map(getitem, map(operator.add, base, c)))
+
+
 def generate_term_operations(
     algebra: Algebra, arity_cap: int = DEFAULT_ARITY_CAP, count_cap: int = DEFAULT_COUNT_CAP
 ) -> TermOperationSet:
@@ -295,7 +325,10 @@ def generate_term_operations(
     already-found operations until nothing new appears or the cap is hit.
 
     Composition never raises the arity above the cap because a composite's
-    arity equals its inner operations' shared arity.
+    arity equals its inner operations' shared arity. An arity stops early once
+    its operations fill every table the generators can produce: all tables,
+    or all idempotent ones when every generator is idempotent (composition
+    keeps idempotence), so nothing new could be found.
     """
     if arity_cap < 1:
         raise StructuralError("arity cap must be >= 1")
@@ -303,6 +336,7 @@ def generate_term_operations(
     found: dict[Operation, Trace] = {}
     order: list[Operation] = []
     truncated = False
+    idempotent = all(g.is_idempotent() for g in algebra.generators)
 
     def add(op: Operation, trace: Trace) -> bool:
         nonlocal truncated
@@ -321,42 +355,31 @@ def generate_term_operations(
         for gi, g in enumerate(algebra.generators):
             if g.arity == m:
                 add(g, ("gen", gi))
-        # close arity-m operations under outer application of every generator;
-        # each round only tries argument combos touching the last round's finds,
-        # and candidate tables are deduplicated before Operation construction
-        current = [op for op in order if op.arity == m]
-        seen_tables = {op.table for op in current}
+        # close the arity-m tables under outer application of every generator;
+        # candidate tables are deduplicated before Operation construction
+        traces = {op.table: found[op] for op in order if op.arity == m}
+        current = list(traces)
         frontier = list(current)
-        while frontier and not truncated:
+        room = d ** (d**m - d) if idempotent else d ** (d**m)
+        while frontier and not truncated and len(traces) < room:
             frontier_set = set(frontier)
-            old = [op for op in current if op not in frontier_set]
-            new_ops: list[Operation] = []
+            old = [t for t in current if t not in frontier_set]
+            new_tables: list[tuple[int, ...]] = []
             for gi, g in enumerate(algebra.generators):
-                if truncated:
+                if truncated or len(traces) >= room:
                     break
-                outer_table = g.table
-                for p in range(g.arity):
-                    pools = [old] * p + [frontier] + [current] * (g.arity - 1 - p)
-                    for combo in itertools.product(*pools):
-                        table = []
-                        for cols in zip(*(c.table for c in combo)):
-                            oidx = 0
-                            for v in cols:
-                                oidx = oidx * d + v
-                            table.append(outer_table[oidx])
-                        key = tuple(table)
-                        if key in seen_tables:
-                            continue
-                        seen_tables.add(key)
-                        h = Operation(f"t{m}.{len(found)}", m, d, key)
-                        if add(h, ("comp", ("gen", gi), tuple(found[c] for c in combo))):
-                            new_ops.append(h)
-                        if truncated:
-                            break
-                    if truncated:
+                for combo, key in _frontier_images(g, old, frontier, current):
+                    if key in traces:
+                        continue
+                    trace = ("comp", ("gen", gi), tuple(traces[t] for t in combo))
+                    if not add(Operation(f"t{m}.{len(found)}", m, d, key), trace):
                         break
-            current = current + new_ops
-            frontier = new_ops
+                    traces[key] = trace
+                    new_tables.append(key)
+                    if len(traces) >= room:
+                        break
+            current = current + new_tables
+            frontier = new_tables
     return TermOperationSet(algebra, arity_cap, tuple(order), dict(found), truncated)
 
 
@@ -407,16 +430,23 @@ def apply_pointwise(op: Operation, assignments: Sequence[Mapping[str, int]]) -> 
 
 
 def close_relation_under(rel: Relation, op: Operation) -> Relation:
-    """Smallest superset of the relation invariant under the operation."""
+    """Smallest superset of the relation invariant under the operation, by
+    semi-naive rounds: each round only applies the operation to combinations
+    that use a tuple found in the round before. A relation holding every
+    tuple is closed already."""
     if rel.domain_size != op.domain_size:
         raise StructuralError("relation and operation are over different domains")
     tuples = set(rel.tuples)
-    while True:
-        fresh = set()
-        for choice in itertools.product(sorted(tuples), repeat=op.arity):
-            image = tuple(op(*(t[c] for t in choice)) for c in range(rel.arity))
-            if image not in tuples:
-                fresh.add(image)
-        if not fresh:
-            return Relation(rel.name, rel.arity, rel.domain_size, frozenset(tuples))
+    old: list[tuple[int, ...]] = []
+    frontier = list(tuples)
+    while frontier and len(tuples) < rel.domain_size**rel.arity:
+        current = old + frontier
+        fresh = {
+            image
+            for _, image in _frontier_images(op, old, frontier, current)
+            if image not in tuples
+        }
         tuples |= fresh
+        old = current
+        frontier = list(fresh)
+    return Relation(rel.name, rel.arity, rel.domain_size, frozenset(tuples))

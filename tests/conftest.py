@@ -37,6 +37,16 @@ def affine_rel() -> Relation:
     return rel("Aff", 3, 2, rows)
 
 
+# derives * * from the axiom {1} {1} through the binary AND generator g0, which
+# maps {1} only to {1}; input -1 would resolve to the step itself
+NEGATIVE_REFERENCE_CERT = """\
+certificate n=2 width=0 source=1 target=0,1 domain=2
+axiom 0: {1} {1}
+step 1: * * <= g0(-1, -1)
+result 1
+"""
+
+
 def formula(domain_size: int, prefix_spec: str, body) -> QuantifiedFormula:
     """prefix_spec like "Ay Ex" builds (forall y, exists x)."""
     prefix = []

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qcollapse
+from conftest import NEGATIVE_REFERENCE_CERT
 from qcollapse.cli import main
 
 EXAMPLE = """\
@@ -102,6 +107,39 @@ class TestExitCodes:
     def test_certify_failure_is_exit_one(self, files, capsys):
         assert main(["certify", files["shared"], "--strategy", "auto"]) == 1
 
+    def test_missing_file_is_usage_error(self, tmp_path, capsys):
+        assert main(["solve-oracle", str(tmp_path / "missing.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file" in err
+
+    def test_verify_rejects_negative_reference(self, files, capsys, tmp_path):
+        cert_path = tmp_path / "circular.txt"
+        cert_path.write_text(NEGATIVE_REFERENCE_CERT, encoding="utf-8")
+        assert main(["verify", files["and"], "--certificate", str(cert_path)]) == 1
+        assert capsys.readouterr().out.startswith("certificate rejected")
+
+
+class TestParserReuse:
+    def test_back_to_back_calls_match_fresh_processes(self, files, capsys):
+        env = dict(os.environ, PYTHONPATH=str(Path(qcollapse.__file__).parents[1]))
+        runs = (
+            ["certify", files["and"], "--n", "3"],
+            ["solve-oracle", files["horn"]],
+            ["classify", files["horn"]],
+            ["solve", files["horn"], "--bogus"],
+            ["--help"],
+        )
+        for argv in runs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "qcollapse.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+
 
 class TestCollapseVerb:
     def test_example_lists_four(self, files, capsys):
@@ -118,6 +156,17 @@ class TestCollapseVerb:
 
 
 class TestSolveVerb:
+    def test_equality_language(self, tmp_path, capsys):
+        # every idempotent operation is a polymorphism of equality
+        path = tmp_path / "eq.txt"
+        path.write_text(
+            "domain 2 a b\nrelation E 2\n  a a\n  b b\n"
+            "formula forall y exists x : E(y, x)\n",
+            encoding="utf-8",
+        )
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("collapse verdict: true")
+
     def test_agrees_with_oracle(self, files, capsys):
         for name in ("horn", "horn_false"):
             direct = main(["solve-oracle", files[name]])

@@ -3,9 +3,13 @@ import itertools
 
 import pytest
 
+from conftest import NEGATIVE_REFERENCE_CERT, eq_rel
+from qcollapse import collapsibility
 from qcollapse.algebra import Congruence, disjoint_maximal_congruence
+from qcollapse.classify import discovered_generators
 from qcollapse.collapse import qcsp_via_collapse
 from qcollapse.collapsibility import (
+    DEFAULT_TERM_COUNT_CAP,
     Adversary,
     CertEntry,
     CertificateBuilder,
@@ -21,11 +25,12 @@ from qcollapse.collapsibility import (
     search_composable,
     serialize_certificate,
     verify_certificate,
+    _two_element_dispatch,
 )
 from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.errors import BuildError, StructuralError
 from qcollapse.game import constant_adversary, evaluate_truth, full_adversary, winnable
-from qcollapse.model import Algebra, Domain
+from qcollapse.model import Algebra, ConstraintLanguage, Domain
 from qcollapse.ops import (
     and_op,
     dual_discriminator,
@@ -36,7 +41,7 @@ from qcollapse.ops import (
     projection_op,
     semilattice_to_shared,
 )
-from qcollapse.polymorph import generate_term_operations, op_image
+from qcollapse.polymorph import generate_term_operations, op_image, tag_operation
 
 
 def adv(*coords):
@@ -263,6 +268,100 @@ class TestTwoElementDispatch:
         with pytest.raises(BuildError, match="G-set"):
             build_certificate(CertificateBuilder("two_element"), alg, 3)
 
+    def test_matches_full_arity3_scan(self):
+        for alg in _dispatch_algebras():
+            expected = _full_scan_dispatch(alg)
+            assert expected is not None
+            assert _two_element_dispatch(alg, DEFAULT_TERM_COUNT_CAP) == expected, [
+                g.name for g in alg.generators
+            ]
+
+    def test_equality_algebra_matches_full_arity3_scan(self):
+        alg = _equality_algebra()
+        assert len(alg.generators) == 63
+        assert _two_element_dispatch(alg, DEFAULT_TERM_COUNT_CAP) == _full_scan_dispatch(alg)
+
+    def test_unit_semilattice_never_closes_to_arity3(self, monkeypatch):
+        caps = _record_closure_caps(monkeypatch)
+        binary = [a for a in _dispatch_algebras() if _full_scan_dispatch(a)[0].arity == 2]
+        assert len(binary) > 1
+        for alg in binary + [_equality_algebra()]:
+            caps.clear()
+            builder, _ = plan_certificate(alg)
+            build_certificate(builder, alg, 3)
+            build_certificate(CertificateBuilder("two_element"), alg, 3)
+            assert caps and 3 not in caps, [g.name for g in alg.generators]
+
+    def test_plan_then_build_closes_once_per_arity(self, monkeypatch):
+        caps = _record_closure_caps(monkeypatch)
+        for alg in _dispatch_algebras():
+            caps.clear()
+            builder, _ = plan_certificate(alg)
+            cert = build_certificate(builder, alg, 3)
+            assert verify_certificate(cert, alg, 3)
+            assert len(caps) == len(set(caps)), [g.name for g in alg.generators]
+
+
+DISPATCH_OPS = (
+    and_op(),
+    or_op(),
+    majority_op(),
+    minority_op(),
+    from_function("x&(y|z)", 3, 2, lambda x, y, z: x & (y | z)),
+    from_function("x|(y&z)", 3, 2, lambda x, y, z: x | (y & z)),
+)
+
+
+def _dispatch_algebras() -> list[Algebra]:
+    """One algebra per nonempty subset of the dispatch operations."""
+    return [
+        Algebra(Domain(2), subset)
+        for size in range(1, len(DISPATCH_OPS) + 1)
+        for subset in itertools.combinations(DISPATCH_OPS, size)
+    ]
+
+
+def _equality_algebra() -> Algebra:
+    """The idempotent polymorphisms of equality up to arity 3."""
+    language = ConstraintLanguage(Domain(2), (eq_rel(),))
+    generators, _ = discovered_generators(language, 3, DEFAULT_TERM_COUNT_CAP)
+    return Algebra(Domain(2), generators)
+
+
+def _full_scan_dispatch(alg: Algebra):
+    """Reference dispatch: one scan over the whole arity-3 term closure taking
+    the first unit semilattice, else the first Mal'tsev operation, dual
+    discriminator or near-unanimity operation; None for a G-set."""
+    terms = generate_term_operations(alg, 3, DEFAULT_TERM_COUNT_CAP)
+    semilattice = maltsev = dualdisc = nu = None
+    for op in terms.operations:
+        t = tag_operation(op)
+        if semilattice is None and t.semilattice and t.unit_element is not None:
+            semilattice = op
+        if maltsev is None and t.maltsev:
+            maltsev = op
+        if dualdisc is None and t.dual_discriminator:
+            dualdisc = op
+        if nu is None and t.near_unanimity:
+            nu = op
+    for op in (semilattice, maltsev, dualdisc, nu):
+        if op is not None:
+            return op, terms.traces[op]
+    return None
+
+
+def _record_closure_caps(monkeypatch) -> list[int]:
+    """Record the arity cap of every term closure the certificate engine runs."""
+    caps: list[int] = []
+    real = collapsibility.generate_term_operations
+
+    def recording(algebra, arity_cap, count_cap):
+        caps.append(arity_cap)
+        return real(algebra, arity_cap, count_cap)
+
+    monkeypatch.setattr(collapsibility, "generate_term_operations", recording)
+    return caps
+
 
 class TestCompositeBuilders:
     def test_strictly_simple_on_and(self):
@@ -460,6 +559,12 @@ class TestVerification:
         broken = dataclasses.replace(cert, result=axiom_id)
         outcome = verify_certificate(broken, alg, 3)
         assert not outcome and "dominate" in outcome.failure
+
+    def test_negative_input_reference_rejected(self):
+        alg = ALGEBRAS["and"]
+        cert = parse_certificate(NEGATIVE_REFERENCE_CERT, alg)
+        outcome = verify_certificate(cert, alg, 2)
+        assert not outcome and "negative" in outcome.failure
 
     def test_certificate_text_rejects_garbage(self):
         alg = ALGEBRAS["and"]

@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from conftest import affine_rel, eq_rel, impl_rel, nae_rel, rel
 from qcollapse.errors import GuardrailError, StructuralError
-from qcollapse.model import Algebra, Constraint, ConstraintLanguage, Domain
+from qcollapse.model import Algebra, Constraint, ConstraintLanguage, Domain, Operation
 from qcollapse.ops import (
     and_op,
     dual_discriminator,
@@ -29,6 +30,36 @@ from qcollapse.polymorph import (
     tag_operation,
     trace_to_str,
 )
+
+
+def _naive_clone(alg: Algebra, m: int) -> set:
+    """Tables of the arity-m term operations: projections and generators of
+    arity m, closed by applying every generator to every combination."""
+    d = alg.domain.size
+    tables = {projection_op(d, m, i).table for i in range(1, m + 1)}
+    tables |= {g.table for g in alg.generators if g.arity == m}
+    while True:
+        ops = [Operation("t", m, d, t) for t in tables]
+        grown = tables | {
+            compose(g, combo).table
+            for g in alg.generators
+            for combo in itertools.product(ops, repeat=g.arity)
+        }
+        if grown == tables:
+            return tables
+        tables = grown
+
+
+def _naive_relation_closure(rel, op):
+    tuples = set(rel.tuples)
+    while True:
+        grown = tuples | {
+            tuple(op(*(t[c] for t in choice)) for c in range(rel.arity))
+            for choice in itertools.product(tuples, repeat=op.arity)
+        }
+        if grown == tuples:
+            return grown
+        tuples = grown
 
 
 class TestIsPolymorphism:
@@ -178,6 +209,32 @@ class TestTermGeneration:
         assert terms.truncated
         assert len(terms.operations) <= 5
 
+    def test_matches_naive_closure(self):
+        flip = Operation("nf", 1, 2, (1, 0))
+        cases = (
+            ((and_op(), minority_op()), 2),  # fills all idempotent binaries mid-round
+            ((flip, and_op()), 2),  # not idempotent: fills all sixteen binaries
+            ((majority_op(),), 3),
+            ((semilattice_to_shared(3, 2), dual_discriminator(3)), 2),
+        )
+        for gens, m in cases:
+            alg = Algebra(Domain(gens[0].domain_size), gens)
+            terms = generate_term_operations(alg, m)
+            assert not terms.truncated
+            for k in range(1, m + 1):
+                assert {op.table for op in terms.of_arity(k)} == _naive_clone(alg, k)
+            for op in terms.operations:
+                assert replay_trace(alg, terms.traces[op]) == op
+
+    def test_fills_every_idempotent_ternary(self):
+        alg = Algebra(Domain(2), (and_op(), minority_op()))
+        terms = generate_term_operations(alg, 3)
+        ternary = terms.of_arity(3)
+        assert len({op.table for op in ternary}) == len(ternary) == 2**6
+        assert all(op.is_idempotent() for op in ternary)
+        for op in ternary:
+            assert replay_trace(alg, terms.traces[op]) == op
+
 
 class TestDiscovery:
     def test_equality_gives_all_idempotent_binaries(self):
@@ -260,3 +317,17 @@ class TestClosure:
 
     def test_already_closed(self):
         assert close_relation_under(eq_rel(), and_op()).tuples == eq_rel().tuples
+
+    def test_matches_naive_fixed_point(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            d = rng.choice((2, 3))
+            k = rng.randint(1, 3)
+            table = tuple(rng.randrange(d) for _ in range(d**k))
+            op = Operation("f", k, d, table)
+            arity = rng.randint(1, 3)
+            rows = list(itertools.product(range(d), repeat=arity))
+            base = rel("R", arity, d, rng.sample(rows, rng.randint(1, min(4, len(rows)))))
+            closed = close_relation_under(base, op)
+            assert closed.tuples == _naive_relation_closure(base, op)
+            assert (closed.name, closed.arity) == (base.name, base.arity)
