@@ -26,10 +26,11 @@ from .errors import BuildError, GuardrailError, StructuralError
 from .model import Algebra, Constraint, ConstraintLanguage, Operation
 from .ops import and_op, dual_discriminator, majority_op, minority_op, or_op, semilattice_to_shared
 from .polymorph import (
-    discover_polymorphisms,
     is_polymorphism_of_language,
+    is_projection,
+    polymorphisms_by_arity,
     polymorphism_failure,
-    tag_operation,
+    relation_cells,
 )
 
 SAMPLE_CERTIFICATE_N = 4
@@ -120,7 +121,8 @@ def find_polymorphism_with_shape(
     solving a CSP whose variables are the free table cells.
 
     Every choice of rows from a relation yields one constraint reusing that
-    relation over the cells it touches, so the search is complete.
+    relation over the cells it reads (`relation_cells`), so the search is
+    complete.
     """
     d = language.domain.size
     cells = list(itertools.product(range(d), repeat=arity))
@@ -130,11 +132,9 @@ def find_polymorphism_with_shape(
     var_of = {c: "t" + "_".join(str(v) for v in c) for c in cells}
     constraints = set()
     for rel in language.relations:
-        rows = rel.sorted_tuples()
-        for choice in itertools.product(rows, repeat=arity):
-            cols = tuple(tuple(t[j] for t in choice) for j in range(rel.arity))
+        for indices in relation_cells(rel, arity):
             args = tuple(
-                forced[c] if c in forced else var_of[c] for c in cols
+                forced[c] if c in forced else var_of[c] for c in (cells[i] for i in indices)
             )
             constraints.add(Constraint(rel, args))
     free = tuple(var_of[c] for c in cells if c not in forced)
@@ -171,20 +171,19 @@ def _majority_template(d: int) -> dict[tuple[int, int, int], int]:
 def discovered_generators(
     language: ConstraintLanguage, arity_cap: int, candidate_cap: int
 ) -> tuple[tuple[Operation, ...], dict]:
-    """Idempotent polymorphisms by exhaustive sweep where the guardrail
-    allows, topped up with targeted ternary template searches; projections are
-    dropped since they never constrain the structure."""
+    """Idempotent polymorphisms from one sweep over arities 1..arity_cap,
+    kept below the first arity that hits a guardrail, topped up with targeted
+    ternary template searches when the sweep stopped short of arity 3.
+    Projections are dropped since they never constrain the structure."""
     d = language.domain.size
     found: list[Operation] = []
     swept_to = 0
-    for k in range(1, arity_cap + 1):
-        try:
-            for op in discover_polymorphisms(language, k, candidate_cap):
-                if op.arity == k and not tag_operation(op).projection:
-                    found.append(op)
-            swept_to = k
-        except GuardrailError:
-            break
+    try:
+        for ops in polymorphisms_by_arity(language, arity_cap, candidate_cap):
+            found.extend(op for op in ops if not is_projection(op))
+            swept_to += 1
+    except GuardrailError:
+        pass
     targeted = []
     templates_ran: tuple[str, ...] = ()
     if arity_cap >= 3 and swept_to < 3:

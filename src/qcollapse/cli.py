@@ -70,11 +70,25 @@ def _source_arg(value: str | None, domain: Domain) -> frozenset[int] | None:
     return frozenset((domain.index_of(value),))
 
 
+def _write(path: Path, text: str):
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise ParseError(str(err)) from None
+
+
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(Path(out), text)
     else:
         sys.stdout.write(text)
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"count must be >= 0, got {value}")
+    return value
 
 
 def _certificate_for_language(document, n: int, arity_cap: int, count_cap: int):
@@ -446,11 +460,12 @@ def cmd_gen(args) -> int:
         closure_ops=closure,
     )
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ParseError(str(err)) from None
     for i, (language, formula) in enumerate(instances(spec)):
-        (outdir / f"inst_{i:04d}.txt").write_text(
-            serialize_instance(language, formula), encoding="utf-8"
-        )
+        _write(outdir / f"inst_{i:04d}.txt", serialize_instance(language, formula))
     print(f"wrote {spec.count} instances to {outdir}")
     return EXIT_TRUE
 
@@ -535,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="seeded random instance corpus")
     common(p, with_file=False)
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=non_negative_int, default=20)
     p.add_argument("--domain-size", type=int, default=2, dest="domain_size")
     p.add_argument("--vars", type=int, default=6)
     p.add_argument("--universals", type=int, default=3)

@@ -28,7 +28,7 @@ from .algebra import (
     restrict,
     Congruence,
 )
-from .errors import BuildError, StructuralError
+from .errors import BuildError, ParseError, StructuralError
 from .game import Adversary, constant_adversary, full_adversary
 from .model import Algebra, Operation
 from .ops import semilattice_to_shared
@@ -216,6 +216,10 @@ def verify_certificate(
         if bad:
             return VerificationResult(
                 False, f"step {idx}: input {bad[0]} is a forward or negative reference"
+            )
+        if len(e.inputs) != e.op.arity:
+            return VerificationResult(
+                False, f"step {idx}: {len(e.inputs)} inputs for an arity-{e.op.arity} operation"
             )
         if e.trace is None:
             return VerificationResult(False, f"step {idx}: missing construction trace")
@@ -1214,8 +1218,20 @@ def serialize_certificate(cert: Certificate, domain_size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _trace_generators(trace: Trace) -> Iterator[int]:
+    if trace[0] == "gen":
+        yield trace[1]
+    elif trace[0] == "comp":
+        for part in (trace[1],) + trace[2]:
+            yield from _trace_generators(part)
+
+
 def parse_certificate(text: str, algebra: Algebra) -> Certificate:
+    """Read the text `serialize_certificate` writes. Malformed text raises
+    ParseError naming its line; whether the derivation holds is left to
+    `verify_certificate`."""
     header: dict[str, str] = {}
+    header_line = 0
     entries: list[CertEntry] = []
     result: int | None = None
     warnings: list[str] = []
@@ -1226,44 +1242,69 @@ def parse_certificate(text: str, algebra: Algebra) -> Certificate:
         if tok == "*":
             return full
         if not (tok.startswith("{") and tok.endswith("}")):
-            raise StructuralError(f"bad adversary coordinate {tok!r}")
+            raise ValueError(f"bad adversary coordinate {tok!r}")
         return frozenset(int(v) for v in tok[1:-1].split(",") if v)
 
-    for raw in text.splitlines():
+    def body(line: str) -> str:
+        kind, colon, rest = line.partition(":")
+        if not colon:
+            raise ValueError(f"{kind.split()[0]} line has no ':'")
+        return rest
+
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("certificate"):
-            for part in line.split()[1:]:
-                key, _, value = part.partition("=")
-                header[key] = value
-        elif line.startswith("axiom"):
-            _, rest = line.split(":", 1)
-            entries.append(CertEntry(Adversary(tuple(coord(t) for t in rest.split()))))
-        elif line.startswith("step"):
-            _, rest = line.split(":", 1)
-            adv_text, _, deriv = rest.partition("<=")
-            adv = Adversary(tuple(coord(t) for t in adv_text.split()))
-            trace_text, _, ids_text = deriv.strip().rpartition("(")
-            trace = parse_trace(trace_text.strip())
-            ids = tuple(
-                int(tok) for tok in ids_text.rstrip(")").split(",") if tok.strip()
+        try:
+            if line.startswith("certificate"):
+                header_line = lineno
+                for part in line.split()[1:]:
+                    key, _, value = part.partition("=")
+                    header[key] = value
+            elif line.startswith("axiom"):
+                entries.append(CertEntry(Adversary(tuple(coord(t) for t in body(line).split()))))
+            elif line.startswith("step"):
+                adv_text, _, deriv = body(line).partition("<=")
+                adv = Adversary(tuple(coord(t) for t in adv_text.split()))
+                trace_text, _, ids_text = deriv.strip().rpartition("(")
+                trace = parse_trace(trace_text.strip())
+                for gi in _trace_generators(trace):
+                    if not 0 <= gi < len(algebra.generators):
+                        raise ValueError(
+                            f"trace names g{gi}, but the algebra has "
+                            f"{len(algebra.generators)} generators"
+                        )
+                ids = tuple(
+                    int(tok) for tok in ids_text.rstrip(")").split(",") if tok.strip()
+                )
+                entries.append(CertEntry(adv, replay_trace(algebra, trace), trace, ids))
+            elif line.startswith("result"):
+                result = int(line.split()[1])
+            elif line.startswith("warning:"):
+                warnings.append(line.split(":", 1)[1].strip())
+            else:
+                raise ValueError(f"unrecognized certificate line {line!r}")
+        except (ValueError, IndexError) as err:
+            raise ParseError(str(err), lineno) from None
+    if not header_line or result is None:
+        raise ParseError("certificate text is missing its header or result")
+    missing = [key for key in ("n", "width", "source", "target") if key not in header]
+    if missing:
+        raise ParseError(f"certificate header lacks {missing[0]}=", header_line)
+    try:
+        if "domain" in header and int(header["domain"]) != d:
+            raise ValueError(
+                f"certificate is over a {header['domain']}-element domain, "
+                f"the algebra over {d}"
             )
-            entries.append(CertEntry(adv, replay_trace(algebra, trace), trace, ids))
-        elif line.startswith("result"):
-            result = int(line.split()[1])
-        elif line.startswith("warning:"):
-            warnings.append(line.split(":", 1)[1].strip())
-        else:
-            raise StructuralError(f"unrecognized certificate line {line!r}")
-    if result is None or "n" not in header:
-        raise StructuralError("certificate text is missing its header or result")
-    return Certificate(
-        target=frozenset(int(v) for v in header["target"].split(",") if v),
-        source=frozenset(int(v) for v in header["source"].split(",") if v),
-        width=int(header["width"]),
-        n=int(header["n"]),
-        entries=tuple(entries),
-        result=result,
-        warnings=tuple(warnings),
-    )
+        return Certificate(
+            target=frozenset(int(v) for v in header["target"].split(",") if v),
+            source=frozenset(int(v) for v in header["source"].split(",") if v),
+            width=int(header["width"]),
+            n=int(header["n"]),
+            entries=tuple(entries),
+            result=result,
+            warnings=tuple(warnings),
+        )
+    except ValueError as err:
+        raise ParseError(str(err), header_line) from None

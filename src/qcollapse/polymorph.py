@@ -90,11 +90,11 @@ class OperationTags:
     unit_element: int | None
 
 
-def _projection_coord(op: Operation) -> int | None:
-    for i in range(op.arity):
-        if all(op.table[op.index(args)] == args[i] for args in op.inputs()):
-            return i + 1
-    return None
+def is_projection(op: Operation) -> bool:
+    return any(
+        all(op.table[op.index(args)] == args[i] for args in op.inputs())
+        for i in range(op.arity)
+    )
 
 
 def _unit_element(op: Operation) -> int | None:
@@ -168,7 +168,7 @@ def tag_operation(op: Operation) -> OperationTags:
             for z in range(d)
         )
     return OperationTags(
-        projection=_projection_coord(op) is not None,
+        projection=is_projection(op),
         idempotent=idempotent,
         semilattice=semilattice,
         maltsev=maltsev,
@@ -383,37 +383,140 @@ def generate_term_operations(
     return TermOperationSet(algebra, arity_cap, tuple(order), dict(found), truncated)
 
 
+def relation_cells(rel: Relation, k: int) -> set[tuple[int, ...]]:
+    """The table-cell index tuples that the k-row choices of the relation
+    read: choosing rows t_1, ..., t_k, coordinate j of the image is the cell
+    at index t_1[j]*d^(k-1) + ... + t_k[j]. A k-ary operation preserves the
+    relation iff its table maps every such tuple of cells to a row.
+
+    Built one row at a time: the tuples for k rows are those for k-1 rows,
+    shifted one place, plus a last row. Choices that read the same cells give
+    one tuple, so each step extends only distinct tuples.
+    """
+    d = rel.domain_size
+    rows = rel.sorted_tuples()
+    cells = set(rows)
+    for _ in range(k - 1):
+        cells = {
+            tuple(map(operator.add, base, c))
+            for base in [[i * d for i in prefix] for prefix in cells]
+            for c in rows
+        }
+    return cells
+
+
+def _idempotent_polymorphism_tables(
+    language: ConstraintLanguage, k: int, candidate_cap: int, check_cap: int
+) -> list[tuple[int, ...]]:
+    """The tables of the idempotent arity-k polymorphisms in
+    `itertools.product` order of their off-diagonal cells.
+
+    The off-diagonal cells are filled depth-first in index order, values
+    ascending. Each relation's cell tuples are checked at the last free cell
+    they read, so a branch is cut as soon as one completed tuple leaves its
+    relation. A tuple that reads only diagonal cells maps a row onto itself
+    and is never checked.
+
+    Raises GuardrailError before sweeping when the arity has more than
+    `candidate_cap` idempotent tables, or when a relation has more than
+    `check_cap` k-row choices: the projections preserve every relation, so a
+    check of every table against every relation would reach it.
+    """
+    d = language.domain.size
+    free_cells = d**k - d
+    if d**free_cells > candidate_cap:
+        raise GuardrailError(
+            f"{d}^{free_cells} idempotent arity-{k} candidates exceed the cap; "
+            "restrict the arity cap or use a targeted detector"
+        )
+    for rel in language.relations:
+        if len(rel.tuples) ** k > check_cap:
+            raise GuardrailError(
+                f"{len(rel.tuples)}^{k} tuple combinations exceed the cap of {check_cap}"
+            )
+    step = sum(d**i for i in range(k))  # index distance between diagonal cells
+    table = [0] * d**k
+    for a in range(d):
+        table[a * step] = a
+    free = [c for c in range(d**k) if c % step]
+    if not free:
+        return [tuple(table)]
+    rank = [-1] * d**k  # position of each free cell in `free`
+    for p, c in enumerate(free):
+        rank[c] = p
+    # per free cell and relation, the cells of every tuple checked there, in
+    # one flat getter whose result is cut into images of the relation's arity
+    checks: list[list[tuple[operator.itemgetter, int, frozenset]]] = [[] for _ in free]
+    for rel in language.relations:
+        attached: list[list[int]] = [[] for _ in free]
+        for cells in relation_cells(rel, k):
+            last = max(map(rank.__getitem__, cells))
+            if last >= 0:
+                attached[last].extend(cells)
+        for p, flat in enumerate(attached):
+            if len(flat) == 1:
+                flat *= 2  # a getter of one cell would return a bare value
+            if flat:
+                checks[p].append((operator.itemgetter(*flat), rel.arity, rel.tuples))
+    out = []
+    p = 0
+    table[free[0]] = -1
+    while p >= 0:
+        cell = free[p]
+        value = table[cell] + 1
+        if value == d:
+            p -= 1
+            continue
+        table[cell] = value
+        if all(
+            rows.issuperset(zip(*[iter(getter(table))] * arity))
+            for getter, arity, rows in checks[p]
+        ):
+            if p == len(free) - 1:
+                out.append(tuple(table))
+            else:
+                p += 1
+                table[free[p]] = -1
+    return out
+
+
+def polymorphisms_by_arity(
+    language: ConstraintLanguage,
+    arity_cap: int = DEFAULT_ARITY_CAP,
+    candidate_cap: int = DEFAULT_CHECK_CAP,
+    check_cap: int = DEFAULT_CHECK_CAP,
+) -> Iterator[tuple[Operation, ...]]:
+    """The idempotent polymorphisms of each arity 1..arity_cap in turn, named
+    `f{k}_{n}` with n counting every operation found before, projections and
+    lower arities included.
+
+    An arity that hits a guardrail raises GuardrailError when it is reached,
+    after every lower arity has been yielded.
+    """
+    d = language.domain.size
+    found = 0
+    for k in range(1, arity_cap + 1):
+        tables = _idempotent_polymorphism_tables(language, k, candidate_cap, check_cap)
+        yield tuple(Operation(f"f{k}_{found + i}", k, d, t) for i, t in enumerate(tables))
+        found += len(tables)
+
+
 def discover_polymorphisms(
     language: ConstraintLanguage,
     arity_cap: int = DEFAULT_ARITY_CAP,
     candidate_cap: int = DEFAULT_CHECK_CAP,
     check_cap: int = DEFAULT_CHECK_CAP,
 ) -> tuple[Operation, ...]:
-    """All idempotent polymorphisms of arity <= arity_cap, by exhausting the
-    idempotent operation tables of each arity.
+    """All idempotent polymorphisms of arity <= arity_cap, in one list.
 
     Raises GuardrailError when an arity has too many candidate tables; use the
     targeted detectors in `classify` for larger domains.
     """
-    d = language.domain.size
-    out: list[Operation] = []
-    for k in range(1, arity_cap + 1):
-        free_cells = d**k - d
-        if d**free_cells > candidate_cap:
-            raise GuardrailError(
-                f"{d}^{free_cells} idempotent arity-{k} candidates exceed the cap; "
-                "restrict the arity cap or use a targeted detector"
-            )
-        diagonal = {tuple([a] * k): a for a in range(d)}
-        cells = [args for args in itertools.product(range(d), repeat=k) if args not in diagonal]
-        for values in itertools.product(range(d), repeat=len(cells)):
-            entries = dict(zip(cells, values))
-            entries.update(diagonal)
-            table = tuple(entries[args] for args in itertools.product(range(d), repeat=k))
-            op = Operation(f"f{k}_{len(out)}", k, d, table)
-            if is_polymorphism_of_language(op, language, check_cap):
-                out.append(op)
-    return tuple(out)
+    return tuple(
+        op
+        for ops in polymorphisms_by_arity(language, arity_cap, candidate_cap, check_cap)
+        for op in ops
+    )
 
 
 def apply_pointwise(op: Operation, assignments: Sequence[Mapping[str, int]]) -> dict[str, int]:

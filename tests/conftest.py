@@ -6,13 +6,17 @@ import itertools
 
 import pytest
 
+from qcollapse.errors import GuardrailError
 from qcollapse.model import (
+    ConstraintLanguage,
     Domain,
     EXISTS,
     FORALL,
+    Operation,
     QuantifiedFormula,
     Relation,
 )
+from qcollapse.polymorph import is_polymorphism_of_language
 
 
 def rel(name: str, arity: int, domain_size: int, rows) -> Relation:
@@ -35,6 +39,46 @@ def impl_rel() -> Relation:
 def affine_rel() -> Relation:
     rows = [t for t in itertools.product(range(2), repeat=3) if sum(t) % 2 == 0]
     return rel("Aff", 3, 2, rows)
+
+
+def brute_force_discovery(
+    language: ConstraintLanguage, arity_cap: int, candidate_cap: int, check_cap: int
+):
+    """Reference sweep, yielding the operations of each arity in turn: every
+    idempotent table in `itertools.product` order, checked against every row
+    choice of every relation, with the guardrails and names of the discovery
+    kernel."""
+    d = language.domain.size
+    out: list[Operation] = []
+    for k in range(1, arity_cap + 1):
+        lower = len(out)
+        free_cells = d**k - d
+        if d**free_cells > candidate_cap:
+            raise GuardrailError(
+                f"{d}^{free_cells} idempotent arity-{k} candidates exceed the cap; "
+                "restrict the arity cap or use a targeted detector"
+            )
+        diagonal = {tuple([a] * k): a for a in range(d)}
+        cells = [args for args in itertools.product(range(d), repeat=k) if args not in diagonal]
+        for values in itertools.product(range(d), repeat=len(cells)):
+            entries = dict(zip(cells, values))
+            entries.update(diagonal)
+            table = tuple(entries[args] for args in itertools.product(range(d), repeat=k))
+            op = Operation(f"f{k}_{len(out)}", k, d, table)
+            if is_polymorphism_of_language(op, language, check_cap):
+                out.append(op)
+        yield tuple(out[lower:])
+
+
+def random_language(rng, d: int) -> ConstraintLanguage:
+    """One to three relations of arity 1-3 over d elements, up to 8 rows each."""
+    relations = []
+    for i in range(rng.randint(1, 3)):
+        arity = rng.randint(1, 3)
+        rows = list(itertools.product(range(d), repeat=arity))
+        chosen = rng.sample(rows, rng.randint(0, min(8, len(rows))))
+        relations.append(rel(f"R{i}", arity, d, chosen))
+    return ConstraintLanguage(Domain(d), tuple(relations))
 
 
 # derives * * from the axiom {1} {1} through the binary AND generator g0, which

@@ -1,16 +1,20 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import affine_rel, impl_rel, nae_rel, rel
+from conftest import affine_rel, brute_force_discovery, impl_rel, nae_rel, random_language, rel
+from qcollapse import classify, polymorph
 from qcollapse.classify import (
     classify_conservative,
     classify_three_element,
     classify_two_element,
+    discovered_generators,
     find_polymorphism_with_shape,
 )
-from qcollapse.errors import StructuralError
-from qcollapse.model import Algebra, ConstraintLanguage, Domain, Relation
+from qcollapse.cspsolve import CspInstance
+from qcollapse.errors import GuardrailError, StructuralError
+from qcollapse.model import Algebra, Constraint, ConstraintLanguage, Domain, Relation
 from qcollapse.ops import dual_discriminator, semilattice_to_shared
 from qcollapse.polymorph import close_relation_under, is_polymorphism_of_language, tag_operation
 
@@ -78,6 +82,72 @@ class TestShapeSearch:
                 forced[(x, y, x)] = x
                 forced[(y, x, x)] = x
         assert find_polymorphism_with_shape(language, 3, forced) is None
+
+
+    def test_constraints_match_row_choices(self, monkeypatch):
+        # the CSP posed is the one built from every row choice directly
+        posed = []
+        solve = classify.solve_csp
+        monkeypatch.setattr(classify, "solve_csp", lambda inst: posed.append(inst) or solve(inst))
+        rng = random.Random(11)
+        for _ in range(20):
+            d = rng.choice((2, 3))
+            language = random_language(rng, d)
+            forced = {c: c[1] for c in itertools.product(range(d), repeat=3) if c[0] == c[1]}
+            find_polymorphism_with_shape(language, 3, forced)
+            cells = list(itertools.product(range(d), repeat=3))
+            var_of = {c: "t" + "_".join(str(v) for v in c) for c in cells}
+            constraints = {
+                Constraint(
+                    r,
+                    tuple(
+                        forced.get(col, var_of[col])
+                        for col in zip(*choice)
+                    ),
+                )
+                for r in language.relations
+                for choice in itertools.product(r.sorted_tuples(), repeat=3)
+            }
+            free = tuple(var_of[c] for c in cells if c not in forced)
+            assert posed.pop() == CspInstance(
+                language.domain, free, tuple(sorted(constraints, key=str))
+            )
+
+
+class TestDiscoveredGenerators:
+    def test_matches_per_arity_brute_force(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            language = random_language(rng, rng.randint(2, 3))
+            candidate_cap = rng.choice((5, 100, 100_000))
+            found, swept_to = [], 0
+            try:
+                for ops in brute_force_discovery(language, 3, candidate_cap, 10**7):
+                    found += [op for op in ops if not tag_operation(op).projection]
+                    swept_to += 1
+            except GuardrailError:
+                pass
+            generators, caps = discovered_generators(language, 3, candidate_cap)
+            assert [(g.name, g.table) for g in generators[: len(found)]] == [
+                (g.name, g.table) for g in found
+            ]
+            assert caps["exhaustive_arity"] == swept_to
+            if swept_to == 3:
+                assert len(generators) == len(found)
+
+    def test_sweeps_each_arity_once(self, monkeypatch):
+        swept = []
+        kernel = polymorph._idempotent_polymorphism_tables
+
+        def recording(language, k, *caps):
+            swept.append(k)
+            return kernel(language, k, *caps)
+
+        monkeypatch.setattr(polymorph, "_idempotent_polymorphism_tables", recording)
+        language = lang(3, rel("Eq", 2, 3, [(v, v) for v in range(3)]))
+        _, caps = discovered_generators(language, 3, 100_000)
+        assert caps["exhaustive_arity"] == 2
+        assert swept == [1, 2, 3]
 
 
 class TestThreeElement:

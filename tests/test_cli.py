@@ -119,6 +119,66 @@ class TestExitCodes:
         assert capsys.readouterr().out.startswith("certificate rejected")
 
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("certificate n=1 width=1 target=1 domain=2\naxiom 0: {1}\nresult 0\n", 1),
+            ("certificate n=1 width=1 source=1 domain=2\naxiom 0: {1}\nresult 0\n", 1),
+            ("certificate n=1 source=1 target=1 domain=2\naxiom 0: {1}\nresult 0\n", 1),
+            ("certificate n=1 width=1 source=1 target=1 domain=3\naxiom 0: {1}\nresult 0\n", 1),
+            (
+                "certificate n=1 width=1 source=1 target=1 domain=2\naxiom 0: {1}\n"
+                "step 1: {1} <= g7(0, 0)\nresult 1\n",
+                3,
+            ),
+            ("certificate n=1 width=1 source=1 target=1 domain=2\naxiom 0: {x}\nresult 0\n", 2),
+            ("certificate n=1 width=1 source=1 target=1 domain=2\naxiom 0 {1}\nresult 0\n", 2),
+            (
+                "certificate n=1 width=1 source=1 target=1 domain=2\naxiom 0: {1}\n"
+                "step 1 {1} <= g0(0, 0)\nresult 1\n",
+                3,
+            ),
+        ],
+        ids=[
+            "no-source", "no-target", "no-width", "domain-mismatch",
+            "unknown-generator", "bad-coordinate", "axiom-without-colon", "step-without-colon",
+        ],
+    )
+    def test_malformed_certificate_is_usage_error(self, files, capsys, tmp_path, text, line):
+        cert_path = tmp_path / "bad_cert.txt"
+        cert_path.write_text(text, encoding="utf-8")
+        assert main(["verify", files["and"], "--certificate", str(cert_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+    def test_verify_rejects_arity_mismatch(self, files, capsys, tmp_path):
+        cert_path = tmp_path / "short.txt"
+        cert_path.write_text(
+            "certificate n=1 width=1 source=1 target=1 domain=2\naxiom 0: {1}\n"
+            "step 1: {1} <= g0(0)\nresult 1\n",
+            encoding="utf-8",
+        )
+        assert main(["verify", files["and"], "--certificate", str(cert_path)]) == 1
+        assert capsys.readouterr().out == (
+            "certificate rejected: step 1: 1 inputs for an arity-2 operation\n"
+        )
+
+    def test_certify_out_to_missing_directory(self, files, capsys, tmp_path):
+        out = tmp_path / "missing" / "cert.txt"
+        assert main(["certify", files["and"], "--n", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file" in err
+
+    def test_gen_out_below_a_file(self, files, capsys):
+        out = Path(files["and"]) / "corpus"
+        assert main(["gen", "--out", str(out), "--count", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_gen_negative_count(self, tmp_path, capsys):
+        assert main(["gen", "--out", str(tmp_path / "c"), "--count", "-3"]) == 2
+        assert "--count" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+
 class TestParserReuse:
     def test_back_to_back_calls_match_fresh_processes(self, files, capsys):
         env = dict(os.environ, PYTHONPATH=str(Path(qcollapse.__file__).parents[1]))

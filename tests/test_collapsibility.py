@@ -28,7 +28,7 @@ from qcollapse.collapsibility import (
     _two_element_dispatch,
 )
 from qcollapse.corpus import CorpusSpec, instances
-from qcollapse.errors import BuildError, StructuralError
+from qcollapse.errors import BuildError, ParseError, StructuralError
 from qcollapse.game import constant_adversary, evaluate_truth, full_adversary, winnable
 from qcollapse.model import Algebra, ConstraintLanguage, Domain
 from qcollapse.ops import (
@@ -568,7 +568,7 @@ class TestVerification:
 
     def test_certificate_text_rejects_garbage(self):
         alg = ALGEBRAS["and"]
-        with pytest.raises(StructuralError):
+        with pytest.raises(ParseError, match="line 2"):
             parse_certificate("certificate n=2 width=1 source=1 target=0,1\nnonsense line\nresult 0\n", alg)
 
     def test_serialization_roundtrip(self):

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from conftest import affine_rel, eq_rel, impl_rel, nae_rel, rel
+from conftest import (
+    affine_rel,
+    brute_force_discovery,
+    eq_rel,
+    impl_rel,
+    nae_rel,
+    random_language,
+    rel,
+)
 from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.model import Algebra, Constraint, ConstraintLanguage, Domain, Operation
 from qcollapse.ops import (
@@ -26,6 +34,8 @@ from qcollapse.polymorph import (
     op_image,
     parse_trace,
     polymorphism_failure,
+    polymorphisms_by_arity,
+    relation_cells,
     replay_trace,
     tag_operation,
     trace_to_str,
@@ -267,6 +277,63 @@ class TestDiscovery:
         language = ConstraintLanguage(Domain(3), (eq_rel(3),))
         with pytest.raises(GuardrailError):
             discover_polymorphisms(language, 3)
+
+    def test_matches_brute_force_sweep(self):
+        rng = random.Random(4)
+        seen = set()
+        for _ in range(300):
+            language = random_language(rng, rng.randint(1, 3))
+            candidate_cap = rng.choice((5, 100, 100_000))
+            check_cap = rng.choice((10**7, 10**7, 30))
+            try:
+                expected = [
+                    op
+                    for ops in brute_force_discovery(language, 3, candidate_cap, check_cap)
+                    for op in ops
+                ]
+            except GuardrailError as err:
+                with pytest.raises(GuardrailError) as raised:
+                    discover_polymorphisms(language, 3, candidate_cap, check_cap)
+                assert str(raised.value) == str(err)
+                if "candidates" in str(err):
+                    seen.add(("candidate cap", str(err).split("arity-")[1][0]))
+                else:
+                    k = int(str(err).split("^")[1].split()[0])
+                    first = next(
+                        i for i, r in enumerate(language.relations)
+                        if len(r.tuples) ** k > check_cap
+                    )
+                    seen.add(("check cap", "later relation" if first else "first relation"))
+                continue
+            ops = discover_polymorphisms(language, 3, candidate_cap, check_cap)
+            assert [(op.name, op.table) for op in ops] == [
+                (op.name, op.table) for op in expected
+            ]
+            seen.add(("swept", "3"))
+        assert {
+            ("candidate cap", "2"),
+            ("candidate cap", "3"),
+            ("check cap", "later relation"),
+            ("swept", "3"),
+        } <= seen
+
+    def test_grouped_by_arity(self):
+        language = ConstraintLanguage(Domain(2), (impl_rel(),))
+        groups = list(polymorphisms_by_arity(language, 3))
+        assert [{op.arity for op in ops} for ops in groups] == [{1}, {2}, {3}]
+        assert tuple(op for ops in groups for op in ops) == discover_polymorphisms(language, 3)
+
+    def test_relation_cells_match_row_choices(self):
+        relation = rel("R", 2, 3, [(0, 1), (1, 2), (2, 2)])
+        for k in (1, 2, 3):
+            expected = {
+                tuple(
+                    sum(t[j] * 3 ** (k - 1 - i) for i, t in enumerate(choice))
+                    for j in range(2)
+                )
+                for choice in itertools.product(relation.sorted_tuples(), repeat=k)
+            }
+            assert relation_cells(relation, k) == expected
 
     def test_projections_are_always_polymorphisms(self):
         # exhaustive over arities <= 3 and a couple of domains
