@@ -40,9 +40,12 @@ from .corpus import CorpusSpec, instances
 from .errors import BuildError, GuardrailError, ParseError, StructuralError
 from .game import evaluate_truth
 from .model import (
+    EXISTS,
     Algebra,
+    Constraint,
     Domain,
     Operation,
+    QuantifiedFormula,
     parse_document,
     serialize_document,
     serialize_instance,
@@ -64,10 +67,24 @@ def _read(path: str) -> str:
         raise ParseError(str(err)) from None
 
 
-def _source_arg(value: str | None, domain: Domain) -> frozenset[int] | None:
-    if value is None or value == "all":
+def _instance(path: str):
+    """The parsed instance file, which must hold a formula."""
+    document = parse_document(_read(path))
+    if document.formula is None:
+        raise ParseError("instance file has no formula")
+    return document
+
+
+def _source(args, domain: Domain) -> frozenset[int] | None:
+    """The source constants `--const` or `--source` name; None for every
+    element (no flag, or `--source all`)."""
+    if args.const is not None:
+        if args.source is not None:
+            raise StructuralError("--const and --source exclude each other")
+        return frozenset((domain.index_of(args.const),))
+    if args.source is None or args.source == "all":
         return None
-    return frozenset((domain.index_of(value),))
+    return frozenset((domain.index_of(args.source),))
 
 
 def _write(path: Path, text: str):
@@ -106,15 +123,11 @@ def _certificate_for_language(document, n: int, arity_cap: int, count_cap: int):
 
 
 def cmd_solve(args) -> int:
-    document = parse_document(_read(args.file))
-    if document.formula is None:
-        raise ParseError("instance file has no formula")
+    document = _instance(args.file)
     formula = document.formula
     n = len(formula.universal_vars)
     width = args.j
-    source = _source_arg(args.source, formula.domain)
-    if args.const is not None:
-        source = frozenset((formula.domain.index_of(args.const),))
+    source = _source(args, formula.domain)
     if not args.unsafe:
         try:
             cert, _, _ = _certificate_for_language(document, n, args.arity_cap, args.count_cap)
@@ -158,23 +171,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_solve_oracle(args) -> int:
-    document = parse_document(_read(args.file))
-    if document.formula is None:
-        raise ParseError("instance file has no formula")
-    result = evaluate_truth(document.formula, node_cap=args.count_cap)
+    result = evaluate_truth(_instance(args.file).formula, node_cap=args.count_cap)
     print("true" if result else "false")
     return EXIT_TRUE if result else EXIT_FALSE
 
 
 def cmd_collapse(args) -> int:
-    document = parse_document(_read(args.file))
-    if document.formula is None:
-        raise ParseError("instance file has no formula")
+    document = _instance(args.file)
     formula = document.formula
-    source = _source_arg(args.source, formula.domain)
-    if args.const is not None:
-        source = frozenset((formula.domain.index_of(args.const),))
-    rows = collapse_verdicts(formula, args.j, source, width_cap=max(args.j, 3))
+    rows = collapse_verdicts(
+        formula, args.j, _source(args, formula.domain), width_cap=max(args.j, 3)
+    )
     out = ["index\tconstant\tkept\tverdict\tformula"]
     for i, (col, ok) in enumerate(rows):
         kept = ",".join(col.kept_universals) or "-"
@@ -187,14 +194,11 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    document = parse_document(_read(args.file))
-    if document.formula is None:
-        raise ParseError("instance file has no formula")
+    document = _instance(args.file)
     formula = document.formula
-    source = _source_arg(args.source, formula.domain)
-    if args.const is not None:
-        source = frozenset((formula.domain.index_of(args.const),))
-    collapsings = relevant_collapsings(formula, args.j, source, width_cap=max(args.j, 3))
+    collapsings = relevant_collapsings(
+        formula, args.j, _source(args, formula.domain), width_cap=max(args.j, 3)
+    )
     combined = combine_csp(
         [collapsing_to_csp(c.result) for c in collapsings], formula.domain
     )
@@ -202,8 +206,6 @@ def cmd_reduce(args) -> int:
     lines = [f"# combined CSP from {len(collapsings)} collapsings (width {args.j})"]
     for v in combined.variables:
         lines.append(f"# {rename[v]} = {v}")
-    from .model import Constraint, QuantifiedFormula, EXISTS
-
     body = tuple(
         Constraint(c.relation, tuple(rename[a] if isinstance(a, str) else a for a in c.args))
         for c in combined.constraints

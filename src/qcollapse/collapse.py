@@ -2,15 +2,21 @@
 enumerate bounded collapsings, encode a collapsed formula as an existential
 CSP over strategy-output variables, and run the collapse-based decision
 pipeline.
+
+Deciding works on integer variable indices (`collapse_verdicts`); the named
+encoding (`collapsing_to_csp`, `combine_csp`) is built only to print it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from math import comb
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .cspsolve import CspInstance, solve_csp
+from .cspsolve import CspInstance, IndexedConstraint, solve_indexed
 from .errors import GuardrailError, StructuralError
 from .model import Constraint, Domain, QuantifiedFormula
 
@@ -26,7 +32,15 @@ class Collapsing:
     origin: QuantifiedFormula
     kept_universals: tuple[str, ...]
     constant: int
-    result: QuantifiedFormula
+
+    @cached_property
+    def result(self) -> QuantifiedFormula:
+        substitution = {
+            v: self.constant
+            for v in self.origin.universal_vars
+            if v not in self.kept_universals
+        }
+        return instantiate_universals(self.origin, substitution)
 
 
 def instantiate_universals(
@@ -59,24 +73,38 @@ def enumerate_collapsings(
     if j < 0:
         raise StructuralError("collapse width must be >= 0")
     uvars = formula.universal_vars
+    if uvars and not (0 <= constant < formula.domain.size):
+        raise StructuralError(f"constant {constant} out of range for {uvars[0]!r}")
+    return [
+        Collapsing(formula, tuple(uvars[i] for i in kept), constant)
+        for size in range(min(j, len(uvars)) + 1)
+        for kept in itertools.combinations(range(len(uvars)), size)
+    ]
+
+
+def _distinct_collapsings(
+    formula: QuantifiedFormula, j: int, constants: Iterable[int]
+) -> list[Collapsing]:
+    """The collapsings for each constant in turn, keeping the first of those
+    with equal resulting formulas. Two collapsings with the same kept set
+    and different constants give the same formula exactly when every
+    universal variable the body mentions is kept."""
+    universal = set(formula.universal_vars)
+    in_body = {a for c in formula.body for a in c.args if a in universal}
+    seen: set[tuple[tuple[str, ...], int | None]] = set()
     out = []
-    for size in range(min(j, len(uvars)) + 1):
-        for kept in itertools.combinations(range(len(uvars)), size):
-            kept_names = tuple(uvars[i] for i in kept)
-            substitution = {v: constant for v in uvars if v not in kept_names}
-            out.append(
-                Collapsing(formula, kept_names, constant, instantiate_universals(formula, substitution))
-            )
+    for a in constants:
+        for col in enumerate_collapsings(formula, j, a):
+            key = (col.kept_universals, None if in_body.issubset(col.kept_universals) else a)
+            if key not in seen:
+                seen.add(key)
+                out.append(col)
     return out
 
 
 def enumerate_j_collapsings(formula: QuantifiedFormula, j: int) -> list[Collapsing]:
     """Union over all constants, deduplicated by the fully substituted formula."""
-    seen: dict[QuantifiedFormula, Collapsing] = {}
-    for a in formula.domain.elements():
-        for col in enumerate_collapsings(formula, j, a):
-            seen.setdefault(col.result, col)
-    return list(seen.values())
+    return _distinct_collapsings(formula, j, formula.domain.elements())
 
 
 def csp_variable_name(existential: str, context: Sequence[tuple[str, int]]) -> str:
@@ -144,29 +172,107 @@ def combine_csp(
     return CspInstance(base, tuple(variables), tuple(constraints))
 
 
+def encoding_size(formula: QuantifiedFormula, j: int, constants: int) -> int:
+    """Constraints the encoding emits for every collapsing of width <= j
+    under `constants` source constants: each kept set of s universals
+    instantiates the body once per assignment of its d^s values."""
+    n = len(formula.universal_vars)
+    d = formula.domain.size
+    per_constant = sum(comb(n, s) * d**s for s in range(min(j, n) + 1))
+    return constants * per_constant * max(len(formula.body), 1)
+
+
 def relevant_collapsings(
     formula: QuantifiedFormula,
     j: int,
     source: Iterable[int] | None,
     width_cap: int = DEFAULT_WIDTH_CAP,
+    encoding_cap: int = DEFAULT_ENCODING_CAP,
 ) -> list[Collapsing]:
     """The (j, a)-collapsings for a in `source`, or all j-collapsings when
     `source` is None; deduplicated by resulting formula.
 
     The encoding emits |A|^min(j, universals) constraint copies per constraint,
-    so widths above `width_cap` are refused.
+    so widths above `width_cap` are refused, and so is a total over every
+    collapsing (`encoding_size`) above `encoding_cap`, before any is built.
     """
     if j > width_cap:
         raise GuardrailError(f"collapse width {j} exceeds the cap of {width_cap}")
     if source is None:
-        return enumerate_j_collapsings(formula, j)
-    seen: dict[QuantifiedFormula, Collapsing] = {}
-    for a in sorted(set(source)):
-        if not (0 <= a < formula.domain.size):
-            raise StructuralError(f"source element {a} out of range")
-        for col in enumerate_collapsings(formula, j, a):
-            seen.setdefault(col.result, col)
-    return list(seen.values())
+        constants: Sequence[int] = formula.domain.elements()
+    else:
+        constants = sorted(set(source))
+        for a in constants:
+            if not (0 <= a < formula.domain.size):
+                raise StructuralError(f"source element {a} out of range")
+    total = encoding_size(formula, j, len(constants))
+    if total > encoding_cap:
+        raise GuardrailError(
+            f"the collapse encoding would emit {total} constraints, "
+            f"above the cap of {encoding_cap}"
+        )
+    return _distinct_collapsings(formula, j, constants)
+
+
+def indexed_encoding(col: Collapsing) -> tuple[int, list[IndexedConstraint]]:
+    """`collapsing_to_csp` on variable indices, without building the
+    collapsed formula: the existential x owns d^m consecutive indices from
+    `base[x]`, one per assignment of the m kept universals before it, in
+    `itertools.product` order. Returns (variable count, constraints)."""
+    formula = col.origin
+    d = formula.domain.size
+    kept = col.kept_universals
+    width = len(kept)
+    universal = set(formula.universal_vars)
+    # The body reads its arguments from `values`, refilled for each
+    # assignment t (a mixed-radix number) of the kept universals: a kept
+    # universal at position i reads digit i, an existential after m kept
+    # universals reads base + the first m digits.
+    values: list[int] = []
+    slot: dict[str | int, int] = {}
+    kept_digits: list[tuple[int, int]] = []  # (slot, divisor)
+    existential_prefixes: list[tuple[int, int, int]] = []  # (slot, base, divisor)
+    base = 0
+    for x in formula.existential_vars:
+        m = sum(u in kept for u in formula.universals_before[x])
+        slot[x] = len(values)
+        values.append(base)
+        if m:
+            existential_prefixes.append((slot[x], base, d ** (width - m)))
+        base += d**m
+    for i, u in enumerate(kept):
+        slot[u] = len(values)
+        values.append(0)
+        kept_digits.append((slot[u], d ** (width - 1 - i)))
+    dynamic = {s for s, *_ in kept_digits + existential_prefixes}
+    # A body constraint that reads no changing slot is the same for every
+    # assignment, so it is emitted once; so is a repeated one.
+    constraints: list[IndexedConstraint] = []
+    body: dict[tuple, None] = {}
+    for c in formula.body:
+        slots = []
+        for a in c.args:
+            if a in universal and a not in slot:
+                a = col.constant
+            if a not in slot:
+                slot[a] = len(values)
+                values.append(~a)
+            slots.append(slot[a])
+        if dynamic.isdisjoint(slots):
+            constraints.append((c.relation, tuple(values[s] for s in slots)))
+        else:
+            body[c.relation, tuple(slots)] = None
+    getters = [
+        (relation, itemgetter(*slots) if len(slots) > 1 else lambda vals, s=slots[0]: (vals[s],))
+        for relation, slots in body
+    ]
+    for t in range(d**width):
+        for s, divisor in kept_digits:
+            values[s] = ~(t // divisor % d)
+        for s, start, divisor in existential_prefixes:
+            values[s] = start + t // divisor
+        constraints.extend((relation, get(values)) for relation, get in getters)
+    return base, constraints
 
 
 def qcsp_via_collapse(
@@ -176,13 +282,9 @@ def qcsp_via_collapse(
     encoding_cap: int = DEFAULT_ENCODING_CAP,
     width_cap: int = DEFAULT_WIDTH_CAP,
 ) -> bool:
-    """True iff every relevant collapsing is true, decided through one combined
-    CSP. Equivalence with formula truth is the caller's certificate obligation.
-    """
-    collapsings = relevant_collapsings(formula, j, source, width_cap)
-    encoded = [collapsing_to_csp(c.result, encoding_cap) for c in collapsings]
-    combined = combine_csp(encoded, formula.domain)
-    return solve_csp(combined) is not None
+    """True iff every relevant collapsing is true. Equivalence with formula
+    truth is the caller's certificate obligation."""
+    return all(ok for _, ok in collapse_verdicts(formula, j, source, encoding_cap, width_cap))
 
 
 def collapse_verdicts(
@@ -192,8 +294,12 @@ def collapse_verdicts(
     encoding_cap: int = DEFAULT_ENCODING_CAP,
     width_cap: int = DEFAULT_WIDTH_CAP,
 ) -> list[tuple[Collapsing, bool]]:
-    """Per-collapsing truth, for reports."""
+    """Per-collapsing truth. The collapsings share no variable, so each is
+    solved as its own integer-indexed CSP; they share the compiled tables."""
+    d = formula.domain.size
+    tables: dict = {}
     out = []
-    for col in relevant_collapsings(formula, j, source, width_cap):
-        out.append((col, solve_csp(collapsing_to_csp(col.result, encoding_cap)) is not None))
+    for col in relevant_collapsings(formula, j, source, width_cap, encoding_cap):
+        count, constraints = indexed_encoding(col)
+        out.append((col, solve_indexed(d, count, constraints, tables=tables) is not None))
     return out

@@ -200,6 +200,8 @@ def verify_certificate(
     n = certificate.n
     if not certificate.source:
         return VerificationResult(False, "empty source set")
+    if not certificate.source <= frozenset(range(d)):
+        return VerificationResult(False, "source set leaves the universe")
     if not certificate.target or not certificate.target <= frozenset(range(d)):
         return VerificationResult(False, "target is not a nonempty subset of the universe")
     for idx, e in enumerate(certificate.entries):

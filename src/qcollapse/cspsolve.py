@@ -1,18 +1,25 @@
 """Complete finite-domain CSP solver for existential instances.
 
-Backtracking over extensional relations with generalized arc consistency:
-variables are picked by smallest remaining candidate set (ties by identifier),
-values are tried in ascending order, so results are deterministic.
+Backtracking with generalized arc consistency on an integer core. Variables
+are indices, a domain is an int bitmask (bit v set while value v remains),
+and every domain change is logged on a trail that backtracking unwinds.
+Each constraint is compiled once per (relation, pattern of constants and
+repeated variables) into the value rows of its distinct variables, after
+compact-table GAC (Demeulenaere et al., CP 2016); the revision of a compiled
+table under one tuple of domains is computed once and remembered for the
+rest of the call. Variables are picked by smallest remaining domain (ties by
+index, which `solve_csp` hands out in name order) and values are tried in
+ascending order, so results are deterministic.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from operator import itemgetter
+from typing import Sequence
 
 from .errors import GuardrailError, StructuralError
-from .model import Constraint, Domain
+from .model import Constraint, Domain, Relation
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -39,121 +46,204 @@ class CspInstance:
                     raise StructuralError(f"constraint uses undeclared variable {v!r}")
 
 
-class _Propagator:
-    def __init__(self, instance: CspInstance):
-        self.instance = instance
-        self.domains: dict[str, set[int]] = {
-            v: set(range(instance.domain.size)) for v in instance.variables
-        }
-        self.watch: dict[str, list[int]] = {v: [] for v in instance.variables}
-        for idx, c in enumerate(instance.constraints):
-            for v in c.variables:
-                self.watch[v].append(idx)
+# An indexed constraint is (relation, args): an argument is a variable index
+# (>= 0) or ~c (< 0) for the constant c.
+IndexedConstraint = tuple[Relation, tuple[int, ...]]
 
-    def _revise(self, cidx: int) -> tuple[set[str], bool]:
-        """Filter each variable of the constraint to its supported values.
 
-        Returns (changed variables, still consistent).
-        """
-        c = self.instance.constraints[cidx]
-        if not c.variables:
-            ok = tuple(a for a in c.args) in c.relation.tuples
-            return set(), ok
-        supported: dict[str, set[int]] = {v: set() for v in c.variables}
-        for t in c.relation.tuples:
-            row: dict[str, int] = {}
-            good = True
-            for pos, a in enumerate(c.args):
-                if isinstance(a, int):
-                    if t[pos] != a:
-                        good = False
-                        break
-                else:
-                    seen = row.get(a)
-                    if seen is None:
-                        if t[pos] not in self.domains[a]:
-                            good = False
-                            break
-                        row[a] = t[pos]
-                    elif seen != t[pos]:
-                        good = False
-                        break
-            if good:
-                for v, val in row.items():
-                    supported[v].add(val)
-        changed = set()
-        for v in c.variables:
-            dom = self.domains[v]
-            if not dom <= supported[v]:
-                dom &= supported[v]
-                changed.add(v)
-                if not dom:
-                    return changed, False
-        return changed, True
+class _Table:
+    """A relation restricted to one pattern: the rows of values its distinct
+    variables may take, and the revisions computed so far."""
 
-    def propagate(self, seed: Iterable[int]) -> bool:
-        queue = deque(seed)
-        queued = set(queue)
+    __slots__ = ("rows", "revised")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        self.rows = rows
+        # tuple of domains -> None (no row left) or the (position, new domain)
+        # pairs that shrink
+        self.revised: dict[tuple[int, ...], tuple[tuple[int, int], ...] | None] = {}
+
+    def revise(self, doms: tuple[int, ...]) -> tuple[tuple[int, int], ...] | None:
+        supported = [0] * len(doms)
+        for row in self.rows:
+            for value, dom in zip(row, doms):
+                if not dom >> value & 1:
+                    break
+            else:
+                for i, value in enumerate(row):
+                    supported[i] |= 1 << value
+        if not supported[0]:
+            return None
+        return tuple(
+            (i, new) for i, (new, dom) in enumerate(zip(supported, doms)) if new != dom
+        )
+
+
+def _compile(relation: Relation, pattern: tuple[int, ...], width: int) -> _Table:
+    rows = set()
+    for t in relation.tuples:
+        row = [-1] * width
+        for value, p in zip(t, pattern):
+            if p < 0:
+                if value != ~p:
+                    break
+            elif row[p] < 0:
+                row[p] = value
+            elif row[p] != value:
+                break
+        else:
+            rows.add(tuple(row))
+    return _Table(tuple(sorted(rows)))
+
+
+def solve_indexed(
+    domain_size: int,
+    variable_count: int,
+    constraints: Sequence[IndexedConstraint],
+    node_cap: int = DEFAULT_NODE_CAP,
+    tables: dict | None = None,
+) -> list[int] | None:
+    """The value of each variable in a satisfying assignment, or None when
+    there is none. Each constraint is (relation, args), an argument being a
+    variable index or ~c for the constant c.
+
+    `tables` holds the compiled tables; pass one dict to several calls to
+    share them, as `collapse_verdicts` does for the collapsings of a formula.
+    """
+    if tables is None:
+        tables = {}
+    dom = [(1 << domain_size) - 1] * variable_count
+    seen: set = set()
+    scopes: list[tuple[int, ...]] = []
+    compiled: list[_Table] = []
+    for relation, args in constraints:
+        scope: list[int] = []
+        pattern = []
+        for a in args:
+            if a < 0:
+                pattern.append(a)
+            elif a in scope:
+                pattern.append(scope.index(a))
+            else:
+                pattern.append(len(scope))
+                scope.append(a)
+        key = (relation, tuple(pattern))
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _compile(relation, key[1], len(scope))
+        if len(scope) < 2:
+            if not table.rows:
+                return None
+            if scope:
+                # a unary constraint only narrows the starting domain
+                v = scope[0]
+                dom[v] &= sum(1 << row[0] for row in table.rows)
+                if not dom[v]:
+                    return None
+            continue
+        entry = (tuple(scope), table)
+        if entry not in seen:
+            seen.add(entry)
+            scopes.append(entry[0])
+            compiled.append(table)
+
+    watch: list[list[int]] = [[] for _ in range(variable_count)]
+    for ci, scope in enumerate(scopes):
+        for v in scope:
+            watch[v].append(ci)
+    getters = [itemgetter(*scope) for scope in scopes]
+    queued = [True] * len(scopes)
+    trail: list[tuple[int, int]] = []
+
+    def propagate(queue: list[int]) -> bool:
         while queue:
-            cidx = queue.popleft()
-            queued.discard(cidx)
-            changed, ok = self._revise(cidx)
-            if not ok:
+            ci = queue.pop()
+            table = compiled[ci]
+            doms = getters[ci](dom)
+            try:
+                changes = table.revised[doms]
+            except KeyError:
+                changes = table.revised[doms] = table.revise(doms)
+            if changes is None:
+                queued[ci] = False
+                for other in queue:
+                    queued[other] = False
+                queue.clear()
                 return False
-            for v in changed:
-                for other in self.watch[v]:
-                    if other != cidx and other not in queued:
+            scope = scopes[ci]
+            for i, new in changes:
+                v = scope[i]
+                trail.append((v, dom[v]))
+                dom[v] = new
+                for other in watch[v]:
+                    if not queued[other]:
+                        queued[other] = True
                         queue.append(other)
-                        queued.add(other)
+            # a revised table is consistent until one of its domains shrinks
+            queued[ci] = False
         return True
 
-    def snapshot(self) -> dict[str, set[int]]:
-        return {v: set(d) for v, d in self.domains.items()}
-
-    def restore(self, snap: dict[str, set[int]]):
-        self.domains = snap
+    if not propagate(list(range(len(scopes)))):
+        return None
+    nodes = 0
+    stack: list[list[int]] = []  # [variable, values left to try, trail mark]
+    while True:
+        nodes += 1
+        if nodes > node_cap:
+            raise GuardrailError(f"CSP search exceeded {node_cap} nodes")
+        var, smallest = -1, domain_size + 1
+        for v, d in enumerate(dom):
+            if d & (d - 1):
+                size = d.bit_count()
+                if size < smallest:
+                    var, smallest = v, size
+                    if size == 2:  # no open domain is smaller
+                        break
+        if var < 0:
+            values = [d.bit_length() - 1 for d in dom]
+            # ~c indexes the constant c from the end of `lookup`
+            lookup = values + list(range(domain_size - 1, -1, -1))
+            assert all(
+                tuple(map(lookup.__getitem__, args)) in relation.tuples
+                for relation, args in constraints
+            )
+            return values
+        stack.append([var, dom[var], len(trail)])
+        while stack:
+            frame = stack[-1]
+            var, left, mark = frame
+            while len(trail) > mark:
+                v, old = trail.pop()
+                dom[v] = old
+            if not left:
+                stack.pop()
+                continue
+            low = left & -left
+            frame[1] = left ^ low
+            trail.append((var, dom[var]))
+            dom[var] = low
+            queue = watch[var][:]
+            for ci in queue:
+                queued[ci] = True
+            if propagate(queue):
+                break
+        else:
+            return None
 
 
 def solve_csp(instance: CspInstance, node_cap: int = DEFAULT_NODE_CAP) -> dict[str, int] | None:
     """A total satisfying assignment, or None when the instance is unsatisfiable."""
-    prop = _Propagator(instance)
-    if not prop.propagate(range(len(instance.constraints))):
+    names = sorted(instance.variables)
+    index = {v: i for i, v in enumerate(names)}
+    values = solve_indexed(
+        instance.domain.size,
+        len(names),
+        [
+            (c.relation, tuple(index[a] if isinstance(a, str) else ~a for a in c.args))
+            for c in instance.constraints
+        ],
+        node_cap,
+    )
+    if values is None:
         return None
-    nodes = 0
-
-    def search() -> dict[str, int] | None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise GuardrailError(f"CSP search exceeded {node_cap} nodes")
-        pending = [(len(dom), v) for v, dom in prop.domains.items() if len(dom) > 1]
-        if not pending:
-            solution = {v: next(iter(dom)) for v, dom in prop.domains.items()}
-            assert all(c.holds(solution) for c in instance.constraints)
-            return solution
-        _, var = min(pending)
-        for val in sorted(prop.domains[var]):
-            snap = prop.snapshot()
-            prop.domains[var] = {val}
-            if prop.propagate(prop.watch[var]):
-                found = search()
-                if found is not None:
-                    return found
-            prop.restore(snap)
-        return None
-
-    return search()
-
-
-def enumerate_solutions(instance: CspInstance, limit: int | None = None) -> list[dict[str, int]]:
-    """Every satisfying assignment by plain enumeration. Test oracle; exponential."""
-    import itertools
-
-    out = []
-    for combo in itertools.product(range(instance.domain.size), repeat=len(instance.variables)):
-        assignment = dict(zip(instance.variables, combo))
-        if all(c.holds(assignment) for c in instance.constraints):
-            out.append(assignment)
-            if limit is not None and len(out) >= limit:
-                break
-    return out
+    return {v: values[index[v]] for v in instance.variables}

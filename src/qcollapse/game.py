@@ -104,10 +104,6 @@ class _Plan:
             self.live_at.append(tuple(v for v in assigned if v in needed[d]))
 
 
-def _build_plan(formula: QuantifiedFormula) -> _Plan:
-    return _Plan(formula)
-
-
 def _branch_sizes(formula: QuantifiedFormula, adversary: Adversary | None) -> list[list[int]]:
     """Candidate values per prefix position; universals draw from the adversary."""
     d = formula.domain.size

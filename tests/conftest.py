@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import pytest
 
+from qcollapse.cspsolve import CspInstance
 from qcollapse.errors import GuardrailError
 from qcollapse.model import (
     ConstraintLanguage,
@@ -79,6 +81,99 @@ def random_language(rng, d: int) -> ConstraintLanguage:
         chosen = rng.sample(rows, rng.randint(0, min(8, len(rows))))
         relations.append(rel(f"R{i}", arity, d, chosen))
     return ConstraintLanguage(Domain(d), tuple(relations))
+
+
+def enumerate_solutions(instance: CspInstance, limit: int | None = None) -> list[dict[str, int]]:
+    """Every satisfying assignment by plain enumeration; exponential."""
+    out = []
+    for combo in itertools.product(range(instance.domain.size), repeat=len(instance.variables)):
+        assignment = dict(zip(instance.variables, combo))
+        if all(c.holds(assignment) for c in instance.constraints):
+            out.append(assignment)
+            if limit is not None and len(out) >= limit:
+                break
+    return out
+
+
+def reference_solve_csp(instance: CspInstance, node_cap: int) -> dict[str, int] | None:
+    """The solver's search on set domains: every constraint revised by
+    rescanning its relation, every domain copied at each search node. Same
+    variable order (smallest domain, ties by name), value order and node
+    count as `solve_csp`, so it must return the identical assignment."""
+    domains = {v: set(range(instance.domain.size)) for v in instance.variables}
+    watch: dict[str, list[int]] = {v: [] for v in instance.variables}
+    for idx, c in enumerate(instance.constraints):
+        for v in c.variables:
+            watch[v].append(idx)
+
+    def revise(c) -> tuple[set[str], bool]:
+        if not c.variables:
+            return set(), tuple(c.args) in c.relation.tuples
+        supported: dict[str, set[int]] = {v: set() for v in c.variables}
+        for t in c.relation.tuples:
+            row: dict[str, int] = {}
+            for pos, a in enumerate(c.args):
+                if isinstance(a, int):
+                    if t[pos] != a:
+                        break
+                elif a not in row:
+                    if t[pos] not in domains[a]:
+                        break
+                    row[a] = t[pos]
+                elif row[a] != t[pos]:
+                    break
+            else:
+                for v, val in row.items():
+                    supported[v].add(val)
+        changed = set()
+        for v in c.variables:
+            if not domains[v] <= supported[v]:
+                domains[v] &= supported[v]
+                changed.add(v)
+                if not domains[v]:
+                    return changed, False
+        return changed, True
+
+    def propagate(seed) -> bool:
+        queue = deque(seed)
+        queued = set(queue)
+        while queue:
+            cidx = queue.popleft()
+            queued.discard(cidx)
+            changed, ok = revise(instance.constraints[cidx])
+            if not ok:
+                return False
+            for v in changed:
+                for other in watch[v]:
+                    if other != cidx and other not in queued:
+                        queue.append(other)
+                        queued.add(other)
+        return True
+
+    if not propagate(range(len(instance.constraints))):
+        return None
+    nodes = 0
+
+    def search() -> dict[str, int] | None:
+        nonlocal domains, nodes
+        nodes += 1
+        if nodes > node_cap:
+            raise GuardrailError(f"CSP search exceeded {node_cap} nodes")
+        pending = [(len(dom), v) for v, dom in domains.items() if len(dom) > 1]
+        if not pending:
+            return {v: next(iter(dom)) for v, dom in domains.items()}
+        _, var = min(pending)
+        for val in sorted(domains[var]):
+            snapshot = {v: set(dom) for v, dom in domains.items()}
+            domains[var] = {val}
+            if propagate(watch[var]):
+                found = search()
+                if found is not None:
+                    return found
+            domains = snapshot
+        return None
+
+    return search()
 
 
 # derives * * from the axiom {1} {1} through the binary AND generator g0, which

@@ -178,6 +178,26 @@ class TestExitCodes:
         assert "--count" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("verb", ["solve", "collapse", "reduce"])
+    def test_const_and_source_together(self, files, capsys, verb):
+        argv = [verb, files["example"], "--j", "1", "--const", "b", "--source", "all"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --const and --source exclude each other\n"
+
+    @pytest.mark.parametrize("argv", [["solve", "--unsafe"], ["reduce"], ["collapse"]])
+    def test_wide_encoding_is_refused(self, tmp_path, capsys, argv):
+        # forall y1..y20 exists x: R(y1, x) & ... & R(y20, x); the width-10
+        # collapsings would emit billions of constraints in total
+        universals = " ".join(f"forall y{i}" for i in range(1, 21))
+        body = " & ".join(f"R(y{i}, x)" for i in range(1, 21))
+        wide = tmp_path / "wide.txt"
+        wide.write_text(
+            f"domain 2 0 1\nrelation R 2\n  0 0\n  1 1\nformula {universals} exists x : {body}\n",
+            encoding="utf-8",
+        )
+        assert main([argv[0], str(wide), "--j", "10", *argv[1:]]) == 3
+        assert "would emit" in capsys.readouterr().err
+
 
 class TestParserReuse:
     def test_back_to_back_calls_match_fresh_processes(self, files, capsys):

@@ -5,17 +5,20 @@ import pytest
 
 from conftest import eq_rel, formula, rel
 from qcollapse.collapse import (
+    collapse_verdicts,
     collapsing_to_csp,
     combine_csp,
+    encoding_size,
     enumerate_collapsings,
     enumerate_j_collapsings,
     instantiate_universals,
     qcsp_via_collapse,
+    relevant_collapsings,
 )
 from qcollapse.collapsibility import adv_family
 from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.cspsolve import solve_csp
-from qcollapse.errors import StructuralError
+from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.game import evaluate_truth, winnable
 from qcollapse.model import Constraint, Domain, serialize_instance
 from qcollapse.ops import and_op, majority_op, minority_op
@@ -214,3 +217,94 @@ class TestPipeline:
                 ) if n else evaluate_truth(instantiate_universals(phi, {}))
                 if n:
                     assert cols_true == advs_win
+
+
+def source_choices(d: int):
+    """None (every element) and every nonempty subset of the domain."""
+    yield None
+    for size in range(1, d + 1):
+        yield from (set(c) for c in itertools.combinations(range(d), size))
+
+
+def distinct_by_result(phi, j, constants):
+    """The relevant collapsings deduplicated by building every collapsed
+    formula, the first of equal ones kept."""
+    seen = {}
+    for a in constants:
+        for col in enumerate_collapsings(phi, j, a):
+            seen.setdefault(col.result, col)
+    return list(seen.values())
+
+
+class TestVerdicts:
+    """`collapse_verdicts` decides each collapsing on integer variable
+    indices; `qcsp_via_collapse` is their conjunction."""
+
+    def corpus(self):
+        spec2 = CorpusSpec(seed=59, count=70, max_vars=5, max_universals=3)
+        spec3 = CorpusSpec(seed=61, count=30, max_vars=4, max_universals=2, domain_size=3)
+        return itertools.chain(instances(spec2), instances(spec3))
+
+    def test_agree_with_game_oracle_for_every_source_and_width(self):
+        verdicts = {True: 0, False: 0}
+        for language, phi in self.corpus():
+            d = phi.domain.size
+            for j in (0, 1, 2):
+                for source in source_choices(d):
+                    rows = collapse_verdicts(phi, j, source)
+                    constants = range(d) if source is None else sorted(source)
+                    expected = distinct_by_result(phi, j, constants)
+                    assert [col for col, _ in rows] == expected
+                    for col, ok in rows:
+                        assert ok == evaluate_truth(col.result), serialize_instance(language, phi)
+                        verdicts[ok] += 1
+                    assert qcsp_via_collapse(phi, j, source) == all(ok for _, ok in rows)
+        assert min(verdicts.values()) > 200, verdicts
+
+    def test_named_encoding_agrees(self):
+        for _, phi in self.corpus():
+            for col, ok in collapse_verdicts(phi, 1, None):
+                assert ok == (solve_csp(collapsing_to_csp(col.result)) is not None)
+
+    def test_result_is_built_on_demand(self):
+        phi = example_formula()
+        col = enumerate_collapsings(phi, 1, 1)[1]
+        assert "result" not in vars(col)
+        assert col.result == instantiate_universals(phi, {"y2": 1, "y3": 1})
+
+    def test_out_of_range_constant(self):
+        with pytest.raises(StructuralError):
+            enumerate_collapsings(example_formula(), 1, 2)
+
+
+def wide_star(n: int):
+    """forall y1..yn exists x: R(y1, x) & ... & R(yn, x)."""
+    body = [Constraint(eq_rel(), (f"y{i}", "x")) for i in range(1, n + 1)]
+    return formula(2, " ".join(f"Ay{i}" for i in range(1, n + 1)) + " Ex", body)
+
+
+class TestEncodingGuardrail:
+    def test_size_is_the_emitted_constraint_count(self):
+        phi = example_formula()
+        for j in (0, 1, 2, 3):
+            for a in (0, 1):
+                emitted = sum(
+                    len(collapsing_to_csp(c.result).constraints)
+                    for c in relevant_collapsings(phi, j, {a})
+                )
+                assert encoding_size(phi, j, 1) == emitted
+
+    def test_total_over_collapsings_is_refused_before_enumerating(self):
+        phi = wide_star(20)
+        assert encoding_size(phi, 10, 2) > 10_000_000
+        with pytest.raises(GuardrailError, match="would emit"):
+            collapse_verdicts(phi, 10, None, width_cap=10)
+        with pytest.raises(GuardrailError, match="would emit"):
+            relevant_collapsings(phi, 10, {1}, width_cap=10)
+
+    def test_cap_is_exact(self):
+        phi = example_formula()
+        size = encoding_size(phi, 1, 2)
+        assert len(collapse_verdicts(phi, 1, None, encoding_cap=size)) == 8
+        with pytest.raises(GuardrailError):
+            collapse_verdicts(phi, 1, None, encoding_cap=size - 1)

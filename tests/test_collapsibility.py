@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import pytest
 
@@ -25,6 +26,7 @@ from qcollapse.collapsibility import (
     search_composable,
     serialize_certificate,
     verify_certificate,
+    VerificationResult,
     _two_element_dispatch,
 )
 from qcollapse.corpus import CorpusSpec, instances
@@ -41,7 +43,7 @@ from qcollapse.ops import (
     projection_op,
     semilattice_to_shared,
 )
-from qcollapse.polymorph import generate_term_operations, op_image, tag_operation
+from qcollapse.polymorph import generate_term_operations, op_image, replay_trace, tag_operation
 
 
 def adv(*coords):
@@ -577,6 +579,132 @@ class TestVerification:
             cert = build_certificate(builder, alg, 4)
             text = serialize_certificate(cert, alg.domain.size)
             assert parse_certificate(text, alg) == cert
+
+
+def _mutation_sources():
+    """Serialized certificates of every builder family the planner picks,
+    with their algebras."""
+    out = []
+    for name, alg in ALGEBRAS.items():
+        builder, _ = plan_certificate(alg)
+        for n in (2, 3):
+            cert = build_certificate(builder, alg, n)
+            out.append((name, alg, serialize_certificate(cert, alg.domain.size)))
+    return out
+
+
+MUTATION_SOURCES = _mutation_sources()
+COORD = re.compile(r"\*|\{[^}]*\}")
+INDEX = re.compile(r"-?\d+")
+TRACE_ATOM = re.compile(r"g-?\d+|p-?\d+\.-?\d+")
+
+
+def _replace_nth(pattern, line, k, new):
+    matches = list(pattern.finditer(line))
+    if not matches:
+        return line
+    m = matches[k % len(matches)]
+    return line[: m.start()] + new + line[m.end():]
+
+
+@st.composite
+def _mutant(draw):
+    name, alg, text = draw(st.sampled_from(MUTATION_SOURCES))
+    lines = text.splitlines()
+    kinds = ("drop", "swap", "duplicate", "index", "header", "trace", "paren", "coord")
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(kinds))
+        i = draw(st.integers(0, len(lines) - 1))
+        k = draw(st.integers(0, 8))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif kind in ("index", "header"):
+            if kind == "header":
+                i = 0
+            value = str(draw(st.integers(-3, len(lines) + 2)))
+            lines[i] = _replace_nth(INDEX, lines[i], k, value)
+        elif kind == "trace":
+            atom = draw(st.sampled_from(
+                ["g0", "g1", "g-1", "g7", "p2.1", "p2.2", "p2.0", "p3.3", "p1.2", "(g0 p2.2 p2.1)"]
+            ))
+            lines[i] = _replace_nth(TRACE_ATOM, lines[i], k, atom)
+        elif kind == "paren":
+            where = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:where] + draw(st.sampled_from("(),")) + lines[i][where:]
+        else:
+            coord = draw(st.sampled_from(
+                ["*", "{}", "{0}", "{1}", "{2}", "{0,1}", "{0,2}", "{1,2}", "{-1}", "{9}", "* *"]
+            ))
+            lines[i] = _replace_nth(COORD, lines[i], k, coord)
+        if not lines:
+            break
+    return name, alg, "\n".join(lines) + "\n"
+
+
+def _replays_from_axioms(cert, alg) -> bool:
+    """Independent replay in index order: every axiom lies in a declared
+    width-bounded single-source family, every step's adversary is
+    composable from earlier entries through the operation its trace
+    rebuilds, and the result dominates target^n."""
+    full = frozenset(alg.domain.elements())
+    if not (cert.source and cert.source <= full and cert.target and cert.target <= full):
+        return False
+    entries = cert.entries
+    for idx, e in enumerate(entries):
+        coords = e.adversary.coords
+        if len(coords) != cert.n:
+            return False
+        if e.op is None:
+            if not any(
+                all(c in (frozenset({a}), full) for c in coords)
+                and sum(c != frozenset({a}) for c in coords) <= cert.width
+                for a in cert.source
+            ):
+                return False
+        elif not (
+            all(0 <= i < idx for i in e.inputs)
+            and replay_trace(alg, e.trace) == e.op
+            and composable(e.adversary, e.op, [entries[i].adversary for i in e.inputs])
+        ):
+            return False
+    if not 0 <= cert.result < len(entries):
+        return False
+    return all(cert.target <= c for c in entries[cert.result].adversary.coords)
+
+
+class TestCertificateMutation:
+    """Mutated certificate text is refused by the parser or the verifier, or
+    else holds up when replayed from its axioms; nothing else escapes."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(_mutant())
+    def test_mutants_are_rejected_or_sound(self, mutant):
+        _, alg, text = mutant
+        try:
+            cert = parse_certificate(text, alg)
+        except ParseError:
+            return
+        outcome = verify_certificate(cert, alg)
+        assert isinstance(outcome, VerificationResult)
+        if outcome:
+            assert _replays_from_axioms(cert, alg), text
+
+    def test_sources_are_accepted_unmutated(self):
+        for _, alg, text in MUTATION_SOURCES:
+            cert = parse_certificate(text, alg)
+            assert verify_certificate(cert, alg) and _replays_from_axioms(cert, alg)
+
+    def test_source_outside_the_universe_rejected(self):
+        # width >= n admits the all-* axiom whatever the source element is
+        alg = ALGEBRAS["and"]
+        text = "certificate n=2 width=2 source=7 target=0,1 domain=2\naxiom 0: * *\nresult 0\n"
+        outcome = verify_certificate(parse_certificate(text, alg), alg)
+        assert not outcome and "source" in outcome.failure
 
 
 class TestSearch:

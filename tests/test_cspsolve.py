@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from conftest import eq_rel, rel
-from qcollapse.cspsolve import CspInstance, enumerate_solutions, solve_csp
+from conftest import enumerate_solutions, eq_rel, reference_solve_csp, rel
+from qcollapse.cspsolve import DEFAULT_NODE_CAP, CspInstance, solve_csp
 from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.model import Constraint, Domain
 
@@ -92,3 +92,61 @@ class TestAgainstEnumeration:
             inst = random_instance(rng, 2, max_vars=12)
             expected = enumerate_solutions(inst, limit=1)
             assert (solve_csp(inst) is not None) == bool(expected)
+
+
+def differential_instance(rng: random.Random):
+    """Up to 9 variables over d <= 3, with constants, repeated variables and
+    constant-only constraints."""
+    d = rng.randint(1, 3)
+    variables = [f"v{i}" for i in rng.sample(range(12), rng.randint(0, 9))]
+    constraints = []
+    for i in range(rng.randint(0, 12)):
+        arity = rng.randint(1, 4)
+        rows = [t for t in itertools.product(range(d), repeat=arity) if rng.random() < 0.6]
+        relation = rel(f"R{i}", arity, d, rows)
+        args = [
+            rng.randrange(d) if not variables or rng.random() < 0.2 else rng.choice(variables)
+            for _ in range(arity)
+        ]
+        if variables and rng.random() < 0.2:
+            args[-1] = args[0]
+        constraints.append(Constraint(relation, tuple(args)))
+    return make_instance(d, variables, constraints)
+
+
+def outcome(solver, inst, node_cap):
+    try:
+        return solver(inst, node_cap)
+    except GuardrailError as err:
+        return str(err)
+
+
+class TestAgainstSnapshotSolver:
+    """The trail-based bitmask core searches the same tree as the snapshot
+    solver it replaced (`reference_solve_csp`)."""
+
+    def test_identical_assignments(self):
+        rng = random.Random(2024)
+        shapes = {"constant_only": 0, "repeated": 0, "sat": 0, "unsat": 0}
+        for i in range(1500):
+            inst = differential_instance(rng)
+            expected = reference_solve_csp(inst, DEFAULT_NODE_CAP)
+            got = solve_csp(inst)
+            assert got == expected, i
+            assert got is None or list(got) == list(expected), i
+            shapes["sat" if got is not None else "unsat"] += 1
+            for c in inst.constraints:
+                shapes["constant_only"] += not c.variables
+                shapes["repeated"] += len(c.variables) < sum(isinstance(a, str) for a in c.args)
+        assert min(shapes.values()) > 50, shapes
+
+    def test_identical_under_node_caps(self):
+        rng = random.Random(2025)
+        capped = 0
+        for i in range(600):
+            inst = differential_instance(rng)
+            for cap in (1, 2, 3, 5, 8):
+                expected = outcome(reference_solve_csp, inst, cap)
+                assert outcome(solve_csp, inst, cap) == expected, (i, cap)
+                capped += isinstance(expected, str)
+        assert capped > 100
