@@ -38,7 +38,7 @@ from .collapsibility import (
 )
 from .corpus import CorpusSpec, instances
 from .errors import BuildError, GuardrailError, ParseError, StructuralError
-from .game import evaluate_truth
+from .game import DEFAULT_NODE_CAP, evaluate_truth
 from .model import (
     EXISTS,
     Algebra,
@@ -171,7 +171,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_solve_oracle(args) -> int:
-    result = evaluate_truth(_instance(args.file).formula, node_cap=args.count_cap)
+    result = evaluate_truth(_instance(args.file).formula, node_cap=args.node_cap)
     print("true" if result else "false")
     return EXIT_TRUE if result else EXIT_FALSE
 
@@ -496,9 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("solve-oracle", help="decide via the game oracle")
-    common(p)
-    p.set_defaults(fn=cmd_solve_oracle, count_cap=10_000_000)
-    p.add_argument("--node-cap", type=int, default=10_000_000, dest="count_cap")
+    p.add_argument("file", help="instance file")
+    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP, dest="node_cap")
+    p.set_defaults(fn=cmd_solve_oracle)
 
     p = sub.add_parser("collapse", help="list collapsings with verdicts (TSV)")
     common(p)

@@ -1,10 +1,24 @@
-"""Brute-force game oracle: decides truth of quantified constraint formulas and
+"""Game oracle: decides truth of quantified constraint formulas and
 winnability against adversaries, and extracts/replays explicit strategies.
 
-Evaluation walks the quantifier prefix as an alternating game tree with
-memoization keyed on (prefix position, values of the still-relevant assigned
-variables). Existential choices are tried in ascending element order, so
-evaluation and strategy extraction are deterministic.
+Each call compiles the body once onto prefix positions. A constraint closes at
+its last variable in prefix order; a lazily filled table maps the values of its
+other variables to the bitmask of values the closing variable may take, with
+constants and repeated variables folded in. Once those other variables are
+assigned, the mask is ANDed into the closing variable's running mask and later
+undone through a trail (forward checking). A branch is lost as soon as an
+existential's mask empties or a universal's mask drops a value its branch set
+allows, since the universal player would pick that value. Past the last
+position where a constraint becomes ready no mask changes, and the masks
+already leave every player a legal move, so the game from there on is won.
+
+The search runs on an explicit stack, so prefix depth is bounded by memory and
+not by Python's recursion limit. Existentials try their remaining values in
+ascending element order, so evaluation and strategy extraction are
+deterministic. Results are memoized on (prefix position, values of the assigned
+variables still occurring in a constraint that closes at or after it), but only
+from the first position where some assigned variable is no longer needed:
+before it the key holds the whole assignment, which one search never repeats.
 """
 
 from __future__ import annotations
@@ -12,10 +26,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import GuardrailError, StructuralError
-from .model import EXISTS, FORALL, Constraint, QuantifiedFormula
+from .model import FORALL, QuantifiedFormula
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -76,48 +91,6 @@ class Strategy:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-class _Plan:
-    """Static evaluation plan: which constraints close at each depth and which
-    assigned variables remain relevant to the future."""
-
-    def __init__(self, formula: QuantifiedFormula):
-        self.formula = formula
-        prefix = formula.prefix
-        pos = {v: i for i, (_, v) in enumerate(prefix)}
-        m = len(prefix)
-        # depth d = number of assigned prefix variables; a constraint closes at
-        # depth max position of its variables + 1 (0 when constants only)
-        self.checks_at: list[list[Constraint]] = [[] for _ in range(m + 1)]
-        for c in formula.body:
-            close = max((pos[v] + 1 for v in c.variables), default=0)
-            self.checks_at[close].append(c)
-        # live variables at depth d: assigned variables still occurring in a
-        # constraint that closes strictly later
-        needed: list[frozenset[str]] = [frozenset()] * (m + 1)
-        acc: set[str] = set()
-        for d in range(m - 1, -1, -1):
-            acc |= {v for c in self.checks_at[d + 1] for v in c.variables}
-            needed[d] = frozenset(acc)
-        self.live_at: list[tuple[str, ...]] = []
-        for d in range(m + 1):
-            assigned = [v for _, v in prefix[:d]]
-            self.live_at.append(tuple(v for v in assigned if v in needed[d]))
-
-
-def _branch_sizes(formula: QuantifiedFormula, adversary: Adversary | None) -> list[list[int]]:
-    """Candidate values per prefix position; universals draw from the adversary."""
-    d = formula.domain.size
-    out: list[list[int]] = []
-    u = 0
-    for q, _ in formula.prefix:
-        if q == FORALL and adversary is not None:
-            out.append(sorted(adversary.coords[u]))
-            u += 1
-        else:
-            out.append(list(range(d)))
-    return out
-
-
 def _check_cap(branches: Sequence[Sequence[int]], node_cap: int):
     est = math.prod(len(b) for b in branches) if branches else 1
     if est > node_cap:
@@ -126,52 +99,211 @@ def _check_cap(branches: Sequence[Sequence[int]], node_cap: int):
         )
 
 
-class _GameEvaluator:
-    def __init__(self, formula: QuantifiedFormula, adversary: Adversary | None, node_cap: int):
-        if adversary is not None and len(adversary) != len(formula.universal_vars):
-            raise StructuralError(
-                f"adversary length {len(adversary)} != {len(formula.universal_vars)} universals"
+class _Supports(dict):
+    """The lazily filled table of one constraint shape: maps the values of the
+    other variables (a scalar for one, else a tuple in first-occurrence order)
+    to the bitmask of values the closing variable may take."""
+
+    __slots__ = ("tuples", "template", "domain_size")
+
+    def __init__(self, tuples, template: tuple[tuple[int, int], ...], domain_size: int):
+        super().__init__()
+        self.tuples = tuples
+        # per argument: (0, constant), (1, index among the other variables)
+        # or (2, 0) for the closing variable
+        self.template = template
+        self.domain_size = domain_size
+
+    def __missing__(self, key) -> int:
+        given = key if isinstance(key, tuple) else (key,)
+        mask = 0
+        for v in range(self.domain_size):
+            row = tuple(
+                x if kind == 0 else given[x] if kind == 1 else v for kind, x in self.template
             )
-        self.formula = formula
-        self.plan = _Plan(formula)
-        self.branches = _branch_sizes(formula, adversary)
-        _check_cap(self.branches, node_cap)
-        self.memo: dict[tuple[int, tuple[int, ...]], bool] = {}
-        self.env: dict[str, int] = {}
+            if row in self.tuples:
+                mask |= 1 << v
+        self[key] = mask
+        return mask
 
-    def _closed_ok(self, depth: int) -> bool:
-        return all(c.holds(self.env) for c in self.plan.checks_at[depth])
 
-    def wins(self, depth: int) -> bool:
-        prefix = self.formula.prefix
-        if depth == len(prefix):
-            return True
-        key = (depth, tuple(self.env[v] for v in self.plan.live_at[depth]))
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        q, var = prefix[depth]
-        result = q == FORALL
-        for val in self.branches[depth]:
-            self.env[var] = val
-            ok = self._closed_ok(depth + 1) and self.wins(depth + 1)
-            del self.env[var]
-            if q == EXISTS and ok:
-                result = True
-                break
-            if q == FORALL and not ok:
-                result = False
-                break
-        self.memo[key] = result
-        return result
+def _no_live(_vals) -> tuple:
+    return ()
+
+
+class _Game:
+    """One formula and adversary compiled onto prefix positions, with the
+    search state (values, running masks, trail, memo) of one call."""
+
+    def __init__(self, formula: QuantifiedFormula, adversary: Adversary | None, node_cap: int):
+        prefix = formula.prefix
+        m = len(prefix)
+        d = formula.domain.size
+        full = (1 << d) - 1
+        self.forall = forall = [q == FORALL for q, _ in prefix]
+        if adversary is None:
+            _check_cap([range(d)] * m, node_cap)
+            self.branch = [full] * m
+        else:
+            if len(adversary) != len(formula.universal_vars):
+                raise StructuralError(
+                    f"adversary length {len(adversary)} != {len(formula.universal_vars)} universals"
+                )
+            coords = iter(adversary.coords)
+            branches = [sorted(next(coords)) if fa else range(d) for fa in forall]
+            _check_cap(branches, node_cap)
+            self.branch = [sum(1 << v for v in b) for b in branches]
+        # a universal's mask must keep its whole branch set, an existential's
+        # only some value
+        self.need = need = [b if fa else 0 for b, fa in zip(self.branch, forall)]
+        self.masks = masks = [full] * m
+        # ready[r]: (closing position, key of the other values, table) of the
+        # constraints whose other variables all sit before position r
+        self.ready = ready = [[] for _ in range(m + 1)]
+        # last[q]: the last position whose constraints read the value at q
+        last = list(range(m))
+        pos = {v: i for i, (_, v) in enumerate(prefix)}
+        tables: dict = {}
+        doomed = False
+        for c in formula.body:
+            if not c.variables:
+                doomed |= c.args not in c.relation.tuples
+                continue
+            at = [pos[v] for v in c.variables]
+            close = max(at)
+            at.remove(close)
+            template = []
+            for a in c.args:
+                if isinstance(a, int):
+                    template.append((0, a))
+                elif pos[a] == close:
+                    template.append((2, 0))
+                else:
+                    template.append((1, at.index(pos[a])))
+            template = tuple(template)
+            table = tables.get((id(c.relation), template))
+            if table is None:
+                table = _Supports(c.relation.tuples, template, d)
+                tables[id(c.relation), template] = table
+            if not at:
+                masks[close] &= table[()]
+                doomed |= not masks[close] or masks[close] & need[close] != need[close]
+                continue
+            for q in at:
+                if last[q] < close:
+                    last[q] = close
+            ready[max(at) + 1].append((close, itemgetter(*at), table))
+        self.doomed = doomed
+        # past the last position where a constraint becomes ready no mask
+        # changes, and the masks already give each existential a value and
+        # each universal its branch set: the rest of the game is won
+        self.settled = max((r for r in range(m + 1) if ready[r]), default=0)
+        self.vals = [0] * m
+        self.pending = [0] * m
+        self.trail: list[tuple[int, int]] = []
+        self.memo: dict[tuple, bool] = {}
+        # from memo_from on some assigned value is no longer read; the memo
+        # key at r holds the assigned values still read at or after r
+        self.memo_from = memo_from = min(last, default=0) + 1
+        self.keys: list = [None] * m
+        live: list[int] = []
+        for r in range(1, m):
+            live = [q for q in live if last[q] >= r]
+            if last[r - 1] >= r:
+                live.append(r - 1)
+            if r >= memo_from:
+                self.keys[r] = itemgetter(*live) if live else _no_live
+
+    def assign(self, at: int, value: int) -> bool:
+        """Set position `at` and prune with the constraints that become ready;
+        False when that loses the game. Undo with `undo` either way."""
+        vals, masks, need = self.vals, self.masks, self.need
+        vals[at] = value
+        for p, keyof, table in self.ready[at + 1]:
+            old = masks[p]
+            new = old & table[keyof(vals)]
+            if new != old:
+                self.trail.append((p, old))
+                masks[p] = new
+                if not new or new & need[p] != need[p]:
+                    return False
+        return True
+
+    def undo(self, mark: int):
+        trail, masks = self.trail, self.masks
+        while len(trail) > mark:
+            p, old = trail.pop()
+            masks[p] = old
 
     def run(self) -> bool:
-        return self._closed_ok(0) and self.wins(0)
+        return not self.doomed and self.wins(0)
+
+    def wins(self, start: int) -> bool:
+        """Value of the game from position `start` on, given the values before
+        it; leaves the masks as it found them. The body of `assign` and `undo`
+        is inlined here, the search's inner loop."""
+        settled, forall, branch, need, ready = (
+            self.settled, self.forall, self.branch, self.need, self.ready
+        )
+        vals, masks, pending, trail = self.vals, self.masks, self.pending, self.trail
+        memo, keys, memo_from = self.memo, self.keys, self.memo_from
+        frames: list[tuple[int, tuple | None, int]] = []  # (position, memo key, trail mark)
+        at = start
+        while True:
+            # enter the node at position `at`: decided at once, or opened
+            key = None
+            if at >= settled:
+                result = True
+            else:
+                result = None
+                if at >= memo_from:
+                    key = (at, keys[at](vals))
+                    result = memo.get(key)
+                if result is None:
+                    frames.append((at, key, len(trail)))
+                    pending[at] = masks[at] & branch[at]
+            if not frames:
+                return result
+            while True:
+                top, key, mark = frames[-1]
+                if result is None:  # open the top node's next child
+                    bits = pending[top]
+                    if not bits:
+                        result = forall[top]  # every value tried without a cut
+                    else:
+                        low = bits & -bits
+                        pending[top] = bits ^ low
+                        vals[top] = low.bit_length() - 1
+                        for p, keyof, table in ready[top + 1]:
+                            old = masks[p]
+                            new = old & table[keyof(vals)]
+                            if new != old:
+                                trail.append((p, old))
+                                masks[p] = new
+                                if not new or new & need[p] != need[p]:
+                                    break
+                        else:
+                            at = top + 1
+                            break
+                        result = False  # the pruning lost this child
+                        continue
+                else:  # a child of the top node is decided
+                    while len(trail) > mark:
+                        p, old = trail.pop()
+                        masks[p] = old
+                    if result == forall[top]:
+                        result = None
+                        continue
+                frames.pop()
+                if key is not None:
+                    memo[key] = result
+                if not frames:
+                    return result
 
 
 def evaluate_truth(formula: QuantifiedFormula, node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """True iff the formula holds under standard first-order semantics."""
-    return _GameEvaluator(formula, None, node_cap).run()
+    return _Game(formula, None, node_cap).run()
 
 
 def winnable(
@@ -179,17 +311,7 @@ def winnable(
 ) -> bool:
     """True iff the existential player can handle every universal assignment
     the adversary permits."""
-    return _GameEvaluator(formula, adversary, node_cap).run()
-
-
-def induced_assignments(formula: QuantifiedFormula, adversary: Adversary) -> Iterator[dict[str, int]]:
-    """All universal-variable assignments the adversary allows, in ascending order."""
-    uvars = formula.universal_vars
-    if len(adversary) != len(uvars):
-        raise StructuralError("adversary length mismatch")
-    pools = [sorted(c) for c in adversary.coords]
-    for combo in itertools.product(*pools):
-        yield dict(zip(uvars, combo))
+    return _Game(formula, adversary, node_cap).run()
 
 
 def extract_strategy(
@@ -201,56 +323,64 @@ def extract_strategy(
     preceding universal values: the replayed game is deterministic, so earlier
     existential values are themselves functions of those universals.
     """
-    ev = _GameEvaluator(formula, adversary, node_cap)
-    if not ev.run():
+    game = _Game(formula, adversary, node_cap)
+    if not game.run():
         return None
-    strategy = Strategy({x: {} for x in formula.existential_vars})
     prefix = formula.prefix
-    ubefore = formula.universals_before
-
-    def walk(depth: int, env: dict[str, int]):
-        if depth == len(prefix):
-            return
-        q, var = prefix[depth]
-        if q == FORALL:
-            u_index = formula.universal_vars.index(var)
-            for val in sorted(adversary.coords[u_index]):
-                env[var] = val
-                walk(depth + 1, env)
-                del env[var]
+    m = len(prefix)
+    upos = [p for p in range(m) if game.forall[p]]
+    strategy = Strategy({x: {} for x in formula.existential_vars})
+    vals, forall = game.vals, game.forall
+    frames: list[tuple[int, int]] = []  # (universal position, trail mark)
+    at = 0
+    while True:
+        # answer every existential up to the next universal in the walk
+        while at < m and not forall[at]:
+            mark = len(game.trail)
+            bits = game.masks[at]
+            while True:
+                assert bits, "winnable subtree must offer a value"
+                low = bits & -bits
+                bits ^= low
+                if game.assign(at, low.bit_length() - 1) and game.wins(at + 1):
+                    break
+                game.undo(mark)
+            context = tuple(vals[u] for u in upos if u < at)
+            strategy.responses[prefix[at][1]][context] = vals[at]
+            at += 1
+        if at < m:
+            frames.append((at, len(game.trail)))
+            game.pending[at] = game.branch[at]
+        # move the innermost universal with values left to its next value
+        while frames:
+            top, mark = frames[-1]
+            game.undo(mark)
+            bits = game.pending[top]
+            if bits:
+                low = bits & -bits
+                game.pending[top] = bits ^ low
+                won = game.assign(top, low.bit_length() - 1)
+                assert won, "every universal value of a winnable node must win"
+                at = top + 1
+                break
+            frames.pop()
         else:
-            context = tuple(env[u] for u in ubefore[var])
-            known = strategy.responses[var].get(context)
-            if known is None:
-                for val in range(formula.domain.size):
-                    ev.env = env
-                    env[var] = val
-                    if ev._closed_ok(depth + 1) and ev.wins(depth + 1):
-                        known = val
-                        del env[var]
-                        break
-                    del env[var]
-                assert known is not None, "winnable subtree must offer a value"
-                strategy.responses[var][context] = known
-            env[var] = known
-            walk(depth + 1, env)
-            del env[var]
-
-    walk(0, {})
-    return strategy
+            return strategy
 
 
 def check_strategy(
     formula: QuantifiedFormula, adversary: Adversary, strategy: Strategy
 ) -> bool:
     """Replay: the strategy must be defined and satisfy every constraint for
-    every universal assignment the adversary allows."""
+    every universal assignment the adversary allows, taken in ascending order."""
+    uvars = formula.universal_vars
+    if len(adversary) != len(uvars):
+        raise StructuralError("adversary length mismatch")
     ubefore = formula.universals_before
-    for tau in induced_assignments(formula, adversary):
-        env = dict(tau)
+    for combo in itertools.product(*(sorted(c) for c in adversary.coords)):
+        env = dict(zip(uvars, combo))
         for x in formula.existential_vars:
-            context = tuple(tau[u] for u in ubefore[x])
-            val = strategy.respond(x, context)
+            val = strategy.respond(x, tuple(env[u] for u in ubefore[x]))
             if val is None:
                 return False
             env[x] = val

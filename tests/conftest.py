@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 
 import pytest
 
 from qcollapse.cspsolve import CspInstance
-from qcollapse.errors import GuardrailError
+from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.model import (
     ConstraintLanguage,
     Domain,
@@ -174,6 +175,124 @@ def reference_solve_csp(instance: CspInstance, node_cap: int) -> dict[str, int] 
         return None
 
     return search()
+
+
+class _ReferenceGame:
+    """The recursive game evaluator the oracle replaced: constraints checked
+    by `Constraint.holds` once all their variables are assigned, every node
+    memoized on (depth, values of the assigned variables still needed), with
+    the same branch order and the same up-front size guardrail."""
+
+    def __init__(self, phi: QuantifiedFormula, adversary, node_cap: int):
+        if adversary is not None and len(adversary) != len(phi.universal_vars):
+            raise StructuralError(
+                f"adversary length {len(adversary)} != {len(phi.universal_vars)} universals"
+            )
+        self.formula = phi
+        prefix = phi.prefix
+        pos = {v: i for i, (_, v) in enumerate(prefix)}
+        m = len(prefix)
+        self.checks_at: list[list] = [[] for _ in range(m + 1)]
+        for c in phi.body:
+            close = max((pos[v] + 1 for v in c.variables), default=0)
+            self.checks_at[close].append(c)
+        needed: list[frozenset[str]] = [frozenset()] * (m + 1)
+        acc: set[str] = set()
+        for d in range(m - 1, -1, -1):
+            acc |= {v for c in self.checks_at[d + 1] for v in c.variables}
+            needed[d] = frozenset(acc)
+        self.live_at = [
+            tuple(v for _, v in prefix[:d] if v in needed[d]) for d in range(m + 1)
+        ]
+        self.branches = []
+        u = 0
+        for q, _ in prefix:
+            if q == FORALL and adversary is not None:
+                self.branches.append(sorted(adversary.coords[u]))
+                u += 1
+            else:
+                self.branches.append(list(range(phi.domain.size)))
+        est = math.prod(len(b) for b in self.branches) if self.branches else 1
+        if est > node_cap:
+            raise GuardrailError(
+                f"estimated game tree of {est} assignments exceeds the cap of {node_cap}"
+            )
+        self.memo: dict = {}
+        self.env: dict[str, int] = {}
+
+    def closed_ok(self, depth: int) -> bool:
+        return all(c.holds(self.env) for c in self.checks_at[depth])
+
+    def wins(self, depth: int) -> bool:
+        prefix = self.formula.prefix
+        if depth == len(prefix):
+            return True
+        key = (depth, tuple(self.env[v] for v in self.live_at[depth]))
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        q, var = prefix[depth]
+        result = q == FORALL
+        for val in self.branches[depth]:
+            self.env[var] = val
+            ok = self.closed_ok(depth + 1) and self.wins(depth + 1)
+            del self.env[var]
+            if q == EXISTS and ok:
+                result = True
+                break
+            if q == FORALL and not ok:
+                result = False
+                break
+        self.memo[key] = result
+        return result
+
+    def run(self) -> bool:
+        return self.closed_ok(0) and self.wins(0)
+
+
+def reference_game(phi: QuantifiedFormula, adversary=None, node_cap: int = 10_000_000) -> bool:
+    """Truth (no adversary) or winnability by the replaced recursive evaluator."""
+    return _ReferenceGame(phi, adversary, node_cap).run()
+
+
+def reference_strategy(phi: QuantifiedFormula, adversary, node_cap: int = 10_000_000):
+    """The replaced evaluator's strategy walk: the responses dict of the
+    smallest-value winning strategy, or None when the game is lost."""
+    ev = _ReferenceGame(phi, adversary, node_cap)
+    if not ev.run():
+        return None
+    responses: dict = {x: {} for x in phi.existential_vars}
+    prefix = phi.prefix
+    ubefore = phi.universals_before
+
+    def walk(depth: int, env: dict):
+        if depth == len(prefix):
+            return
+        q, var = prefix[depth]
+        if q == FORALL:
+            for val in sorted(adversary.coords[phi.universal_vars.index(var)]):
+                env[var] = val
+                walk(depth + 1, env)
+                del env[var]
+            return
+        context = tuple(env[u] for u in ubefore[var])
+        known = responses[var].get(context)
+        if known is None:
+            ev.env = env
+            for val in range(phi.domain.size):
+                env[var] = val
+                ok = ev.closed_ok(depth + 1) and ev.wins(depth + 1)
+                del env[var]
+                if ok:
+                    known = val
+                    break
+            responses[var][context] = known
+        env[var] = known
+        walk(depth + 1, env)
+        del env[var]
+
+    walk(0, {})
+    return responses
 
 
 # derives * * from the axiom {1} {1} through the binary AND generator g0, which

@@ -101,6 +101,29 @@ class TestExitCodes:
         bad.write_text("relation R 2\n", encoding="utf-8")
         assert main(["solve-oracle", str(bad)]) == 2
 
+    def test_oracle_node_cap_is_a_guardrail(self, files, capsys):
+        assert main(["solve-oracle", files["horn"], "--node-cap", "15"]) == 3
+        assert capsys.readouterr().err == (
+            "guardrail: estimated game tree of 16 assignments exceeds the cap of 15\n"
+        )
+        assert main(["solve-oracle", files["horn"], "--node-cap", "16"]) == 0
+
+    @pytest.mark.parametrize(
+        "flag", [["--count-cap", "1"], ["--arity-cap", "2"], ["--seed", "3"], ["--format", "tsv"]]
+    )
+    def test_oracle_rejects_flags_it_does_not_read(self, files, capsys, flag):
+        assert main(["solve-oracle", files["horn"], *flag]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_oracle_decides_prefixes_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        n = 1500
+        prefix = " ".join(f"{'exists' if i % 2 == 0 else 'forall'} v{i}" for i in range(n))
+        body = " & ".join(f"E(v{i}, v{i + 1})" for i in range(n - 1))
+        path = tmp_path / "deep.txt"
+        path.write_text(f"domain 1\nrelation E 2\n  0 0\nformula {prefix} : {body}\n", encoding="utf-8")
+        assert main(["solve-oracle", str(path)]) == 0
+        assert capsys.readouterr().out == "true\n"
+
     def test_unknown_verb(self):
         assert main(["frobnicate"]) == 2
 

@@ -9,6 +9,8 @@ from conftest import (
     impl_rel,
     naive_truth,
     naive_winnable,
+    reference_game,
+    reference_strategy,
     rel,
     strategy_wins,
 )
@@ -23,11 +25,59 @@ from qcollapse.game import (
     full_adversary,
     winnable,
 )
-from qcollapse.model import Constraint
+from qcollapse.model import EXISTS, FORALL, Constraint, Domain, QuantifiedFormula
 
 
 def adv(*coords):
     return Adversary(tuple(frozenset(c) for c in coords))
+
+
+def deep_chain(n: int):
+    """exists v0 forall v1 exists v2 ... over one element, E(v_i, v_i+1) for
+    each neighbour pair: true, and deeper than Python's recursion limit."""
+    e = rel("E", 2, 1, [(0, 0)])
+    prefix = " ".join(("E" if i % 2 == 0 else "A") + f"v{i}" for i in range(n))
+    return formula(1, prefix, [Constraint(e, (f"v{i}", f"v{i + 1}")) for i in range(n - 1)])
+
+
+def edge_case_formula(rng, d: int) -> QuantifiedFormula:
+    """Up to six prefix variables and five constraints over one to three
+    random relations; arguments are often constants or repeated variables,
+    some constraints hold only constants, and some bodies are empty."""
+    names = [f"v{i}" for i in range(rng.randint(0, 6))]
+    prefix = tuple((rng.choice((EXISTS, FORALL)), v) for v in names)
+    relations = []
+    for i in range(rng.randint(1, 3)):
+        arity = rng.randint(1, 3)
+        rows = list(itertools.product(range(d), repeat=arity))
+        relations.append(rel(f"R{i}", arity, d, rng.sample(rows, rng.randint(0, len(rows)))))
+    # half the bodies read only the first three variables, so the later ones
+    # are never needed and variables repeat more often
+    used = names if rng.random() < 0.5 else names[:3]
+    body = []
+    for _ in range(rng.choice((0, 1, 2, 3, 4, 5))):
+        r = rng.choice(relations)
+        only_constants = not names or rng.random() < 0.1
+        args = tuple(
+            rng.randrange(d) if only_constants or rng.random() < 0.2 else rng.choice(used)
+            for _ in range(r.arity)
+        )
+        body.append(Constraint(r, args))
+    return QuantifiedFormula(Domain(d), prefix, tuple(body))
+
+
+def edge_case_games(seed: int, count: int):
+    """(formula, random adversary) pairs over d = 1, 2, 3 in turn."""
+    import random
+
+    rng = random.Random(seed)
+    for i in range(count):
+        d = 1 + i % 3
+        phi = edge_case_formula(rng, d)
+        coords = tuple(
+            frozenset(rng.sample(range(d), rng.randint(1, d))) for _ in phi.universal_vars
+        )
+        yield phi, Adversary(coords)
 
 
 class TestEvaluateTruth:
@@ -61,6 +111,78 @@ class TestEvaluateTruth:
         phi = formula(2, " ".join(f"Av{i}" for i in range(40)), body)
         with pytest.raises(GuardrailError):
             evaluate_truth(phi)
+
+    def test_deep_prefix_needs_no_recursion(self):
+        assert evaluate_truth(deep_chain(1500))
+
+
+class TestAgainstReference:
+    """The compiled forward-pruning search against the plain recursive
+    oracles and the recursive memoizing evaluator it replaced."""
+
+    def test_edge_case_shapes_are_drawn(self):
+        seen = {"constant": 0, "repeated": 0, "constants_only": 0, "empty_body": 0}
+        for phi, _ in edge_case_games(41, 600):
+            seen["empty_body"] += not phi.body
+            for c in phi.body:
+                names = [a for a in c.args if isinstance(a, str)]
+                seen["constant"] += len(names) < len(c.args)
+                seen["repeated"] += len(set(names)) < len(names)
+                seen["constants_only"] += not names
+        assert all(n >= 20 for n in seen.values()), seen
+
+    def test_truth_and_winnability_agree(self):
+        for phi, adversary in edge_case_games(41, 1500):
+            truth = evaluate_truth(phi)
+            assert truth == naive_truth(phi) == reference_game(phi)
+            won = winnable(phi, adversary)
+            assert won == naive_winnable(phi, adversary) == reference_game(phi, adversary)
+
+    def test_corpus_winnability_agrees(self):
+        import random
+
+        rng = random.Random(7)
+        for d, seed in ((2, 61), (3, 62)):
+            spec = CorpusSpec(seed=seed, count=150, max_vars=6, max_universals=4, domain_size=d)
+            for _, phi in instances(spec):
+                coords = tuple(
+                    frozenset(rng.sample(range(d), rng.randint(1, d))) for _ in phi.universal_vars
+                )
+                adversary = Adversary(coords)
+                assert winnable(phi, adversary) == reference_game(phi, adversary)
+
+    def test_extracted_strategies_are_identical(self):
+        extracted = 0
+        for phi, adversary in edge_case_games(43, 900):
+            sigma = extract_strategy(phi, adversary)
+            expected = reference_strategy(phi, adversary)
+            if sigma is None:
+                assert expected is None
+                continue
+            extracted += 1
+            assert sigma.responses == expected
+            assert check_strategy(phi, adversary, sigma)
+        assert extracted >= 300
+
+    @pytest.mark.parametrize("cap", [1, 7, 64, 485, 486, 2186, 2187])
+    def test_guardrail_refuses_the_same_inputs_with_the_same_message(self, cap):
+        # estimates: 3^7 = 2187 without an adversary, 1*3*2*3*3*3*3 = 486 with it
+        phi = formula(3, "Ay1 Ex1 Ay2 Ex2 Ay3 Ex3 Ex4", [Constraint(eq_rel(3), ("y1", "x4"))])
+        adversary = adv({0}, {0, 1}, {0, 1, 2})
+
+        def outcome(decide, *args):
+            try:
+                return decide(phi, *args, node_cap=cap)
+            except GuardrailError as err:
+                return str(err)
+
+        for args in ((), (adversary,)):
+            new = outcome(winnable if args else evaluate_truth, *args)
+            assert new == outcome(reference_game, *args)
+        assert outcome(evaluate_truth) == (
+            f"estimated game tree of 2187 assignments exceeds the cap of {cap}"
+            if cap < 2187 else True
+        )
 
 
 class TestWinnable:
@@ -148,6 +270,10 @@ class TestStrategies:
     def test_constant_strategy_fails(self):
         sigma = Strategy({"x": {(0,): 0, (1,): 0}})
         assert not check_strategy(self.phi, self.full, sigma)
+
+    def test_replay_rejects_adversary_length_mismatch(self):
+        with pytest.raises(StructuralError):
+            check_strategy(self.phi, adv({0}, {1}), Strategy({"x": {(0,): 0, (1,): 1}}))
 
     def test_undefined_strategy_fails(self):
         sigma = Strategy({"x": {(0,): 0}})
