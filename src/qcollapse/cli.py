@@ -484,11 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("file", help="instance or algebra file")
         p.add_argument("--arity-cap", type=int, default=3, dest="arity_cap")
         p.add_argument("--count-cap", type=int, default=2_000, dest="count_cap")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("text", "tsv"), default="text")
 
     p = sub.add_parser("solve", help="decide via the collapse reduction")
     common(p)
+    p.add_argument("--format", choices=("text", "tsv"), default="text")
     p.add_argument("--j", type=int, default=None)
     p.add_argument("--const", default=None, help="source element name")
     p.add_argument("--source", default=None, help="'all' or an element name")
@@ -551,6 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="seeded random instance corpus")
     common(p, with_file=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=non_negative_int, default=20)
     p.add_argument("--domain-size", type=int, default=2, dest="domain_size")

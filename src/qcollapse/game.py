@@ -15,10 +15,18 @@ already leave every player a legal move, so the game from there on is won.
 The search runs on an explicit stack, so prefix depth is bounded by memory and
 not by Python's recursion limit. Existentials try their remaining values in
 ascending element order, so evaluation and strategy extraction are
-deterministic. Results are memoized on (prefix position, values of the assigned
-variables still occurring in a constraint that closes at or after it), but only
-from the first position where some assigned variable is no longer needed:
-before it the key holds the whole assignment, which one search never repeats.
+deterministic.
+
+Results are memoized on the residual state, the part of the search state that
+the rest of the game can still see (formula caching): the prefix position r,
+the values of the assigned variables that a constraint not yet ready still
+reads, and the running masks of the open positions at or after r, those that
+close a constraint which is already ready. A value is read up to the position
+whose assignment makes its last constraint ready, not up to that constraint's
+closing position: from then on the constraint lives on in the closing mask.
+The memo is used only from the first position where some assigned value is no
+longer read; before it the key holds the whole assignment, of which the masks
+are a function, and one search never repeats that.
 """
 
 from __future__ import annotations
@@ -127,8 +135,12 @@ class _Supports(dict):
         return mask
 
 
-def _no_live(_vals) -> tuple:
+def _no_items(_seq) -> tuple:
     return ()
+
+
+def _getter(positions):
+    return itemgetter(*positions) if positions else _no_items
 
 
 class _Game:
@@ -160,7 +172,8 @@ class _Game:
         # ready[r]: (closing position, key of the other values, table) of the
         # constraints whose other variables all sit before position r
         self.ready = ready = [[] for _ in range(m + 1)]
-        # last[q]: the last position whose constraints read the value at q
+        # last[q]: the last position whose assignment makes ready a constraint
+        # that reads the value at q; from last[q] + 1 on that value is not read
         last = list(range(m))
         pos = {v: i for i, (_, v) in enumerate(prefix)}
         tables: dict = {}
@@ -189,10 +202,11 @@ class _Game:
                 masks[close] &= table[()]
                 doomed |= not masks[close] or masks[close] & need[close] != need[close]
                 continue
+            fire = max(at)
             for q in at:
-                if last[q] < close:
-                    last[q] = close
-            ready[max(at) + 1].append((close, itemgetter(*at), table))
+                if last[q] < fire:
+                    last[q] = fire
+            ready[fire + 1].append((close, itemgetter(*at), table))
         self.doomed = doomed
         # past the last position where a constraint becomes ready no mask
         # changes, and the masks already give each existential a value and
@@ -203,16 +217,25 @@ class _Game:
         self.trail: list[tuple[int, int]] = []
         self.memo: dict[tuple, bool] = {}
         # from memo_from on some assigned value is no longer read; the memo
-        # key at r holds the assigned values still read at or after r
+        # key at r holds the assigned values still read at or after r and the
+        # masks of the positions at or after r that a ready constraint closes
         self.memo_from = memo_from = min(last, default=0) + 1
         self.keys: list = [None] * m
         live: list[int] = []
-        for r in range(1, m):
+        opened: list[int] = []
+        # a position opens once and stays open up to itself
+        ever_opened: set[int] = set()
+        for r in range(1, self.settled):
             live = [q for q in live if last[q] >= r]
             if last[r - 1] >= r:
                 live.append(r - 1)
+            opened = [p for p in opened if p >= r]
+            for p, _, _ in ready[r]:
+                if p not in ever_opened:
+                    ever_opened.add(p)
+                    opened.append(p)
             if r >= memo_from:
-                self.keys[r] = itemgetter(*live) if live else _no_live
+                self.keys[r] = (_getter(live), _getter(opened))
 
     def assign(self, at: int, value: int) -> bool:
         """Set position `at` and prune with the constraints that become ready;
@@ -257,7 +280,8 @@ class _Game:
             else:
                 result = None
                 if at >= memo_from:
-                    key = (at, keys[at](vals))
+                    read_vals, read_masks = keys[at]
+                    key = (at, read_vals(vals), read_masks(masks))
                     result = memo.get(key)
                 if result is None:
                     frames.append((at, key, len(trail)))

@@ -115,6 +115,29 @@ class TestExitCodes:
         assert main(["solve-oracle", files["horn"], *flag]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "verb, flag",
+        [
+            pytest.param(verb, flag, id=f"{verb}{flag[0]}")
+            for verb in ("solve", "collapse", "reduce", "analyze", "detect", "certify",
+                         "verify", "classify", "sweep", "gen")
+            for flag in (["--seed", "3"], ["--format", "tsv"])
+            if (verb, flag[0]) not in (("solve", "--format"), ("gen", "--seed"))
+        ],
+    )
+    def test_seed_and_format_are_refused_where_not_read(
+        self, files, tmp_path, capsys, verb, flag
+    ):
+        required = {
+            "collapse": ["--j", "1"], "reduce": ["--j", "1"],
+            "verify": ["--certificate", files["horn"]], "gen": ["--out", str(tmp_path / "gen")],
+        }
+        path = [] if verb in ("sweep", "gen") else [files["and"]]
+        assert main([verb, *path, *required.get(verb, []), *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
     def test_oracle_decides_prefixes_deeper_than_the_recursion_limit(self, tmp_path, capsys):
         n = 1500
         prefix = " ".join(f"{'exists' if i % 2 == 0 else 'forall'} v{i}" for i in range(n))

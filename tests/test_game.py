@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -17,15 +18,17 @@ from conftest import (
 from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.game import (
+    DEFAULT_NODE_CAP,
     Adversary,
     Strategy,
     check_strategy,
     evaluate_truth,
     extract_strategy,
+    _Game,
     full_adversary,
     winnable,
 )
-from qcollapse.model import EXISTS, FORALL, Constraint, Domain, QuantifiedFormula
+from qcollapse.model import EXISTS, FORALL, Constraint, Domain, QuantifiedFormula, Relation
 
 
 def adv(*coords):
@@ -80,6 +83,63 @@ def edge_case_games(seed: int, count: int):
         yield phi, Adversary(coords)
 
 
+def dense_relation(rng, name: str, arity: int, d: int) -> Relation:
+    rows = itertools.product(range(d), repeat=arity)
+    return rel(name, arity, d, [t for t in rows if rng.random() < 0.75])
+
+
+def star_formula(rng, d: int, pinned: bool) -> QuantifiedFormula:
+    """forall y1..yk exists x: R(y_a, y_b, x) along a random path of the y's,
+    optionally with a unary pin on x. The constraints all close at x, so
+    from the first ready one on x's running mask is part of the state."""
+    k = rng.randint(2, 6 if d == 2 else 4)
+    ys = [f"y{i}" for i in range(k)]
+    order = rng.sample(ys, k)
+    r = dense_relation(rng, "R", 3, d)
+    body = [Constraint(r, (a, b, "x")) for a, b in zip(order, order[1:])]
+    if pinned:
+        pin = rel("P", 1, d, [(v,) for v in rng.sample(range(d), d - 1)])
+        body.append(Constraint(pin, ("x",)))
+    prefix = tuple((FORALL, y) for y in ys) + ((EXISTS, "x"),)
+    return QuantifiedFormula(Domain(d), prefix, tuple(body))
+
+
+def interleaved_formula(rng, d: int) -> QuantifiedFormula:
+    """Mixed quantifiers; every constraint closes at least two positions after
+    its other variables, so it becomes ready before a later universal or
+    existential closes it."""
+    names = [f"v{i}" for i in range(rng.randint(4, 6 if d == 2 else 5))]
+    prefix = tuple((rng.choice((EXISTS, FORALL)), v) for v in names)
+    body = []
+    for i in range(rng.randint(2, 4)):
+        close = rng.randrange(2, len(names))
+        others = rng.sample(range(close - 1), min(rng.randint(1, 2), close - 1))
+        args = [names[q] for q in others] + [names[close]]
+        rng.shuffle(args)
+        body.append(Constraint(dense_relation(rng, f"R{i}", len(args), d), tuple(args)))
+    return QuantifiedFormula(Domain(d), prefix, tuple(body))
+
+
+def residual_state_games(seed: int, count: int):
+    """(kind, formula, random adversary) over stars with and without a pin
+    and interleaved prefixes, at d = 2 and 3: the shapes where the running
+    masks in the memo key decide the result."""
+    import random
+
+    rng = random.Random(seed)
+    kinds = ("star", "pinned_star", "interleaved")
+    for i in range(count):
+        kind, d = kinds[i % 3], 2 + i // 3 % 2
+        if kind == "interleaved":
+            phi = interleaved_formula(rng, d)
+        else:
+            phi = star_formula(rng, d, kind == "pinned_star")
+        coords = tuple(
+            frozenset(rng.sample(range(d), rng.randint(1, d))) for _ in phi.universal_vars
+        )
+        yield (kind, d), phi, Adversary(coords)
+
+
 class TestEvaluateTruth:
     def test_forall_exists_equality(self):
         assert evaluate_truth(formula(2, "Ay Ex", [Constraint(eq_rel(), ("y", "x"))]))
@@ -115,6 +175,23 @@ class TestEvaluateTruth:
     def test_deep_prefix_needs_no_recursion(self):
         assert evaluate_truth(deep_chain(1500))
 
+    def test_horn_star_memo_stays_linear(self):
+        # forall y1..yn exists x: H(y1, y2, x) & ... & H(y_n-1, y_n, x); at
+        # each position the residual state is one y value and x's mask
+        n = 20
+        horn = rel(
+            "H", 3, 2,
+            [t for t in itertools.product((0, 1), repeat=3) if not (t[0] and t[1]) or t[2]],
+        )
+        ys = [f"y{i}" for i in range(1, n + 1)]
+        phi = formula(
+            2, " ".join("A" + y for y in ys) + " Ex",
+            [Constraint(horn, (a, b, "x")) for a, b in zip(ys, ys[1:])],
+        )
+        game = _Game(phi, None, DEFAULT_NODE_CAP)
+        assert game.run()  # what evaluate_truth returns
+        assert 1 <= len(game.memo) <= 4 * (n + 1)
+
 
 class TestAgainstReference:
     """The compiled forward-pruning search against the plain recursive
@@ -130,9 +207,15 @@ class TestAgainstReference:
                 seen["repeated"] += len(set(names)) < len(names)
                 seen["constants_only"] += not names
         assert all(n >= 20 for n in seen.values()), seen
+        kinds = collections.Counter(kind for kind, _, _ in residual_state_games(45, 600))
+        assert len(kinds) == 6 and min(kinds.values()) >= 20, kinds
 
     def test_truth_and_winnability_agree(self):
-        for phi, adversary in edge_case_games(41, 1500):
+        games = itertools.chain(
+            edge_case_games(41, 1500),
+            ((phi, adversary) for _, phi, adversary in residual_state_games(45, 600)),
+        )
+        for phi, adversary in games:
             truth = evaluate_truth(phi)
             assert truth == naive_truth(phi) == reference_game(phi)
             won = winnable(phi, adversary)
@@ -153,7 +236,11 @@ class TestAgainstReference:
 
     def test_extracted_strategies_are_identical(self):
         extracted = 0
-        for phi, adversary in edge_case_games(43, 900):
+        games = itertools.chain(
+            edge_case_games(43, 900),
+            ((phi, adversary) for _, phi, adversary in residual_state_games(47, 600)),
+        )
+        for phi, adversary in games:
             sigma = extract_strategy(phi, adversary)
             expected = reference_strategy(phi, adversary)
             if sigma is None:
