@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from .errors import GuardrailError, StructuralError
 from .model import Algebra, Domain, Operation
-from .polymorph import op_image
+from .polymorph import close_vectors, op_image
 
 MAX_ENUM_UNIVERSE = 6
 
@@ -61,9 +61,6 @@ class Congruence:
                 return i
         raise StructuralError(f"element {element} not covered by the congruence")
 
-    def relates(self, a: int, b: int) -> bool:
-        return self.block_of(a) == self.block_of(b)
-
 
 @dataclass(frozen=True)
 class Factor:
@@ -90,19 +87,14 @@ def is_closed(algebra: Algebra, subset: frozenset[int]) -> bool:
 
 
 def generated_subalgebra(algebra: Algebra, seed: Sequence[int]) -> frozenset[int]:
-    """Least generator-closed superset of the seed, by fixed-point iteration."""
-    current = frozenset(seed)
-    if not current:
+    """Least generator-closed superset of the seed."""
+    elements = sorted(set(seed))
+    if not elements:
         raise StructuralError("seed must be nonempty")
-    if any(not (0 <= v < algebra.domain.size) for v in current):
+    if any(not (0 <= v < algebra.domain.size) for v in elements):
         raise StructuralError("seed element out of range")
-    while True:
-        grown = current
-        for g in algebra.generators:
-            grown = grown | op_image(g, [current] * g.arity)
-        if grown == current:
-            return current
-        current = grown
+    closure = close_vectors(algebra.generators, [(v,) for v in elements], algebra.domain.size)
+    return frozenset(v for (v,) in closure.vectors)
 
 
 def enumerate_subalgebras(algebra: Algebra) -> SubalgebraSet:

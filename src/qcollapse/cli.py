@@ -28,6 +28,7 @@ from .classify import (
 )
 from .collapse import collapse_verdicts, combine_csp, collapsing_to_csp, relevant_collapsings
 from .collapsibility import (
+    TERM_CONDITIONS,
     CertificateBuilder,
     build_certificate,
     detect_sink_candidate,
@@ -58,6 +59,14 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_GUARDRAIL = 3
 EXIT_INTERNAL = 4
+
+# `certify --strategy` choices: the planner and every builder whose parameters
+# the flags can supply; extends_step, subalgebra_enlarge and combine_subsets
+# nest other builders and are reached from the library only
+CLI_STRATEGIES = (
+    "auto", "singleton", "and_chain", *TERM_CONDITIONS,
+    "strictly_simple", "pair_minimal", "two_element", "quotient_lift",
+)
 
 
 def _read(path: str) -> str:
@@ -479,14 +488,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, with_file=True):
-        if with_file:
+    def verb(name, summary, file=True, arity_cap=False, count_cap=False):
+        """A verb's parser, with the cap flags only where the verb reads them."""
+        p = sub.add_parser(name, help=summary)
+        if file:
             p.add_argument("file", help="instance or algebra file")
-        p.add_argument("--arity-cap", type=int, default=3, dest="arity_cap")
-        p.add_argument("--count-cap", type=int, default=2_000, dest="count_cap")
+        if arity_cap:
+            p.add_argument("--arity-cap", type=int, default=3, dest="arity_cap")
+        if count_cap:
+            p.add_argument("--count-cap", type=int, default=2_000, dest="count_cap")
+        return p
 
-    p = sub.add_parser("solve", help="decide via the collapse reduction")
-    common(p)
+    p = verb("solve", "decide via the collapse reduction", arity_cap=True, count_cap=True)
     p.add_argument("--format", choices=("text", "tsv"), default="text")
     p.add_argument("--j", type=int, default=None)
     p.add_argument("--const", default=None, help="source element name")
@@ -499,32 +512,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP, dest="node_cap")
     p.set_defaults(fn=cmd_solve_oracle)
 
-    p = sub.add_parser("collapse", help="list collapsings with verdicts (TSV)")
-    common(p)
+    p = verb("collapse", "list collapsings with verdicts (TSV)")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--const", default=None)
     p.add_argument("--source", default=None)
     p.set_defaults(fn=cmd_collapse)
 
-    p = sub.add_parser("reduce", help="emit the combined CSP file")
-    common(p)
+    p = verb("reduce", "emit the combined CSP file")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--const", default=None)
     p.add_argument("--source", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_reduce)
 
-    p = sub.add_parser("analyze", help="algebra structural report (JSON)")
-    common(p)
+    p = verb("analyze", "algebra structural report (JSON)", count_cap=True)
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("detect", help="operation tags and polymorphism discovery")
-    common(p)
+    p = verb(
+        "detect", "operation tags and polymorphism discovery", arity_cap=True, count_cap=True
+    )
     p.set_defaults(fn=cmd_detect)
 
-    p = sub.add_parser("certify", help="build a collapsibility certificate")
-    common(p)
-    p.add_argument("--strategy", default="auto")
+    p = verb("certify", "build a collapsibility certificate", count_cap=True)
+    p.add_argument("--strategy", choices=CLI_STRATEGIES, default="auto")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--op", default=None, help="generator name for the chain strategies")
     p.add_argument("--element", default=None, help="source/unit element name")
@@ -532,24 +542,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_certify)
 
-    p = sub.add_parser("verify", help="replay a certificate")
-    common(p)
+    p = verb("verify", "replay a certificate")
     p.add_argument("--certificate", required=True)
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("classify", help="complexity classification verdict (JSON)")
-    common(p)
+    p = verb("classify", "complexity classification verdict (JSON)", arity_cap=True)
     p.add_argument("--conservative", action="store_true")
     p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("sweep", help="exhaustive single-binary-generator sink sweep")
-    common(p, with_file=False)
+    p = verb("sweep", "exhaustive single-binary-generator sink sweep", file=False, count_cap=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("gen", help="seeded random instance corpus")
-    common(p, with_file=False)
+    p = verb("gen", "seeded random instance corpus", file=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=non_negative_int, default=20)

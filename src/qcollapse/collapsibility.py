@@ -33,6 +33,8 @@ from .game import Adversary, constant_adversary, full_adversary
 from .model import Algebra, Operation
 from .ops import semilattice_to_shared
 from .polymorph import (
+    OperationTags,
+    TermOperationSet,
     Trace,
     generate_term_operations,
     op_image,
@@ -623,29 +625,84 @@ def _build_near_unanimity(
     return _extend_cert(algebra, n, inner, op, trace, _full_set(algebra))
 
 
+@dataclass(frozen=True)
+class TermCondition:
+    """Identities that one term operation satisfies and a chain builder turns
+    into a certificate. `holds` tests the operation's tags under the builder's
+    parameters, `arity` is where a term closure is searched for it, and
+    `build` takes the parameters merged over `defaults`."""
+
+    holds: Callable[[OperationTags, dict], bool]
+    arity: int
+    defaults: dict
+    build: Callable[[Algebra, int, Operation, Trace, dict], Certificate]
+
+
+# in the planner's priority order
+TERM_CONDITIONS: dict[str, TermCondition] = {
+    "unit_element": TermCondition(
+        lambda t, p: t.idempotent
+        and t.unit_element is not None
+        and p.get("unit") in (None, t.unit_element),
+        2,
+        {},
+        lambda alg, n, op, trace, p: _build_unit_chain(
+            alg, n, op, trace, tag_operation(op).unit_element
+        ),
+    ),
+    "maltsev_chain": TermCondition(
+        lambda t, p: t.maltsev,
+        3,
+        {"source": 0},
+        lambda alg, n, op, trace, p: _build_maltsev_chain(alg, n, op, trace, p["source"]),
+    ),
+    "dualdisc_chain": TermCondition(
+        lambda t, p: t.dual_discriminator,
+        3,
+        {"pair": (0, 1)},
+        lambda alg, n, op, trace, p: _build_dualdisc_chain(alg, n, op, trace, *p["pair"]),
+    ),
+    "near_unanimity": TermCondition(
+        lambda t, p: t.near_unanimity,
+        3,
+        {"source": 0},
+        lambda alg, n, op, trace, p: _build_near_unanimity(alg, n, op, trace, p["source"]),
+    ),
+}
+
+
+def _condition_of(tags: OperationTags, names: Iterable[str] = TERM_CONDITIONS) -> str | None:
+    """The first of the named term conditions that an operation with these
+    tags satisfies under the default parameters."""
+    for name in names:
+        kind = TERM_CONDITIONS[name]
+        if kind.holds(tags, kind.defaults):
+            return name
+    return None
+
+
 def _two_element_dispatch(algebra: Algebra, count_cap: int) -> tuple[Operation, Trace]:
     """The dispatch operation of a two-element idempotent algebra, with its
-    trace: the first semilattice with a unit, else the first Mal'tsev
-    operation, dual discriminator or near-unanimity operation up to arity 3,
-    in that priority and in discovery order. Fails exactly when the algebra is
-    essentially a G-set.
+    trace: the first operation in discovery order that satisfies a term
+    condition, tried in the order of `TERM_CONDITIONS`. On two elements an
+    idempotent binary operation with a unit is a semilattice. Fails exactly
+    when the algebra is essentially a G-set.
 
-    A unit semilattice is binary, and the arity-2 prefix of the term closure
+    A unit element is binary, and the arity-2 prefix of the term closure
     (operations, order, traces) does not depend on the arity cap, so the
     arity-3 closure runs only when that prefix holds none.
     """
     if algebra.domain.size != 2:
         raise BuildError("two_element applies to two-element algebras only")
-    terms = generate_term_operations(algebra, 2, count_cap)
-    for op in terms.of_arity(2):
-        t = tag_operation(op)
-        if t.semilattice and t.unit_element is not None:
-            return op, terms.traces[op]
-    terms = generate_term_operations(algebra, 3, count_cap)
-    tagged = [(op, tag_operation(op)) for op in terms.of_arity(3)]
-    for kind in ("maltsev", "dual_discriminator", "near_unanimity"):
-        for op, t in tagged:
-            if getattr(t, kind):
+    tagged: dict[int, tuple[TermOperationSet, list]] = {}
+    for kind in TERM_CONDITIONS.values():
+        if kind.arity not in tagged:
+            terms = generate_term_operations(algebra, kind.arity, count_cap)
+            ops = [(op, tag_operation(op)) for op in terms.of_arity(kind.arity)]
+            tagged[kind.arity] = terms, ops
+        terms, ops = tagged[kind.arity]
+        for op, t in ops:
+            if kind.holds(t, kind.defaults):
                 return op, terms.traces[op]
     raise BuildError(
         "no semilattice, Mal'tsev, dual discriminator, or near-unanimity term "
@@ -656,14 +713,11 @@ def _two_element_dispatch(algebra: Algebra, count_cap: int) -> tuple[Operation, 
 def _build_two_element(algebra: Algebra, n: int, op: Operation, trace: Trace) -> Certificate:
     """The chain for a dispatch operation of `_two_element_dispatch`; its kind
     is read off its tags in the dispatch's priority order."""
-    t = tag_operation(op)
-    if op.arity == 2:
-        return _build_unit_chain(algebra, n, op, trace, t.unit_element)
-    if t.maltsev:
-        return _build_maltsev_chain(algebra, n, op, trace, 0)
-    if t.dual_discriminator:
-        return _build_dualdisc_chain(algebra, n, op, trace, 0, 1)
-    return _build_near_unanimity(algebra, n, op, trace, 0)
+    name = _condition_of(tag_operation(op))
+    if name is None:
+        raise BuildError(f"{op.name} satisfies none of the chain identities")
+    kind = TERM_CONDITIONS[name]
+    return kind.build(algebra, n, op, trace, kind.defaults)
 
 
 def _special_semilattice_shape(op: Operation) -> int | None:
@@ -685,13 +739,12 @@ def _build_strictly_simple(algebra: Algebra, n: int, count_cap: int) -> Certific
         raise BuildError("the algebra is not strictly simple")
     terms = generate_term_operations(algebra, 3, count_cap)
     for op in terms.operations:
-        t = tag_operation(op)
-        if t.maltsev:
-            return _build_maltsev_chain(algebra, n, op, terms.traces[op], 0)
-        if t.near_unanimity:
-            # a dual discriminator lands here too: near-unanimity keeps the
-            # source one-element, which the callers' inductions require
-            return _build_near_unanimity(algebra, n, op, terms.traces[op], 0)
+        # a dual discriminator is a near-unanimity operation, and that chain
+        # keeps the source one-element, which the callers' inductions require
+        name = _condition_of(tag_operation(op), ("maltsev_chain", "near_unanimity"))
+        if name is not None:
+            kind = TERM_CONDITIONS[name]
+            return kind.build(algebra, n, op, terms.traces[op], kind.defaults)
     for op in terms.operations:
         m = _special_semilattice_shape(op)
         if m is None:
@@ -797,50 +850,18 @@ def build_certificate(builder: CertificateBuilder, algebra: Algebra, n: int) -> 
     strategy = builder.strategy
     if strategy == "singleton":
         return _build_singleton(algebra, n, p.get("element", 0))
-    if strategy in ("and_chain", "unit_element"):
-        if strategy == "and_chain" and algebra.domain.size != 2:
-            raise BuildError("and_chain applies to two-element algebras")
-        unit = p.get("unit")
-
-        def want(opn: Operation) -> bool:
-            t = tag_operation(opn)
-            if t.unit_element is None or not t.idempotent or opn.arity != 2:
-                return False
-            return unit is None or t.unit_element == unit
-
-        op, trace, warns = _resolve_op(
-            algebra, p.get("op"), p.get("trace"), want,
-            "unit_element", arity_cap=2, count_cap=count_cap,
-        )
-        resolved_unit = tag_operation(op).unit_element
-        cert = _build_unit_chain(algebra, n, op, trace, resolved_unit)
-        return _with_warnings(cert, warns)
-    if strategy == "maltsev_chain":
+    if strategy == "and_chain" and algebra.domain.size != 2:
+        raise BuildError("and_chain applies to two-element algebras")
+    name = "unit_element" if strategy == "and_chain" else strategy
+    if name in TERM_CONDITIONS:
+        kind = TERM_CONDITIONS[name]
+        params = {**kind.defaults, **p}
         op, trace, warns = _resolve_op(
             algebra, p.get("op"), p.get("trace"),
-            lambda opn: tag_operation(opn).maltsev,
-            "maltsev_chain", count_cap=count_cap,
+            lambda opn: kind.holds(tag_operation(opn), params),
+            name, arity_cap=kind.arity, count_cap=count_cap,
         )
-        return _with_warnings(
-            _build_maltsev_chain(algebra, n, op, trace, p.get("source", 0)), warns
-        )
-    if strategy == "dualdisc_chain":
-        op, trace, warns = _resolve_op(
-            algebra, p.get("op"), p.get("trace"),
-            lambda opn: tag_operation(opn).dual_discriminator,
-            "dualdisc_chain", count_cap=count_cap,
-        )
-        b, c = p.get("pair", (0, 1))
-        return _with_warnings(_build_dualdisc_chain(algebra, n, op, trace, b, c), warns)
-    if strategy == "near_unanimity":
-        op, trace, warns = _resolve_op(
-            algebra, p.get("op"), p.get("trace"),
-            lambda opn: tag_operation(opn).near_unanimity,
-            "near_unanimity", count_cap=count_cap,
-        )
-        return _with_warnings(
-            _build_near_unanimity(algebra, n, op, trace, p.get("source", 0)), warns
-        )
+        return _with_warnings(kind.build(algebra, n, op, trace, params), warns)
     if strategy == "extends_step":
         inner = build_certificate(p["inner"], algebra, n)
         op, trace, warns = _resolve_op(
@@ -914,24 +935,11 @@ def plan_certificate(
     notes: list[str] = []
 
     def tagged_builder(op: Operation, trace: Trace) -> CertificateBuilder | None:
-        t = tag_operation(op)
-        if op.arity == 2 and t.idempotent and t.unit_element is not None:
-            return CertificateBuilder(
-                "unit_element", {"op": op, "trace": trace, "unit": t.unit_element}
-            )
-        if t.maltsev:
-            return CertificateBuilder(
-                "maltsev_chain", {"op": op, "trace": trace, "source": 0}
-            )
-        if t.dual_discriminator:
-            return CertificateBuilder(
-                "dualdisc_chain", {"op": op, "trace": trace, "pair": (0, 1)}
-            )
-        if t.near_unanimity:
-            return CertificateBuilder(
-                "near_unanimity", {"op": op, "trace": trace, "source": 0}
-            )
-        return None
+        name = _condition_of(tag_operation(op))
+        if name is None:
+            return None
+        defaults = TERM_CONDITIONS[name].defaults
+        return CertificateBuilder(name, {"op": op, "trace": trace, **defaults})
 
     # generators first: no closure needed when one of them already qualifies
     for gi, g in enumerate(algebra.generators):
@@ -1100,17 +1108,6 @@ class SinkVerdict:
     caps: dict = field(default_factory=dict)
 
 
-def _shared_semilattice_in_terms(
-    algebra: Algebra, shared: int, count_cap: int
-) -> Operation | None:
-    terms = generate_term_operations(algebra, 2, count_cap)
-    wanted = semilattice_to_shared(algebra.domain.size, shared)
-    for op in terms.operations:
-        if op == wanted:
-            return op
-    return None
-
-
 def detect_sink_candidate(
     algebra: Algebra,
     count_cap: int = DEFAULT_TERM_COUNT_CAP,
@@ -1155,11 +1152,12 @@ def detect_sink_candidate(
         common = alpha & beta
         if len(common) == 1:
             shared = next(iter(common))
-            has_shape = _shared_semilattice_in_terms(algebra, shared, count_cap)
+            terms = generate_term_operations(algebra, 2, count_cap)
+            has_shape = semilattice_to_shared(d, shared) in terms.traces
             projective = all(
                 is_alphabeta_projective(g, alpha, beta) for g in algebra.generators
             )
-            if has_shape is not None and projective:
+            if has_shape and projective:
                 return SinkVerdict(
                     "sink_certified",
                     "two overlapping two-element subalgebras, the collapsing "

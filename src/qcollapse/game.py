@@ -61,15 +61,6 @@ class Adversary:
     def __iter__(self) -> Iterator[frozenset[int]]:
         return iter(self.coords)
 
-    def describe(self, full_size: int) -> str:
-        parts = []
-        for c in self.coords:
-            if len(c) == full_size:
-                parts.append("*")
-            else:
-                parts.append("{" + ",".join(str(v) for v in sorted(c)) + "}")
-        return " ".join(parts)
-
 
 def full_adversary(n: int, domain_size: int) -> Adversary:
     return Adversary((frozenset(range(domain_size)),) * n)

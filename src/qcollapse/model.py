@@ -140,19 +140,6 @@ class Operation:
         return all(self(*(a,) * self.arity) == a for a in range(self.domain_size))
 
 
-def apply_operation(op: Operation, args: Sequence[int]) -> int:
-    """Table lookup; rejects argument tuples of the wrong length."""
-    return op(*args)
-
-
-def relation_contains(rel: Relation, t: Sequence[int]) -> bool:
-    """Membership test; rejects tuples of the wrong length."""
-    t = tuple(t)
-    if len(t) != rel.arity:
-        raise StructuralError(f"relation {rel.name}: expected {rel.arity} coordinates, got {len(t)}")
-    return t in rel.tuples
-
-
 @dataclass(frozen=True)
 class Constraint:
     """An application R(w_1, ..., w_k) where each w_i is a variable name or a constant."""
@@ -264,10 +251,6 @@ class ConstraintLanguage:
         for r in self.relations:
             if r.domain_size != self.domain.size:
                 raise StructuralError(f"relation {r.name} is over a different domain")
-
-    @cached_property
-    def by_name(self) -> dict[str, Relation]:
-        return {r.name: r for r in self.relations}
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,6 @@ def dual_discriminator(domain_size: int) -> Operation:
     return from_function("dualdisc", 3, domain_size, lambda x, y, z: x if x == y else z)
 
 
-def affine_maltsev(domain_size: int) -> Operation:
-    """x - y + z modulo the domain size; satisfies m(x,x,y) = m(y,x,x) = y."""
-    return from_function("affine", 3, domain_size, lambda x, y, z: (x - y + z) % domain_size)
-
-
 def semilattice_to_shared(domain_size: int, shared: int, name: str | None = None) -> Operation:
     """The binary semilattice sending every pair of distinct elements to `shared`."""
     if not (0 <= shared < domain_size):

@@ -1,5 +1,6 @@
-"""Polymorphism testing, operation composition, term-operation (clone)
-generation up to an arity cap, detectors for the named operation classes, and
+"""Polymorphism testing, operation composition, the closure kernel for
+subuniverses of A^m and its callers (term-operation generation up to an arity
+cap, relation closure), detectors for the named operation classes, and
 pointwise application of polymorphisms to satisfying assignments.
 """
 
@@ -317,12 +318,73 @@ def _frontier_images(
                 yield head + (c,), tuple(map(getitem, map(operator.add, base, c)))
 
 
+@dataclass(frozen=True)
+class Closure:
+    """The vectors of A^m that seed vectors generate under operations applied
+    coordinate-wise.
+
+    `vectors` is in discovery order, seeds first. `provenance` maps each
+    vector to the (operation index, argument vectors) that first produced it,
+    or to None for a seed. `truncated` is set when the cap refused a vector,
+    so the set may be incomplete.
+    """
+
+    vectors: tuple[tuple[int, ...], ...]
+    provenance: Mapping[tuple[int, ...], tuple[int, tuple[tuple[int, ...], ...]] | None]
+    truncated: bool
+
+
+def close_vectors(
+    ops: Sequence[Operation],
+    seeds: Iterable[tuple[int, ...]],
+    room: int,
+    cap: int | None = None,
+) -> Closure:
+    """The subuniverse the seeds generate, by semi-naive rounds: each round
+    applies every operation, in order, to the combinations that use a vector
+    found in the round before. It stops early once `room` vectors are found,
+    as nothing new can appear then, and when `cap` refuses a vector, a seed
+    included.
+    """
+    found: dict = {}
+    truncated = False
+    for s in seeds:
+        if s in found:
+            continue
+        if cap is not None and len(found) >= cap:
+            truncated = True
+        else:
+            found[s] = None
+    current = list(found)
+    frontier = current
+    while frontier and not truncated and len(found) < room:
+        frontier_set = set(frontier)
+        old = [v for v in current if v not in frontier_set]
+        fresh: list[tuple[int, ...]] = []
+        for i, op in enumerate(ops):
+            for combo, image in _frontier_images(op, old, frontier, current):
+                if image in found:
+                    continue
+                if cap is not None and len(found) >= cap:
+                    truncated = True
+                    break
+                found[image] = (i, combo)
+                fresh.append(image)
+                if len(found) >= room:
+                    break
+            if truncated or len(found) >= room:
+                break
+        current = current + fresh
+        frontier = fresh
+    return Closure(tuple(found), found, truncated)
+
+
 def generate_term_operations(
     algebra: Algebra, arity_cap: int = DEFAULT_ARITY_CAP, count_cap: int = DEFAULT_COUNT_CAP
 ) -> TermOperationSet:
-    """Fixed-point closure per target arity: seed with projections and the
-    generators of matching arity, then keep composing generators with
-    already-found operations until nothing new appears or the cap is hit.
+    """The term operations of each arity 1..arity_cap in turn: the closure of
+    the arity-m projections and generators, as tables, under every generator.
+    `count_cap` bounds the operations of all arities together.
 
     Composition never raises the arity above the cap because a composite's
     arity equals its inner operations' shared arity. An arity stops early once
@@ -333,54 +395,34 @@ def generate_term_operations(
     if arity_cap < 1:
         raise StructuralError("arity cap must be >= 1")
     d = algebra.domain.size
-    found: dict[Operation, Trace] = {}
-    order: list[Operation] = []
+    generators = algebra.generators
+    idempotent = all(g.is_idempotent() for g in generators)
+    operations: list[Operation] = []
+    traces: dict[Operation, Trace] = {}
     truncated = False
-    idempotent = all(g.is_idempotent() for g in algebra.generators)
-
-    def add(op: Operation, trace: Trace) -> bool:
-        nonlocal truncated
-        if op in found:
-            return False
-        if len(found) >= count_cap:
-            truncated = True
-            return False
-        found[op] = trace
-        order.append(op)
-        return True
-
     for m in range(1, arity_cap + 1):
-        for i in range(1, m + 1):
-            add(projection_op(d, m, i), ("proj", m, i))
-        for gi, g in enumerate(algebra.generators):
-            if g.arity == m:
-                add(g, ("gen", gi))
-        # close the arity-m tables under outer application of every generator;
-        # candidate tables are deduplicated before Operation construction
-        traces = {op.table: found[op] for op in order if op.arity == m}
-        current = list(traces)
-        frontier = list(current)
+        seeds = [(projection_op(d, m, i), ("proj", m, i)) for i in range(1, m + 1)]
+        seeds += [(g, ("gen", gi)) for gi, g in enumerate(generators) if g.arity == m]
+        named: dict[tuple[int, ...], tuple[Operation, Trace]] = {}
+        for op, trace in seeds:
+            named.setdefault(op.table, (op, trace))
         room = d ** (d**m - d) if idempotent else d ** (d**m)
-        while frontier and not truncated and len(traces) < room:
-            frontier_set = set(frontier)
-            old = [t for t in current if t not in frontier_set]
-            new_tables: list[tuple[int, ...]] = []
-            for gi, g in enumerate(algebra.generators):
-                if truncated or len(traces) >= room:
-                    break
-                for combo, key in _frontier_images(g, old, frontier, current):
-                    if key in traces:
-                        continue
-                    trace = ("comp", ("gen", gi), tuple(traces[t] for t in combo))
-                    if not add(Operation(f"t{m}.{len(found)}", m, d, key), trace):
-                        break
-                    traces[key] = trace
-                    new_tables.append(key)
-                    if len(traces) >= room:
-                        break
-            current = current + new_tables
-            frontier = new_tables
-    return TermOperationSet(algebra, arity_cap, tuple(order), dict(found), truncated)
+        closure = close_vectors(
+            generators, [op.table for op, _ in seeds], room, count_cap - len(operations)
+        )
+        truncated = truncated or closure.truncated
+        by_table: dict[tuple[int, ...], Trace] = {}
+        for table, made in closure.provenance.items():
+            if made is None:
+                op, trace = named[table]
+            else:
+                gi, combo = made
+                op = Operation(f"t{m}.{len(operations)}", m, d, table)
+                trace = ("comp", ("gen", gi), tuple(map(by_table.__getitem__, combo)))
+            by_table[table] = trace
+            operations.append(op)
+            traces[op] = trace
+    return TermOperationSet(algebra, arity_cap, tuple(operations), traces, truncated)
 
 
 def relation_cells(rel: Relation, k: int) -> set[tuple[int, ...]]:
@@ -533,23 +575,8 @@ def apply_pointwise(op: Operation, assignments: Sequence[Mapping[str, int]]) -> 
 
 
 def close_relation_under(rel: Relation, op: Operation) -> Relation:
-    """Smallest superset of the relation invariant under the operation, by
-    semi-naive rounds: each round only applies the operation to combinations
-    that use a tuple found in the round before. A relation holding every
-    tuple is closed already."""
+    """Smallest superset of the relation invariant under the operation."""
     if rel.domain_size != op.domain_size:
         raise StructuralError("relation and operation are over different domains")
-    tuples = set(rel.tuples)
-    old: list[tuple[int, ...]] = []
-    frontier = list(tuples)
-    while frontier and len(tuples) < rel.domain_size**rel.arity:
-        current = old + frontier
-        fresh = {
-            image
-            for _, image in _frontier_images(op, old, frontier, current)
-            if image not in tuples
-        }
-        tuples |= fresh
-        old = current
-        frontier = list(fresh)
-    return Relation(rel.name, rel.arity, rel.domain_size, frozenset(tuples))
+    closure = close_vectors((op,), rel.tuples, rel.domain_size**rel.arity)
+    return Relation(rel.name, rel.arity, rel.domain_size, frozenset(closure.vectors))

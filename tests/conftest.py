@@ -11,6 +11,7 @@ import pytest
 from qcollapse.cspsolve import CspInstance
 from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.model import (
+    Algebra,
     ConstraintLanguage,
     Domain,
     EXISTS,
@@ -19,7 +20,31 @@ from qcollapse.model import (
     QuantifiedFormula,
     Relation,
 )
-from qcollapse.polymorph import is_polymorphism_of_language
+from qcollapse.ops import and_op, from_function, majority_op, minority_op, or_op, projection_op
+from qcollapse.polymorph import (
+    TermOperationSet,
+    _frontier_images,
+    is_polymorphism_of_language,
+)
+
+
+DISPATCH_OPS = (
+    and_op(),
+    or_op(),
+    majority_op(),
+    minority_op(),
+    from_function("x&(y|z)", 3, 2, lambda x, y, z: x & (y | z)),
+    from_function("x|(y&z)", 3, 2, lambda x, y, z: x | (y & z)),
+)
+
+
+def dispatch_algebras() -> list[Algebra]:
+    """One two-element algebra per nonempty subset of the dispatch operations."""
+    return [
+        Algebra(Domain(2), subset)
+        for size in range(1, len(DISPATCH_OPS) + 1)
+        for subset in itertools.combinations(DISPATCH_OPS, size)
+    ]
 
 
 def rel(name: str, arity: int, domain_size: int, rows) -> Relation:
@@ -293,6 +318,61 @@ def reference_strategy(phi: QuantifiedFormula, adversary, node_cap: int = 10_000
 
     walk(0, {})
     return responses
+
+
+def reference_term_operations(
+    algebra: Algebra, arity_cap: int, count_cap: int
+) -> TermOperationSet:
+    """The term closure the closure kernel replaced: per arity, a fixed point
+    of its own over the projections and generators of that arity, with names,
+    traces, count cap and early stop of its own."""
+    d = algebra.domain.size
+    found: dict = {}
+    order: list[Operation] = []
+    truncated = False
+    idempotent = all(g.is_idempotent() for g in algebra.generators)
+
+    def add(op: Operation, trace) -> bool:
+        nonlocal truncated
+        if op in found:
+            return False
+        if len(found) >= count_cap:
+            truncated = True
+            return False
+        found[op] = trace
+        order.append(op)
+        return True
+
+    for m in range(1, arity_cap + 1):
+        for i in range(1, m + 1):
+            add(projection_op(d, m, i), ("proj", m, i))
+        for gi, g in enumerate(algebra.generators):
+            if g.arity == m:
+                add(g, ("gen", gi))
+        traces = {op.table: found[op] for op in order if op.arity == m}
+        current = list(traces)
+        frontier = list(current)
+        room = d ** (d**m - d) if idempotent else d ** (d**m)
+        while frontier and not truncated and len(traces) < room:
+            frontier_set = set(frontier)
+            old = [t for t in current if t not in frontier_set]
+            new_tables: list = []
+            for gi, g in enumerate(algebra.generators):
+                if truncated or len(traces) >= room:
+                    break
+                for combo, key in _frontier_images(g, old, frontier, current):
+                    if key in traces:
+                        continue
+                    trace = ("comp", ("gen", gi), tuple(traces[t] for t in combo))
+                    if not add(Operation(f"t{m}.{len(found)}", m, d, key), trace):
+                        break
+                    traces[key] = trace
+                    new_tables.append(key)
+                    if len(traces) >= room:
+                        break
+            current = current + new_tables
+            frontier = new_tables
+    return TermOperationSet(algebra, arity_cap, tuple(order), dict(found), truncated)
 
 
 # derives * * from the axiom {1} {1} through the binary AND generator g0, which

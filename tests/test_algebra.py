@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -19,7 +20,7 @@ from qcollapse.algebra import (
     restrict,
 )
 from qcollapse.errors import GuardrailError, StructuralError
-from qcollapse.model import Algebra, Domain
+from qcollapse.model import Algebra, Domain, Operation
 from qcollapse.ops import (
     and_op,
     dual_discriminator,
@@ -56,6 +57,28 @@ class TestGeneratedSubalgebra:
     def test_empty_seed_rejected(self):
         with pytest.raises(StructuralError):
             generated_subalgebra(shared_algebra(), ())
+
+    def test_matches_naive_fixed_point(self):
+        rng = random.Random(11)
+        for _ in range(80):
+            d = rng.randint(2, 4)
+            generators = tuple(
+                Operation(f"g{i}", k, d, tuple(rng.randrange(d) for _ in range(d**k)))
+                for i, k in enumerate(rng.choices((1, 2, 3), k=rng.randint(1, 3)))
+            )
+            alg = Algebra(Domain(d), generators)
+            seed = rng.sample(range(d), rng.randint(1, d))
+            closed = set(seed)
+            while True:
+                grown = closed | {
+                    g(*args)
+                    for g in generators
+                    for args in itertools.product(closed, repeat=g.arity)
+                }
+                if grown == closed:
+                    break
+                closed = grown
+            assert generated_subalgebra(alg, seed) == frozenset(closed)
 
 
 class TestSubalgebras:

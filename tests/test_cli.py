@@ -71,6 +71,16 @@ op and 2
 """
 
 
+# the (verb, flag) pairs where the verb reads the flag; every other verb
+# refuses it
+FLAGS_READ = {
+    ("solve", "--format"), ("gen", "--seed"),
+    ("solve", "--arity-cap"), ("detect", "--arity-cap"), ("classify", "--arity-cap"),
+    ("solve", "--count-cap"), ("analyze", "--count-cap"), ("detect", "--count-cap"),
+    ("certify", "--count-cap"), ("sweep", "--count-cap"),
+}
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
@@ -121,8 +131,9 @@ class TestExitCodes:
             pytest.param(verb, flag, id=f"{verb}{flag[0]}")
             for verb in ("solve", "collapse", "reduce", "analyze", "detect", "certify",
                          "verify", "classify", "sweep", "gen")
-            for flag in (["--seed", "3"], ["--format", "tsv"])
-            if (verb, flag[0]) not in (("solve", "--format"), ("gen", "--seed"))
+            for flag in (["--seed", "3"], ["--format", "tsv"], ["--arity-cap", "2"],
+                         ["--count-cap", "1"])
+            if (verb, flag[0]) not in FLAGS_READ
         ],
     )
     def test_seed_and_format_are_refused_where_not_read(
@@ -137,6 +148,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+    @pytest.mark.parametrize(
+        "strategy", ["extends_step", "subalgebra_enlarge", "combine_subsets", "frobnicate"]
+    )
+    def test_certify_refuses_strategies_it_cannot_parameterize(self, files, capsys, strategy):
+        assert main(["certify", files["and"], "--strategy", strategy]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice" in captured.err
 
     def test_oracle_decides_prefixes_deeper_than_the_recursion_limit(self, tmp_path, capsys):
         n = 1500

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from conftest import NEGATIVE_REFERENCE_CERT, eq_rel
+from conftest import NEGATIVE_REFERENCE_CERT, dispatch_algebras, eq_rel
 from qcollapse import collapsibility
 from qcollapse.algebra import Congruence, disjoint_maximal_congruence
 from qcollapse.classify import discovered_generators
@@ -271,7 +271,7 @@ class TestTwoElementDispatch:
             build_certificate(CertificateBuilder("two_element"), alg, 3)
 
     def test_matches_full_arity3_scan(self):
-        for alg in _dispatch_algebras():
+        for alg in dispatch_algebras():
             expected = _full_scan_dispatch(alg)
             assert expected is not None
             assert _two_element_dispatch(alg, DEFAULT_TERM_COUNT_CAP) == expected, [
@@ -285,7 +285,7 @@ class TestTwoElementDispatch:
 
     def test_unit_semilattice_never_closes_to_arity3(self, monkeypatch):
         caps = _record_closure_caps(monkeypatch)
-        binary = [a for a in _dispatch_algebras() if _full_scan_dispatch(a)[0].arity == 2]
+        binary = [a for a in dispatch_algebras() if _full_scan_dispatch(a)[0].arity == 2]
         assert len(binary) > 1
         for alg in binary + [_equality_algebra()]:
             caps.clear()
@@ -296,31 +296,12 @@ class TestTwoElementDispatch:
 
     def test_plan_then_build_closes_once_per_arity(self, monkeypatch):
         caps = _record_closure_caps(monkeypatch)
-        for alg in _dispatch_algebras():
+        for alg in dispatch_algebras():
             caps.clear()
             builder, _ = plan_certificate(alg)
             cert = build_certificate(builder, alg, 3)
             assert verify_certificate(cert, alg, 3)
             assert len(caps) == len(set(caps)), [g.name for g in alg.generators]
-
-
-DISPATCH_OPS = (
-    and_op(),
-    or_op(),
-    majority_op(),
-    minority_op(),
-    from_function("x&(y|z)", 3, 2, lambda x, y, z: x & (y | z)),
-    from_function("x|(y&z)", 3, 2, lambda x, y, z: x | (y & z)),
-)
-
-
-def _dispatch_algebras() -> list[Algebra]:
-    """One algebra per nonempty subset of the dispatch operations."""
-    return [
-        Algebra(Domain(2), subset)
-        for size in range(1, len(DISPATCH_OPS) + 1)
-        for subset in itertools.combinations(DISPATCH_OPS, size)
-    ]
 
 
 def _equality_algebra() -> Algebra:

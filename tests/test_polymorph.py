@@ -6,10 +6,12 @@ import pytest
 from conftest import (
     affine_rel,
     brute_force_discovery,
+    dispatch_algebras,
     eq_rel,
     impl_rel,
     nae_rel,
     random_language,
+    reference_term_operations,
     rel,
 )
 from qcollapse.errors import GuardrailError, StructuralError
@@ -26,6 +28,7 @@ from qcollapse.ops import (
 from qcollapse.polymorph import (
     apply_pointwise,
     close_relation_under,
+    close_vectors,
     compose,
     discover_polymorphisms,
     generate_term_operations,
@@ -60,16 +63,21 @@ def _naive_clone(alg: Algebra, m: int) -> set:
         tables = grown
 
 
-def _naive_relation_closure(rel, op):
-    tuples = set(rel.tuples)
+def _naive_vector_closure(ops, seeds) -> set:
+    vectors = set(seeds)
     while True:
-        grown = tuples | {
-            tuple(op(*(t[c] for t in choice)) for c in range(rel.arity))
-            for choice in itertools.product(tuples, repeat=op.arity)
+        grown = vectors | {
+            tuple(op(*column) for column in zip(*args))
+            for op in ops
+            for args in itertools.product(vectors, repeat=op.arity)
         }
-        if grown == tuples:
-            return grown
-        tuples = grown
+        if grown == vectors:
+            return vectors
+        vectors = grown
+
+
+def _naive_relation_closure(rel, op):
+    return _naive_vector_closure([op], rel.tuples)
 
 
 class TestIsPolymorphism:
@@ -236,6 +244,30 @@ class TestTermGeneration:
             for op in terms.operations:
                 assert replay_trace(alg, terms.traces[op]) == op
 
+    @pytest.mark.parametrize("count_cap", [1, 3, 7, 50, 2000])
+    def test_matches_the_replaced_closure(self, count_cap):
+        rng = random.Random(1)
+        three = []
+        for i in range(6):
+            table = tuple(
+                x if i % 2 == 0 and x == y else rng.randrange(3)
+                for x in range(3)
+                for y in range(3)
+            )
+            three.append(Algebra(Domain(3), (Operation("f", 2, 3, table),)))
+        cases = [(alg, k) for alg in dispatch_algebras() for k in (2, 3)]
+        cases += [(alg, 3) for alg in three]
+        for alg, arity_cap in cases:
+            got = generate_term_operations(alg, arity_cap, count_cap)
+            want = reference_term_operations(alg, arity_cap, count_cap)
+            label = ([g.table for g in alg.generators], arity_cap)
+            assert got.operations == want.operations, label
+            assert [op.name for op in got.operations] == [op.name for op in want.operations]
+            assert [got.traces[op] for op in got.operations] == [
+                want.traces[op] for op in want.operations
+            ], label
+            assert got.truncated == want.truncated, label
+
     def test_fills_every_idempotent_ternary(self):
         alg = Algebra(Domain(2), (and_op(), minority_op()))
         terms = generate_term_operations(alg, 3)
@@ -376,6 +408,33 @@ class TestApplyPointwise:
 
 
 class TestClosure:
+    def test_kernel_provenance_and_cap(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            d = rng.choice((2, 3))
+            m = rng.randint(1, 4)
+            ops = [
+                Operation(f"g{i}", k, d, tuple(rng.randrange(d) for _ in range(d**k)))
+                for i, k in enumerate(rng.choices((1, 2, 3), k=rng.randint(1, 2)))
+            ]
+            seeds = [tuple(rng.randrange(d) for _ in range(m)) for _ in range(rng.randint(1, 3))]
+            full = close_vectors(ops, seeds, d**m)
+            assert not full.truncated
+            assert set(full.vectors) == _naive_vector_closure(ops, seeds)
+            position = {v: i for i, v in enumerate(full.vectors)}
+            for v in full.vectors:
+                made = full.provenance[v]
+                if made is None:
+                    assert v in seeds
+                    continue
+                i, args = made
+                assert all(position[a] < position[v] for a in args)
+                assert v == tuple(ops[i](*column) for column in zip(*args))
+            cap = rng.randint(0, len(full.vectors) + 1)
+            capped = close_vectors(ops, seeds, d**m, cap)
+            assert capped.vectors == full.vectors[:cap]
+            assert capped.truncated == (cap < len(full.vectors))
+
     def test_close_relation_under(self):
         base = rel("R", 2, 2, [(0, 1), (1, 0)])
         closed = close_relation_under(base, and_op())
