@@ -21,16 +21,15 @@ from .collapsibility import (
     plan_certificate,
     verify_certificate,
 )
-from .cspsolve import CspInstance, solve_csp
 from .errors import BuildError, GuardrailError, StructuralError
-from .model import Algebra, Constraint, ConstraintLanguage, Operation
+from .model import Algebra, ConstraintLanguage, Operation
 from .ops import and_op, dual_discriminator, majority_op, minority_op, or_op, semilattice_to_shared
 from .polymorph import (
     is_polymorphism_of_language,
     is_projection,
-    polymorphisms_by_arity,
     polymorphism_failure,
-    relation_cells,
+    polymorphism_tables,
+    polymorphisms_by_arity,
 )
 
 SAMPLE_CERTIFICATE_N = 4
@@ -117,65 +116,36 @@ def find_polymorphism_with_shape(
     forced: Mapping[tuple[int, ...], int],
     name: str = "shaped",
 ) -> Operation | None:
-    """Search for a polymorphism whose table honors the forced entries, by
-    solving a CSP whose variables are the free table cells.
+    """The first polymorphism, in `itertools.product` order of the free table
+    cells, whose table honors the forced entries; None when there is none."""
+    table = next(polymorphism_tables(language, arity, forced), None)
+    return None if table is None else Operation(name, arity, language.domain.size, table)
 
-    Every choice of rows from a relation yields one constraint reusing that
-    relation over the cells it reads (`relation_cells`), so the search is
-    complete.
-    """
-    d = language.domain.size
-    cells = list(itertools.product(range(d), repeat=arity))
-    for cell, value in forced.items():
-        if len(cell) != arity or not (0 <= value < d):
-            raise StructuralError("forced entry out of range")
-    var_of = {c: "t" + "_".join(str(v) for v in c) for c in cells}
-    constraints = set()
-    for rel in language.relations:
-        for indices in relation_cells(rel, arity):
-            args = tuple(
-                forced[c] if c in forced else var_of[c] for c in (cells[i] for i in indices)
-            )
-            constraints.add(Constraint(rel, args))
-    free = tuple(var_of[c] for c in cells if c not in forced)
-    solution = solve_csp(CspInstance(language.domain, free, tuple(sorted(constraints, key=str))))
-    if solution is None:
-        return None
-    table = tuple(
-        forced[c] if c in forced else solution[var_of[c]] for c in cells
+
+def _templates(d: int) -> tuple[tuple[str, str, dict[tuple[int, int, int], int]], ...]:
+    """The ternary templates as (report name, operation name, forced cells):
+    the dual discriminator (every cell), Mal'tsev and majority."""
+    dd = dual_discriminator(d)
+    cells = list(itertools.product(range(d), repeat=3))
+    return (
+        ("dual_discriminator", dd.name, dict(zip(cells, dd.table))),
+        ("maltsev", "maltsev", {
+            (x, y, z): z if x == y else x for x, y, z in cells if x == y or y == z
+        }),
+        ("majority", "majority", {
+            (x, y, z): y if y == z else x for x, y, z in cells if x in (y, z) or y == z
+        }),
     )
-    op = Operation(name, arity, d, table)
-    assert is_polymorphism_of_language(op, language)
-    return op
-
-
-def _maltsev_template(d: int) -> dict[tuple[int, int, int], int]:
-    forced = {}
-    for x in range(d):
-        for y in range(d):
-            forced[(x, x, y)] = y
-            forced[(y, x, x)] = y
-    return forced
-
-
-def _majority_template(d: int) -> dict[tuple[int, int, int], int]:
-    forced = {}
-    for x in range(d):
-        for y in range(d):
-            forced[(x, x, y)] = x
-            forced[(x, y, x)] = x
-            forced[(y, x, x)] = x
-    return forced
 
 
 def discovered_generators(
-    language: ConstraintLanguage, arity_cap: int, candidate_cap: int
+    language: ConstraintLanguage, arity_cap: int, candidate_cap: int = 100_000
 ) -> tuple[tuple[Operation, ...], dict]:
     """Idempotent polymorphisms from one sweep over arities 1..arity_cap,
-    kept below the first arity that hits a guardrail, topped up with targeted
-    ternary template searches when the sweep stopped short of arity 3.
-    Projections are dropped since they never constrain the structure."""
-    d = language.domain.size
+    kept below the first arity that hits a guardrail, topped up with the
+    first table of each ternary template when the sweep stopped short of
+    arity 3. Projections are dropped since they never constrain the
+    structure."""
     found: list[Operation] = []
     swept_to = 0
     try:
@@ -184,26 +154,19 @@ def discovered_generators(
             swept_to += 1
     except GuardrailError:
         pass
-    targeted = []
     templates_ran: tuple[str, ...] = ()
     if arity_cap >= 3 and swept_to < 3:
-        templates_ran = ("dual_discriminator", "maltsev", "majority")
-        dd = dual_discriminator(d)
-        if is_polymorphism_of_language(dd, language):
-            targeted.append(dd)
-        maltsev = find_polymorphism_with_shape(language, 3, _maltsev_template(d), "maltsev")
-        if maltsev is not None:
-            targeted.append(maltsev)
-        majority = find_polymorphism_with_shape(language, 3, _majority_template(d), "majority")
-        if majority is not None:
-            targeted.append(majority)
+        templates = _templates(language.domain.size)
+        templates_ran = tuple(label for label, _, _ in templates)
+        shaped = (find_polymorphism_with_shape(language, 3, f, name) for _, name, f in templates)
+        found.extend(op for op in shaped if op is not None)
     caps = {
         "exhaustive_arity": swept_to,
         "arity_cap": arity_cap,
         "candidate_cap": candidate_cap,
         "targeted_templates": templates_ran,
     }
-    return tuple(found) + tuple(targeted), caps
+    return tuple(found), caps
 
 
 def _factor_witness(factor: Factor) -> dict:
@@ -215,7 +178,7 @@ def _factor_witness(factor: Factor) -> dict:
 
 
 def classify_three_element(
-    language: ConstraintLanguage, arity_cap: int = 3, candidate_cap: int = 100_000
+    language: ConstraintLanguage, arity_cap: int = 3
 ) -> ClassificationVerdict:
     """Classification over a three-element domain, outside the zone where the
     shared-element semilattice is a polymorphism (there the problem is only
@@ -230,7 +193,7 @@ def classify_three_element(
                 ("three-element-semilattice-conp-hardness",),
                 witness={"semilattice_shared_element": shared},
             )
-    generators, caps = discovered_generators(language, arity_cap, candidate_cap)
+    generators, caps = discovered_generators(language, arity_cap)
     algebra = Algebra(language.domain, generators)
     gset, factor = has_gset_factor(algebra)
     if gset:
@@ -256,7 +219,7 @@ def classify_three_element(
 
 
 def classify_conservative(
-    language: ConstraintLanguage, arity_cap: int = 3, candidate_cap: int = 100_000
+    language: ConstraintLanguage, arity_cap: int = 3
 ) -> ClassificationVerdict:
     """Dichotomy for languages containing every nonempty subset of the domain
     as a unary relation: a G-set factor means NP-hard, otherwise every pair of
@@ -282,7 +245,7 @@ def classify_conservative(
             {},
             CertificateBuilder("singleton", {"element": 0}),
         )
-    generators, caps = discovered_generators(language, arity_cap, candidate_cap)
+    generators, caps = discovered_generators(language, arity_cap)
     algebra = Algebra(language.domain, generators)
     gset, factor = has_gset_factor(algebra)
     if gset:

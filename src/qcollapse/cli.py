@@ -117,11 +117,18 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"cap must be >= 1, got {value}")
+    return value
+
+
 def _certificate_for_language(document, n: int, arity_cap: int, count_cap: int):
     """Plan and verify a collapsibility certificate for the instance's
     language, from its discovered idempotent polymorphisms."""
     language = document.language
-    generators, caps = discovered_generators(language, arity_cap, min(count_cap, 100_000))
+    generators, caps = discovered_generators(language, arity_cap)
     alg = Algebra(language.domain, generators)
     builder, notes = plan_certificate(alg, count_cap)
     cert = build_certificate(builder, alg, max(n, 1))
@@ -305,9 +312,7 @@ def cmd_detect(args) -> int:
             "unit_element": tags.unit_element,
         }
     if document.relations:
-        generators, caps = discovered_generators(
-            document.language, args.arity_cap, min(args.count_cap, 100_000)
-        )
+        generators, caps = discovered_generators(document.language, args.arity_cap)
         report["polymorphisms"] = {
             "caps": {k: list(v) if isinstance(v, tuple) else v for k, v in caps.items()},
             "count": len(generators),
@@ -345,8 +350,10 @@ def cmd_certify(args) -> int:
             params["source"] = params["element"]
             params["unit"] = params["element"]
         if args.pair is not None:
-            b, c = args.pair.split(",")
-            params["pair"] = (alg.domain.index_of(b), alg.domain.index_of(c))
+            names = args.pair.split(",")
+            if len(names) != 2:
+                raise StructuralError(f"--pair needs two element names, got {args.pair!r}")
+            params["pair"] = tuple(map(alg.domain.index_of, names))
         if args.op is not None:
             named = {o.name: o for o in alg.generators}
             if args.op not in named:
@@ -494,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         if file:
             p.add_argument("file", help="instance or algebra file")
         if arity_cap:
-            p.add_argument("--arity-cap", type=int, default=3, dest="arity_cap")
+            p.add_argument("--arity-cap", type=positive_int, default=3, dest="arity_cap")
         if count_cap:
             p.add_argument("--count-cap", type=int, default=2_000, dest="count_cap")
         return p
@@ -528,9 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("analyze", "algebra structural report (JSON)", count_cap=True)
     p.set_defaults(fn=cmd_analyze)
 
-    p = verb(
-        "detect", "operation tags and polymorphism discovery", arity_cap=True, count_cap=True
-    )
+    p = verb("detect", "operation tags and polymorphism discovery", arity_cap=True)
     p.set_defaults(fn=cmd_detect)
 
     p = verb("certify", "build a collapsibility certificate", count_cap=True)

@@ -685,8 +685,10 @@ def _two_element_dispatch(algebra: Algebra, count_cap: int) -> tuple[Operation, 
     """The dispatch operation of a two-element idempotent algebra, with its
     trace: the first operation in discovery order that satisfies a term
     condition, tried in the order of `TERM_CONDITIONS`. On two elements an
-    idempotent binary operation with a unit is a semilattice. Fails exactly
-    when the algebra is essentially a G-set.
+    idempotent binary operation with a unit is a semilattice. When the
+    closure is complete, it fails exactly when the algebra is essentially a
+    G-set; a closure cut at `count_cap` proves nothing, and the failure says
+    so.
 
     A unit element is binary, and the arity-2 prefix of the term closure
     (operations, order, traces) does not depend on the arity cap, so the
@@ -704,9 +706,11 @@ def _two_element_dispatch(algebra: Algebra, count_cap: int) -> tuple[Operation, 
         for op, t in ops:
             if kind.holds(t, kind.defaults):
                 return op, terms.traces[op]
+    cut = any(terms.truncated for terms, _ in tagged.values())
     raise BuildError(
-        "no semilattice, Mal'tsev, dual discriminator, or near-unanimity term "
-        "operation up to arity 3: the algebra is a G-set"
+        "no semilattice, Mal'tsev, dual discriminator, or near-unanimity term operation "
+        + (f"before the term closure was cut at the count cap of {count_cap}" if cut
+           else "up to arity 3: the algebra is a G-set")
     )
 
 

@@ -1,7 +1,7 @@
 """Polymorphism testing, operation composition, the closure kernel for
 subuniverses of A^m and its callers (term-operation generation up to an arity
-cap, relation closure), detectors for the named operation classes, and
-pointwise application of polymorphisms to satisfying assignments.
+cap, relation closure), detectors for the named operation classes, the table
+sweep behind every polymorphism search, and pointwise application.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class OperationTags:
 
 def is_projection(op: Operation) -> bool:
     return any(
-        all(op.table[op.index(args)] == args[i] for args in op.inputs())
+        all(value == args[i] for value, args in zip(op.table, op.inputs()))
         for i in range(op.arity)
     )
 
@@ -447,79 +447,101 @@ def relation_cells(rel: Relation, k: int) -> set[tuple[int, ...]]:
     return cells
 
 
-def _idempotent_polymorphism_tables(
-    language: ConstraintLanguage, k: int, candidate_cap: int, check_cap: int
-) -> list[tuple[int, ...]]:
-    """The tables of the idempotent arity-k polymorphisms in
-    `itertools.product` order of their off-diagonal cells.
+def polymorphism_tables(
+    language: ConstraintLanguage,
+    k: int,
+    forced: Mapping[tuple[int, ...], int],
+    check_cap: int = DEFAULT_CHECK_CAP,
+    fill_cap: int = DEFAULT_CHECK_CAP,
+) -> Iterator[tuple[int, ...]]:
+    """The tables of the arity-k polymorphisms that take the forced value at
+    each forced argument tuple, in `itertools.product` order of the free
+    cells, which are filled depth-first in index order, values ascending.
 
-    The off-diagonal cells are filled depth-first in index order, values
-    ascending. Each relation's cell tuples are checked at the last free cell
-    they read, so a branch is cut as soon as one completed tuple leaves its
-    relation. A tuple that reads only diagonal cells maps a row onto itself
-    and is never checked.
-
-    Raises GuardrailError before sweeping when the arity has more than
-    `candidate_cap` idempotent tables, or when a relation has more than
-    `check_cap` k-row choices: the projections preserve every relation, so a
-    check of every table against every relation would reach it.
+    A relation's cell tuple is checked at the last free cell it reads, or
+    once before the search if it reads only forced cells, unless these are
+    diagonal cells holding their argument (then it maps a row onto itself).
+    A cell whose values all fail jumps back to the last earlier free cell
+    read by its checked tuples or passed up by the cells that jumped back to
+    it (graph-based backjumping); a cell below which a table was found since
+    it was entered steps back one cell. Only branches without a table are
+    skipped, so the order holds. GuardrailError: before any setup, for a
+    relation with over `check_cap` k-row choices; after `fill_cap` fills.
     """
+    for n in (len(rel.tuples) for rel in language.relations):
+        if n**k > check_cap:
+            raise GuardrailError(f"{n}^{k} tuple combinations exceed the cap of {check_cap}")
     d = language.domain.size
-    free_cells = d**k - d
-    if d**free_cells > candidate_cap:
-        raise GuardrailError(
-            f"{d}^{free_cells} idempotent arity-{k} candidates exceed the cap; "
-            "restrict the arity cap or use a targeted detector"
-        )
-    for rel in language.relations:
-        if len(rel.tuples) ** k > check_cap:
-            raise GuardrailError(
-                f"{len(rel.tuples)}^{k} tuple combinations exceed the cap of {check_cap}"
-            )
-    step = sum(d**i for i in range(k))  # index distance between diagonal cells
-    table = [0] * d**k
-    for a in range(d):
-        table[a * step] = a
-    free = [c for c in range(d**k) if c % step]
-    if not free:
-        return [tuple(table)]
+    table = [-1] * d**k
+    for args, value in forced.items():
+        if len(args) != k or not all(0 <= a < d for a in args) or not 0 <= value < d:
+            raise StructuralError("forced entry out of range")
+        table[sum(a * d**i for i, a in enumerate(reversed(args)))] = value
+    free = [c for c, value in enumerate(table) if value < 0]
+    idempotent = all(args == (value,) * k for args, value in forced.items())
+    if idempotent and not free:  # every tuple maps a row onto itself
+        yield tuple(table)
+        return
     rank = [-1] * d**k  # position of each free cell in `free`
     for p, c in enumerate(free):
         rank[c] = p
+    bit = [1 << r if r >= 0 else 0 for r in rank]
     # per free cell and relation, the cells of every tuple checked there, in
-    # one flat getter whose result is cut into images of the relation's arity
-    checks: list[list[tuple[operator.itemgetter, int, frozenset]]] = [[] for _ in free]
+    # one flat getter whose result is cut into images of the relation's arity;
+    # the last entry holds the tuples that read forced cells only
+    checks: list[list[tuple]] = [[] for _ in range(len(free) + 1)]
+    parents = [0] * len(checks)  # bitmask of the earlier free cells those tuples read
     for rel in language.relations:
-        attached: list[list[int]] = [[] for _ in free]
+        attached: list[list[int]] = [[] for _ in checks]
         for cells in relation_cells(rel, k):
             last = max(map(rank.__getitem__, cells))
-            if last >= 0:
+            if last >= 0 or not idempotent:
                 attached[last].extend(cells)
         for p, flat in enumerate(attached):
             if len(flat) == 1:
                 flat *= 2  # a getter of one cell would return a bare value
             if flat:
                 checks[p].append((operator.itemgetter(*flat), rel.arity, rel.tuples))
-    out = []
+                parents[p] |= sum(map(bit.__getitem__, set(flat))) & ((1 << p) - 1)
+    for getter, arity, rows in checks[-1]:
+        if not rows.issuperset(zip(*[iter(getter(table))] * arity)):
+            return
+    if not free:
+        yield tuple(table)
+        return
+    induced = [0] * len(free)  # causes passed up by the cells that jumped back
+    solved = 0  # the cells before this one have had a table found below them
+    fills = 0
     p = 0
-    table[free[0]] = -1
     while p >= 0:
         cell = free[p]
         value = table[cell] + 1
         if value == d:
-            p -= 1
+            if p < solved:
+                p -= 1
+                continue
+            causes = parents[p] | induced[p]
+            p = causes.bit_length() - 1
+            if p >= 0:
+                induced[p] |= causes ^ (1 << p)
             continue
+        fills += 1
+        if fills > fill_cap:
+            raise GuardrailError(f"the arity-{k} sweep filled more than {fill_cap} cells")
         table[cell] = value
-        if all(
-            rows.issuperset(zip(*[iter(getter(table))] * arity))
-            for getter, arity, rows in checks[p]
-        ):
+        for getter, arity, rows in checks[p]:
+            if not rows.issuperset(zip(*[iter(getter(table))] * arity)):
+                break
+        else:
             if p == len(free) - 1:
-                out.append(tuple(table))
+                yield tuple(table)
+                solved = p + 1
             else:
                 p += 1
                 table[free[p]] = -1
-    return out
+                induced[p] = 0
+                if p < solved:
+                    solved = p
 
 
 def polymorphisms_by_arity(
@@ -528,17 +550,26 @@ def polymorphisms_by_arity(
     candidate_cap: int = DEFAULT_CHECK_CAP,
     check_cap: int = DEFAULT_CHECK_CAP,
 ) -> Iterator[tuple[Operation, ...]]:
-    """The idempotent polymorphisms of each arity 1..arity_cap in turn, named
-    `f{k}_{n}` with n counting every operation found before, projections and
-    lower arities included.
+    """The idempotent polymorphisms of each arity 1..arity_cap in turn: the
+    sweep's tables with the diagonal forced, named `f{k}_{n}` with n counting
+    every operation found before, projections and lower arities included.
 
-    An arity that hits a guardrail raises GuardrailError when it is reached,
-    after every lower arity has been yielded.
+    An arity with more than `candidate_cap` idempotent tables raises
+    GuardrailError after every lower arity has been yielded; so does a
+    relation with more than `check_cap` k-row choices. A sweep fills under
+    twice its candidate count, far below the default fill cap.
     """
     d = language.domain.size
     found = 0
     for k in range(1, arity_cap + 1):
-        tables = _idempotent_polymorphism_tables(language, k, candidate_cap, check_cap)
+        free_cells = d**k - d
+        if d**free_cells > candidate_cap:
+            raise GuardrailError(
+                f"{d}^{free_cells} idempotent arity-{k} candidates exceed the cap; "
+                "restrict the arity cap or use a targeted detector"
+            )
+        diagonal = {(a,) * k: a for a in range(d)}
+        tables = list(polymorphism_tables(language, k, diagonal, check_cap))
         yield tuple(Operation(f"f{k}_{found + i}", k, d, t) for i, t in enumerate(tables))
         found += len(tables)
 
@@ -554,11 +585,7 @@ def discover_polymorphisms(
     Raises GuardrailError when an arity has too many candidate tables; use the
     targeted detectors in `classify` for larger domains.
     """
-    return tuple(
-        op
-        for ops in polymorphisms_by_arity(language, arity_cap, candidate_cap, check_cap)
-        for op in ops
-    )
+    return tuple(itertools.chain(*polymorphisms_by_arity(language, arity_cap, candidate_cap, check_cap)))
 
 
 def apply_pointwise(op: Operation, assignments: Sequence[Mapping[str, int]]) -> dict[str, int]:

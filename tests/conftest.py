@@ -8,10 +8,11 @@ from collections import deque
 
 import pytest
 
-from qcollapse.cspsolve import CspInstance
+from qcollapse.cspsolve import CspInstance, solve_csp
 from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.model import (
     Algebra,
+    Constraint,
     ConstraintLanguage,
     Domain,
     EXISTS,
@@ -25,6 +26,7 @@ from qcollapse.polymorph import (
     TermOperationSet,
     _frontier_images,
     is_polymorphism_of_language,
+    relation_cells,
 )
 
 
@@ -69,13 +71,28 @@ def affine_rel() -> Relation:
     return rel("Aff", 3, 2, rows)
 
 
+def brute_force_tables(
+    language: ConstraintLanguage, k: int, forced, check_cap: int = 10**7
+):
+    """Reference sweep: every arity-k table that takes the forced values, in
+    `itertools.product` order of the free cells, checked against every row
+    choice of every relation."""
+    d = language.domain.size
+    cells = [args for args in itertools.product(range(d), repeat=k) if args not in forced]
+    for values in itertools.product(range(d), repeat=len(cells)):
+        entries = dict(zip(cells, values))
+        entries.update(forced)
+        table = tuple(entries[args] for args in itertools.product(range(d), repeat=k))
+        if is_polymorphism_of_language(Operation("t", k, d, table), language, check_cap):
+            yield table
+
+
 def brute_force_discovery(
     language: ConstraintLanguage, arity_cap: int, candidate_cap: int, check_cap: int
 ):
-    """Reference sweep, yielding the operations of each arity in turn: every
-    idempotent table in `itertools.product` order, checked against every row
-    choice of every relation, with the guardrails and names of the discovery
-    kernel."""
+    """Reference discovery, yielding the operations of each arity in turn:
+    the idempotent tables of `brute_force_tables`, with the guardrails and
+    names of the discovery kernel."""
     d = language.domain.size
     out: list[Operation] = []
     for k in range(1, arity_cap + 1):
@@ -87,14 +104,8 @@ def brute_force_discovery(
                 "restrict the arity cap or use a targeted detector"
             )
         diagonal = {tuple([a] * k): a for a in range(d)}
-        cells = [args for args in itertools.product(range(d), repeat=k) if args not in diagonal]
-        for values in itertools.product(range(d), repeat=len(cells)):
-            entries = dict(zip(cells, values))
-            entries.update(diagonal)
-            table = tuple(entries[args] for args in itertools.product(range(d), repeat=k))
-            op = Operation(f"f{k}_{len(out)}", k, d, table)
-            if is_polymorphism_of_language(op, language, check_cap):
-                out.append(op)
+        for table in brute_force_tables(language, k, diagonal, check_cap):
+            out.append(Operation(f"f{k}_{len(out)}", k, d, table))
         yield tuple(out[lower:])
 
 
@@ -318,6 +329,38 @@ def reference_strategy(phi: QuantifiedFormula, adversary, node_cap: int = 10_000
 
     walk(0, {})
     return responses
+
+
+def reference_shape_search(
+    language: ConstraintLanguage,
+    arity: int,
+    forced,
+    name: str = "shaped",
+) -> Operation | None:
+    """The shape search the table sweep replaced: a CSP whose variables are
+    the free table cells, with one constraint per relation and cell tuple
+    that a choice of rows reads, solved by `solve_csp`."""
+    d = language.domain.size
+    cells = list(itertools.product(range(d), repeat=arity))
+    for cell, value in forced.items():
+        if len(cell) != arity or not (0 <= value < d):
+            raise StructuralError("forced entry out of range")
+    var_of = {c: "t" + "_".join(str(v) for v in c) for c in cells}
+    constraints = set()
+    for r in language.relations:
+        for indices in relation_cells(r, arity):
+            args = tuple(
+                forced[c] if c in forced else var_of[c] for c in (cells[i] for i in indices)
+            )
+            constraints.add(Constraint(r, args))
+    free = tuple(var_of[c] for c in cells if c not in forced)
+    solution = solve_csp(CspInstance(language.domain, free, tuple(sorted(constraints, key=str))))
+    if solution is None:
+        return None
+    table = tuple(forced[c] if c in forced else solution[var_of[c]] for c in cells)
+    op = Operation(name, arity, d, table)
+    assert is_polymorphism_of_language(op, language)
+    return op
 
 
 def reference_term_operations(

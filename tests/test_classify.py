@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from conftest import affine_rel, brute_force_discovery, impl_rel, nae_rel, random_language, rel
+from conftest import (
+    affine_rel,
+    brute_force_discovery,
+    brute_force_tables,
+    impl_rel,
+    nae_rel,
+    random_language,
+    reference_shape_search,
+    rel,
+)
 from qcollapse import classify, polymorph
 from qcollapse.classify import (
     classify_conservative,
@@ -12,9 +21,8 @@ from qcollapse.classify import (
     discovered_generators,
     find_polymorphism_with_shape,
 )
-from qcollapse.cspsolve import CspInstance
 from qcollapse.errors import GuardrailError, StructuralError
-from qcollapse.model import Algebra, Constraint, ConstraintLanguage, Domain, Relation
+from qcollapse.model import Algebra, ConstraintLanguage, Domain, Operation, Relation
 from qcollapse.ops import dual_discriminator, semilattice_to_shared
 from qcollapse.polymorph import close_relation_under, is_polymorphism_of_language, tag_operation
 
@@ -83,35 +91,87 @@ class TestShapeSearch:
                 forced[(y, x, x)] = x
         assert find_polymorphism_with_shape(language, 3, forced) is None
 
+    def test_existence_matches_the_csp_search(self):
+        # the CSP the sweep replaced finds a table for exactly the same
+        # languages and templates; the sweep's table honors its template
+        rng = random.Random(12)
+        seen = set()
+        for d in (2, 3, 4):
+            for _ in range(40):
+                language = random_language(rng, d)
+                for label, name, forced in classify._templates(d):
+                    got = find_polymorphism_with_shape(language, 3, forced, name)
+                    want = reference_shape_search(language, 3, forced, name)
+                    assert (got is None) == (want is None), (d, label)
+                    seen.add((d, got is not None))
+                    if got is None:
+                        continue
+                    assert got.name == name
+                    assert all(got(*cell) == value for cell, value in forced.items())
+                    assert is_polymorphism_of_language(got, language)
+        assert seen == {(d, found) for d in (2, 3, 4) for found in (False, True)}
 
-    def test_constraints_match_row_choices(self, monkeypatch):
-        # the CSP posed is the one built from every row choice directly
-        posed = []
-        solve = classify.solve_csp
-        monkeypatch.setattr(classify, "solve_csp", lambda inst: posed.append(inst) or solve(inst))
-        rng = random.Random(11)
-        for _ in range(20):
+    def test_table_is_the_first_in_product_order(self):
+        rng = random.Random(13)
+        for _ in range(60):
             d = rng.choice((2, 3))
             language = random_language(rng, d)
-            forced = {c: c[1] for c in itertools.product(range(d), repeat=3) if c[0] == c[1]}
-            find_polymorphism_with_shape(language, 3, forced)
-            cells = list(itertools.product(range(d), repeat=3))
-            var_of = {c: "t" + "_".join(str(v) for v in c) for c in cells}
-            constraints = {
-                Constraint(
-                    r,
-                    tuple(
-                        forced.get(col, var_of[col])
-                        for col in zip(*choice)
-                    ),
-                )
-                for r in language.relations
-                for choice in itertools.product(r.sorted_tuples(), repeat=3)
-            }
-            free = tuple(var_of[c] for c in cells if c not in forced)
-            assert posed.pop() == CspInstance(
-                language.domain, free, tuple(sorted(constraints, key=str))
-            )
+            for label, name, forced in classify._templates(d):
+                if d == 3 and label != "majority":
+                    continue  # 3^12 and 3^0 candidates: the majority's 3^6 suffice
+                got = find_polymorphism_with_shape(language, 3, forced, name)
+                want = next(brute_force_tables(language, 3, forced), None)
+                assert (None if got is None else got.table) == want, (d, label)
+
+    def test_templates_keep_their_shapes(self):
+        for d in (2, 3, 4):
+            for label, name, forced in classify._templates(d):
+                cells = itertools.product(range(d), repeat=3)
+                op = Operation(name, 3, d, tuple(forced.get(c, 0) for c in cells))
+                tags = tag_operation(op)
+                shape = {"dual_discriminator": tags.dual_discriminator,
+                         "maltsev": tags.maltsev, "majority": tags.majority}
+                assert shape[label], (d, label)
+        _, _, maltsev = classify._templates(3)[1]
+        _, _, majority = classify._templates(3)[2]
+        assert (27 - len(maltsev), 27 - len(majority)) == (12, 6)
+
+    def test_forced_cells_failing_a_relation_stop_before_the_search(self):
+        # the rows (0, 1), (0, 2), (1, 2) of Neq read the forced cells 0 0 1
+        # and 1 2 2, which Mal'tsev sends to (1, 1); so the sweep yields
+        # nothing without filling a single cell
+        neq = rel("Neq", 2, 3, [(a, b) for a in range(3) for b in range(3) if a != b])
+        _, _, maltsev = classify._templates(3)[1]
+        assert list(polymorph.polymorphism_tables(lang(3, neq), 3, maltsev, fill_cap=0)) == []
+
+    def test_work_bound_counts_filled_cells(self):
+        # every table preserves the full unary relation, so the first one
+        # fills each of the 12 free Mal'tsev cells once
+        language = lang(3, rel("U", 1, 3, [(0,), (1,), (2,)]))
+        _, _, maltsev = classify._templates(3)[1]
+        first = next(polymorph.polymorphism_tables(language, 3, maltsev, fill_cap=12))
+        assert first == tuple(
+            maltsev.get(c, 0) for c in itertools.product(range(3), repeat=3)
+        )
+        with pytest.raises(GuardrailError, match="filled more than 11 cells"):
+            next(polymorph.polymorphism_tables(language, 3, maltsev, fill_cap=11))
+
+    def test_row_choices_are_refused_before_setup(self, monkeypatch):
+        # the three rows of U give 3^3 ternary row choices, one over the cap
+        def unreachable(rel, k):
+            raise AssertionError("the sweep built its checks")
+
+        monkeypatch.setattr(polymorph, "relation_cells", unreachable)
+        language = lang(3, rel("U", 1, 3, [(0,), (1,), (2,)]))
+        _, _, maltsev = classify._templates(3)[1]
+        with pytest.raises(GuardrailError, match=r"^3\^3 tuple combinations exceed the cap of 26$"):
+            next(polymorph.polymorphism_tables(language, 3, maltsev, check_cap=26))
+
+    def test_out_of_range_entries_are_refused(self):
+        language = lang(2, nae_rel())
+        for forced in ({(0, 0): 0}, {(0, 0, 2): 0}, {(0, 0, 1): 2}):
+            with pytest.raises(StructuralError):
+                find_polymorphism_with_shape(language, 3, forced)
 
 
 class TestDiscoveredGenerators:
@@ -136,18 +196,22 @@ class TestDiscoveredGenerators:
                 assert len(generators) == len(found)
 
     def test_sweeps_each_arity_once(self, monkeypatch):
+        # discovery and the templates reach one sweep: once per arity with
+        # the diagonal forced, then once per template; arity 3's 3^24
+        # candidates are refused before a sweep
         swept = []
-        kernel = polymorph._idempotent_polymorphism_tables
+        sweep = polymorph.polymorphism_tables
 
-        def recording(language, k, *caps):
-            swept.append(k)
-            return kernel(language, k, *caps)
+        def recording(language, k, forced, *caps, **named_caps):
+            swept.append((k, len(forced)))
+            return sweep(language, k, forced, *caps, **named_caps)
 
-        monkeypatch.setattr(polymorph, "_idempotent_polymorphism_tables", recording)
+        monkeypatch.setattr(polymorph, "polymorphism_tables", recording)
+        monkeypatch.setattr(classify, "polymorphism_tables", recording)
         language = lang(3, rel("Eq", 2, 3, [(v, v) for v in range(3)]))
         _, caps = discovered_generators(language, 3, 100_000)
         assert caps["exhaustive_arity"] == 2
-        assert swept == [1, 2, 3]
+        assert swept == [(1, 3), (2, 3), (3, 27), (3, 15), (3, 21)]
 
 
 class TestThreeElement:

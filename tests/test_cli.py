@@ -76,8 +76,8 @@ op and 2
 FLAGS_READ = {
     ("solve", "--format"), ("gen", "--seed"),
     ("solve", "--arity-cap"), ("detect", "--arity-cap"), ("classify", "--arity-cap"),
-    ("solve", "--count-cap"), ("analyze", "--count-cap"), ("detect", "--count-cap"),
-    ("certify", "--count-cap"), ("sweep", "--count-cap"),
+    ("solve", "--count-cap"), ("analyze", "--count-cap"), ("certify", "--count-cap"),
+    ("sweep", "--count-cap"),
 }
 
 
@@ -150,13 +150,39 @@ class TestExitCodes:
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
     @pytest.mark.parametrize(
-        "strategy", ["extends_step", "subalgebra_enlarge", "combine_subsets", "frobnicate"]
+        "argv, message",
+        [
+            (["--strategy", "extends_step"], "invalid choice"),
+            (["--strategy", "subalgebra_enlarge"], "invalid choice"),
+            (["--strategy", "combine_subsets"], "invalid choice"),
+            (["--strategy", "frobnicate"], "invalid choice"),
+            (["--strategy", "dualdisc_chain", "--pair", "0"], "--pair needs two element names"),
+        ],
+        ids=["extends_step", "subalgebra_enlarge", "combine_subsets", "frobnicate", "pair-of-one"],
     )
-    def test_certify_refuses_strategies_it_cannot_parameterize(self, files, capsys, strategy):
-        assert main(["certify", files["and"], "--strategy", strategy]) == 2
+    def test_certify_refuses_strategies_it_cannot_parameterize(
+        self, files, capsys, argv, message
+    ):
+        assert main(["certify", files["and"], *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "invalid choice" in captured.err
+        assert message in captured.err
+
+    def test_truncated_closure_claims_no_gset(self, files, capsys):
+        # the cap admits the three projections of arity 1 and 2 and cuts the
+        # AND generator itself, so finding no semilattice proves nothing
+        assert main(["certify", files["and"], "--n", "2", "--count-cap", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cut at the count cap of 3" in captured.err
+        assert "G-set" not in captured.err
+
+    @pytest.mark.parametrize("verb", ["solve", "detect", "classify"])
+    def test_arity_cap_below_one_is_usage_error(self, files, capsys, verb):
+        assert main([verb, files["horn"], "--arity-cap", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cap must be >= 1, got 0" in captured.err
 
     def test_oracle_decides_prefixes_deeper_than_the_recursion_limit(self, tmp_path, capsys):
         n = 1500
@@ -263,6 +289,22 @@ class TestExitCodes:
         )
         assert main([argv[0], str(wide), "--j", "10", *argv[1:]]) == 3
         assert "would emit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["detect", "solve"])
+    def test_template_row_choices_are_refused(self, tmp_path, capsys, verb):
+        # discovery refuses arity 2 (6^30 candidates), so the ternary
+        # templates run; the full ternary relation over six elements has
+        # 216^3 row choices, which they refuse before building any check
+        rows = "".join(
+            f"  {a} {b} {c}\n" for a in range(6) for b in range(6) for c in range(6)
+        )
+        full = tmp_path / "full.txt"
+        full.write_text(
+            f"domain 6 0 1 2 3 4 5\nrelation R 3\n{rows}formula forall y exists x : R(y, x, x)\n",
+            encoding="utf-8",
+        )
+        assert main([verb, str(full)]) == 3
+        assert "216^3 tuple combinations exceed the cap" in capsys.readouterr().err
 
 
 class TestParserReuse:
@@ -377,6 +419,7 @@ class TestAnalyzeDetect:
         assert main(["detect", files["horn"]]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "majority" in report["polymorphisms"]["tagged"]
+        assert report["polymorphisms"]["caps"]["candidate_cap"] == 100_000
 
 
 class TestCertifyVerify:

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     affine_rel,
     brute_force_discovery,
+    brute_force_tables,
     dispatch_algebras,
     eq_rel,
     impl_rel,
@@ -37,6 +38,7 @@ from qcollapse.polymorph import (
     op_image,
     parse_trace,
     polymorphism_failure,
+    polymorphism_tables,
     polymorphisms_by_arity,
     relation_cells,
     replay_trace,
@@ -143,6 +145,22 @@ class TestTags:
     def test_projection_tag(self):
         assert tag_operation(projection_op(3, 2, 1)).projection
         assert not tag_operation(and_op()).projection
+
+    def test_projection_tag_matches_the_projection_tables(self):
+        # every binary operation on two elements, and each ternary projection
+        # on three elements with one cell changed
+        cases = [Operation("b", 2, 2, t) for t in itertools.product(range(2), repeat=4)]
+        for i in (1, 2, 3):
+            table = list(projection_op(3, 3, i).table)
+            for cell in (0, 5, 26):
+                changed = table.copy()
+                changed[cell] = (changed[cell] + 1) % 3
+                cases += [Operation("p", 3, 3, tuple(table)), Operation("q", 3, 3, tuple(changed))]
+        for op in cases:
+            projections = {
+                projection_op(op.domain_size, op.arity, i).table for i in range(1, op.arity + 1)
+            }
+            assert tag_operation(op).projection == (op.table in projections), op.table
 
 
 class TestCompose:
@@ -348,6 +366,22 @@ class TestDiscovery:
             ("check cap", "later relation"),
             ("swept", "3"),
         } <= seen
+
+    def test_sweep_matches_brute_force_with_forced_cells(self):
+        # random forced cells make branches fail far from their cause, so the
+        # sweep backjumps; it must still yield every table, in product order
+        rng = random.Random(5)
+        counts = set()
+        for _ in range(150):
+            d, k, most_free = rng.choice(((2, 3, 8), (2, 4, 10), (3, 2, 6)))
+            language = random_language(rng, d)
+            cells = list(itertools.product(range(d), repeat=k))
+            kept = rng.randint(len(cells) - most_free, len(cells))
+            forced = {c: rng.randrange(d) for c in rng.sample(cells, kept)}
+            got = list(polymorphism_tables(language, k, forced))
+            assert got == list(brute_force_tables(language, k, forced))
+            counts.add(min(len(got), 2))
+        assert counts == {0, 1, 2}
 
     def test_grouped_by_arity(self):
         language = ConstraintLanguage(Domain(2), (impl_rel(),))
