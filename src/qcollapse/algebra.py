@@ -4,6 +4,11 @@ the collapsibility classifier.
 
 All global enumerations are restricted to universes of at most
 MAX_ENUM_UNIVERSE elements so every sweep stays exhaustive.
+
+Subalgebras, congruences, restrictions, factors and the G-set witness are
+computed once per `Algebra` object and kept on it (see `_memo`): the
+classifiers, the certificate planner and the analysis report ask the same
+object the same questions many times within one call.
 """
 
 from __future__ import annotations
@@ -74,6 +79,32 @@ class Factor:
     blocks: tuple[frozenset[int], ...]
 
 
+def _memo(algebra: Algebra, key, compute, *args):
+    """`compute(algebra, *args)`, computed once per algebra object and `key`.
+
+    The answers live in a dict in the instance's `__dict__`, where
+    `cached_property` keeps its values, so they die with the algebra. The
+    cache is per object, not per value: generator names are not part of
+    `Operation` equality, yet quotients are named after them. Every cached
+    value is immutable, and a computation that raises caches nothing.
+    """
+    cache = algebra.__dict__.setdefault("_structure", {})
+    try:
+        return cache[key]
+    except KeyError:
+        value = cache[key] = compute(algebra, *args)
+        return value
+
+
+def _argument_indices(arity: int, d: int, values: Sequence[int]) -> list[int]:
+    """Table indices, over a d-element domain, of every argument tuple drawn
+    from `values`, in `itertools.product` order of those values."""
+    indices = [0]
+    for _ in range(arity):
+        indices = [i * d + v for i in indices for v in values]
+    return indices
+
+
 def _check_universe(algebra: Algebra):
     if algebra.domain.size > MAX_ENUM_UNIVERSE:
         raise GuardrailError(
@@ -83,7 +114,12 @@ def _check_universe(algebra: Algebra):
 
 
 def is_closed(algebra: Algebra, subset: frozenset[int]) -> bool:
-    return all(op_image(g, [subset] * g.arity) <= subset for g in algebra.generators)
+    d = algebra.domain.size
+    members = sorted(subset)
+    return all(
+        subset.issuperset([g.table[i] for i in _argument_indices(g.arity, d, members)])
+        for g in algebra.generators
+    )
 
 
 def generated_subalgebra(algebra: Algebra, seed: Sequence[int]) -> frozenset[int]:
@@ -99,6 +135,12 @@ def generated_subalgebra(algebra: Algebra, seed: Sequence[int]) -> frozenset[int
 
 def enumerate_subalgebras(algebra: Algebra) -> SubalgebraSet:
     """All generator-closed nonempty subsets, with propriety/maximality flags."""
+    # the set is built per call: cached, its back reference would make the
+    # algebra reach itself
+    return SubalgebraSet(algebra, _memo(algebra, "subalgebras", _subalgebras))
+
+
+def _subalgebras(algebra: Algebra) -> tuple[SubalgebraInfo, ...]:
     _check_universe(algebra)
     n = algebra.domain.size
     closed = []
@@ -113,7 +155,7 @@ def enumerate_subalgebras(algebra: Algebra) -> SubalgebraSet:
         is_proper = len(u) < n
         maximal = is_proper and not any(u < v for v in proper)
         entries.append(SubalgebraInfo(u, is_proper, maximal, len(u) >= 2))
-    return SubalgebraSet(algebra, tuple(entries))
+    return tuple(entries)
 
 
 def _partitions(items: Sequence[int]) -> Iterator[list[set[int]]]:
@@ -139,57 +181,72 @@ def _partitions(items: Sequence[int]) -> Iterator[list[set[int]]]:
 
 
 def _preserves_partition(op: Operation, block_of: dict[int, int]) -> bool:
-    # single-coordinate swaps within a block suffice: the relation is
-    # transitive, so general tuple pairs decompose into such swaps
+    # single-coordinate moves suffice: the relation is transitive, so general
+    # tuple pairs decompose into moves of one argument to its block's least
+    # element and back
     d = op.domain_size
-    for args in itertools.product(range(d), repeat=op.arity):
-        base = op.table[op.index(args)]
-        for pos in range(op.arity):
-            for alt in range(d):
-                if alt == args[pos] or block_of[alt] != block_of[args[pos]]:
-                    continue
-                swapped = list(args)
-                swapped[pos] = alt
-                if block_of[op.table[op.index(tuple(swapped))]] != block_of[base]:
+    least: dict[int, int] = {}
+    for v in range(d):
+        least.setdefault(block_of[v], v)
+    moves = [(v, least[block_of[v]]) for v in range(d) if least[block_of[v]] != v]
+    if not moves:
+        return True
+    image = [block_of[v] for v in op.table]
+    size = len(image)
+    stride = 1
+    for _ in range(op.arity):
+        # indices whose argument at this position is 0
+        bases = [i for i in range(size) if i // stride % d == 0]
+        for v, lead in moves:
+            at_v, at_lead = v * stride, lead * stride
+            for i in bases:
+                if image[i + at_v] != image[i + at_lead]:
                     return False
+        stride *= d
     return True
 
 
 def enumerate_congruences(algebra: Algebra) -> list[Congruence]:
     """Every partition of the universe preserved by all generators."""
+    return list(_memo(algebra, "congruences", _congruences))
+
+
+def _congruences(algebra: Algebra) -> tuple[Congruence, ...]:
     _check_universe(algebra)
     out = []
     for blocks in _partitions(range(algebra.domain.size)):
         block_of = {v: i for i, b in enumerate(blocks) for v in b}
         if all(_preserves_partition(g, block_of) for g in algebra.generators):
             out.append(Congruence(tuple(frozenset(b) for b in blocks)))
-    return out
+    return tuple(out)
 
 
 def quotient(algebra: Algebra, congruence: Congruence) -> Algebra:
     """The block algebra; verifies each generator is well-defined on blocks."""
     blocks = congruence.blocks
+    d = algebra.domain.size
     universe = sorted(v for b in blocks for v in b)
-    if universe != list(range(algebra.domain.size)):
+    if universe != list(range(d)):
         raise StructuralError("congruence does not partition the universe")
-    block_of = {v: i for i, b in enumerate(blocks) for v in b}
+    block_of = [0] * d
+    for i, b in enumerate(blocks):
+        for v in b:
+            block_of[v] = i
     reps = [min(b) for b in blocks]
     q = len(blocks)
     gens = []
     for g in algebra.generators:
-        table = []
-        for combo in itertools.product(range(q), repeat=g.arity):
-            table.append(block_of[g(*(reps[c] for c in combo))])
-        qop = Operation(f"{g.name}~", g.arity, q, tuple(table))
-        # well-definedness: every choice of representatives must agree
-        for args in itertools.product(range(algebra.domain.size), repeat=g.arity):
-            expected = qop.table[qop.index(tuple(block_of[a] for a in args))]
-            if block_of[g(*args)] != expected:
-                raise StructuralError(
-                    f"quotient of {g.name} is not well-defined; the partition is "
-                    "not a congruence"
-                )
-        gens.append(qop)
+        image = [block_of[v] for v in g.table]
+        table = [image[i] for i in _argument_indices(g.arity, d, reps)]
+        # well-definedness: every choice of representatives must agree, so
+        # each entry of g lands where the quotient sends its arguments' blocks
+        block_index = _argument_indices(g.arity, q, block_of)
+        if [table[j] for j in block_index] != image:
+            raise StructuralError(
+                f"quotient of {g.name} is not well-defined; the partition is "
+                "not a congruence"
+            )
+        gens.append(Operation(f"{g.name}~", g.arity, q, tuple(table)))
     return Algebra(Domain(q), tuple(gens))
 
 
@@ -198,32 +255,47 @@ def restrict(algebra: Algebra, universe: frozenset[int]) -> tuple[Algebra, list[
 
     Returns the subalgebra and the list mapping new indices to old elements.
     """
+    sub, old = _memo(algebra, ("restrict", frozenset(universe)), _restrict, universe)
+    return sub, list(old)
+
+
+def _restrict(algebra: Algebra, universe: frozenset[int]) -> tuple[Algebra, tuple[int, ...]]:
     if not is_closed(algebra, universe):
         raise StructuralError("subset is not closed under the generators")
     old = sorted(universe)
     new_of = {v: i for i, v in enumerate(old)}
+    d = algebra.domain.size
     gens = []
     for g in algebra.generators:
-        table = []
-        for combo in itertools.product(old, repeat=g.arity):
-            table.append(new_of[g(*combo)])
+        table = [new_of[g.table[i]] for i in _argument_indices(g.arity, d, old)]
         gens.append(Operation(g.name, g.arity, len(old), tuple(table)))
-    return Algebra(Domain(len(old)), tuple(gens)), old
+    return Algebra(Domain(len(old)), tuple(gens)), tuple(old)
 
 
 def enumerate_factors(algebra: Algebra) -> list[Factor]:
     """Quotients of every subalgebra by every congruence of its restriction;
     includes the algebra itself via the identity congruence on the full
     universe."""
+    return list(_memo(algebra, "factors", _factors))
+
+
+def _factors(algebra: Algebra) -> tuple[Factor, ...]:
     _check_universe(algebra)
     out = []
+    full = frozenset(range(algebra.domain.size))
     for universe in enumerate_subalgebras(algebra).universes():
-        sub, old = restrict(algebra, universe)
+        # the restriction to the full universe differs from the algebra only
+        # in element names, which no factor carries; the algebra itself shares
+        # its congruences with the report and the planner
+        if universe == full:
+            sub, old = algebra, list(range(algebra.domain.size))
+        else:
+            sub, old = restrict(algebra, universe)
         for cong in enumerate_congruences(sub):
             q = quotient(sub, cong)
             blocks = tuple(frozenset(old[i] for i in b) for b in cong.blocks)
             out.append(Factor(universe, cong, q, blocks))
-    return out
+    return tuple(out)
 
 
 def canonical_form(algebra: Algebra) -> tuple:
@@ -233,13 +305,14 @@ def canonical_form(algebra: Algebra) -> tuple:
     d = algebra.domain.size
     best = None
     for perm in itertools.permutations(range(d)):
+        inverse = [0] * d
+        for a, image in enumerate(perm):
+            inverse[image] = a
         profile = []
         for g in algebra.generators:
-            table = []
-            for args in itertools.product(range(d), repeat=g.arity):
-                preimage = tuple(perm.index(a) for a in args)
-                table.append(perm[g(*preimage)])
-            profile.append((g.arity, tuple(table)))
+            # entry i of the relabeled table is perm(g(preimage of i's arguments))
+            preimages = _argument_indices(g.arity, d, inverse)
+            profile.append((g.arity, tuple(perm[g.table[i]] for i in preimages)))
         key = (d, tuple(sorted(profile)))
         if best is None or key < best:
             best = key
@@ -278,6 +351,10 @@ def is_gset(algebra: Algebra) -> bool:
 
 def has_gset_factor(algebra: Algebra) -> tuple[bool, Factor | None]:
     """Search every factor; returns the first G-set witness when one exists."""
+    return _memo(algebra, "gset_factor", _gset_factor)
+
+
+def _gset_factor(algebra: Algebra) -> tuple[bool, Factor | None]:
     for factor in enumerate_factors(algebra):
         if is_gset(factor.quotient):
             return True, factor

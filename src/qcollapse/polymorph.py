@@ -492,6 +492,8 @@ def polymorphism_tables(
     checks: list[list[tuple]] = [[] for _ in range(len(free) + 1)]
     parents = [0] * len(checks)  # bitmask of the earlier free cells those tuples read
     for rel in language.relations:
+        if len(rel.tuples) == d**rel.arity:  # holds every tuple: every table preserves it
+            continue
         attached: list[list[int]] = [[] for _ in checks]
         for cells in relation_cells(rel, k):
             last = max(map(rank.__getitem__, cells))

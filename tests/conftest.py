@@ -120,6 +120,50 @@ def random_language(rng, d: int) -> ConstraintLanguage:
     return ConstraintLanguage(Domain(d), tuple(relations))
 
 
+def random_algebra(rng, d: int, idempotent: bool) -> Algebra:
+    """One to three generators of arity 1-3 over d elements, with random
+    tables (the diagonal fixed when idempotent)."""
+    generators = []
+    for i in range(rng.randint(1, 3)):
+        k = rng.randint(1, 3)
+        table = [rng.randrange(d) for _ in range(d**k)]
+        if idempotent:
+            for a in range(d):
+                table[a * sum(d**j for j in range(k))] = a
+        generators.append(Operation(f"g{i}", k, d, tuple(table)))
+    return Algebra(Domain(d), tuple(generators))
+
+
+def all_partitions(d: int) -> list[tuple[frozenset[int], ...]]:
+    """Every partition of 0..d-1, blocks ordered by least element, in the
+    lexicographic order of restricted-growth labelings."""
+    out = []
+    for labels in itertools.product(range(d), repeat=d):
+        if all(labels[i] <= max(labels[:i], default=-1) + 1 for i in range(d)):
+            out.append(tuple(
+                frozenset(v for v in range(d) if labels[v] == b) for b in range(max(labels) + 1)
+            ))
+    return out
+
+
+def brute_force_congruences(algebra: Algebra) -> list[tuple[frozenset[int], ...]]:
+    """Reference: the partitions of `all_partitions` whose equivalence
+    relation every generator preserves on all pairs of related argument
+    tuples (the definition, not single-coordinate moves)."""
+    d = algebra.domain.size
+    out = []
+    for blocks in all_partitions(d):
+        label = {v: i for i, b in enumerate(blocks) for v in b}
+        related = [(a, b) for a in range(d) for b in range(d) if label[a] == label[b]]
+        if all(
+            label[g(*(x for x, _ in pairs))] == label[g(*(y for _, y in pairs))]
+            for g in algebra.generators
+            for pairs in itertools.product(related, repeat=g.arity)
+        ):
+            out.append(blocks)
+    return out
+
+
 def enumerate_solutions(instance: CspInstance, limit: int | None = None) -> list[dict[str, int]]:
     """Every satisfying assignment by plain enumeration; exponential."""
     out = []

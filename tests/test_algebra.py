@@ -19,6 +19,7 @@ from qcollapse.algebra import (
     quotient,
     restrict,
 )
+from conftest import all_partitions, brute_force_congruences, random_algebra
 from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.model import Algebra, Domain, Operation
 from qcollapse.ops import (
@@ -139,6 +140,30 @@ class TestCongruences:
     def test_congruence_validation(self):
         with pytest.raises(StructuralError):
             Congruence((frozenset({0, 1}), frozenset({1, 2})))
+
+    def test_matches_brute_force(self):
+        # every partition is either a congruence, with the quotient the
+        # representatives give, or one that quotient refuses
+        rng = random.Random(12)
+        for d in (2, 3, 4):
+            for idempotent in (True, False):
+                for _ in range(15):
+                    alg = random_algebra(rng, d, idempotent)
+                    expected = brute_force_congruences(alg)
+                    assert [c.blocks for c in enumerate_congruences(alg)] == expected
+                    for blocks in all_partitions(d):
+                        cong = Congruence(blocks)
+                        if blocks not in expected:
+                            with pytest.raises(StructuralError, match="not well-defined"):
+                                quotient(alg, cong)
+                            continue
+                        q = quotient(alg, cong)
+                        for g, qg in zip(alg.generators, q.generators):
+                            assert qg.name == f"{g.name}~"
+                            assert list(qg.table) == [
+                                cong.block_of(g(*(min(blocks[c]) for c in combo)))
+                                for combo in qg.inputs()
+                            ]
 
 
 class TestQuotients:
@@ -330,3 +355,55 @@ class TestRestrict:
     def test_unclosed_subset_rejected(self):
         with pytest.raises(StructuralError):
             restrict(shared_algebra(), frozenset({0, 1}))
+
+
+class TestStructureCache:
+    def test_cache_is_per_object(self):
+        # equal by value, as generator names are not compared, yet each
+        # algebra's quotients and factors carry its own generators' names
+        first = shared_algebra()
+        second = Algebra(first.domain, (semilattice_to_shared(3, 2, "t"),))
+        assert first == second
+        pair = Congruence((frozenset({0, 2}), frozenset({1})))
+        assert quotient(first, pair).generators[0].name == "s~"
+        enumerate_factors(first)
+        assert quotient(second, pair).generators[0].name == "t~"
+        assert {g.name for f in enumerate_factors(second) for g in f.quotient.generators} == {"t~"}
+
+    def test_answers_are_computed_once(self, monkeypatch):
+        import qcollapse.algebra as algebra
+
+        alg = shared_algebra()
+        first = enumerate_factors(alg)
+        monkeypatch.setattr(algebra, "_partitions", None)
+        monkeypatch.setattr(algebra, "is_closed", None)
+        assert enumerate_factors(alg) == first
+        assert has_gset_factor(alg) == (False, None)
+        assert restrict(alg, frozenset({0, 2}))[1] == [0, 2]
+
+    def test_returned_lists_are_fresh(self):
+        alg = shared_algebra()
+        congruences = enumerate_congruences(alg)
+        factors = enumerate_factors(alg)
+        universes = enumerate_subalgebras(alg).universes()
+        sub, elements = restrict(alg, frozenset({0, 2}))
+        expected = (list(congruences), list(factors), list(universes), list(elements))
+        congruences.clear()
+        factors.reverse()
+        universes.pop()
+        elements.append(1)
+        assert enumerate_congruences(alg) == expected[0]
+        assert enumerate_factors(alg) == expected[1]
+        assert enumerate_subalgebras(alg).universes() == expected[2]
+        assert restrict(alg, frozenset({0, 2})) == (sub, expected[3])
+
+    def test_warm_cache_still_refuses(self):
+        alg = shared_algebra()
+        enumerate_factors(alg)
+        has_gset_factor(alg)
+        bad = Congruence((frozenset({0, 1}), frozenset({2})))
+        for _ in range(2):
+            with pytest.raises(StructuralError, match="not a congruence"):
+                quotient(alg, bad)
+            with pytest.raises(StructuralError, match="not closed"):
+                restrict(alg, frozenset({0, 1}))

@@ -383,6 +383,35 @@ class TestDiscovery:
             counts.add(min(len(got), 2))
         assert counts == {0, 1, 2}
 
+    def test_full_relations_constrain_nothing(self, monkeypatch):
+        # a relation holding every tuple is left out of the sweep's checks;
+        # its row choices are still counted against the cap
+        import qcollapse.polymorph as polymorph
+
+        read = []
+        monkeypatch.setattr(
+            polymorph, "relation_cells",
+            lambda relation, k: read.append(relation.name) or relation_cells(relation, k),
+        )
+        rng = random.Random(6)
+        for _ in range(60):
+            d, k = rng.choice(((2, 2), (2, 3), (3, 2)))
+            language = random_language(rng, d)
+            full = tuple(
+                rel(f"Full{arity}", arity, d, itertools.product(range(d), repeat=arity))
+                for arity in (1, 2, 3)
+            )
+            widened = ConstraintLanguage(language.domain, language.relations + full)
+            cells = list(itertools.product(range(d), repeat=k))
+            forced = {c: rng.randrange(d) for c in rng.sample(cells, rng.randint(0, d))}
+            assert list(polymorphism_tables(widened, k, forced)) == list(
+                polymorphism_tables(language, k, forced)
+            )
+        assert read and not any(name.startswith("Full") for name in read)
+        full3 = rel("Full", 3, 3, itertools.product(range(3), repeat=3))
+        with pytest.raises(GuardrailError, match=r"27\^2 tuple combinations exceed the cap of 728"):
+            next(polymorphism_tables(ConstraintLanguage(Domain(3), (full3,)), 2, {}, check_cap=728))
+
     def test_grouped_by_arity(self):
         language = ConstraintLanguage(Domain(2), (impl_rel(),))
         groups = list(polymorphisms_by_arity(language, 3))
