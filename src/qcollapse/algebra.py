@@ -5,7 +5,8 @@ the collapsibility classifier.
 All global enumerations are restricted to universes of at most
 MAX_ENUM_UNIVERSE elements so every sweep stays exhaustive.
 
-Subalgebras, congruences, restrictions, factors and the G-set witness are
+Subalgebras, congruences, restrictions, factors, the G-set witness and the
+enclosure, connectivity, strict-simplicity and pair-minimality predicates are
 computed once per `Algebra` object and kept on it (see `_memo`): the
 classifiers, the certificate planner and the analysis report ask the same
 object the same questions many times within one call.
@@ -375,6 +376,10 @@ class PredicateResult:
 def is_strictly_simple(algebra: Algebra) -> PredicateResult:
     """Simple (only trivial congruences) with every proper subalgebra
     one-element."""
+    return _memo(algebra, "strictly_simple", _strictly_simple)
+
+
+def _strictly_simple(algebra: Algebra) -> PredicateResult:
     _check_universe(algebra)
     if algebra.domain.size == 1:
         return PredicateResult(True, trivial=True)
@@ -390,6 +395,10 @@ def is_strictly_simple(algebra: Algebra) -> PredicateResult:
 def is_pair_minimal(algebra: Algebra) -> bool:
     """Every two-element subset generates a subalgebra with no proper
     non-trivial subalgebra."""
+    return _memo(algebra, "pair_minimal", _pair_minimal)
+
+
+def _pair_minimal(algebra: Algebra) -> bool:
     _check_universe(algebra)
     if algebra.domain.size < 2:
         raise StructuralError("pair minimality needs at least two elements")
@@ -411,6 +420,10 @@ def is_enclosed(algebra: Algebra) -> bool:
     composite's image is contained in its outer operation's image of the inner
     containments.
     """
+    return _memo(algebra, "enclosed", _enclosed)
+
+
+def _enclosed(algebra: Algebra) -> bool:
     _check_universe(algebra)
     maximal = enumerate_subalgebras(algebra).maximal_proper()
     for g in algebra.generators:
@@ -423,6 +436,10 @@ def is_enclosed(algebra: Algebra) -> bool:
 
 def is_fully_connected(algebra: Algebra) -> PredicateResult:
     """The overlap graph of maximal proper subalgebras is connected."""
+    return _memo(algebra, "fully_connected", _fully_connected)
+
+
+def _fully_connected(algebra: Algebra) -> PredicateResult:
     _check_universe(algebra)
     if algebra.domain.size == 1:
         return PredicateResult(True, trivial=True)

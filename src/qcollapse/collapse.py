@@ -275,18 +275,6 @@ def indexed_encoding(col: Collapsing) -> tuple[int, list[IndexedConstraint]]:
     return base, constraints
 
 
-def qcsp_via_collapse(
-    formula: QuantifiedFormula,
-    j: int,
-    source: Iterable[int] | None = None,
-    encoding_cap: int = DEFAULT_ENCODING_CAP,
-    width_cap: int = DEFAULT_WIDTH_CAP,
-) -> bool:
-    """True iff every relevant collapsing is true. Equivalence with formula
-    truth is the caller's certificate obligation."""
-    return all(ok for _, ok in collapse_verdicts(formula, j, source, encoding_cap, width_cap))
-
-
 def collapse_verdicts(
     formula: QuantifiedFormula,
     j: int,

@@ -4,7 +4,8 @@ A certificate is a concrete per-n derivation list: each step asserts that one
 adversary is composable, via a term operation given with its construction
 trace, from previously derived adversaries or axioms. Axioms are exactly the
 members of the single-source families Adv(n, {a}, w, A) for a in the source
-set. Builders emit the instantiated chain for the requested n; verification is
+set. Builders emit the instantiated chain for the requested n, and
+`power_certificate` decides one n, source and width exactly; verification is
 pure finite replay.
 """
 
@@ -28,7 +29,7 @@ from .algebra import (
     restrict,
     Congruence,
 )
-from .errors import BuildError, ParseError, StructuralError
+from .errors import BuildError, GuardrailError, ParseError, StructuralError
 from .game import Adversary, constant_adversary, full_adversary
 from .model import Algebra, Operation
 from .ops import semilattice_to_shared
@@ -36,6 +37,7 @@ from .polymorph import (
     OperationTags,
     TermOperationSet,
     Trace,
+    close_vectors,
     generate_term_operations,
     op_image,
     parse_trace,
@@ -45,7 +47,8 @@ from .polymorph import (
 )
 
 DEFAULT_TERM_COUNT_CAP = 2_000
-DEFAULT_SEARCH_DEPTH = 6
+# the largest power P(A)^n, or generator table on subsets, `power_certificate` builds
+POWER_VECTOR_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +165,6 @@ class Certificate:
     result: int
     warnings: tuple[str, ...] = ()
 
-    def axioms(self) -> list[Adversary]:
-        return [e.adversary for e in self.entries if e.op is None]
-
     def steps(self) -> list[CertEntry]:
         return [e for e in self.entries if e.op is not None]
 
@@ -178,16 +178,16 @@ class VerificationResult:
         return self.ok
 
 
-def _is_axiom_member(
-    adv: Adversary, source: frozenset[int], width: int, domain_size: int
-) -> bool:
+def _axiom_families(
+    n: int, source: frozenset[int], width: int, domain_size: int
+) -> list[AdversaryFamily]:
+    """The families Adv(n, {a}, width, A), a in the source, whose members are
+    a certificate's axioms; none when n < 1 or width < 0."""
     full = frozenset(range(domain_size))
-    for a in sorted(source):
-        single = frozenset((a,))
-        other = [i for i, c in enumerate(adv.coords) if c != single]
-        if len(other) <= width and all(adv.coords[i] == full for i in other):
-            return True
-    return False
+    try:
+        return [adv_family(n, (a,), width, full) for a in sorted(source)]
+    except StructuralError:
+        return []
 
 
 def verify_certificate(
@@ -206,11 +206,12 @@ def verify_certificate(
         return VerificationResult(False, "source set leaves the universe")
     if not certificate.target or not certificate.target <= frozenset(range(d)):
         return VerificationResult(False, "target is not a nonempty subset of the universe")
+    families = _axiom_families(n, certificate.source, certificate.width, d)
     for idx, e in enumerate(certificate.entries):
         if len(e.adversary) != n:
             return VerificationResult(False, f"entry {idx}: adversary length != n")
         if e.op is None:
-            if not _is_axiom_member(e.adversary, certificate.source, certificate.width, d):
+            if not any(e.adversary in family for family in families):
                 return VerificationResult(
                     False,
                     f"axiom {idx}: not a member of the declared source/width families",
@@ -260,12 +261,13 @@ class _Assembler:
         self.entries: list[CertEntry] = []
         self.index: dict[Adversary, int] = {}
         self.warnings: list[str] = []
+        self.families = _axiom_families(n, source, width, algebra.domain.size)
 
     def adversary_of(self, ref: int) -> Adversary:
         return self.entries[ref].adversary
 
     def axiom(self, adv: Adversary) -> int:
-        if not _is_axiom_member(adv, self.source, self.width, self.algebra.domain.size):
+        if not any(adv in family for family in self.families):
             raise BuildError(
                 f"internal: {adv.coords} is outside the declared axiom families"
             )
@@ -439,16 +441,16 @@ def _widen(adv: Adversary, positions: frozenset[int], full: frozenset[int]) -> A
     )
 
 
-def _reachable(cert: Certificate) -> list[int]:
-    seen: set[int] = set()
-    stack = [cert.result]
+def _reachable(root, inputs_of: Callable) -> set:
+    """`root` and everything it is derived from, following `inputs_of`."""
+    seen = set()
+    stack = [root]
     while stack:
-        i = stack.pop()
-        if i in seen:
-            continue
-        seen.add(i)
-        stack.extend(cert.entries[i].inputs)
-    return sorted(seen)
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(inputs_of(node))
+    return seen
 
 
 def _graft(
@@ -461,7 +463,7 @@ def _graft(
     mapping axioms through `resolve_axiom` and recomputing every step's
     adversary as the exact image of its (possibly enlarged) inputs."""
     local: dict[int, int] = {}
-    for idx in _reachable(cert):
+    for idx in sorted(_reachable(cert.result, lambda i: cert.entries[i].inputs)):
         e = cert.entries[idx]
         if e.op is None:
             local[idx] = resolve_axiom(e.adversary)
@@ -593,27 +595,27 @@ def _combine_certs(
     return asm.finish(first.target | second.target, result)
 
 
-def _lift_sub_cert(
-    algebra: Algebra, n: int, sub_elements: Sequence[int], sub_cert: Certificate
+def _relabel_cert(
+    algebra: Algebra, cert: Certificate, inner_size: int, label: Sequence[int] | dict[int, int],
+    source: frozenset[int], target: frozenset[int],
 ) -> Certificate:
-    """Replay a subalgebra certificate inside the full algebra: relabelled
-    axioms come from the full-domain families and every image only grows."""
+    """Replay a certificate of an algebra on `inner_size` elements (a
+    subalgebra or a quotient) inside `algebra`: the axiom on element e becomes
+    the full-domain family member on `label[e]`, and every step replays its
+    trace on `algebra`'s generators, so every image only grows."""
+    inner_full = frozenset(range(inner_size))
     full = _full_set(algebra)
-    sub_full = frozenset(range(len(sub_elements)))
-    source = frozenset(sub_elements[s] for s in sub_cert.source)
-    asm = _Assembler(algebra, n, source, sub_cert.width)
+    asm = _Assembler(algebra, cert.n, source, cert.width)
 
     def resolve(adv: Adversary) -> int:
-        element, wide = _axiom_shape(adv, sub_full, min(sub_cert.source))
-        fam = adv_family(n, (sub_elements[element],), sub_cert.width, full)
+        element, wide = _axiom_shape(adv, inner_full, min(cert.source))
+        fam = adv_family(cert.n, (label[element],), cert.width, full)
         return asm.axiom(fam.member(sorted(wide)))
 
     def transform(e: CertEntry) -> tuple[Operation, Trace]:
         return replay_trace(algebra, e.trace), e.trace
 
-    result = _graft(asm, sub_cert, resolve, transform)
-    target = frozenset(sub_elements[s] for s in sub_cert.target)
-    return asm.finish(target, result)
+    return asm.finish(target, _graft(asm, cert, resolve, transform))
 
 
 def _build_near_unanimity(
@@ -784,7 +786,11 @@ def _build_pair_minimal(algebra: Algebra, n: int, count_cap: int) -> Certificate
             covered.add(fresh)
             continue
         sub_cert = _build_strictly_simple(sub, n, count_cap)
-        lifted = _lift_sub_cert(algebra, n, elements, sub_cert)
+        lifted = _relabel_cert(
+            algebra, sub_cert, len(elements), elements,
+            frozenset(elements[s] for s in sub_cert.source),
+            frozenset(elements[s] for s in sub_cert.target),
+        )
         current = _combine_certs(algebra, n, lifted, current)
         covered |= set(pair_universe) | set(current.target)
         source_element = next(iter(lifted.source))
@@ -822,22 +828,11 @@ def lift_through_quotient(
     for s in quotient_certificate.source:
         if s not in block_rep:
             raise BuildError(f"no representative given for source block {s}")
-    q_full = frozenset(range(q_alg.domain.size))
-    full = _full_set(algebra)
-    asm = _Assembler(
-        algebra, n, frozenset(reps), quotient_certificate.width
+    lifted = _relabel_cert(
+        algebra, quotient_certificate, q_alg.domain.size, block_rep,
+        frozenset(reps), _full_set(algebra),
     )
-
-    def resolve(adv: Adversary) -> int:
-        block, wide = _axiom_shape(adv, q_full, min(quotient_certificate.source))
-        fam = adv_family(n, (block_rep[block],), quotient_certificate.width, full)
-        return asm.axiom(fam.member(sorted(wide)))
-
-    def transform(e: CertEntry) -> tuple[Operation, Trace]:
-        return replay_trace(algebra, e.trace), e.trace
-
-    ref = _graft(asm, quotient_certificate, resolve, transform)
-    closed = _enlarge_cert(algebra, n, asm.finish(full, ref))
+    closed = _enlarge_cert(algebra, n, lifted)
     final = closed.entries[closed.result].adversary
     if not dominated(full_adversary(n, algebra.domain.size), final):
         raise BuildError("lifted derivation does not reach the full universe")
@@ -974,113 +969,65 @@ def plan_certificate(
 
 
 # ---------------------------------------------------------------------------
-# Bounded composability search
+# Exact power-algebra certificate search
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchStep:
-    adversary: Adversary
-    op: Operation
-    trace: Trace
-    inputs: tuple[Adversary, ...]
+def power_certificate(
+    algebra: Algebra, n: int, source: Iterable[int], width: int
+) -> Certificate | None:
+    """A certificate that A^n is composable from Adv(n, {a}, width, A), a in
+    `source`, or None when there is none.
 
-
-@dataclass
-class SearchOutcome:
-    found: bool
-    steps: tuple[SearchStep, ...] = ()
-    rounds: int = 0
-    caps: dict = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.found
-
-
-def search_composable(
-    algebra: Algebra,
-    target: Adversary,
-    axioms: Iterable[Adversary],
-    arity_cap: int = 3,
-    depth: int = DEFAULT_SEARCH_DEPTH,
-    count_cap: int = DEFAULT_TERM_COUNT_CAP,
-) -> SearchOutcome:
-    """Saturate the derivable adversaries under every term operation up to the
-    arity cap, keeping only domination-maximal members.
-
-    Exhaustion is conclusive only relative to the caps, which are echoed in
-    the outcome.
+    Such certificates derive the subuniverse of P(A)^n that the axioms
+    generate under the generators acting on subsets (`op_image`): a term with
+    distinct variables composes generators, and one that repeats a variable
+    has an image inside that of the same term with its variables made
+    distinct. The kernel's provenance of (A, ..., A), pruned to what it needs,
+    is the certificate; each step applies one generator. GuardrailError when
+    P(A)^n or a generator's table on subsets exceeds POWER_VECTOR_CAP; the
+    closure is never cut.
     """
-    terms = generate_term_operations(algebra, arity_cap, count_cap)
-    caps = {
-        "arity_cap": arity_cap,
-        "depth": depth,
-        "term_count": len(terms.operations),
-        "term_closure_truncated": terms.truncated,
-    }
-    axioms = list(axioms)
-    for a in axioms:
-        if len(a) != len(target):
-            raise StructuralError("axiom adversary length differs from the target")
-    provenance: dict[Adversary, SearchStep | None] = {}
-    frontier: list[Adversary] = []
-
-    def add(adv: Adversary, step: SearchStep | None) -> bool:
-        if any(dominated(adv, kept) for kept in frontier):
-            return False
-        if adv not in provenance:
-            provenance[adv] = step
-        frontier[:] = [kept for kept in frontier if not dominated(kept, adv)]
-        frontier.append(adv)
-        return True
-
-    for a in axioms:
-        add(a, None)
-
-    def finished() -> Adversary | None:
-        for adv in frontier:
-            if dominated(target, adv):
-                return adv
+    _require_n(n)
+    full = _full_set(algebra)
+    source = frozenset(source)
+    if not source or not source <= full:
+        raise BuildError("the source must be a nonempty subset of the universe")
+    subsets = [frozenset(a for a in full if mask >> a & 1) for mask in range(1, 2 ** len(full))]
+    largest = len(subsets) ** max([n] + [g.arity for g in algebra.generators])
+    if largest > POWER_VECTOR_CAP:
+        raise GuardrailError(
+            f"the power search needs {largest} vectors or table entries, "
+            f"above the cap of {POWER_VECTOR_CAP}"
+        )
+    value = {subset: v for v, subset in enumerate(subsets)}
+    lifted = [
+        Operation(g.name, g.arity, len(subsets), tuple(
+            value[op_image(g, args)] for args in itertools.product(subsets, repeat=g.arity)
+        ))
+        for g in algebra.generators
+    ]
+    seeds = [
+        tuple(value[c] for c in adv.coords)
+        for a in sorted(source)
+        for adv in adv_family(n, (a,), width, full).members()
+    ]
+    goal = (value[full],) * n
+    closure = close_vectors(lifted, seeds, len(subsets) ** n, stop=goal)
+    if goal not in closure.provenance:
         return None
-
-    rounds = 0
-    winner = finished()
-    while winner is None and rounds < depth:
-        rounds += 1
-        additions = []
-        for op in terms.operations:
-            pool = list(frontier)
-            for combo in itertools.product(pool, repeat=op.arity):
-                image = _image_adversary(op, combo)
-                if image not in provenance:
-                    additions.append(
-                        SearchStep(image, op, terms.traces[op], tuple(combo))
-                    )
-        changed = False
-        for step in additions:
-            if add(step.adversary, step):
-                changed = True
-        winner = finished()
-        if winner is not None or not changed:
-            break
-    if winner is None:
-        return SearchOutcome(False, (), rounds, caps)
-    chain: list[SearchStep] = []
-    seen: set[Adversary] = set()
-
-    def unwind(adv: Adversary):
-        if adv in seen:
-            return
-        seen.add(adv)
-        step = provenance.get(adv)
-        if step is None:
-            return
-        for inp in step.inputs:
-            unwind(inp)
-        chain.append(step)
-
-    unwind(winner)
-    return SearchOutcome(True, tuple(chain), rounds, caps)
+    needed = _reachable(goal, lambda v: (closure.provenance[v] or (None, ()))[1])
+    asm = _Assembler(algebra, n, source, width)
+    ref: dict[tuple[int, ...], int] = {}
+    for vector in filter(needed.__contains__, closure.vectors):
+        made = closure.provenance[vector]
+        if made is None:
+            ref[vector] = asm.axiom(Adversary(tuple(subsets[v] for v in vector)))
+        else:
+            ref[vector] = asm.step(
+                algebra.generators[made[0]], ("gen", made[0]), [ref[c] for c in made[1]]
+            )
+    return asm.finish(full, ref[goal])
 
 
 # ---------------------------------------------------------------------------
@@ -1109,7 +1056,6 @@ class SinkVerdict:
     reason: str
     certificate: Certificate | None = None
     builder: CertificateBuilder | None = None
-    caps: dict = field(default_factory=dict)
 
 
 def detect_sink_candidate(
@@ -1128,25 +1074,22 @@ def detect_sink_candidate(
     """
     if not algebra.is_idempotent():
         raise StructuralError("sink detection assumes an idempotent algebra")
-    caps = {"count_cap": count_cap, "check_n": tuple(check_n)}
     d = algebra.domain.size
     if d <= 2:
-        return SinkVerdict("not_sink", "no one- or two-element algebra is a sink", caps=caps)
+        return SinkVerdict("not_sink", "no one- or two-element algebra is a sink")
     if d > 3:
         return SinkVerdict(
-            "inconclusive", f"certified verdicts cover universes up to 3 elements, not {d}",
-            caps=caps,
+            "inconclusive", f"certified verdicts cover universes up to 3 elements, not {d}"
         )
     if not is_enclosed(algebra):
-        return SinkVerdict("not_sink", "not enclosed", caps=caps)
+        return SinkVerdict("not_sink", "not enclosed")
     if not is_fully_connected(algebra):
-        return SinkVerdict("not_sink", "not fully connected", caps=caps)
+        return SinkVerdict("not_sink", "not fully connected")
     gset, factor = has_gset_factor(algebra)
     if gset:
         return SinkVerdict(
             "not_sink",
             f"has a G-set factor on universe {sorted(factor.universe)}",
-            caps=caps,
         )
     two_element_subs = [
         u for u in enumerate_subalgebras(algebra).universes() if len(u) == 2
@@ -1167,7 +1110,6 @@ def detect_sink_candidate(
                     "two overlapping two-element subalgebras, the collapsing "
                     "semilattice is a term operation, and all generators are "
                     "projective over them",
-                    caps=caps,
                 )
     try:
         builder, notes = plan_certificate(algebra, count_cap)
@@ -1183,10 +1125,9 @@ def detect_sink_candidate(
             + (f" ({'; '.join(notes)})" if notes else ""),
             certificate=cert,
             builder=builder,
-            caps=caps,
         )
     except BuildError as err:
-        return SinkVerdict("inconclusive", f"no builder applies: {err}", caps=caps)
+        return SinkVerdict("inconclusive", f"no builder applies: {err}")
 
 
 # ---------------------------------------------------------------------------

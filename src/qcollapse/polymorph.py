@@ -1,7 +1,7 @@
 """Polymorphism testing, operation composition, the closure kernel for
 subuniverses of A^m and its callers (term-operation generation up to an arity
-cap, relation closure), detectors for the named operation classes, the table
-sweep behind every polymorphism search, and pointwise application.
+cap, relation closure), detectors for the named operation classes, and the
+table sweep behind every polymorphism search.
 """
 
 from __future__ import annotations
@@ -339,12 +339,13 @@ def close_vectors(
     seeds: Iterable[tuple[int, ...]],
     room: int,
     cap: int | None = None,
+    stop: tuple[int, ...] | None = None,
 ) -> Closure:
     """The subuniverse the seeds generate, by semi-naive rounds: each round
     applies every operation, in order, to the combinations that use a vector
     found in the round before. It stops early once `room` vectors are found,
-    as nothing new can appear then, and when `cap` refuses a vector, a seed
-    included.
+    as nothing new can appear then, once it holds `stop` (the seeds are
+    always taken), and when `cap` refuses a vector, a seed included.
     """
     found: dict = {}
     truncated = False
@@ -357,7 +358,8 @@ def close_vectors(
             found[s] = None
     current = list(found)
     frontier = current
-    while frontier and not truncated and len(found) < room:
+    done = len(found) >= room or stop in found
+    while frontier and not truncated and not done:
         frontier_set = set(frontier)
         old = [v for v in current if v not in frontier_set]
         fresh: list[tuple[int, ...]] = []
@@ -370,9 +372,10 @@ def close_vectors(
                     break
                 found[image] = (i, combo)
                 fresh.append(image)
-                if len(found) >= room:
+                done = len(found) >= room or image == stop
+                if done:
                     break
-            if truncated or len(found) >= room:
+            if truncated or done:
                 break
         current = current + fresh
         frontier = fresh
@@ -588,19 +591,6 @@ def discover_polymorphisms(
     targeted detectors in `classify` for larger domains.
     """
     return tuple(itertools.chain(*polymorphisms_by_arity(language, arity_cap, candidate_cap, check_cap)))
-
-
-def apply_pointwise(op: Operation, assignments: Sequence[Mapping[str, int]]) -> dict[str, int]:
-    """The coordinate-wise image assignment g(v) = f(g_1(v), ..., g_k(v))."""
-    if len(assignments) != op.arity:
-        raise StructuralError(f"expected {op.arity} assignments, got {len(assignments)}")
-    if not assignments:
-        raise StructuralError("no assignments")
-    keys = set(assignments[0])
-    for g in assignments[1:]:
-        if set(g) != keys:
-            raise StructuralError("assignments must share one variable set")
-    return {v: op(*(g[v] for g in assignments)) for v in assignments[0]}
 
 
 def close_relation_under(rel: Relation, op: Operation) -> Relation:

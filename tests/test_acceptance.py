@@ -11,9 +11,9 @@ from conftest import rel
 from qcollapse.algebra import enumerate_congruences, enumerate_subalgebras, has_gset_factor
 from qcollapse.classify import classify_two_element
 from qcollapse.collapse import (
+    collapse_verdicts,
     collapsing_to_csp,
     enumerate_collapsings,
-    qcsp_via_collapse,
     relevant_collapsings,
 )
 from qcollapse.collapsibility import (
@@ -24,12 +24,12 @@ from qcollapse.collapsibility import (
     composable,
     detect_sink_candidate,
     is_alphabeta_projective,
-    search_composable,
+    power_certificate,
     verify_certificate,
 )
 from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.cspsolve import solve_csp
-from qcollapse.game import evaluate_truth, full_adversary, winnable
+from qcollapse.game import evaluate_truth, winnable
 from qcollapse.model import Algebra, Constraint, Domain, Operation, QuantifiedFormula
 from qcollapse.ops import (
     and_op,
@@ -40,7 +40,6 @@ from qcollapse.ops import (
     semilattice_to_shared,
 )
 from qcollapse.polymorph import (
-    apply_pointwise,
     generate_term_operations,
     is_polymorphism_of_language,
     op_image,
@@ -72,7 +71,7 @@ def _equivalence_protocol(criterion, seed, op, width, source, label):
     agreements = 0
     for _, phi in closed_corpus(seed, op):
         truth = evaluate_truth(phi)
-        reduced = qcsp_via_collapse(phi, width, source)
+        reduced = all(ok for _, ok in collapse_verdicts(phi, width, source))
         assert reduced == truth, f"{label}: disagreement on a seeded instance"
         agreements += 1
         for col in relevant_collapsings(phi, width, source):
@@ -223,11 +222,9 @@ def test_criterion_7_sink_suite():
     alpha, beta = frozenset({0, 2}), frozenset({1, 2})
     for op in terms.operations:
         assert is_alphabeta_projective(op, alpha, beta)
-    axioms = [
-        m for x in range(3) for m in adv_family(2, {x}, 1, {0, 1, 2}).members()
-    ]
-    outcome = search_composable(alg, full_adversary(2, 3), axioms, arity_cap=3)
-    assert not outcome.found, "width-1 saturation unexpectedly reached the full adversary"
+    # exact: no certificate from every source at any width below n
+    for n, width in ((2, 1), (3, 1), (3, 2)):
+        assert power_certificate(alg, n, range(3), width) is None, (n, width)
     verdict = detect_sink_candidate(alg)
     assert verdict.kind == "sink_certified"
     elapsed = time.monotonic() - started
@@ -235,7 +232,7 @@ def test_criterion_7_sink_suite():
     report(
         7,
         f"shared-semilattice sink suite ({len(terms.operations)} term operations "
-        f"projective, saturation exhausts, certified) in {elapsed:.1f}s",
+        f"projective, width < n refuted at n=2, 3, certified) in {elapsed:.1f}s",
     )
 
 
@@ -251,6 +248,7 @@ def _idempotent_binary_tables(d: int):
 def test_criterion_8_binary_sweep():
     started = time.monotonic()
     certified = []
+    refuted = []
     three_element_total = 0
     for table in _idempotent_binary_tables(3):
         three_element_total += 1
@@ -258,7 +256,17 @@ def test_criterion_8_binary_sweep():
         verdict = detect_sink_candidate(alg)
         if verdict.kind == "sink_certified":
             certified.append(alg)
+        cert = power_certificate(alg, 2, range(3), 1)
+        if cert is None:
+            refuted.append(alg)
+        else:
+            assert verify_certificate(cert, alg, 2)
     assert three_element_total == 729
+    # width 1 at n = 2 from every source: the refuted algebras without a
+    # G-set factor are exactly the certified sinks
+    assert len(refuted) == 143
+    assert [alg for alg in refuted if not has_gset_factor(alg)[0]] == certified
+    assert len(certified) == 15
     shapes = [semilattice_to_shared(3, shared) for shared in range(3)]
     for alg in certified:
         terms = generate_term_operations(alg, 2)
@@ -273,7 +281,8 @@ def test_criterion_8_binary_sweep():
     report(
         8,
         f"729 three-element algebras swept, {len(certified)} sinks all contain the "
-        f"collapsing semilattice, no two-element sinks, in {elapsed:.1f}s",
+        f"collapsing semilattice and are the {len(certified)} of {len(refuted)} "
+        f"refuted at n=2 without a G-set factor, no two-element sinks, in {elapsed:.1f}s",
     )
 
 
@@ -303,7 +312,9 @@ def _audit_language(relation, verdict, rng_seed: int, count: int = 100) -> int:
             body.append(Constraint(relation, tuple(args)))
         phi = QuantifiedFormula(domain, tuple(prefix), tuple(body))
         truth = evaluate_truth(phi)
-        reduced = qcsp_via_collapse(phi, verdict.reduction_width, verdict.reduction_source)
+        reduced = all(
+            ok for _, ok in collapse_verdicts(phi, verdict.reduction_width, verdict.reduction_source)
+        )
         assert reduced == truth, "certified reduction disagrees with the oracle"
         audited += 1
     return audited
@@ -393,7 +404,7 @@ def test_criterion_10_congruence_and_pointwise_suites():
             isinstance(a, int) for c in phi.body for a in c.args
         )
         chosen = [satisfying[rng.randrange(len(satisfying))] for _ in range(op.arity)]
-        image = apply_pointwise(op, chosen)
+        image = {v: op(*(env[v] for env in chosen)) for v in chosen[0]}
         assert all(c.holds(image) for c in phi.body), "pointwise image broke a constraint"
         checked += 1
         if has_constants:

@@ -381,6 +381,16 @@ class TestStructureCache:
         assert has_gset_factor(alg) == (False, None)
         assert restrict(alg, frozenset({0, 2}))[1] == [0, 2]
 
+    def test_predicates_are_computed_once(self, monkeypatch):
+        import qcollapse.algebra as algebra
+
+        alg = shared_algebra()
+        predicates = (is_enclosed, is_fully_connected, is_strictly_simple, is_pair_minimal)
+        first = [predicate(alg) for predicate in predicates]
+        for name in ("_enclosed", "_fully_connected", "_strictly_simple", "_pair_minimal"):
+            monkeypatch.setattr(algebra, name, None)
+        assert [predicate(alg) for predicate in predicates] == first
+
     def test_returned_lists_are_fresh(self):
         alg = shared_algebra()
         congruences = enumerate_congruences(alg)

@@ -409,6 +409,23 @@ class TestAnalyzeDetect:
         ]
         assert pairs == [[0, 2], [1, 2]]
 
+    def test_analyze_computes_each_predicate_once(self, files, capsys, monkeypatch):
+        # the report, the disjoint-maximal congruence and sink detection all
+        # ask whether the algebra is enclosed; it is computed once
+        import qcollapse.algebra as algebra
+
+        computed = []
+        for name in ("_enclosed", "_fully_connected", "_strictly_simple", "_pair_minimal"):
+            def counted(alg, _name=name, _compute=getattr(algebra, name)):
+                computed.append(_name)
+                return _compute(alg)
+
+            monkeypatch.setattr(algebra, name, counted)
+        assert main(["analyze", files["shared"]]) == 0
+        assert json.loads(capsys.readouterr().out)["enclosed"] is True
+        assert computed.count("_enclosed") == 1
+        assert len(computed) == len(set(computed))
+
     def test_detect_tags(self, files, capsys):
         assert main(["detect", files["and"]]) == 0
         report = json.loads(capsys.readouterr().out)

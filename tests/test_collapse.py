@@ -12,7 +12,6 @@ from qcollapse.collapse import (
     enumerate_collapsings,
     enumerate_j_collapsings,
     instantiate_universals,
-    qcsp_via_collapse,
     relevant_collapsings,
 )
 from qcollapse.collapsibility import adv_family
@@ -177,23 +176,23 @@ def closed_corpus(seed, op, domain_size=2, count=60):
 class TestPipeline:
     def test_and_closed_agreement(self):
         for _, phi in closed_corpus(29, and_op()):
-            assert qcsp_via_collapse(phi, 1, {1}) == evaluate_truth(phi)
+            assert all(ok for _, ok in collapse_verdicts(phi, 1, {1})) == evaluate_truth(phi)
 
     def test_minority_closed_agreement(self):
         for _, phi in closed_corpus(31, minority_op()):
-            assert qcsp_via_collapse(phi, 1, {0}) == evaluate_truth(phi)
+            assert all(ok for _, ok in collapse_verdicts(phi, 1, {0})) == evaluate_truth(phi)
 
     def test_majority_closed_agreement(self):
         for _, phi in closed_corpus(37, majority_op()):
-            assert qcsp_via_collapse(phi, 1, None) == evaluate_truth(phi)
+            assert all(ok for _, ok in collapse_verdicts(phi, 1, None)) == evaluate_truth(phi)
 
     def test_width_cap(self):
         phi = formula(2, "Ex", [Constraint(eq_rel(), ("x", "x"))])
         from qcollapse.errors import GuardrailError
 
         with pytest.raises(GuardrailError):
-            qcsp_via_collapse(phi, 4)
-        assert qcsp_via_collapse(phi, 4, width_cap=5)
+            collapse_verdicts(phi, 4)
+        assert all(ok for _, ok in collapse_verdicts(phi, 4, width_cap=5))
 
     def test_truth_implies_collapsings_true(self):
         for _, phi in instances(CorpusSpec(seed=41, count=60, max_vars=5, max_universals=3)):
@@ -238,7 +237,7 @@ def distinct_by_result(phi, j, constants):
 
 class TestVerdicts:
     """`collapse_verdicts` decides each collapsing on integer variable
-    indices; `qcsp_via_collapse` is their conjunction."""
+    indices."""
 
     def corpus(self):
         spec2 = CorpusSpec(seed=59, count=70, max_vars=5, max_universals=3)
@@ -258,7 +257,6 @@ class TestVerdicts:
                     for col, ok in rows:
                         assert ok == evaluate_truth(col.result), serialize_instance(language, phi)
                         verdicts[ok] += 1
-                    assert qcsp_via_collapse(phi, j, source) == all(ok for _, ok in rows)
         assert min(verdicts.values()) > 200, verdicts
 
     def test_named_encoding_agrees(self):

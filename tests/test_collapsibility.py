@@ -1,16 +1,18 @@
 import dataclasses
 import itertools
+import random
 import re
 
 import pytest
 
-from conftest import NEGATIVE_REFERENCE_CERT, dispatch_algebras, eq_rel
+from conftest import NEGATIVE_REFERENCE_CERT, dispatch_algebras, eq_rel, random_algebra
 from qcollapse import collapsibility
 from qcollapse.algebra import Congruence, disjoint_maximal_congruence
 from qcollapse.classify import discovered_generators
-from qcollapse.collapse import qcsp_via_collapse
+from qcollapse.collapse import collapse_verdicts
 from qcollapse.collapsibility import (
     DEFAULT_TERM_COUNT_CAP,
+    TERM_CONDITIONS,
     Adversary,
     CertEntry,
     CertificateBuilder,
@@ -23,14 +25,14 @@ from qcollapse.collapsibility import (
     lift_through_quotient,
     parse_certificate,
     plan_certificate,
-    search_composable,
+    power_certificate,
     serialize_certificate,
     verify_certificate,
     VerificationResult,
     _two_element_dispatch,
 )
 from qcollapse.corpus import CorpusSpec, instances
-from qcollapse.errors import BuildError, ParseError, StructuralError
+from qcollapse.errors import BuildError, GuardrailError, ParseError, StructuralError
 from qcollapse.game import constant_adversary, evaluate_truth, full_adversary, winnable
 from qcollapse.model import Algebra, ConstraintLanguage, Domain
 from qcollapse.ops import (
@@ -680,6 +682,17 @@ class TestCertificateMutation:
             cert = parse_certificate(text, alg)
             assert verify_certificate(cert, alg) and _replays_from_axioms(cert, alg)
 
+    def test_no_family_below_n_one_or_width_zero(self):
+        # families need n >= 1 and width >= 0, so no axiom belongs to them; an
+        # empty n=0 derivation used to verify
+        alg = ALGEBRAS["and"]
+        for text in (
+            "certificate n=0 width=0 source=1 target=0,1 domain=2\naxiom 0: \nresult 0\n",
+            "certificate n=1 width=-1 source=1 target=1 domain=2\naxiom 0: {1}\nresult 0\n",
+        ):
+            outcome = verify_certificate(parse_certificate(text, alg), alg)
+            assert outcome.failure == "axiom 0: not a member of the declared source/width families"
+
     def test_source_outside_the_universe_rejected(self):
         # width >= n admits the all-* axiom whatever the source element is
         alg = ALGEBRAS["and"]
@@ -688,46 +701,125 @@ class TestCertificateMutation:
         assert not outcome and "source" in outcome.failure
 
 
+def brute_force_power(alg, n, source, width):
+    """The coordinates of the adversaries derivable from the axiom families,
+    by applying every generator, on subsets, to all tuples of them until
+    nothing changes."""
+    full = frozenset(range(alg.domain.size))
+    subsets = [
+        frozenset(c) for k in range(1, len(full) + 1) for c in itertools.combinations(full, k)
+    ]
+    images = [
+        {args: op_image(g, args) for args in itertools.product(subsets, repeat=g.arity)}
+        for g in alg.generators
+    ]
+    derived = {m.coords for a in source for m in adv_family(n, {a}, width, full).members()}
+    while True:
+        new = {
+            tuple(image[column] for column in zip(*combo))
+            for g, image in zip(alg.generators, images)
+            for combo in itertools.product(derived, repeat=g.arity)
+        }
+        if new <= derived:
+            return derived
+        derived |= new
+
+
+def _check_power_certificate(cert, alg, n):
+    """Verifies, survives the text format, holds only entries the result
+    needs, and every step applies one generator."""
+    assert verify_certificate(cert, alg, n)
+    text = serialize_certificate(cert, alg.domain.size)
+    assert parse_certificate(text, alg) == cert
+    assert verify_certificate(parse_certificate(text, alg), alg, n)
+    needed, stack = set(), [cert.result]
+    while stack:
+        i = stack.pop()
+        if i not in needed:
+            needed.add(i)
+            stack.extend(cert.entries[i].inputs)
+    assert needed == set(range(len(cert.entries)))
+    assert cert.target == frozenset(range(alg.domain.size))
+    for e in cert.steps():
+        assert e.trace[0] == "gen" and e.op == alg.generators[e.trace[1]]
+
+
 class TestSearch:
+    """`power_certificate`: exact per-n certificates from the power algebra."""
+
     def test_target_already_axiom(self):
+        # width n admits the full adversary itself as an axiom
         alg = ALGEBRAS["and"]
-        target = constant_adversary(2, frozenset({1}))
-        outcome = search_composable(alg, target, [target])
-        assert outcome.found and outcome.steps == ()
+        cert = power_certificate(alg, 2, {1}, 2)
+        assert cert.entries == (CertEntry(full_adversary(2, 2)),) and cert.result == 0
+        _check_power_certificate(cert, alg, 2)
 
     def test_and_derivation_found(self):
         alg = ALGEBRAS["and"]
-        outcome = search_composable(
-            alg, full_adversary(2, 2), adv_family(2, {1}, 1, {0, 1}).members(), arity_cap=2
+        cert = power_certificate(alg, 2, {1}, 1)
+        _check_power_certificate(cert, alg, 2)
+        assert serialize_certificate(cert, 2) == (
+            "certificate n=2 width=1 source=1 target=0,1 domain=2\n"
+            "axiom 0: * {1}\n"
+            "axiom 1: {1} *\n"
+            "step 2: * * <= g0(0, 1)\n"
+            "result 2\n"
         )
-        assert outcome.found
-        # replay the derivation steps
-        for step in outcome.steps:
-            assert composable(step.adversary, step.op, step.inputs)
+        # width 0 leaves only the constant {1}^n, and and maps it to itself
+        assert power_certificate(alg, 2, {1}, 0) is None
 
     def test_shared_semilattice_exhausts(self):
+        # exact, not relative to caps: no source, width below n
         alg = shared_algebra()
-        axioms = [
-            m for x in range(3) for m in adv_family(2, {x}, 1, {0, 1, 2}).members()
-        ]
-        outcome = search_composable(alg, full_adversary(2, 3), axioms, arity_cap=3)
-        assert not outcome.found
-        assert outcome.caps["arity_cap"] == 3
-        assert not outcome.caps["term_closure_truncated"]
+        for n, width in ((2, 1), (3, 1), (3, 2)):
+            assert power_certificate(alg, n, range(3), width) is None
+        assert full_adversary(2, 3).coords not in brute_force_power(alg, 2, range(3), 1)
 
     def test_search_subsumes_builders(self):
-        # wherever a chain builder proves composability, the search finds it
-        for name in ("and", "minority", "majority"):
-            alg = ALGEBRAS[name]
-            builder, _ = plan_certificate(alg)
-            cert = build_certificate(builder, alg, 3)
-            axioms = [
-                m
-                for a in cert.source
-                for m in adv_family(3, {a}, cert.width, range(alg.domain.size)).members()
+        # wherever a builder certifies, the power search does at the same
+        # n, source and width
+        for name, alg in ALGEBRAS.items():
+            builders = [plan_certificate(alg)[0]] + [
+                CertificateBuilder(strategy) for strategy in TERM_CONDITIONS
             ]
-            outcome = search_composable(alg, full_adversary(3, 2), axioms)
-            assert outcome.found
+            for builder in builders:
+                for n in (1, 2, 3):
+                    try:
+                        cert = build_certificate(builder, alg, n)
+                    except BuildError:
+                        continue
+                    power = power_certificate(alg, n, cert.source, cert.width)
+                    assert power is not None, (name, builder.strategy, n)
+                    _check_power_certificate(power, alg, n)
+
+    def test_matches_brute_force_fixed_point(self):
+        rng = random.Random(11)
+        algebras = [ALGEBRAS[name] for name in ("and", "or", "minority", "majority")]
+        algebras += [random_algebra(rng, 2, idempotent=True) for _ in range(8)]
+        outcomes = {True: 0, False: 0}
+        for alg in algebras:
+            for n, width in itertools.product((1, 2, 3), (0, 1, 2)):
+                for source in ({0}, {1}, {0, 1}):
+                    cert = power_certificate(alg, n, source, width)
+                    expected = full_adversary(n, 2).coords in brute_force_power(
+                        alg, n, source, width
+                    )
+                    assert (cert is not None) == expected, (alg, n, source, width)
+                    if cert is not None:
+                        _check_power_certificate(cert, alg, n)
+                    outcomes[expected] += 1
+        assert min(outcomes.values()) > 50, outcomes
+
+    def test_refuses_oversized_powers_and_bad_sources(self):
+        alg = ALGEBRAS["and"]
+        assert power_certificate(alg, 8, {1}, 1) is not None  # 3^8 vectors
+        with pytest.raises(GuardrailError, match="cap"):
+            power_certificate(alg, 9, {1}, 1)  # 3^9 > POWER_VECTOR_CAP
+        for source in (set(), {2}):
+            with pytest.raises(BuildError, match="source"):
+                power_certificate(alg, 2, source, 1)
+        with pytest.raises(BuildError):
+            power_certificate(alg, 0, {1}, 1)
 
 
 class TestAlphaBetaProjective:
@@ -832,7 +924,9 @@ class TestSemanticSoundness:
             max_universals=2, max_constraints=3, closure_ops=alg.generators,
         )
         for _, phi in instances(spec):
-            reduced = qcsp_via_collapse(phi, width, source, width_cap=max(width, 3))
+            reduced = all(
+                ok for _, ok in collapse_verdicts(phi, width, source, width_cap=max(width, 3))
+            )
             assert reduced == evaluate_truth(phi)
 
     def test_certificate_implies_reduction_correct(self):
@@ -846,4 +940,5 @@ class TestSemanticSoundness:
             n = max(len(phi.universal_vars), 1)
             cert = build_certificate(builder, alg, n)
             assert verify_certificate(cert, alg, n)
-            assert qcsp_via_collapse(phi, cert.width, cert.source) == evaluate_truth(phi)
+            reduced = all(ok for _, ok in collapse_verdicts(phi, cert.width, cert.source))
+            assert reduced == evaluate_truth(phi)

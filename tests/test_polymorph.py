@@ -27,7 +27,6 @@ from qcollapse.ops import (
     semilattice_to_shared,
 )
 from qcollapse.polymorph import (
-    apply_pointwise,
     close_relation_under,
     close_vectors,
     compose,
@@ -439,17 +438,7 @@ class TestDiscovery:
 
 
 class TestApplyPointwise:
-    def test_idempotent_fixes_equal_assignments(self):
-        g = {"x": 1, "y": 0}
-        assert apply_pointwise(majority_op(), [g, g, g]) == g
-
-    def test_and_example(self):
-        out = apply_pointwise(and_op(), [{"x": 1, "y": 0}, {"x": 1, "y": 1}])
-        assert out == {"x": 1, "y": 0}
-
-    def test_variable_set_mismatch(self):
-        with pytest.raises(StructuralError):
-            apply_pointwise(and_op(), [{"x": 0}, {"y": 0}])
+    """A polymorphism applied coordinate-wise to satisfying assignments."""
 
     def test_polymorphism_preserves_satisfaction(self):
         # constant-containing constraints included
@@ -466,7 +455,7 @@ class TestApplyPointwise:
         ]
         maj = majority_op()
         for combo in itertools.product(satisfying, repeat=3):
-            image = apply_pointwise(maj, list(combo))
+            image = {v: maj(*(g[v] for g in combo)) for v in combo[0]}
             assert all(c.holds(image) for c in constraints)
 
 
@@ -497,6 +486,15 @@ class TestClosure:
             capped = close_vectors(ops, seeds, d**m, cap)
             assert capped.vectors == full.vectors[:cap]
             assert capped.truncated == (cap < len(full.vectors))
+            # a stop vector ends the closure where it is found, but after the
+            # seeds, with the same provenance; one outside it changes nothing
+            stop = rng.choice(full.vectors)
+            stopped = close_vectors(ops, seeds, d**m, stop=stop)
+            end = max(position[stop] + 1, len(set(seeds)))
+            assert stopped.vectors == full.vectors[:end]
+            assert stopped.provenance == {v: full.provenance[v] for v in stopped.vectors}
+            assert not stopped.truncated
+            assert close_vectors(ops, seeds, d**m, stop=(d,) * m) == full
 
     def test_close_relation_under(self):
         base = rel("R", 2, 2, [(0, 1), (1, 0)])
