@@ -25,6 +25,7 @@ from .errors import BuildError, GuardrailError, StructuralError
 from .model import Algebra, ConstraintLanguage, Operation
 from .ops import and_op, dual_discriminator, majority_op, minority_op, or_op, semilattice_to_shared
 from .polymorph import (
+    is_polymorphism,
     is_polymorphism_of_language,
     is_projection,
     polymorphism_failure,
@@ -72,18 +73,45 @@ def _certified_p(
     )
 
 
+DISPATCH_OPERATIONS = (and_op(), or_op(), majority_op(), minority_op())
+
+
+def dispatch_operations(
+    language: ConstraintLanguage, arity_cap: int = 3
+) -> tuple[Operation, ...]:
+    """The operations among AND, OR, majority and minority, in that order,
+    of arity at most `arity_cap` that preserve the two-element language.
+
+    Every idempotent clone on {0,1} other than the projections contains one
+    of them (Post's lattice), so they decide the language's QCSP: as an
+    algebra's generators they give the two-element dispatch the same chain
+    kind, width and source as all the idempotent polymorphisms would, unless
+    its term closure is cut. A unit semilattice is AND or OR, the dual
+    discriminator and the ternary near-unanimity operation are majority, and
+    every Mal'tsev operation generates minority by arity 3.
+
+    Each operation meets the smallest relations first, so the size guard of
+    `polymorphism_failure` refuses (GuardrailError) only when every smaller
+    relation is preserved, whatever the order of the relations.
+    """
+    if language.domain.size != 2:
+        raise StructuralError("two-element classification needs a two-element domain")
+    relations = sorted(language.relations, key=lambda rel: len(rel.tuples))
+    return tuple(
+        op for op in DISPATCH_OPERATIONS
+        if op.arity <= arity_cap and all(is_polymorphism(op, rel) for rel in relations)
+    )
+
+
 def classify_two_element(language: ConstraintLanguage) -> ClassificationVerdict:
     """Complete dichotomy over {0,1}: one of AND, OR, majority, minority as
     polymorphism yields a tractable, certified reduction; otherwise the
     idempotent-polymorphism algebra is a G-set and the problem is cited
     PSPACE-complete."""
-    if language.domain.size != 2:
-        raise StructuralError("two-element classification needs a two-element domain")
-    candidates = (and_op(), or_op(), majority_op(), minority_op())
-    hits = [op for op in candidates if is_polymorphism_of_language(op, language)]
-    caps = {"dispatch_ops": tuple(op.name for op in candidates)}
+    hits = dispatch_operations(language)
+    caps = {"dispatch_ops": tuple(op.name for op in DISPATCH_OPERATIONS)}
     if hits:
-        algebra = Algebra(language.domain, tuple(hits))
+        algebra = Algebra(language.domain, hits)
         return _certified_p(
             ("two-element-qcsp-classification", "collapse-reduction-soundness"),
             algebra,
@@ -91,7 +119,7 @@ def classify_two_element(language: ConstraintLanguage) -> ClassificationVerdict:
             CertificateBuilder("two_element"),
         )
     witnesses = {}
-    for op in candidates:
+    for op in DISPATCH_OPERATIONS:
         for rel in language.relations:
             failure = polymorphism_failure(op, rel)
             if failure is not None:

@@ -25,10 +25,12 @@ from .classify import (
     classify_three_element,
     classify_two_element,
     discovered_generators,
+    dispatch_operations,
 )
 from .collapse import collapse_verdicts, combine_csp, collapsing_to_csp, relevant_collapsings
 from .collapsibility import (
     TERM_CONDITIONS,
+    Certificate,
     CertificateBuilder,
     build_certificate,
     detect_sink_candidate,
@@ -124,18 +126,23 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _certificate_for_language(document, n: int, arity_cap: int, count_cap: int):
+def _certificate_for_language(document, n: int, arity_cap: int, count_cap: int) -> Certificate:
     """Plan and verify a collapsibility certificate for the instance's
-    language, from its discovered idempotent polymorphisms."""
+    language. A two-element language's algebra is generated by its dispatch
+    operations, which fix the same chain as all its idempotent polymorphisms;
+    any other language's by its discovered idempotent polymorphisms."""
     language = document.language
-    generators, caps = discovered_generators(language, arity_cap)
+    if language.domain.size == 2:
+        generators = dispatch_operations(language, arity_cap)
+    else:
+        generators, _ = discovered_generators(language, arity_cap)
     alg = Algebra(language.domain, generators)
-    builder, notes = plan_certificate(alg, count_cap)
+    builder, _ = plan_certificate(alg, count_cap)
     cert = build_certificate(builder, alg, max(n, 1))
     check = verify_certificate(cert, alg, max(n, 1))
     if not check:
         raise BuildError(f"certificate failed verification: {check.failure}")
-    return cert, caps, notes
+    return cert
 
 
 def cmd_solve(args) -> int:
@@ -146,7 +153,7 @@ def cmd_solve(args) -> int:
     source = _source(args, formula.domain)
     if not args.unsafe:
         try:
-            cert, _, _ = _certificate_for_language(document, n, args.arity_cap, args.count_cap)
+            cert = _certificate_for_language(document, n, args.arity_cap, args.count_cap)
         except (BuildError, GuardrailError) as err:
             raise GuardrailError(
                 f"refusing the collapse reduction without a verified certificate "

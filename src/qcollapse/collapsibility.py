@@ -116,25 +116,28 @@ def dominated(a: Adversary, b: Adversary) -> bool:
     return all(x <= y for x, y in zip(a.coords, b.coords))
 
 
+def _column_images(op: Operation, sources: Sequence[Adversary], n: int) -> list[frozenset[int]]:
+    """The element-wise image of the sources' coordinates at each of the n
+    positions, computed once per distinct column of coordinates."""
+    for s in sources:
+        if len(s) != n:
+            raise StructuralError("adversaries of different length")
+    columns = list(zip(*(s.coords for s in sources)))
+    images = {column: op_image(op, column) for column in set(columns)}
+    return [images[column] for column in columns]
+
+
 def composable(target: Adversary, op: Operation, sources: Sequence[Adversary]) -> bool:
     """target <| op(sources): every coordinate of the target is inside the
     element-wise image of the sources' matching coordinates."""
     if len(sources) != op.arity:
         raise StructuralError(f"operation {op.name}: expected {op.arity} source adversaries")
-    for s in sources:
-        if len(s) != len(target):
-            raise StructuralError("adversaries of different length")
-    for i in range(len(target)):
-        if not target.coords[i] <= op_image(op, [s.coords[i] for s in sources]):
-            return False
-    return True
+    images = _column_images(op, sources, len(target))
+    return all(goal <= image for goal, image in zip(target.coords, images))
 
 
 def _image_adversary(op: Operation, sources: Sequence[Adversary]) -> Adversary:
-    n = len(sources[0])
-    return Adversary(
-        tuple(op_image(op, [s.coords[i] for s in sources]) for i in range(n))
-    )
+    return Adversary(tuple(_column_images(op, sources, len(sources[0]))))
 
 
 # ---------------------------------------------------------------------------

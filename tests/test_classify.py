@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -19,12 +20,19 @@ from qcollapse.classify import (
     classify_three_element,
     classify_two_element,
     discovered_generators,
+    dispatch_operations,
     find_polymorphism_with_shape,
 )
-from qcollapse.errors import GuardrailError, StructuralError
+from qcollapse.collapsibility import _condition_of, build_certificate, plan_certificate
+from qcollapse.errors import BuildError, GuardrailError, StructuralError
 from qcollapse.model import Algebra, ConstraintLanguage, Domain, Operation, Relation
-from qcollapse.ops import dual_discriminator, semilattice_to_shared
-from qcollapse.polymorph import close_relation_under, is_polymorphism_of_language, tag_operation
+from qcollapse.ops import dual_discriminator, minority_op, semilattice_to_shared
+from qcollapse.polymorph import (
+    close_relation_under,
+    generate_term_operations,
+    is_polymorphism_of_language,
+    tag_operation,
+)
 
 
 def lang(domain_size, *relations):
@@ -61,6 +69,100 @@ class TestTwoElement:
             # replay against an algebra carrying exactly the hit operations
             # named in the certificate traces
             assert verdict.certificate.n >= 1
+
+
+def _planned(language: ConstraintLanguage, generators) -> tuple | str:
+    """The two-element planner's strategy, the term condition of its dispatch
+    operation and the built certificate's width and source, or the reason
+    no certificate exists."""
+    algebra = Algebra(language.domain, tuple(generators))
+    try:
+        builder, _ = plan_certificate(algebra)
+        cert = build_certificate(builder, algebra, 2)
+    except BuildError as err:
+        return str(err)
+    op, _ = builder.params["dispatch"]
+    return builder.strategy, _condition_of(tag_operation(op)), cert.width, cert.source
+
+
+def _boolean_languages(rng: random.Random) -> list[ConstraintLanguage]:
+    """Every Boolean relation of arity 1-3, the empty ones included, then 60
+    seeded two-relation languages."""
+    out = []
+    for arity in (1, 2, 3):
+        rows = list(itertools.product((0, 1), repeat=arity))
+        for mask in range(2 ** len(rows)):
+            chosen = [t for i, t in enumerate(rows) if mask >> i & 1]
+            out.append(lang(2, rel("R", arity, 2, chosen)))
+    for _ in range(60):
+        pair = []
+        for name in ("R", "S"):
+            rows = list(itertools.product((0, 1), repeat=rng.randint(1, 3)))
+            pair.append(rel(name, len(rows[0]), 2, rng.sample(rows, rng.randint(0, len(rows)))))
+        out.append(lang(2, *pair))
+    return out
+
+
+class TestDispatchOperations:
+    def test_every_boolean_maltsev_operation_generates_minority(self):
+        maltsev = [
+            op for op in (
+                Operation("m", 3, 2, table) for table in itertools.product((0, 1), repeat=8)
+            )
+            if tag_operation(op).maltsev
+        ]
+        assert len(maltsev) == 4
+        for op in maltsev:
+            terms = generate_term_operations(Algebra(Domain(2), (op,)), 3)
+            assert not terms.truncated
+            assert minority_op() in terms.of_arity(3), op.table
+
+    def test_planner_matches_the_discovered_generators(self):
+        # the four operations fix the planner's chain exactly as all the
+        # idempotent polymorphisms do, at every arity cap; arity cap 4 runs
+        # on a seeded sample of ten, since discovering and planning the
+        # arity-4 polymorphisms takes up to about 2 s a language
+        rng = random.Random(12)
+        languages = _boolean_languages(rng)
+        outcomes = collections.defaultdict(set)
+        for cap in (1, 2, 3, 4):
+            for language in languages if cap < 4 else rng.sample(languages, 10):
+                reference = _planned(language, discovered_generators(language, cap)[0])
+                assert _planned(language, dispatch_operations(language, cap)) == reference, (
+                    cap, [sorted(r.tuples) for r in language.relations],
+                )
+                outcomes[cap].add(reference[1] if isinstance(reference, tuple) else reference)
+        gset = (
+            "no semilattice, Mal'tsev, dual discriminator, or near-unanimity term operation "
+            "up to arity 3: the algebra is a G-set"
+        )
+        assert outcomes[1] == {gset}
+        assert outcomes[2] == {gset, "unit_element"}
+        for cap in (3, 4):
+            assert outcomes[cap] == {gset, "unit_element", "maltsev_chain", "dualdisc_chain"}
+
+    def test_honours_the_arity_cap_and_order(self):
+        equality = lang(2, rel("Eq", 2, 2, [(0, 0), (1, 1)]))
+        assert [op.name for op in dispatch_operations(equality)] == [
+            "and", "or", "majority", "minority",
+        ]
+        assert [op.name for op in dispatch_operations(equality, 2)] == ["and", "or"]
+        assert dispatch_operations(equality, 1) == ()
+        assert dispatch_operations(lang(2, nae_rel())) == ()
+
+    def test_size_guard_does_not_depend_on_relation_order(self):
+        # the Horn clause breaks majority and minority, so its 8-ary form,
+        # with 224 rows too many for a ternary check, never needs one
+        def horn(arity):
+            rows = itertools.product((0, 1), repeat=arity)
+            return rel(f"H{arity}", arity, 2, [t for t in rows if not (t[0] and t[1]) or t[2]])
+
+        small, big = horn(3), horn(8)
+        for relations in ((small, big), (big, small)):
+            assert [op.name for op in dispatch_operations(lang(2, *relations))] == ["and"]
+        with pytest.raises(GuardrailError, match=r"224\^3 tuple combinations"):
+            dispatch_operations(lang(2, big))
+        assert [op.name for op in dispatch_operations(lang(2, big), 2)] == ["and"]
 
 
 class TestShapeSearch:

@@ -47,6 +47,31 @@ relation IsF 1
 formula forall y1 exists x1 : Impl(y1, x1) & IsF(x1)
 """
 
+# closed under minority only
+AFFINE = """\
+domain 2 0 1
+relation Even 3
+  0 0 0
+  0 1 1
+  1 0 1
+  1 1 0
+formula forall y1 forall y2 exists x : Even(y1, y2, x)
+"""
+
+# closed under majority only
+TWO_CNF = """\
+domain 2 0 1
+relation Or 2
+  0 1
+  1 0
+  1 1
+relation Nand 2
+  0 0
+  0 1
+  1 0
+formula forall y exists x : Or(y, x) & Nand(y, x)
+"""
+
 SHARED_ALGEBRA = """\
 domain 3 a b c
 op s 2
@@ -88,6 +113,8 @@ def files(tmp_path):
         ("example", EXAMPLE),
         ("horn", HORN),
         ("horn_false", HORN_FALSE),
+        ("affine", AFFINE),
+        ("2cnf", TWO_CNF),
         ("shared", SHARED_ALGEBRA),
         ("and", AND_ALGEBRA),
     ):
@@ -175,6 +202,25 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cut at the count cap of 3" in captured.err
+        assert "G-set" not in captured.err
+
+    @pytest.mark.parametrize("name", ["affine", "2cnf"])
+    def test_solve_arity_cap_drops_the_ternary_dispatch_operations(self, files, capsys, name):
+        # minority and majority are ternary, so at arity cap 2 the language
+        # keeps no dispatch operation and solve refuses
+        assert main(["solve", files[name]]) == 0
+        capsys.readouterr()
+        assert main(["solve", files[name], "--arity-cap", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "refusing the collapse reduction" in captured.err
+        assert "the algebra is a G-set" in captured.err
+
+    def test_solve_count_cap_cuts_the_dispatch_closure(self, files, capsys):
+        assert main(["solve", files["horn"], "--count-cap", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cut at the count cap of 1" in captured.err
         assert "G-set" not in captured.err
 
     @pytest.mark.parametrize("verb", ["solve", "detect", "classify"])

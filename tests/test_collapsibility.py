@@ -200,6 +200,21 @@ class TestComposable:
         with pytest.raises(StructuralError):
             composable(adv({0}), and_op(), [adv({0})])
 
+    def test_length_mismatch(self):
+        # a source shorter or longer than the target is refused, not cut to
+        # the shorter length, and so is a step whose inputs differ in length
+        short, long = adv({0, 1}), adv({0, 1}, {1})
+        for target, sources in ((short, [long, short]), (long, [long, short]),
+                                (long, [short, long])):
+            with pytest.raises(StructuralError, match="different length"):
+                composable(target, and_op(), sources)
+        asm = collapsibility._Assembler(ALGEBRAS["and"], 2, frozenset({1}), 1)
+        first = asm.axiom(adv({0, 1}, {1}))
+        asm.entries.append(CertEntry(short))  # as a faulty builder might leave it
+        for inputs in ((first, 1), (1, first)):
+            with pytest.raises(StructuralError, match="different length"):
+                asm.step(and_op(), ("gen", 0), inputs)
+
 
 class TestChainBuilders:
     @pytest.mark.parametrize("n", range(1, 9))
