@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .algebra import Factor, has_gset_factor
-from .collapsibility import (
-    Certificate,
-    CertificateBuilder,
-    build_certificate,
-    plan_certificate,
-    verify_certificate,
-)
+from .collapsibility import Certificate, CertificateBuilder, certify
 from .errors import BuildError, GuardrailError, StructuralError
 from .model import Algebra, ConstraintLanguage, Operation
 from .ops import and_op, dual_discriminator, majority_op, minority_op, or_op, semilattice_to_shared
@@ -54,14 +48,9 @@ def _certified_p(
     caps: dict,
     builder: CertificateBuilder | None = None,
 ) -> ClassificationVerdict:
-    if builder is None:
-        builder, notes = plan_certificate(algebra)
-        if notes:
-            caps = dict(caps, planning_notes=tuple(notes))
-    cert = build_certificate(builder, algebra, SAMPLE_CERTIFICATE_N)
-    check = verify_certificate(cert, algebra, SAMPLE_CERTIFICATE_N)
-    if not check:
-        raise BuildError(f"certificate failed verification: {check.failure}")
+    builder, notes, cert = certify(algebra, SAMPLE_CERTIFICATE_N, builder)
+    if notes:
+        caps = dict(caps, planning_notes=tuple(notes))
     return ClassificationVerdict(
         "P_certified",
         label_citations,
@@ -111,17 +100,23 @@ def classify_two_element(language: ConstraintLanguage) -> ClassificationVerdict:
     hits = dispatch_operations(language)
     caps = {"dispatch_ops": tuple(op.name for op in DISPATCH_OPERATIONS)}
     if hits:
-        algebra = Algebra(language.domain, hits)
         return _certified_p(
             ("two-element-qcsp-classification", "collapse-reduction-soundness"),
-            algebra,
+            Algebra(language.domain, hits),
             caps,
-            CertificateBuilder("two_element"),
         )
+    # each witness is the first relation in file order that the operation
+    # fails; a relation over the size guard is passed over, and its refusal
+    # stands only when no other relation yields a witness
     witnesses = {}
     for op in DISPATCH_OPERATIONS:
+        refused = None
         for rel in language.relations:
-            failure = polymorphism_failure(op, rel)
+            try:
+                failure = polymorphism_failure(op, rel)
+            except GuardrailError as err:
+                refused = refused or err
+                continue
             if failure is not None:
                 rows, image = failure
                 witnesses[op.name] = {
@@ -130,6 +125,9 @@ def classify_two_element(language: ConstraintLanguage) -> ClassificationVerdict:
                     "image": image,
                 }
                 break
+        else:
+            if refused is not None:
+                raise refused
     return ClassificationVerdict(
         "PSPACE_complete_cited",
         ("two-element-qcsp-classification",),
@@ -205,6 +203,36 @@ def _factor_witness(factor: Factor) -> dict:
     }
 
 
+def _classify_discovered(
+    language: ConstraintLanguage,
+    arity_cap: int,
+    citation: str,
+    builder: CertificateBuilder | None = None,
+) -> ClassificationVerdict:
+    """The verdict from the language's discovered idempotent polymorphisms: a
+    G-set factor is NP-hard; otherwise a verified certificate (from `builder`,
+    or the planner's) makes it P, and a failed one leaves it inconclusive."""
+    generators, caps = discovered_generators(language, arity_cap)
+    algebra = Algebra(language.domain, generators)
+    gset, factor = has_gset_factor(algebra)
+    if gset:
+        return ClassificationVerdict(
+            "NP_hard_certified",
+            ("gset-factor-np-hardness", citation),
+            witness=_factor_witness(factor),
+            caps=caps,
+        )
+    try:
+        return _certified_p((citation, "collapse-reduction-soundness"), algebra, caps, builder)
+    except BuildError as err:
+        return ClassificationVerdict(
+            "inconclusive",
+            (citation,),
+            witness={"builder_failure": str(err)},
+            caps=caps,
+        )
+
+
 def classify_three_element(
     language: ConstraintLanguage, arity_cap: int = 3
 ) -> ClassificationVerdict:
@@ -221,29 +249,7 @@ def classify_three_element(
                 ("three-element-semilattice-conp-hardness",),
                 witness={"semilattice_shared_element": shared},
             )
-    generators, caps = discovered_generators(language, arity_cap)
-    algebra = Algebra(language.domain, generators)
-    gset, factor = has_gset_factor(algebra)
-    if gset:
-        return ClassificationVerdict(
-            "NP_hard_certified",
-            ("gset-factor-np-hardness", "three-element-qcsp-classification"),
-            witness=_factor_witness(factor),
-            caps=caps,
-        )
-    try:
-        return _certified_p(
-            ("three-element-qcsp-classification", "collapse-reduction-soundness"),
-            algebra,
-            caps,
-        )
-    except BuildError as err:
-        return ClassificationVerdict(
-            "inconclusive",
-            ("three-element-qcsp-classification",),
-            witness={"builder_failure": str(err)},
-            caps=caps,
-        )
+    return _classify_discovered(language, arity_cap, "three-element-qcsp-classification")
 
 
 def classify_conservative(
@@ -268,32 +274,8 @@ def classify_conservative(
                 )
     if d == 1:
         return _certified_p(
-            ("conservative-qcsp-classification",),
-            Algebra(language.domain, ()),
-            {},
-            CertificateBuilder("singleton", {"element": 0}),
+            ("conservative-qcsp-classification",), Algebra(language.domain, ()), {}
         )
-    generators, caps = discovered_generators(language, arity_cap)
-    algebra = Algebra(language.domain, generators)
-    gset, factor = has_gset_factor(algebra)
-    if gset:
-        return ClassificationVerdict(
-            "NP_hard_certified",
-            ("gset-factor-np-hardness", "conservative-qcsp-classification"),
-            witness=_factor_witness(factor),
-            caps=caps,
-        )
-    try:
-        return _certified_p(
-            ("conservative-qcsp-classification", "collapse-reduction-soundness"),
-            algebra,
-            caps,
-            CertificateBuilder("pair_minimal"),
-        )
-    except BuildError as err:
-        return ClassificationVerdict(
-            "inconclusive",
-            ("conservative-qcsp-classification",),
-            witness={"builder_failure": str(err)},
-            caps=caps,
-        )
+    return _classify_discovered(
+        language, arity_cap, "conservative-qcsp-classification", CertificateBuilder("pair_minimal")
+    )

@@ -12,6 +12,7 @@ through the seeded corpus generator.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -32,10 +33,9 @@ from .collapsibility import (
     TERM_CONDITIONS,
     Certificate,
     CertificateBuilder,
-    build_certificate,
+    certify,
     detect_sink_candidate,
     parse_certificate,
-    plan_certificate,
     serialize_certificate,
     verify_certificate,
 )
@@ -62,9 +62,7 @@ EXIT_USAGE = 2
 EXIT_GUARDRAIL = 3
 EXIT_INTERNAL = 4
 
-# `certify --strategy` choices: the planner and every builder whose parameters
-# the flags can supply; extends_step, subalgebra_enlarge and combine_subsets
-# nest other builders and are reached from the library only
+# `certify --strategy` choices: the planner and every builder
 CLI_STRATEGIES = (
     "auto", "singleton", "and_chain", *TERM_CONDITIONS,
     "strictly_simple", "pair_minimal", "two_element", "quotient_lift",
@@ -127,21 +125,16 @@ def positive_int(text: str) -> int:
 
 
 def _certificate_for_language(document, n: int, arity_cap: int, count_cap: int) -> Certificate:
-    """Plan and verify a collapsibility certificate for the instance's
-    language. A two-element language's algebra is generated by its dispatch
-    operations, which fix the same chain as all its idempotent polymorphisms;
-    any other language's by its discovered idempotent polymorphisms."""
+    """A verified collapsibility certificate for the instance's language. A
+    two-element language's algebra is generated by its dispatch operations,
+    which fix the same chain as all its idempotent polymorphisms; any other
+    language's by its discovered idempotent polymorphisms."""
     language = document.language
     if language.domain.size == 2:
         generators = dispatch_operations(language, arity_cap)
     else:
         generators, _ = discovered_generators(language, arity_cap)
-    alg = Algebra(language.domain, generators)
-    builder, _ = plan_certificate(alg, count_cap)
-    cert = build_certificate(builder, alg, max(n, 1))
-    check = verify_certificate(cert, alg, max(n, 1))
-    if not check:
-        raise BuildError(f"certificate failed verification: {check.failure}")
+    _, _, cert = certify(Algebra(language.domain, generators), max(n, 1), count_cap=count_cap)
     return cert
 
 
@@ -301,43 +294,24 @@ def cmd_analyze(args) -> int:
     return EXIT_TRUE
 
 
+# the tags `detect` lists for discovered polymorphisms
+_DETECTED_TAGS = (
+    "semilattice", "maltsev", "majority", "minority", "dual_discriminator", "near_unanimity",
+)
+
+
 def cmd_detect(args) -> int:
     document = parse_document(_read(args.file))
     report: dict = {"operations": {}}
     for op in document.operations:
-        tags = tag_operation(op)
-        report["operations"][op.name] = {
-            "arity": op.arity,
-            "projection": tags.projection,
-            "idempotent": tags.idempotent,
-            "semilattice": tags.semilattice,
-            "maltsev": tags.maltsev,
-            "majority": tags.majority,
-            "minority": tags.minority,
-            "dual_discriminator": tags.dual_discriminator,
-            "near_unanimity": tags.near_unanimity,
-            "unit_element": tags.unit_element,
-        }
+        report["operations"][op.name] = {"arity": op.arity, **dataclasses.asdict(tag_operation(op))}
     if document.relations:
         generators, caps = discovered_generators(document.language, args.arity_cap)
+        tags = [tag_operation(op) for op in generators]
         report["polymorphisms"] = {
             "caps": {k: list(v) if isinstance(v, tuple) else v for k, v in caps.items()},
             "count": len(generators),
-            "tagged": sorted(
-                {
-                    name
-                    for op in generators
-                    for name, flag in (
-                        ("semilattice", tag_operation(op).semilattice),
-                        ("maltsev", tag_operation(op).maltsev),
-                        ("majority", tag_operation(op).majority),
-                        ("minority", tag_operation(op).minority),
-                        ("dual_discriminator", tag_operation(op).dual_discriminator),
-                        ("near_unanimity", tag_operation(op).near_unanimity),
-                    )
-                    if flag
-                }
-            ),
+            "tagged": sorted({name for t in tags for name in _DETECTED_TAGS if getattr(t, name)}),
         }
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_TRUE
@@ -349,9 +323,8 @@ def cmd_certify(args) -> int:
         raise ParseError("certify needs an algebra file with op tables")
     alg = document.algebra
     params: dict = {"count_cap": args.count_cap}
-    if args.strategy == "auto":
-        builder, notes = plan_certificate(alg, args.count_cap)
-    else:
+    builder = None
+    if args.strategy != "auto":
         if args.element is not None:
             params["element"] = alg.domain.index_of(args.element)
             params["source"] = params["element"]
@@ -366,11 +339,8 @@ def cmd_certify(args) -> int:
             if args.op not in named:
                 raise StructuralError(f"unknown operation {args.op!r}")
             params["op"] = named[args.op]
-        builder, notes = CertificateBuilder(args.strategy, params), []
-    cert = build_certificate(builder, alg, args.n)
-    check = verify_certificate(cert, alg, args.n)
-    if not check:
-        raise BuildError(f"built certificate failed verification: {check.failure}")
+        builder = CertificateBuilder(args.strategy, params)
+    builder, notes, cert = certify(alg, args.n, builder, args.count_cap)
     header = [f"# strategy {builder.strategy}"]
     header.extend(f"# note: {note}" for note in notes)
     _emit("\n".join(header) + "\n" + serialize_certificate(cert, alg.domain.size), args.out)

@@ -263,7 +263,6 @@ class _Assembler:
         self.width = width
         self.entries: list[CertEntry] = []
         self.index: dict[Adversary, int] = {}
-        self.warnings: list[str] = []
         self.families = _axiom_families(n, source, width, algebra.domain.size)
 
     def adversary_of(self, ref: int) -> Adversary:
@@ -294,15 +293,7 @@ class _Assembler:
         return len(self.entries) - 1
 
     def finish(self, target: frozenset[int], result: int) -> Certificate:
-        return Certificate(
-            target,
-            self.source,
-            self.width,
-            self.n,
-            tuple(self.entries),
-            result,
-            tuple(self.warnings),
-        )
+        return Certificate(target, self.source, self.width, self.n, tuple(self.entries), result)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +306,8 @@ class CertificateBuilder:
     """A named construction strategy with its parameters.
 
     Strategies: singleton, and_chain, unit_element, maltsev_chain,
-    dualdisc_chain, near_unanimity, extends_step, subalgebra_enlarge,
-    combine_subsets, strictly_simple, pair_minimal, two_element, quotient_lift.
+    dualdisc_chain, near_unanimity, strictly_simple, pair_minimal,
+    two_element, quotient_lift.
     """
 
     strategy: str
@@ -343,8 +334,8 @@ def _resolve_op(
     trace: Trace | None,
     want: Callable[[Operation], bool],
     description: str,
-    arity_cap: int = 3,
-    count_cap: int = DEFAULT_TERM_COUNT_CAP,
+    arity_cap: int,
+    count_cap: int,
 ) -> tuple[Operation, Trace, list[str]]:
     """Pin down (operation, trace): use explicit parameters when given, else
     scan the term closure for the first operation satisfying `want`."""
@@ -864,23 +855,6 @@ def build_certificate(builder: CertificateBuilder, algebra: Algebra, n: int) -> 
             name, arity_cap=kind.arity, count_cap=count_cap,
         )
         return _with_warnings(kind.build(algebra, n, op, trace, params), warns)
-    if strategy == "extends_step":
-        inner = build_certificate(p["inner"], algebra, n)
-        op, trace, warns = _resolve_op(
-            algebra, p.get("op"), p.get("trace"),
-            lambda opn: _extends(opn, inner.target, frozenset(p["target"])),
-            "extends_step", count_cap=count_cap,
-        )
-        return _with_warnings(
-            _extend_cert(algebra, n, inner, op, trace, frozenset(p["target"])), warns
-        )
-    if strategy == "subalgebra_enlarge":
-        inner = build_certificate(p["inner"], algebra, n)
-        return _enlarge_cert(algebra, n, inner)
-    if strategy == "combine_subsets":
-        first = build_certificate(p["first"], algebra, n)
-        second = build_certificate(p["second"], algebra, n)
-        return _combine_certs(algebra, n, first, second)
     if strategy == "strictly_simple":
         return _build_strictly_simple(algebra, n, count_cap)
     if strategy == "pair_minimal":
@@ -971,6 +945,27 @@ def plan_certificate(
     raise BuildError("no certificate strategy applies")
 
 
+def certify(
+    algebra: Algebra,
+    n: int,
+    builder: CertificateBuilder | None = None,
+    count_cap: int = DEFAULT_TERM_COUNT_CAP,
+) -> tuple[CertificateBuilder, list[str], Certificate]:
+    """The builder, the planner's notes and a verified certificate for `n`:
+    plan with `count_cap` unless a builder is given (its notes are then
+    empty), build, and verify. BuildError when no strategy applies, the build
+    fails, or the verifier rejects what was built; no certificate leaves the
+    library unverified."""
+    notes: list[str] = []
+    if builder is None:
+        builder, notes = plan_certificate(algebra, count_cap)
+    cert = build_certificate(builder, algebra, n)
+    check = verify_certificate(cert, algebra, n)
+    if not check:
+        raise BuildError(f"certificate failed verification: {check.failure}")
+    return builder, notes, cert
+
+
 # ---------------------------------------------------------------------------
 # Exact power-algebra certificate search
 # ---------------------------------------------------------------------------
@@ -1057,14 +1052,10 @@ def is_alphabeta_projective(
 class SinkVerdict:
     kind: str  # sink_certified | not_sink | inconclusive
     reason: str
-    certificate: Certificate | None = None
-    builder: CertificateBuilder | None = None
 
 
 def detect_sink_candidate(
-    algebra: Algebra,
-    count_cap: int = DEFAULT_TERM_COUNT_CAP,
-    check_n: Sequence[int] = (1, 2, 3),
+    algebra: Algebra, count_cap: int = DEFAULT_TERM_COUNT_CAP
 ) -> SinkVerdict:
     """Certified sink verdicts for idempotent algebras on at most 3 elements.
 
@@ -1073,7 +1064,8 @@ def detect_sink_candidate(
     is: exactly two two-element subalgebras sharing one element, the
     semilattice collapsing unequal pairs to the shared element among the binary
     term operations, and every generator projective at the level of the two
-    subalgebras.
+    subalgebras. Otherwise a planned certificate that verifies at n = 1, 2
+    and 3 makes it not a sink.
     """
     if not algebra.is_idempotent():
         raise StructuralError("sink detection assumes an idempotent algebra")
@@ -1115,22 +1107,16 @@ def detect_sink_candidate(
                     "projective over them",
                 )
     try:
-        builder, notes = plan_certificate(algebra, count_cap)
-        cert = None
-        for n in check_n:
-            cert = build_certificate(builder, algebra, n)
-            check = verify_certificate(cert, algebra, n)
-            if not check:
-                raise BuildError(f"built certificate failed verification: {check.failure}")
-        return SinkVerdict(
-            "not_sink",
-            "collapsible: a certificate builder succeeds"
-            + (f" ({'; '.join(notes)})" if notes else ""),
-            certificate=cert,
-            builder=builder,
-        )
+        builder, notes, _ = certify(algebra, 1, count_cap=count_cap)
+        for n in (2, 3):
+            certify(algebra, n, builder)
     except BuildError as err:
         return SinkVerdict("inconclusive", f"no builder applies: {err}")
+    return SinkVerdict(
+        "not_sink",
+        "collapsible: a certificate builder succeeds"
+        + (f" ({'; '.join(notes)})" if notes else ""),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -518,22 +518,6 @@ def parse_document(text: str) -> Document:
     return _Parser(text).parse()
 
 
-def parse_instance(text: str) -> tuple[ConstraintLanguage, QuantifiedFormula]:
-    """Parse a constraint-language-plus-formula file into validated model objects."""
-    doc = parse_document(text)
-    if doc.formula is None:
-        raise ParseError("instance file has no formula")
-    return doc.language, doc.formula
-
-
-def parse_algebra(text: str) -> Algebra:
-    """Parse a domain-plus-operation-tables file."""
-    doc = parse_document(text)
-    if not doc.operations:
-        raise ParseError("algebra file declares no operations")
-    return doc.algebra
-
-
 def serialize_document(
     domain: Domain,
     relations: Sequence[Relation] = (),
@@ -562,7 +546,3 @@ def serialize_document(
 
 def serialize_instance(language: ConstraintLanguage, formula: QuantifiedFormula) -> str:
     return serialize_document(language.domain, language.relations, (), formula)
-
-
-def serialize_algebra(algebra: Algebra) -> str:
-    return serialize_document(algebra.domain, (), algebra.generators, None)

@@ -62,6 +62,24 @@ class TestTwoElement:
         with pytest.raises(StructuralError):
             classify_two_element(lang(3, rel("R", 1, 3, [(0,)])))
 
+    def test_witnesses_pass_over_relations_above_the_size_guard(self):
+        # no dispatch operation preserves not-all-equal; the 8-ary Horn clause
+        # has 224 rows, too many for a ternary check, so majority and minority
+        # take their witnesses from not-all-equal in either order
+        rows = itertools.product((0, 1), repeat=8)
+        horn = rel("H8", 8, 2, [t for t in rows if not (t[0] and t[1]) or t[2]])
+        for relations in ((horn, nae_rel()), (nae_rel(), horn)):
+            verdict = classify_two_element(lang(2, *relations))
+            assert verdict.label == "PSPACE_complete_cited"
+            assert set(verdict.witness) == {"and", "or", "majority", "minority"}
+            for info in verdict.witness.values():
+                failed = horn if info["relation"] == "H8" else nae_rel()
+                assert info["image"] not in failed.tuples
+            assert verdict.witness["majority"]["relation"] == "NAE"
+            assert verdict.witness["minority"]["relation"] == "NAE"
+        # the first relation in file order that an operation fails is its witness
+        assert classify_two_element(lang(2, horn, nae_rel())).witness["or"]["relation"] == "H8"
+
     def test_certificates_verify(self):
         for relation in (impl_rel(), affine_rel()):
             verdict = classify_two_element(lang(2, relation))

@@ -8,6 +8,7 @@ import pytest
 
 import qcollapse
 from conftest import NEGATIVE_REFERENCE_CERT
+from qcollapse import collapsibility
 from qcollapse.cli import main
 
 EXAMPLE = """\
@@ -95,6 +96,37 @@ op and 2
   t t -> t
 """
 
+# enclosed, fully connected and without a G-set factor, but certified: the
+# sink check reaches the planner
+COLLAPSIBLE_ALGEBRA = """\
+domain 3 a b c
+op f 2
+  a a -> a
+  a b -> a
+  a c -> a
+  b a -> a
+  b b -> b
+  b c -> b
+  c a -> b
+  c b -> b
+  c c -> c
+"""
+
+# x - y + z = 0 (mod 3): tractable through the affine Mal'tsev operation
+AFFINE_Z3 = """\
+domain 3 0 1 2
+relation AffZ3 3
+  0 0 0
+  0 1 1
+  0 2 2
+  1 0 2
+  1 1 0
+  1 2 1
+  2 0 1
+  2 1 2
+  2 2 0
+"""
+
 
 # the (verb, flag) pairs where the verb reads the flag; every other verb
 # refuses it
@@ -117,6 +149,8 @@ def files(tmp_path):
         ("2cnf", TWO_CNF),
         ("shared", SHARED_ALGEBRA),
         ("and", AND_ALGEBRA),
+        ("collapsible", COLLAPSIBLE_ALGEBRA),
+        ("affine_z3", AFFINE_Z3),
     ):
         p = tmp_path / f"{name}.txt"
         p.write_text(text, encoding="utf-8")
@@ -520,6 +554,58 @@ class TestClassifyVerb:
         assert main(["classify", str(shared_lang)]) == 0
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["label"] == "unresolved"
+
+
+class TestTrustRoot:
+    """Every verb that emits or relies on a certificate reaches the verifier
+    through the collapsibility module, so a verifier that rejects everything
+    leaves no certified answer anywhere."""
+
+    RUNS = (
+        ["solve", "horn"],
+        ["certify", "and", "--n", "3"],
+        ["classify", "affine_z3"],
+        ["analyze", "collapsible"],
+    )
+
+    def _run(self, files, capsys):
+        results = []
+        for verb, name, *flags in self.RUNS:
+            code = main([verb, files[name], *flags])
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    def test_a_rejecting_verifier_refuses_every_certificate(self, files, capsys, monkeypatch):
+        solve, certify, classify, analyze = self._run(files, capsys)
+        assert [run[0] for run in (solve, certify, classify, analyze)] == [0, 0, 0, 0]
+        assert json.loads(classify[1])["label"] == "P_certified"
+        assert json.loads(analyze[1])["sink"]["kind"] == "not_sink"
+
+        def reject(certificate, algebra, n=None):
+            return collapsibility.VerificationResult(False, "rejected on purpose")
+
+        monkeypatch.setattr(collapsibility, "verify_certificate", reject)
+        solve, certify, classify, analyze = self._run(files, capsys)
+        assert [run[0] for run in (solve, certify, classify, analyze)] == [3, 1, 0, 0]
+        assert solve[2].startswith(
+            "guardrail: refusing the collapse reduction without a verified certificate "
+            "(certificate failed verification: rejected on purpose)"
+        )
+        assert certify[1] == ""
+        assert certify[2] == (
+            "no certificate: certificate failed verification: rejected on purpose\n"
+        )
+        verdict = json.loads(classify[1])
+        assert verdict["label"] == "inconclusive"
+        assert "certificate" not in verdict
+        assert verdict["witness"]["builder_failure"] == (
+            "certificate failed verification: rejected on purpose"
+        )
+        sink = json.loads(analyze[1])["sink"]
+        assert sink == {
+            "kind": "inconclusive",
+            "reason": "no builder applies: certificate failed verification: rejected on purpose",
+        }
 
 
 class TestGen:

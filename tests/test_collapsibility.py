@@ -29,6 +29,10 @@ from qcollapse.collapsibility import (
     serialize_certificate,
     verify_certificate,
     VerificationResult,
+    _build_singleton,
+    _combine_certs,
+    _enlarge_cert,
+    _extend_cert,
     _two_element_dispatch,
 )
 from qcollapse.corpus import CorpusSpec, instances
@@ -384,50 +388,26 @@ class TestCompositeBuilders:
 
     def test_extends_step(self):
         alg = ALGEBRAS["majority"]
-        builder = CertificateBuilder(
-            "extends_step",
-            {
-                "inner": CertificateBuilder("singleton", {"element": 1}),
-                "target": frozenset({0, 1}),
-            },
-        )
-        cert = build_certificate(builder, alg, 5)
+        inner = _build_singleton(alg, 5, 1)
+        cert = _extend_cert(alg, 5, inner, majority_op(), ("gen", 0), frozenset({0, 1}))
         assert verify_certificate(cert, alg, 5)
         assert cert.width == 2
 
     def test_subalgebra_enlarge(self):
         alg = shared_algebra()
-        builder = CertificateBuilder(
-            "subalgebra_enlarge",
-            {"inner": CertificateBuilder("singleton", {"element": 0})},
-        )
-        cert = build_certificate(builder, alg, 3)
+        cert = _enlarge_cert(alg, 3, _build_singleton(alg, 3, 0))
         # {0} is already closed, so nothing grows
         assert cert.target == frozenset({0})
         assert verify_certificate(cert, alg, 3)
 
     def test_combine_requires_source_containment(self):
         alg = ALGEBRAS["dualdisc3"]
-        builder = CertificateBuilder(
-            "combine_subsets",
-            {
-                "first": CertificateBuilder("singleton", {"element": 0}),
-                "second": CertificateBuilder("singleton", {"element": 2}),
-            },
-        )
         with pytest.raises(BuildError):
-            build_certificate(builder, alg, 2)
+            _combine_certs(alg, 2, _build_singleton(alg, 2, 0), _build_singleton(alg, 2, 2))
 
     def test_combine_unions_targets(self):
         alg = ALGEBRAS["dualdisc3"]
-        builder = CertificateBuilder(
-            "combine_subsets",
-            {
-                "first": CertificateBuilder("singleton", {"element": 0}),
-                "second": CertificateBuilder("singleton", {"element": 0}),
-            },
-        )
-        cert = build_certificate(builder, alg, 2)
+        cert = _combine_certs(alg, 2, _build_singleton(alg, 2, 0), _build_singleton(alg, 2, 0))
         assert cert.target == frozenset({0})
         assert verify_certificate(cert, alg, 2)
 

@@ -9,10 +9,8 @@ from qcollapse.model import (
     Domain,
     Operation,
     Relation,
-    parse_algebra,
     parse_document,
-    parse_instance,
-    serialize_algebra,
+    serialize_document,
     serialize_instance,
     validate,
 )
@@ -119,7 +117,8 @@ class TestValidate:
 
 class TestParsing:
     def test_example_prefix_shape(self):
-        language, phi = parse_instance(EXAMPLE_INSTANCE)
+        doc = parse_document(EXAMPLE_INSTANCE)
+        language, phi = doc.language, doc.formula
         assert len(phi.prefix) == 5
         assert [q for q, _ in phi.prefix] == [
             "forall", "exists", "forall", "forall", "exists",
@@ -128,23 +127,23 @@ class TestParsing:
         assert {r.name for r in language.relations} == {"R1", "R2", "R3"}
 
     def test_empty_body(self):
-        _, phi = parse_instance("domain 2 a b\nformula forall y :\n")
+        phi = parse_document("domain 2 a b\nformula forall y :\n").formula
         assert phi.body == ()
 
     def test_constant_resolves_by_symbol_table(self):
         text = "domain 2 a b\nrelation R 1\n  a\nformula exists x : R(b)\n"
-        _, phi = parse_instance(text)
+        phi = parse_document(text).formula
         assert phi.body[0].args == (1,)
 
     def test_duplicate_constraints_retained(self):
         text = "domain 2 a b\nrelation R 1\n  a\nformula exists x : R(x) & R(x)\n"
-        _, phi = parse_instance(text)
+        phi = parse_document(text).formula
         assert len(phi.body) == 2
         assert phi.body[0] == phi.body[1]
 
     def test_repeated_vars_and_constants_allowed(self):
         text = "domain 2 a b\nrelation R 3\n  a a b\nformula exists x : R(x, x, b)\n"
-        _, phi = parse_instance(text)
+        phi = parse_document(text).formula
         assert phi.body[0].args == ("x", "x", 1)
 
     @pytest.mark.parametrize(
@@ -169,15 +168,15 @@ class TestParsing:
     def test_error_carries_line_number(self):
         bad = "domain 2 a b\nrelation R 1\n  a\nformula exists x : R(x, x)\n"
         with pytest.raises(ParseError) as err:
-            parse_instance(bad)
+            parse_document(bad)
         assert err.value.line == 4
 
     def test_op_table_roundtrip(self):
         from qcollapse.model import Algebra
 
         alg = Algebra(Domain(3, ("a", "b", "c")), (semilattice_to_shared(3, 2, "s"),))
-        text = serialize_algebra(alg)
-        parsed = parse_algebra(text)
+        text = serialize_document(alg.domain, (), alg.generators)
+        parsed = parse_document(text).algebra
         assert parsed.generators == alg.generators
 
     def test_duplicate_op_row_rejected(self):
@@ -207,30 +206,32 @@ class TestParserRobustness:
             "\ta   b\n"
             "formula   exists   x :   R( x ,b )\n"
         )
-        _, phi = parse_instance(text)
+        phi = parse_document(text).formula
         assert phi.body[0].args == ("x", 1)
 
 
 class TestRoundTrip:
     def test_example_round_trips(self):
-        language, phi = parse_instance(EXAMPLE_INSTANCE)
+        doc = parse_document(EXAMPLE_INSTANCE)
+        language, phi = doc.language, doc.formula
         text = serialize_instance(language, phi)
-        language2, phi2 = parse_instance(text)
+        doc2 = parse_document(text)
+        language2, phi2 = doc2.language, doc2.formula
         assert language2 == language
         assert phi2 == phi
 
     def test_parse_is_deterministic(self):
-        first = parse_instance(EXAMPLE_INSTANCE)
-        second = parse_instance(EXAMPLE_INSTANCE)
-        assert first == second
+        first = parse_document(EXAMPLE_INSTANCE)
+        second = parse_document(EXAMPLE_INSTANCE)
+        assert (first.language, first.formula) == (second.language, second.formula)
 
     def test_corpus_round_trips(self):
         from qcollapse.corpus import CorpusSpec, instances
 
         for language, phi in instances(CorpusSpec(seed=7, count=25, max_vars=5)):
             text = serialize_instance(language, phi)
-            language2, phi2 = parse_instance(text)
-            assert (language2, phi2) == (language, phi)
+            doc = parse_document(text)
+            assert (doc.language, doc.formula) == (language, phi)
 
 
 @settings(max_examples=60, deadline=None)
