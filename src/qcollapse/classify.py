@@ -17,8 +17,9 @@ from .algebra import Factor, has_gset_factor
 from .collapsibility import Certificate, CertificateBuilder, certify
 from .errors import BuildError, GuardrailError, StructuralError
 from .model import Algebra, ConstraintLanguage, Operation
-from .ops import and_op, dual_discriminator, majority_op, minority_op, or_op, semilattice_to_shared
+from .ops import and_op, majority_op, minority_op, or_op, semilattice_to_shared
 from .polymorph import (
+    identity_cells,
     is_polymorphism,
     is_polymorphism_of_language,
     is_projection,
@@ -148,19 +149,14 @@ def find_polymorphism_with_shape(
     return None if table is None else Operation(name, arity, language.domain.size, table)
 
 
-def _templates(d: int) -> tuple[tuple[str, str, dict[tuple[int, int, int], int]], ...]:
+def _templates(d: int) -> tuple[tuple[str, str, dict[tuple[int, ...], int]], ...]:
     """The ternary templates as (report name, operation name, forced cells):
-    the dual discriminator (every cell), Mal'tsev and majority."""
-    dd = dual_discriminator(d)
-    cells = list(itertools.product(range(d), repeat=3))
+    the dual discriminator (every cell), Mal'tsev and majority, each the
+    cells of its identity."""
     return (
-        ("dual_discriminator", dd.name, dict(zip(cells, dd.table))),
-        ("maltsev", "maltsev", {
-            (x, y, z): z if x == y else x for x, y, z in cells if x == y or y == z
-        }),
-        ("majority", "majority", {
-            (x, y, z): y if y == z else x for x, y, z in cells if x in (y, z) or y == z
-        }),
+        ("dual_discriminator", "dualdisc", identity_cells("dual_discriminator", d, 3)),
+        ("maltsev", "maltsev", identity_cells("maltsev", d, 3)),
+        ("majority", "majority", identity_cells("near_unanimity", d, 3)),
     )
 
 

@@ -113,14 +113,14 @@ def _emit(text: str, out: str | None):
 def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"count must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"cap must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         if arity_cap:
             p.add_argument("--arity-cap", type=positive_int, default=3, dest="arity_cap")
         if count_cap:
-            p.add_argument("--count-cap", type=int, default=2_000, dest="count_cap")
+            p.add_argument("--count-cap", type=positive_int, default=2_000, dest="count_cap")
         return p
 
     p = verb("solve", "decide via the collapse reduction", arity_cap=True, count_cap=True)
@@ -517,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("certify", "build a collapsibility certificate", count_cap=True)
     p.add_argument("--strategy", choices=CLI_STRATEGIES, default="auto")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=positive_int, default=4)
     p.add_argument("--op", default=None, help="generator name for the chain strategies")
     p.add_argument("--element", default=None, help="source/unit element name")
     p.add_argument("--pair", default=None, help="two element names, comma separated")
@@ -526,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("verify", "replay a certificate")
     p.add_argument("--certificate", required=True)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=positive_int, default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = verb("classify", "complexity classification verdict (JSON)", arity_cap=True)
@@ -541,9 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=non_negative_int, default=20)
-    p.add_argument("--domain-size", type=int, default=2, dest="domain_size")
-    p.add_argument("--vars", type=int, default=6)
-    p.add_argument("--universals", type=int, default=3)
+    p.add_argument("--domain-size", type=positive_int, default=2, dest="domain_size")
+    p.add_argument("--vars", type=positive_int, default=6)
+    p.add_argument("--universals", type=non_negative_int, default=3)
     p.add_argument(
         "--closure",
         choices=("none", "and", "or", "majority", "minority", "shared"),

@@ -34,7 +34,6 @@ from .game import Adversary, constant_adversary, full_adversary
 from .model import Algebra, Operation
 from .ops import semilattice_to_shared
 from .polymorph import (
-    OperationTags,
     TermOperationSet,
     Trace,
     close_vectors,
@@ -42,8 +41,9 @@ from .polymorph import (
     op_image,
     parse_trace,
     replay_trace,
-    tag_operation,
+    satisfies,
     trace_to_str,
+    unit_element,
 )
 
 DEFAULT_TERM_COUNT_CAP = 2_000
@@ -337,8 +337,9 @@ def _resolve_op(
     arity_cap: int,
     count_cap: int,
 ) -> tuple[Operation, Trace, list[str]]:
-    """Pin down (operation, trace): use explicit parameters when given, else
-    scan the term closure for the first operation satisfying `want`."""
+    """Pin down (operation, trace): use explicit parameters when given (an
+    operation without a trace must be a generator), else scan the term
+    closure for the first operation satisfying `want`."""
     if trace is not None:
         rebuilt = replay_trace(algebra, trace)
         if op is not None and rebuilt != op:
@@ -352,13 +353,7 @@ def _resolve_op(
                 if not want(op):
                     raise BuildError(f"{description}: the supplied operation fails the identity checks")
                 return op, ("gen", gi), []
-        terms = generate_term_operations(algebra, max(op.arity, 1), count_cap)
-        if op in terms.traces:
-            if not want(op):
-                raise BuildError(f"{description}: the supplied operation fails the identity checks")
-            warn = ["term closure truncated while locating the operation"] if terms.truncated else []
-            return op, terms.traces[op], warn
-        raise BuildError(f"{description}: the operation is not a known term operation")
+        raise BuildError(f"{description}: the operation is not a generator")
     terms = generate_term_operations(algebra, arity_cap, count_cap)
     for candidate in terms.operations:
         if want(candidate):
@@ -382,9 +377,6 @@ def _build_unit_chain(
     """Width-1 chain for a binary operation with a unit element: at each step
     the next coordinate is released to the full domain."""
     full = _full_set(algebra)
-    tags = tag_operation(op)
-    if op.arity != 2 or tags.unit_element != unit or not tags.idempotent:
-        raise BuildError(f"{op.name} is not an idempotent binary operation with unit {unit}")
     asm = _Assembler(algebra, n, frozenset((unit,)), 1)
     fam = adv_family(n, (unit,), 1, full)
     prev = asm.axiom(fam.member((0,)))
@@ -397,8 +389,6 @@ def _build_maltsev_chain(
     algebra: Algebra, n: int, op: Operation, trace: Trace, source: int
 ) -> Certificate:
     full = _full_set(algebra)
-    if op.arity != 3 or not tag_operation(op).maltsev:
-        raise BuildError(f"{op.name} does not satisfy the Mal'tsev identities")
     asm = _Assembler(algebra, n, frozenset((source,)), 1)
     fam = adv_family(n, (source,), 1, full)
     base = asm.axiom(fam.member(()))
@@ -415,8 +405,6 @@ def _build_dualdisc_chain(
     full = _full_set(algebra)
     if b == c:
         raise BuildError("the two tracked source elements must differ")
-    if op.arity != 3 or not tag_operation(op).dual_discriminator:
-        raise BuildError(f"{op.name} is not the dual discriminator")
     asm = _Assembler(algebra, n, frozenset((b, c)), 1)
     fam_b = adv_family(n, (b,), 1, full)
     fam_c = adv_family(n, (c,), 1, full)
@@ -615,51 +603,55 @@ def _relabel_cert(
 def _build_near_unanimity(
     algebra: Algebra, n: int, op: Operation, trace: Trace, source: int
 ) -> Certificate:
-    if not tag_operation(op).near_unanimity:
-        raise BuildError(f"{op.name} does not satisfy the near-unanimity identities")
     inner = _build_singleton(algebra, n, source)
     return _extend_cert(algebra, n, inner, op, trace, _full_set(algebra))
 
 
 @dataclass(frozen=True)
 class TermCondition:
-    """Identities that one term operation satisfies and a chain builder turns
-    into a certificate. `holds` tests the operation's tags under the builder's
-    parameters, `arity` is where a term closure is searched for it, and
-    `build` takes the parameters merged over `defaults`."""
+    """An identity of `polymorph.identity_cells` that one term operation
+    satisfies and a chain builder turns into a certificate. `arity` is where
+    a term closure is searched for it, and `build` takes the parameters
+    merged over `defaults`; every caller tests `holds` before `build`, so the
+    chain builders do not test the identity again."""
 
-    holds: Callable[[OperationTags, dict], bool]
+    identity: str
     arity: int
     defaults: dict
     build: Callable[[Algebra, int, Operation, Trace, dict], Certificate]
+
+    def holds(self, op: Operation, params: dict) -> bool:
+        """The operation satisfies the identity, with the unit that `params`
+        names, if any. Idempotence is not tested: the builders accept only
+        idempotent algebras, whose term operations all are."""
+        if self.identity != "unit":
+            return satisfies(op, self.identity)
+        unit = params.get("unit")
+        return unit_element(op) is not None if unit is None else satisfies(op, "unit", unit)
 
 
 # in the planner's priority order
 TERM_CONDITIONS: dict[str, TermCondition] = {
     "unit_element": TermCondition(
-        lambda t, p: t.idempotent
-        and t.unit_element is not None
-        and p.get("unit") in (None, t.unit_element),
+        "unit",
         2,
         {},
-        lambda alg, n, op, trace, p: _build_unit_chain(
-            alg, n, op, trace, tag_operation(op).unit_element
-        ),
+        lambda alg, n, op, trace, p: _build_unit_chain(alg, n, op, trace, unit_element(op)),
     ),
     "maltsev_chain": TermCondition(
-        lambda t, p: t.maltsev,
+        "maltsev",
         3,
         {"source": 0},
         lambda alg, n, op, trace, p: _build_maltsev_chain(alg, n, op, trace, p["source"]),
     ),
     "dualdisc_chain": TermCondition(
-        lambda t, p: t.dual_discriminator,
+        "dual_discriminator",
         3,
         {"pair": (0, 1)},
         lambda alg, n, op, trace, p: _build_dualdisc_chain(alg, n, op, trace, *p["pair"]),
     ),
     "near_unanimity": TermCondition(
-        lambda t, p: t.near_unanimity,
+        "near_unanimity",
         3,
         {"source": 0},
         lambda alg, n, op, trace, p: _build_near_unanimity(alg, n, op, trace, p["source"]),
@@ -667,12 +659,12 @@ TERM_CONDITIONS: dict[str, TermCondition] = {
 }
 
 
-def _condition_of(tags: OperationTags, names: Iterable[str] = TERM_CONDITIONS) -> str | None:
-    """The first of the named term conditions that an operation with these
-    tags satisfies under the default parameters."""
+def _condition_of(op: Operation, names: Iterable[str] = TERM_CONDITIONS) -> str | None:
+    """The first of the named term conditions that the operation satisfies
+    under the default parameters."""
     for name in names:
         kind = TERM_CONDITIONS[name]
-        if kind.holds(tags, kind.defaults):
+        if kind.holds(op, kind.defaults):
             return name
     return None
 
@@ -692,17 +684,15 @@ def _two_element_dispatch(algebra: Algebra, count_cap: int) -> tuple[Operation, 
     """
     if algebra.domain.size != 2:
         raise BuildError("two_element applies to two-element algebras only")
-    tagged: dict[int, tuple[TermOperationSet, list]] = {}
+    closures: dict[int, TermOperationSet] = {}
     for kind in TERM_CONDITIONS.values():
-        if kind.arity not in tagged:
-            terms = generate_term_operations(algebra, kind.arity, count_cap)
-            ops = [(op, tag_operation(op)) for op in terms.of_arity(kind.arity)]
-            tagged[kind.arity] = terms, ops
-        terms, ops = tagged[kind.arity]
-        for op, t in ops:
-            if kind.holds(t, kind.defaults):
+        if kind.arity not in closures:
+            closures[kind.arity] = generate_term_operations(algebra, kind.arity, count_cap)
+        terms = closures[kind.arity]
+        for op in terms.of_arity(kind.arity):
+            if kind.holds(op, kind.defaults):
                 return op, terms.traces[op]
-    cut = any(terms.truncated for terms, _ in tagged.values())
+    cut = any(terms.truncated for terms in closures.values())
     raise BuildError(
         "no semilattice, Mal'tsev, dual discriminator, or near-unanimity term operation "
         + (f"before the term closure was cut at the count cap of {count_cap}" if cut
@@ -712,23 +702,20 @@ def _two_element_dispatch(algebra: Algebra, count_cap: int) -> tuple[Operation, 
 
 def _build_two_element(algebra: Algebra, n: int, op: Operation, trace: Trace) -> Certificate:
     """The chain for a dispatch operation of `_two_element_dispatch`; its kind
-    is read off its tags in the dispatch's priority order."""
-    name = _condition_of(tag_operation(op))
+    is the first term condition it satisfies, in the dispatch's priority
+    order."""
+    name = _condition_of(op)
     if name is None:
         raise BuildError(f"{op.name} satisfies none of the chain identities")
     kind = TERM_CONDITIONS[name]
     return kind.build(algebra, n, op, trace, kind.defaults)
 
 
-def _special_semilattice_shape(op: Operation) -> int | None:
-    """The absorbing element m when op(x, y) = m for all x != y, else None."""
-    if op.arity != 2 or not op.is_idempotent():
-        return None
-    d = op.domain_size
-    off = {op.table[op.index((x, y))] for x in range(d) for y in range(d) if x != y}
-    if len(off) == 1:
-        return next(iter(off))
-    return None
+def _meet_shapes(d: int) -> dict[Operation, int]:
+    """Each semilattice `semilattice_to_shared(d, m)`, which sends every pair
+    of distinct elements to m, keyed to m; none on one element, which has no
+    such pair."""
+    return {semilattice_to_shared(d, m): m for m in range(d)} if d > 1 else {}
 
 
 def _build_strictly_simple(algebra: Algebra, n: int, count_cap: int) -> Certificate:
@@ -741,12 +728,13 @@ def _build_strictly_simple(algebra: Algebra, n: int, count_cap: int) -> Certific
     for op in terms.operations:
         # a dual discriminator is a near-unanimity operation, and that chain
         # keeps the source one-element, which the callers' inductions require
-        name = _condition_of(tag_operation(op), ("maltsev_chain", "near_unanimity"))
+        name = _condition_of(op, ("maltsev_chain", "near_unanimity"))
         if name is not None:
             kind = TERM_CONDITIONS[name]
             return kind.build(algebra, n, op, terms.traces[op], kind.defaults)
+    meets = _meet_shapes(algebra.domain.size)
     for op in terms.operations:
-        m = _special_semilattice_shape(op)
+        m = meets.get(op)
         if m is None:
             continue
         anchor = next(a for a in range(algebra.domain.size) if a != m)
@@ -851,7 +839,7 @@ def build_certificate(builder: CertificateBuilder, algebra: Algebra, n: int) -> 
         params = {**kind.defaults, **p}
         op, trace, warns = _resolve_op(
             algebra, p.get("op"), p.get("trace"),
-            lambda opn: kind.holds(tag_operation(opn), params),
+            lambda opn: kind.holds(opn, params),
             name, arity_cap=kind.arity, count_cap=count_cap,
         )
         return _with_warnings(kind.build(algebra, n, op, trace, params), warns)
@@ -874,9 +862,7 @@ def build_certificate(builder: CertificateBuilder, algebra: Algebra, n: int) -> 
         if q_builder is None:
             q_builder, _ = plan_certificate(q_alg, count_cap=count_cap)
         q_cert = build_certificate(q_builder, q_alg, n)
-        reps = p.get("representatives")
-        if reps is None:
-            reps = [min(congruence.blocks[s]) for s in sorted(q_cert.source)]
+        reps = [min(congruence.blocks[s]) for s in sorted(q_cert.source)]
         return lift_through_quotient(q_cert, algebra, congruence, reps)
     raise BuildError(f"unknown strategy {strategy!r}")
 
@@ -911,7 +897,7 @@ def plan_certificate(
     notes: list[str] = []
 
     def tagged_builder(op: Operation, trace: Trace) -> CertificateBuilder | None:
-        name = _condition_of(tag_operation(op))
+        name = _condition_of(op)
         if name is None:
             return None
         defaults = TERM_CONDITIONS[name].defaults

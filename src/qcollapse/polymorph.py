@@ -6,6 +6,7 @@ table sweep behind every polymorphism search.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardrailError, StructuralError
 from .model import Algebra, ConstraintLanguage, Operation, Relation
-from .ops import projection_op
+from .ops import dual_discriminator, projection_op
 
 DEFAULT_CHECK_CAP = 10_000_000
 DEFAULT_COUNT_CAP = 20_000
@@ -98,28 +99,64 @@ def is_projection(op: Operation) -> bool:
     )
 
 
-def _unit_element(op: Operation) -> int | None:
-    if op.arity != 2:
-        return None
-    d = op.domain_size
-    for u in range(d):
-        if all(op.table[op.index((u, a))] == a == op.table[op.index((a, u))] for a in range(d)):
-            return u
+IDENTITIES = ("maltsev", "minority", "near_unanimity", "dual_discriminator", "unit")
+
+
+def identity_cells(
+    identity: str, d: int, k: int, unit: int = 0
+) -> dict[tuple[int, ...], int] | None:
+    """The cells an arity-k operation f on d elements holds when it satisfies
+    the identity, as argument tuple -> required value, for all x and y:
+
+      maltsev             f(x, x, y) = f(y, x, x) = y
+      minority            f(x, x, y) = f(x, y, x) = f(y, x, x) = y
+      near_unanimity      f(y, x, ..., x) = ... = f(x, ..., x, y) = x, at any
+                          arity from 3; at arity 3 it is majority
+      dual_discriminator  every cell of `ops.dual_discriminator(d)`
+      unit                f(u, x) = f(x, u) = x for the element u = `unit`
+
+    No two of an identity's cells clash, so the map is the whole identity.
+    None when no arity-k operation satisfies it, or `unit` is not an element.
+    """
+    pairs = list(itertools.product(range(d), repeat=2))
+    if identity == "maltsev" and k == 3:
+        return {cell: y for x, y in pairs for cell in ((x, x, y), (y, x, x))}
+    if identity == "minority" and k == 3:
+        return {cell: y for x, y in pairs for cell in ((x, x, y), (x, y, x), (y, x, x))}
+    if identity == "near_unanimity" and k >= 3:
+        return {(x,) * p + (y,) + (x,) * (k - 1 - p): x for x, y in pairs for p in range(k)}
+    if identity == "dual_discriminator" and k == 3:
+        dd = dual_discriminator(d)
+        return dict(zip(dd.inputs(), dd.table))
+    if identity == "unit" and k == 2 and 0 <= unit < d:
+        return {cell: x for x in range(d) for cell in ((unit, x), (x, unit))}
+    if identity not in IDENTITIES:
+        raise StructuralError(f"unknown identity {identity!r}")
     return None
 
 
-def _near_unanimity(op: Operation) -> bool:
-    if op.arity < 3:
-        return False
-    d = op.domain_size
-    for x in range(d):
-        for y in range(d):
-            for pos in range(op.arity):
-                args = [x] * op.arity
-                args[pos] = y
-                if op.table[op.index(args)] != x:
-                    return False
-    return True
+@functools.lru_cache(maxsize=256)
+def _cell_indices(
+    identity: str, d: int, k: int, unit: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """`identity_cells` as (table indices, required values)."""
+    cells = identity_cells(identity, d, k, unit)
+    if cells is None:
+        return None
+    indices = tuple(sum(a * d**i for i, a in enumerate(reversed(args))) for args in cells)
+    return indices, tuple(cells.values())
+
+
+def satisfies(op: Operation, identity: str, unit: int = 0) -> bool:
+    """The operation's table holds every cell of the identity."""
+    cells = _cell_indices(identity, op.domain_size, op.arity, unit)
+    return cells is not None and tuple(map(op.table.__getitem__, cells[0])) == cells[1]
+
+
+def unit_element(op: Operation) -> int | None:
+    """The element u with f(u, x) = f(x, u) = x for every x, when the
+    operation is binary and has one; it has at most one."""
+    return next((u for u in range(op.domain_size) if satisfies(op, "unit", u)), None)
 
 
 def tag_operation(op: Operation) -> OperationTags:
@@ -141,43 +178,17 @@ def tag_operation(op: Operation) -> OperationTags:
             for z in range(d)
         )
         semilattice = idempotent and commutative and associative
-    maltsev = majority = minority = dualdisc = False
-    if op.arity == 3:
-        maltsev = all(
-            op.table[op.index((x, x, y))] == y and op.table[op.index((y, x, x))] == y
-            for x in range(d)
-            for y in range(d)
-        )
-        majority = all(
-            op.table[op.index((x, x, y))] == x
-            and op.table[op.index((x, y, x))] == x
-            and op.table[op.index((y, x, x))] == x
-            for x in range(d)
-            for y in range(d)
-        )
-        minority = all(
-            op.table[op.index((x, x, y))] == y
-            and op.table[op.index((x, y, x))] == y
-            and op.table[op.index((y, x, x))] == y
-            for x in range(d)
-            for y in range(d)
-        )
-        dualdisc = all(
-            op.table[op.index((x, y, z))] == (x if x == y else z)
-            for x in range(d)
-            for y in range(d)
-            for z in range(d)
-        )
+    near_unanimity = satisfies(op, "near_unanimity")
     return OperationTags(
         projection=is_projection(op),
         idempotent=idempotent,
         semilattice=semilattice,
-        maltsev=maltsev,
-        majority=majority,
-        minority=minority,
-        dual_discriminator=dualdisc,
-        near_unanimity=_near_unanimity(op),
-        unit_element=_unit_element(op),
+        maltsev=satisfies(op, "maltsev"),
+        majority=near_unanimity and op.arity == 3,
+        minority=satisfies(op, "minority"),
+        dual_discriminator=satisfies(op, "dual_discriminator"),
+        near_unanimity=near_unanimity,
+        unit_element=unit_element(op),
     )
 
 

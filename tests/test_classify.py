@@ -100,7 +100,7 @@ def _planned(language: ConstraintLanguage, generators) -> tuple | str:
     except BuildError as err:
         return str(err)
     op, _ = builder.params["dispatch"]
-    return builder.strategy, _condition_of(tag_operation(op)), cert.width, cert.source
+    return builder.strategy, _condition_of(op), cert.width, cert.source
 
 
 def _boolean_languages(rng: random.Random) -> list[ConstraintLanguage]:
@@ -255,6 +255,22 @@ class TestShapeSearch:
         _, _, maltsev = classify._templates(3)[1]
         _, _, majority = classify._templates(3)[2]
         assert (27 - len(maltsev), 27 - len(majority)) == (12, 6)
+
+    def test_templates_are_the_cells_the_dicts_spelled_out(self):
+        # the templates as written out per cell before the identity table
+        for d in (2, 3, 4):
+            dd = dual_discriminator(d)
+            cells = list(itertools.product(range(d), repeat=3))
+            spelled = (
+                ("dual_discriminator", "dualdisc", dict(zip(cells, dd.table))),
+                ("maltsev", "maltsev", {
+                    (x, y, z): z if x == y else x for x, y, z in cells if x == y or y == z
+                }),
+                ("majority", "majority", {
+                    (x, y, z): y if y == z else x for x, y, z in cells if x in (y, z) or y == z
+                }),
+            )
+            assert classify._templates(d) == spelled, d
 
     def test_forced_cells_failing_a_relation_stop_before_the_search(self):
         # the rows (0, 1), (0, 2), (1, 2) of Neq read the forced cells 0 0 1

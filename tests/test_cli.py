@@ -262,7 +262,39 @@ class TestExitCodes:
         assert main([verb, files["horn"], "--arity-cap", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "cap must be >= 1, got 0" in captured.err
+        assert "argument --arity-cap: must be >= 1, got 0" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(argv, f"argument {argv[-2]}: must be >= {low}, got {argv[-1]}",
+                         id=" ".join(argv))
+            for argv, low in (
+                (["gen", "--domain-size", "0"], 1),
+                (["gen", "--domain-size", "-1"], 1),
+                (["gen", "--vars", "0"], 1),
+                (["gen", "--vars", "-2"], 1),
+                (["gen", "--universals", "-1"], 0),
+                (["certify", "and", "--n", "0"], 1),
+                (["certify", "and", "--n", "-2"], 1),
+                (["verify", "and", "--certificate", "and", "--n", "0"], 1),
+                (["solve", "horn", "--count-cap", "0"], 1),
+                (["analyze", "and", "--count-cap", "0"], 1),
+                (["certify", "and", "--count-cap", "0"], 1),
+                (["sweep", "--count-cap", "0"], 1),
+            )
+        ],
+    )
+    def test_out_of_range_numbers_are_usage_errors(self, files, tmp_path, capsys, argv, message):
+        out = tmp_path / "gen"
+        argv = [files.get(arg, arg) for arg in argv]
+        if argv[0] == "gen":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not out.exists()
 
     def test_oracle_decides_prefixes_deeper_than_the_recursion_limit(self, tmp_path, capsys):
         n = 1500

@@ -33,12 +33,13 @@ from qcollapse.collapsibility import (
     _combine_certs,
     _enlarge_cert,
     _extend_cert,
+    _meet_shapes,
     _two_element_dispatch,
 )
 from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.errors import BuildError, GuardrailError, ParseError, StructuralError
 from qcollapse.game import constant_adversary, evaluate_truth, full_adversary, winnable
-from qcollapse.model import Algebra, ConstraintLanguage, Domain
+from qcollapse.model import Algebra, ConstraintLanguage, Domain, Operation
 from qcollapse.ops import (
     and_op,
     dual_discriminator,
@@ -269,6 +270,27 @@ class TestChainBuilders:
         with pytest.raises(BuildError):
             build_certificate(CertificateBuilder("maltsev_chain"), ALGEBRAS["and"], 3)
 
+    def test_supplied_operation_is_checked_before_the_chain(self):
+        # the chain builders trust their operation, so the identity is
+        # checked where the operation is named
+        for strategy in TERM_CONDITIONS:
+            with pytest.raises(BuildError, match="the operation is not a generator"):
+                build_certificate(
+                    CertificateBuilder(strategy, {"op": and_op()}), ALGEBRAS["or"], 3
+                )
+        for strategy in ("maltsev_chain", "dualdisc_chain", "near_unanimity"):
+            with pytest.raises(BuildError, match="fails the identity checks"):
+                build_certificate(
+                    CertificateBuilder(strategy, {"op": and_op()}), ALGEBRAS["and"], 3
+                )
+        for unit, ok in ((0, False), (1, True)):
+            builder = CertificateBuilder("unit_element", {"op": and_op(), "unit": unit})
+            if ok:
+                assert build_certificate(builder, ALGEBRAS["and"], 3).source == frozenset({1})
+            else:
+                with pytest.raises(BuildError, match="fails the identity checks"):
+                    build_certificate(builder, ALGEBRAS["and"], 3)
+
     def test_non_idempotent_rejected(self):
         flip = from_function("nf", 1, 2, lambda x: 1 - x)
         with pytest.raises(BuildError):
@@ -367,7 +389,28 @@ def _record_closure_caps(monkeypatch) -> list[int]:
     return caps
 
 
+def _off_diagonal_shape(op) -> int | None:
+    """The absorbing element m when op is idempotent, binary and sends every
+    pair of distinct elements to m, else None: the reference for
+    `_meet_shapes`."""
+    if op.arity != 2 or not op.is_idempotent():
+        return None
+    d = op.domain_size
+    off = {op.table[op.index((x, y))] for x in range(d) for y in range(d) if x != y}
+    return next(iter(off)) if len(off) == 1 else None
+
+
 class TestCompositeBuilders:
+    def test_meet_shapes_match_the_off_diagonal_test(self):
+        for d in (1, 2, 3):
+            meets = _meet_shapes(d)
+            found = 0
+            for table in itertools.product(range(d), repeat=d * d):
+                op = Operation("b", 2, d, table)
+                assert meets.get(op) == _off_diagonal_shape(op), table
+                found += meets.get(op) is not None
+            assert found == (d if d > 1 else 0)
+
     def test_strictly_simple_on_and(self):
         alg = ALGEBRAS["and"]
         for n in (1, 4):

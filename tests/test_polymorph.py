@@ -27,11 +27,13 @@ from qcollapse.ops import (
     semilattice_to_shared,
 )
 from qcollapse.polymorph import (
+    IDENTITIES,
     close_relation_under,
     close_vectors,
     compose,
     discover_polymorphisms,
     generate_term_operations,
+    identity_cells,
     is_polymorphism,
     is_polymorphism_of_language,
     op_image,
@@ -160,6 +162,113 @@ class TestTags:
                 projection_op(op.domain_size, op.arity, i).table for i in range(1, op.arity + 1)
             }
             assert tag_operation(op).projection == (op.table in projections), op.table
+
+
+def _loop_tags(op: Operation) -> dict:
+    """The identity tags computed by loops over argument tuples, as before
+    the cell tables: the reference the tables are checked against."""
+    d, k = op.domain_size, op.arity
+
+    def f(*args):
+        return op.table[op.index(args)]
+
+    pairs = list(itertools.product(range(d), repeat=2))
+    maltsev = majority = minority = dualdisc = False
+    if k == 3:
+        maltsev = all(f(x, x, y) == y and f(y, x, x) == y for x, y in pairs)
+        majority = all(f(x, x, y) == x and f(x, y, x) == x and f(y, x, x) == x for x, y in pairs)
+        minority = all(f(x, x, y) == y and f(x, y, x) == y and f(y, x, x) == y for x, y in pairs)
+        dualdisc = all(
+            f(x, y, z) == (x if x == y else z)
+            for x, y, z in itertools.product(range(d), repeat=3)
+        )
+    near_unanimity = k >= 3
+    for (x, y), pos in itertools.product(pairs, range(k)):
+        args = [x] * k
+        args[pos] = y
+        near_unanimity = near_unanimity and f(*args) == x
+    unit = None
+    if k == 2:
+        unit = next((u for u in range(d) if all(f(u, a) == a == f(a, u) for a in range(d))), None)
+    return {
+        "maltsev": maltsev, "majority": majority, "minority": minority,
+        "dual_discriminator": dualdisc, "near_unanimity": near_unanimity, "unit_element": unit,
+    }
+
+
+def _table_tags(op: Operation) -> dict:
+    tags = tag_operation(op)
+    return {name: getattr(tags, name) for name in _loop_tags(op)}
+
+
+# identities planted into seeded tables, as a rule on the argument tuple
+# that gives the required value or None for a free cell
+_PLANTS = {
+    "maltsev": lambda a: a[2] if a[0] == a[1] else a[0] if a[1] == a[2] else None,
+    "minority": lambda a: a[2] if a[0] == a[1] else a[1] if a[0] == a[2] else (
+        a[0] if a[1] == a[2] else None
+    ),
+    "dual_discriminator": lambda a: a[0] if a[0] == a[1] else a[2],
+    "near_unanimity": lambda a: next((v for v in a if a.count(v) >= len(a) - 1), None),
+}
+
+
+class TestIdentityCells:
+    def _positives(self, ops) -> dict:
+        seen: dict = {}
+        for op in ops:
+            got = _table_tags(op)
+            assert got == _loop_tags(op), (op.arity, op.domain_size, op.table)
+            for name, value in got.items():
+                seen[name] = seen.get(name, 0) + (value is not False and value is not None)
+        return seen
+
+    def test_matches_the_loops_on_every_small_operation(self):
+        # every operation of arity 1-3 on two elements and every binary one
+        # on three elements
+        ops = [
+            Operation("f", k, 2, table)
+            for k in (1, 2, 3)
+            for table in itertools.product(range(2), repeat=2**k)
+        ]
+        ops += [Operation("b", 2, 3, table) for table in itertools.product(range(3), repeat=9)]
+        seen = self._positives(ops)
+        assert all(seen.values()), seen
+        # a unit u fixes its row and column, so 2 cells on two elements and
+        # 4 on three stay free; no operation has two units
+        assert seen["unit_element"] == 2 * 2 + 3 * 3**4
+
+    def test_matches_the_loops_on_seeded_operations(self):
+        # arity 3 and 4 on two to four elements, a planted identity in two
+        # thirds of them and one cell changed in half of those
+        rng = random.Random(14)
+        ops = []
+        for i in range(10_000):
+            d, k = rng.choice((2, 3, 4)), rng.choice((3, 4))
+            table = [rng.randrange(d) for _ in range(d**k)]
+            plants = [name for name in _PLANTS if k == 3 or name == "near_unanimity"]
+            if i % 3:
+                rule = _PLANTS[rng.choice(plants)]
+                for idx, args in enumerate(itertools.product(range(d), repeat=k)):
+                    value = rule(args)
+                    table[idx] = table[idx] if value is None else value
+                if rng.random() < 0.5:
+                    cell = rng.randrange(d**k)
+                    table[cell] = (table[cell] + 1) % d
+            ops.append(Operation("s", k, d, tuple(table)))
+        seen = self._positives(ops)
+        assert all(seen[name] > 100 for name in _PLANTS), seen
+        assert seen["majority"] > 100
+
+    def test_cells_need_their_arity(self):
+        assert identity_cells("maltsev", 3, 4) is None
+        assert identity_cells("near_unanimity", 3, 2) is None
+        assert identity_cells("unit", 3, 2, unit=3) is None
+        assert identity_cells("unit", 2, 2, unit=1) == {(1, 0): 0, (0, 1): 0, (1, 1): 1}
+        for name in IDENTITIES:
+            assert identity_cells(name, 2, 2 if name == "unit" else 3), name
+        with pytest.raises(StructuralError, match="unknown identity 'majority'"):
+            identity_cells("majority", 2, 3)
 
 
 class TestCompose:
