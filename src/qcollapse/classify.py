@@ -19,6 +19,8 @@ from .errors import BuildError, GuardrailError, StructuralError
 from .model import Algebra, ConstraintLanguage, Operation
 from .ops import and_op, majority_op, minority_op, or_op, semilattice_to_shared
 from .polymorph import (
+    CANDIDATE_CAP,
+    DEFAULT_ARITY_CAP,
     identity_cells,
     is_polymorphism,
     is_polymorphism_of_language,
@@ -67,7 +69,7 @@ DISPATCH_OPERATIONS = (and_op(), or_op(), majority_op(), minority_op())
 
 
 def dispatch_operations(
-    language: ConstraintLanguage, arity_cap: int = 3
+    language: ConstraintLanguage, arity_cap: int = DEFAULT_ARITY_CAP
 ) -> tuple[Operation, ...]:
     """The operations among AND, OR, majority and minority, in that order,
     of arity at most `arity_cap` that preserve the two-element language.
@@ -161,7 +163,7 @@ def _templates(d: int) -> tuple[tuple[str, str, dict[tuple[int, ...], int]], ...
 
 
 def discovered_generators(
-    language: ConstraintLanguage, arity_cap: int, candidate_cap: int = 100_000
+    language: ConstraintLanguage, arity_cap: int
 ) -> tuple[tuple[Operation, ...], dict]:
     """Idempotent polymorphisms from one sweep over arities 1..arity_cap,
     kept below the first arity that hits a guardrail, topped up with the
@@ -171,7 +173,7 @@ def discovered_generators(
     found: list[Operation] = []
     swept_to = 0
     try:
-        for ops in polymorphisms_by_arity(language, arity_cap, candidate_cap):
+        for ops in polymorphisms_by_arity(language, arity_cap):
             found.extend(op for op in ops if not is_projection(op))
             swept_to += 1
     except GuardrailError:
@@ -185,7 +187,7 @@ def discovered_generators(
     caps = {
         "exhaustive_arity": swept_to,
         "arity_cap": arity_cap,
-        "candidate_cap": candidate_cap,
+        "candidate_cap": CANDIDATE_CAP,
         "targeted_templates": templates_ran,
     }
     return tuple(found), caps
@@ -230,7 +232,7 @@ def _classify_discovered(
 
 
 def classify_three_element(
-    language: ConstraintLanguage, arity_cap: int = 3
+    language: ConstraintLanguage, arity_cap: int = DEFAULT_ARITY_CAP
 ) -> ClassificationVerdict:
     """Classification over a three-element domain, outside the zone where the
     shared-element semilattice is a polymorphism (there the problem is only
@@ -249,7 +251,7 @@ def classify_three_element(
 
 
 def classify_conservative(
-    language: ConstraintLanguage, arity_cap: int = 3
+    language: ConstraintLanguage, arity_cap: int = DEFAULT_ARITY_CAP
 ) -> ClassificationVerdict:
     """Dichotomy for languages containing every nonempty subset of the domain
     as a unary relation: a G-set factor means NP-hard, otherwise every pair of

@@ -54,7 +54,7 @@ from .model import (
     serialize_instance,
 )
 from .ops import and_op, majority_op, minority_op, or_op, semilattice_to_shared
-from .polymorph import tag_operation
+from .polymorph import DEFAULT_ARITY_CAP, DEFAULT_TERM_COUNT_CAP, tag_operation
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -171,7 +171,7 @@ def cmd_solve(args) -> int:
         raise StructuralError("--unsafe mode needs an explicit --j")
     verdict = True
     rows = []
-    for col, ok in collapse_verdicts(formula, width, source, width_cap=max(width, 3)):
+    for col, ok in collapse_verdicts(formula, width, source):
         verdict = verdict and ok
         rows.append((col, ok))
     if args.format == "tsv":
@@ -195,9 +195,7 @@ def cmd_solve_oracle(args) -> int:
 def cmd_collapse(args) -> int:
     document = _instance(args.file)
     formula = document.formula
-    rows = collapse_verdicts(
-        formula, args.j, _source(args, formula.domain), width_cap=max(args.j, 3)
-    )
+    rows = collapse_verdicts(formula, args.j, _source(args, formula.domain))
     out = ["index\tconstant\tkept\tverdict\tformula"]
     for i, (col, ok) in enumerate(rows):
         kept = ",".join(col.kept_universals) or "-"
@@ -212,9 +210,7 @@ def cmd_collapse(args) -> int:
 def cmd_reduce(args) -> int:
     document = _instance(args.file)
     formula = document.formula
-    collapsings = relevant_collapsings(
-        formula, args.j, _source(args, formula.domain), width_cap=max(args.j, 3)
-    )
+    collapsings = relevant_collapsings(formula, args.j, _source(args, formula.domain))
     combined = combine_csp(
         [collapsing_to_csp(c.result) for c in collapsings], formula.domain
     )
@@ -309,7 +305,7 @@ def cmd_detect(args) -> int:
         generators, caps = discovered_generators(document.language, args.arity_cap)
         tags = [tag_operation(op) for op in generators]
         report["polymorphisms"] = {
-            "caps": {k: list(v) if isinstance(v, tuple) else v for k, v in caps.items()},
+            "caps": caps,
             "count": len(generators),
             "tagged": sorted({name for t in tags for name in _DETECTED_TAGS if getattr(t, name)}),
         }
@@ -327,8 +323,6 @@ def cmd_certify(args) -> int:
     if args.strategy != "auto":
         if args.element is not None:
             params["element"] = alg.domain.index_of(args.element)
-            params["source"] = params["element"]
-            params["unit"] = params["element"]
         if args.pair is not None:
             names = args.pair.split(",")
             if len(names) != 2:
@@ -379,10 +373,8 @@ def cmd_classify(args) -> int:
     payload = {
         "label": verdict.label,
         "citations": list(verdict.citations),
-        "caps": {k: list(v) if isinstance(v, tuple) else v for k, v in verdict.caps.items()},
-        "witness": {
-            k: list(v) if isinstance(v, tuple) else v for k, v in verdict.witness.items()
-        },
+        "caps": verdict.caps,
+        "witness": verdict.witness,
     }
     if verdict.reduction_width is not None:
         payload["reduction"] = {
@@ -478,14 +470,18 @@ def build_parser() -> argparse.ArgumentParser:
         if file:
             p.add_argument("file", help="instance or algebra file")
         if arity_cap:
-            p.add_argument("--arity-cap", type=positive_int, default=3, dest="arity_cap")
+            p.add_argument(
+                "--arity-cap", type=positive_int, default=DEFAULT_ARITY_CAP, dest="arity_cap"
+            )
         if count_cap:
-            p.add_argument("--count-cap", type=positive_int, default=2_000, dest="count_cap")
+            p.add_argument(
+                "--count-cap", type=positive_int, default=DEFAULT_TERM_COUNT_CAP, dest="count_cap"
+            )
         return p
 
     p = verb("solve", "decide via the collapse reduction", arity_cap=True, count_cap=True)
     p.add_argument("--format", choices=("text", "tsv"), default="text")
-    p.add_argument("--j", type=int, default=None)
+    p.add_argument("--j", type=non_negative_int, default=None)
     p.add_argument("--const", default=None, help="source element name")
     p.add_argument("--source", default=None, help="'all' or an element name")
     p.add_argument("--unsafe", action="store_true")
@@ -493,17 +489,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-oracle", help="decide via the game oracle")
     p.add_argument("file", help="instance file")
-    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP, dest="node_cap")
+    p.add_argument("--node-cap", type=positive_int, default=DEFAULT_NODE_CAP, dest="node_cap")
     p.set_defaults(fn=cmd_solve_oracle)
 
     p = verb("collapse", "list collapsings with verdicts (TSV)")
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=non_negative_int, required=True)
     p.add_argument("--const", default=None)
     p.add_argument("--source", default=None)
     p.set_defaults(fn=cmd_collapse)
 
     p = verb("reduce", "emit the combined CSP file")
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=non_negative_int, required=True)
     p.add_argument("--const", default=None)
     p.add_argument("--source", default=None)
     p.add_argument("--out", default=None)

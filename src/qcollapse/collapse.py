@@ -20,8 +20,8 @@ from .cspsolve import CspInstance, IndexedConstraint, solve_indexed
 from .errors import GuardrailError, StructuralError
 from .model import Constraint, Domain, QuantifiedFormula
 
-DEFAULT_WIDTH_CAP = 3
-DEFAULT_ENCODING_CAP = 10_000_000
+# constraints the collapse encoding may emit, over every collapsing of a request
+ENCODING_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,14 @@ def csp_variable_name(existential: str, context: Sequence[tuple[str, int]]) -> s
     return f"{existential}@{suffix}"
 
 
-def collapsing_to_csp(
-    collapsed: QuantifiedFormula, encoding_cap: int = DEFAULT_ENCODING_CAP
-) -> CspInstance:
+def collapsing_to_csp(collapsed: QuantifiedFormula) -> CspInstance:
     """Encode a collapsed formula as an existential CSP whose variables are
     the possible strategy outputs; the CSP is satisfiable iff the collapsed
     formula is true."""
     d = collapsed.domain.size
     uvars = collapsed.universal_vars
     assignments = d ** len(uvars)
-    if assignments * max(len(collapsed.body), 1) > encoding_cap:
+    if assignments * max(len(collapsed.body), 1) > ENCODING_CAP:
         raise GuardrailError(
             f"encoding would emit about {assignments * len(collapsed.body)} constraints"
         )
@@ -186,18 +184,14 @@ def relevant_collapsings(
     formula: QuantifiedFormula,
     j: int,
     source: Iterable[int] | None,
-    width_cap: int = DEFAULT_WIDTH_CAP,
-    encoding_cap: int = DEFAULT_ENCODING_CAP,
 ) -> list[Collapsing]:
     """The (j, a)-collapsings for a in `source`, or all j-collapsings when
     `source` is None; deduplicated by resulting formula.
 
     The encoding emits |A|^min(j, universals) constraint copies per constraint,
-    so widths above `width_cap` are refused, and so is a total over every
-    collapsing (`encoding_size`) above `encoding_cap`, before any is built.
+    so a total over every collapsing (`encoding_size`) above ENCODING_CAP is
+    refused before any is built.
     """
-    if j > width_cap:
-        raise GuardrailError(f"collapse width {j} exceeds the cap of {width_cap}")
     if source is None:
         constants: Sequence[int] = formula.domain.elements()
     else:
@@ -206,10 +200,10 @@ def relevant_collapsings(
             if not (0 <= a < formula.domain.size):
                 raise StructuralError(f"source element {a} out of range")
     total = encoding_size(formula, j, len(constants))
-    if total > encoding_cap:
+    if total > ENCODING_CAP:
         raise GuardrailError(
             f"the collapse encoding would emit {total} constraints, "
-            f"above the cap of {encoding_cap}"
+            f"above the cap of {ENCODING_CAP}"
         )
     return _distinct_collapsings(formula, j, constants)
 
@@ -279,15 +273,13 @@ def collapse_verdicts(
     formula: QuantifiedFormula,
     j: int,
     source: Iterable[int] | None = None,
-    encoding_cap: int = DEFAULT_ENCODING_CAP,
-    width_cap: int = DEFAULT_WIDTH_CAP,
 ) -> list[tuple[Collapsing, bool]]:
     """Per-collapsing truth. The collapsings share no variable, so each is
     solved as its own integer-indexed CSP; they share the compiled tables."""
     d = formula.domain.size
     tables: dict = {}
     out = []
-    for col in relevant_collapsings(formula, j, source, width_cap, encoding_cap):
+    for col in relevant_collapsings(formula, j, source):
         count, constraints = indexed_encoding(col)
         out.append((col, solve_indexed(d, count, constraints, tables=tables) is not None))
     return out

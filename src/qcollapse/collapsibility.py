@@ -34,6 +34,7 @@ from .game import Adversary, constant_adversary, full_adversary
 from .model import Algebra, Operation
 from .ops import semilattice_to_shared
 from .polymorph import (
+    DEFAULT_TERM_COUNT_CAP,
     TermOperationSet,
     Trace,
     close_vectors,
@@ -46,7 +47,6 @@ from .polymorph import (
     unit_element,
 )
 
-DEFAULT_TERM_COUNT_CAP = 2_000
 # the largest power P(A)^n, or generator table on subsets, `power_certificate` builds
 POWER_VECTOR_CAP = 10_000
 
@@ -87,9 +87,6 @@ class AdversaryFamily:
             for positions in itertools.combinations(range(self.n), size):
                 out.append(self.member(positions))
         return out
-
-    def __iter__(self) -> Iterator[Adversary]:
-        return iter(self.members())
 
     def __len__(self) -> int:
         if self.base == self.wide:
@@ -621,12 +618,13 @@ class TermCondition:
     build: Callable[[Algebra, int, Operation, Trace, dict], Certificate]
 
     def holds(self, op: Operation, params: dict) -> bool:
-        """The operation satisfies the identity, with the unit that `params`
-        names, if any. Idempotence is not tested: the builders accept only
-        idempotent algebras, whose term operations all are."""
+        """The operation satisfies the identity, with the unit that
+        `params["element"]` names, if any. Idempotence is not tested: the
+        builders accept only idempotent algebras, whose term operations all
+        are."""
         if self.identity != "unit":
             return satisfies(op, self.identity)
-        unit = params.get("unit")
+        unit = params.get("element")
         return unit_element(op) is not None if unit is None else satisfies(op, "unit", unit)
 
 
@@ -641,8 +639,8 @@ TERM_CONDITIONS: dict[str, TermCondition] = {
     "maltsev_chain": TermCondition(
         "maltsev",
         3,
-        {"source": 0},
-        lambda alg, n, op, trace, p: _build_maltsev_chain(alg, n, op, trace, p["source"]),
+        {"element": 0},
+        lambda alg, n, op, trace, p: _build_maltsev_chain(alg, n, op, trace, p["element"]),
     ),
     "dualdisc_chain": TermCondition(
         "dual_discriminator",
@@ -653,8 +651,8 @@ TERM_CONDITIONS: dict[str, TermCondition] = {
     "near_unanimity": TermCondition(
         "near_unanimity",
         3,
-        {"source": 0},
-        lambda alg, n, op, trace, p: _build_near_unanimity(alg, n, op, trace, p["source"]),
+        {"element": 0},
+        lambda alg, n, op, trace, p: _build_near_unanimity(alg, n, op, trace, p["element"]),
     ),
 }
 

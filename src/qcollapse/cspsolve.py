@@ -21,7 +21,8 @@ from typing import Sequence
 from .errors import GuardrailError, StructuralError
 from .model import Constraint, Domain, Relation
 
-DEFAULT_NODE_CAP = 10_000_000
+# search nodes one solve may visit
+NODE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,6 @@ def solve_indexed(
     domain_size: int,
     variable_count: int,
     constraints: Sequence[IndexedConstraint],
-    node_cap: int = DEFAULT_NODE_CAP,
     tables: dict | None = None,
 ) -> list[int] | None:
     """The value of each variable in a satisfying assignment, or None when
@@ -189,8 +189,8 @@ def solve_indexed(
     stack: list[list[int]] = []  # [variable, values left to try, trail mark]
     while True:
         nodes += 1
-        if nodes > node_cap:
-            raise GuardrailError(f"CSP search exceeded {node_cap} nodes")
+        if nodes > NODE_CAP:
+            raise GuardrailError(f"CSP search exceeded {NODE_CAP} nodes")
         var, smallest = -1, domain_size + 1
         for v, d in enumerate(dom):
             if d & (d - 1):
@@ -231,7 +231,7 @@ def solve_indexed(
             return None
 
 
-def solve_csp(instance: CspInstance, node_cap: int = DEFAULT_NODE_CAP) -> dict[str, int] | None:
+def solve_csp(instance: CspInstance) -> dict[str, int] | None:
     """A total satisfying assignment, or None when the instance is unsatisfiable."""
     names = sorted(instance.variables)
     index = {v: i for i, v in enumerate(names)}
@@ -242,7 +242,6 @@ def solve_csp(instance: CspInstance, node_cap: int = DEFAULT_NODE_CAP) -> dict[s
             (c.relation, tuple(index[a] if isinstance(a, str) else ~a for a in c.args))
             for c in instance.constraints
         ],
-        node_cap,
     )
     if values is None:
         return None

@@ -40,6 +40,8 @@ from typing import Iterator, Sequence
 from .errors import GuardrailError, StructuralError
 from .model import FORALL, QuantifiedFormula
 
+# assignments the estimated game tree may hold: `evaluate_truth`'s default,
+# and the cap of every adversary game
 DEFAULT_NODE_CAP = 10_000_000
 
 
@@ -321,24 +323,20 @@ def evaluate_truth(formula: QuantifiedFormula, node_cap: int = DEFAULT_NODE_CAP)
     return _Game(formula, None, node_cap).run()
 
 
-def winnable(
-    formula: QuantifiedFormula, adversary: Adversary, node_cap: int = DEFAULT_NODE_CAP
-) -> bool:
+def winnable(formula: QuantifiedFormula, adversary: Adversary) -> bool:
     """True iff the existential player can handle every universal assignment
     the adversary permits."""
-    return _Game(formula, adversary, node_cap).run()
+    return _Game(formula, adversary, DEFAULT_NODE_CAP).run()
 
 
-def extract_strategy(
-    formula: QuantifiedFormula, adversary: Adversary, node_cap: int = DEFAULT_NODE_CAP
-) -> Strategy | None:
+def extract_strategy(formula: QuantifiedFormula, adversary: Adversary) -> Strategy | None:
     """A winning strategy against the adversary, or None when there is none.
 
     Ties break toward the smallest element, and responses are keyed only on the
     preceding universal values: the replayed game is deterministic, so earlier
     existential values are themselves functions of those universals.
     """
-    game = _Game(formula, adversary, node_cap)
+    game = _Game(formula, adversary, DEFAULT_NODE_CAP)
     if not game.run():
         return None
     prefix = formula.prefix

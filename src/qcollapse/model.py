@@ -19,9 +19,6 @@ from .errors import ParseError, StructuralError
 FORALL = "forall"
 EXISTS = "exists"
 
-# A constraint argument is either a variable identifier or a domain constant.
-Term = str | int
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -191,10 +188,6 @@ class QuantifiedFormula:
                 raise StructuralError(f"unknown quantifier {q!r}")
 
     @cached_property
-    def prefix_vars(self) -> tuple[str, ...]:
-        return tuple(v for _, v in self.prefix)
-
-    @cached_property
     def universal_vars(self) -> tuple[str, ...]:
         return tuple(v for q, v in self.prefix if q == FORALL)
 
@@ -268,10 +261,6 @@ class Algebra:
 
     def is_idempotent(self) -> bool:
         return all(g.is_idempotent() for g in self.generators)
-
-
-# Assignments are plain dicts from variable names to elements.
-Assignment = dict
 
 
 # ---------------------------------------------------------------------------

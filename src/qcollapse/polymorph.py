@@ -16,9 +16,15 @@ from .errors import GuardrailError, StructuralError
 from .model import Algebra, ConstraintLanguage, Operation, Relation
 from .ops import dual_discriminator, projection_op
 
-DEFAULT_CHECK_CAP = 10_000_000
-DEFAULT_COUNT_CAP = 20_000
+# k-row choices of one relation that a polymorphism check or sweep takes on
+CHECK_CAP = 10_000_000
+# cells one polymorphism table sweep fills
+FILL_CAP = 10_000_000
+# idempotent candidate tables of one arity that discovery sweeps
+CANDIDATE_CAP = 100_000
 DEFAULT_ARITY_CAP = 3
+# term operations of all arities that one closure finds
+DEFAULT_TERM_COUNT_CAP = 2_000
 
 # Construction trace for a term operation:
 #   ("gen", i)        generator i of the algebra
@@ -28,15 +34,15 @@ Trace = tuple
 
 
 def polymorphism_failure(
-    op: Operation, rel: Relation, check_cap: int = DEFAULT_CHECK_CAP
+    op: Operation, rel: Relation
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
     """The first witness (rows, image) with image outside the relation, or None."""
     if op.domain_size != rel.domain_size:
         raise StructuralError("operation and relation are over different domains")
     rows = rel.sorted_tuples()
-    if len(rows) ** op.arity > check_cap:
+    if len(rows) ** op.arity > CHECK_CAP:
         raise GuardrailError(
-            f"{len(rows)}^{op.arity} tuple combinations exceed the cap of {check_cap}"
+            f"{len(rows)}^{op.arity} tuple combinations exceed the cap of {CHECK_CAP}"
         )
     d = op.domain_size
     table = op.table
@@ -52,16 +58,14 @@ def polymorphism_failure(
     return None
 
 
-def is_polymorphism(op: Operation, rel: Relation, check_cap: int = DEFAULT_CHECK_CAP) -> bool:
+def is_polymorphism(op: Operation, rel: Relation) -> bool:
     """True iff applying the operation coordinate-wise to any tuples of the
     relation lands back in the relation."""
-    return polymorphism_failure(op, rel, check_cap) is None
+    return polymorphism_failure(op, rel) is None
 
 
-def is_polymorphism_of_language(
-    op: Operation, language: ConstraintLanguage, check_cap: int = DEFAULT_CHECK_CAP
-) -> bool:
-    return all(is_polymorphism(op, r, check_cap) for r in language.relations)
+def is_polymorphism_of_language(op: Operation, language: ConstraintLanguage) -> bool:
+    return all(is_polymorphism(op, r) for r in language.relations)
 
 
 def op_image(op: Operation, sets: Sequence[Iterable[int]]) -> frozenset[int]:
@@ -394,7 +398,9 @@ def close_vectors(
 
 
 def generate_term_operations(
-    algebra: Algebra, arity_cap: int = DEFAULT_ARITY_CAP, count_cap: int = DEFAULT_COUNT_CAP
+    algebra: Algebra,
+    arity_cap: int = DEFAULT_ARITY_CAP,
+    count_cap: int = DEFAULT_TERM_COUNT_CAP,
 ) -> TermOperationSet:
     """The term operations of each arity 1..arity_cap in turn: the closure of
     the arity-m projections and generators, as tables, under every generator.
@@ -465,8 +471,6 @@ def polymorphism_tables(
     language: ConstraintLanguage,
     k: int,
     forced: Mapping[tuple[int, ...], int],
-    check_cap: int = DEFAULT_CHECK_CAP,
-    fill_cap: int = DEFAULT_CHECK_CAP,
 ) -> Iterator[tuple[int, ...]]:
     """The tables of the arity-k polymorphisms that take the forced value at
     each forced argument tuple, in `itertools.product` order of the free
@@ -480,11 +484,11 @@ def polymorphism_tables(
     it (graph-based backjumping); a cell below which a table was found since
     it was entered steps back one cell. Only branches without a table are
     skipped, so the order holds. GuardrailError: before any setup, for a
-    relation with over `check_cap` k-row choices; after `fill_cap` fills.
+    relation with over CHECK_CAP k-row choices; after FILL_CAP fills.
     """
     for n in (len(rel.tuples) for rel in language.relations):
-        if n**k > check_cap:
-            raise GuardrailError(f"{n}^{k} tuple combinations exceed the cap of {check_cap}")
+        if n**k > CHECK_CAP:
+            raise GuardrailError(f"{n}^{k} tuple combinations exceed the cap of {CHECK_CAP}")
     d = language.domain.size
     table = [-1] * d**k
     for args, value in forced.items():
@@ -542,8 +546,8 @@ def polymorphism_tables(
                 induced[p] |= causes ^ (1 << p)
             continue
         fills += 1
-        if fills > fill_cap:
-            raise GuardrailError(f"the arity-{k} sweep filled more than {fill_cap} cells")
+        if fills > FILL_CAP:
+            raise GuardrailError(f"the arity-{k} sweep filled more than {FILL_CAP} cells")
         table[cell] = value
         for getter, arity, rows in checks[p]:
             if not rows.issuperset(zip(*[iter(getter(table))] * arity)):
@@ -563,29 +567,27 @@ def polymorphism_tables(
 def polymorphisms_by_arity(
     language: ConstraintLanguage,
     arity_cap: int = DEFAULT_ARITY_CAP,
-    candidate_cap: int = DEFAULT_CHECK_CAP,
-    check_cap: int = DEFAULT_CHECK_CAP,
 ) -> Iterator[tuple[Operation, ...]]:
     """The idempotent polymorphisms of each arity 1..arity_cap in turn: the
     sweep's tables with the diagonal forced, named `f{k}_{n}` with n counting
     every operation found before, projections and lower arities included.
 
-    An arity with more than `candidate_cap` idempotent tables raises
+    An arity with more than CANDIDATE_CAP idempotent tables raises
     GuardrailError after every lower arity has been yielded; so does a
-    relation with more than `check_cap` k-row choices. A sweep fills under
-    twice its candidate count, far below the default fill cap.
+    relation with more than CHECK_CAP k-row choices. A sweep fills under
+    twice its candidate count, far below FILL_CAP.
     """
     d = language.domain.size
     found = 0
     for k in range(1, arity_cap + 1):
         free_cells = d**k - d
-        if d**free_cells > candidate_cap:
+        if d**free_cells > CANDIDATE_CAP:
             raise GuardrailError(
                 f"{d}^{free_cells} idempotent arity-{k} candidates exceed the cap; "
                 "restrict the arity cap or use a targeted detector"
             )
         diagonal = {(a,) * k: a for a in range(d)}
-        tables = list(polymorphism_tables(language, k, diagonal, check_cap))
+        tables = list(polymorphism_tables(language, k, diagonal))
         yield tuple(Operation(f"f{k}_{found + i}", k, d, t) for i, t in enumerate(tables))
         found += len(tables)
 
@@ -593,15 +595,13 @@ def polymorphisms_by_arity(
 def discover_polymorphisms(
     language: ConstraintLanguage,
     arity_cap: int = DEFAULT_ARITY_CAP,
-    candidate_cap: int = DEFAULT_CHECK_CAP,
-    check_cap: int = DEFAULT_CHECK_CAP,
 ) -> tuple[Operation, ...]:
     """All idempotent polymorphisms of arity <= arity_cap, in one list.
 
     Raises GuardrailError when an arity has too many candidate tables; use the
     targeted detectors in `classify` for larger domains.
     """
-    return tuple(itertools.chain(*polymorphisms_by_arity(language, arity_cap, candidate_cap, check_cap)))
+    return tuple(itertools.chain(*polymorphisms_by_arity(language, arity_cap)))
 
 
 def close_relation_under(rel: Relation, op: Operation) -> Relation:

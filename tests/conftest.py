@@ -71,25 +71,21 @@ def affine_rel() -> Relation:
     return rel("Aff", 3, 2, rows)
 
 
-def brute_force_tables(
-    language: ConstraintLanguage, k: int, forced, check_cap: int = 10**7
-):
+def brute_force_tables(language: ConstraintLanguage, k: int, forced):
     """Reference sweep: every arity-k table that takes the forced values, in
     `itertools.product` order of the free cells, checked against every row
-    choice of every relation."""
+    choice of every relation, under the library's `CHECK_CAP`."""
     d = language.domain.size
     cells = [args for args in itertools.product(range(d), repeat=k) if args not in forced]
     for values in itertools.product(range(d), repeat=len(cells)):
         entries = dict(zip(cells, values))
         entries.update(forced)
         table = tuple(entries[args] for args in itertools.product(range(d), repeat=k))
-        if is_polymorphism_of_language(Operation("t", k, d, table), language, check_cap):
+        if is_polymorphism_of_language(Operation("t", k, d, table), language):
             yield table
 
 
-def brute_force_discovery(
-    language: ConstraintLanguage, arity_cap: int, candidate_cap: int, check_cap: int
-):
+def brute_force_discovery(language: ConstraintLanguage, arity_cap: int, candidate_cap: int):
     """Reference discovery, yielding the operations of each arity in turn:
     the idempotent tables of `brute_force_tables`, with the guardrails and
     names of the discovery kernel."""
@@ -104,7 +100,7 @@ def brute_force_discovery(
                 "restrict the arity cap or use a targeted detector"
             )
         diagonal = {tuple([a] * k): a for a in range(d)}
-        for table in brute_force_tables(language, k, diagonal, check_cap):
+        for table in brute_force_tables(language, k, diagonal):
             out.append(Operation(f"f{k}_{len(out)}", k, d, table))
         yield tuple(out[lower:])
 

@@ -193,10 +193,10 @@ def test_criterion_6_certificate_widths():
     cases = [
         ("and_chain", Algebra(Domain(2), (and_op(),)), {}, 1),
         ("unit_element", Algebra(Domain(2), (or_op(),)), {}, 1),
-        ("maltsev_chain", Algebra(Domain(2), (minority_op(),)), {"source": 0}, 1),
+        ("maltsev_chain", Algebra(Domain(2), (minority_op(),)), {"element": 0}, 1),
         ("dualdisc_chain", Algebra(Domain(3), (dual_discriminator(3),)), {}, 1),
-        ("near_unanimity", Algebra(Domain(2), (majority_op(),)), {"source": 0}, 2),
-        ("near_unanimity", Algebra(Domain(3), (dual_discriminator(3),)), {"source": 1}, 2),
+        ("near_unanimity", Algebra(Domain(2), (majority_op(),)), {"element": 0}, 2),
+        ("near_unanimity", Algebra(Domain(3), (dual_discriminator(3),)), {"element": 1}, 2),
     ]
     for strategy, alg, params, width in cases:
         for n in range(1, 9):

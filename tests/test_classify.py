@@ -272,25 +272,28 @@ class TestShapeSearch:
             )
             assert classify._templates(d) == spelled, d
 
-    def test_forced_cells_failing_a_relation_stop_before_the_search(self):
+    def test_forced_cells_failing_a_relation_stop_before_the_search(self, monkeypatch):
         # the rows (0, 1), (0, 2), (1, 2) of Neq read the forced cells 0 0 1
         # and 1 2 2, which Mal'tsev sends to (1, 1); so the sweep yields
         # nothing without filling a single cell
         neq = rel("Neq", 2, 3, [(a, b) for a in range(3) for b in range(3) if a != b])
         _, _, maltsev = classify._templates(3)[1]
-        assert list(polymorph.polymorphism_tables(lang(3, neq), 3, maltsev, fill_cap=0)) == []
+        monkeypatch.setattr(polymorph, "FILL_CAP", 0)
+        assert list(polymorph.polymorphism_tables(lang(3, neq), 3, maltsev)) == []
 
-    def test_work_bound_counts_filled_cells(self):
+    def test_work_bound_counts_filled_cells(self, monkeypatch):
         # every table preserves the full unary relation, so the first one
         # fills each of the 12 free Mal'tsev cells once
         language = lang(3, rel("U", 1, 3, [(0,), (1,), (2,)]))
         _, _, maltsev = classify._templates(3)[1]
-        first = next(polymorph.polymorphism_tables(language, 3, maltsev, fill_cap=12))
+        monkeypatch.setattr(polymorph, "FILL_CAP", 12)
+        first = next(polymorph.polymorphism_tables(language, 3, maltsev))
         assert first == tuple(
             maltsev.get(c, 0) for c in itertools.product(range(3), repeat=3)
         )
+        monkeypatch.setattr(polymorph, "FILL_CAP", 11)
         with pytest.raises(GuardrailError, match="filled more than 11 cells"):
-            next(polymorph.polymorphism_tables(language, 3, maltsev, fill_cap=11))
+            next(polymorph.polymorphism_tables(language, 3, maltsev))
 
     def test_row_choices_are_refused_before_setup(self, monkeypatch):
         # the three rows of U give 3^3 ternary row choices, one over the cap
@@ -300,8 +303,9 @@ class TestShapeSearch:
         monkeypatch.setattr(polymorph, "relation_cells", unreachable)
         language = lang(3, rel("U", 1, 3, [(0,), (1,), (2,)]))
         _, _, maltsev = classify._templates(3)[1]
+        monkeypatch.setattr(polymorph, "CHECK_CAP", 26)
         with pytest.raises(GuardrailError, match=r"^3\^3 tuple combinations exceed the cap of 26$"):
-            next(polymorph.polymorphism_tables(language, 3, maltsev, check_cap=26))
+            next(polymorph.polymorphism_tables(language, 3, maltsev))
 
     def test_out_of_range_entries_are_refused(self):
         language = lang(2, nae_rel())
@@ -311,19 +315,20 @@ class TestShapeSearch:
 
 
 class TestDiscoveredGenerators:
-    def test_matches_per_arity_brute_force(self):
+    def test_matches_per_arity_brute_force(self, monkeypatch):
         rng = random.Random(8)
         for _ in range(60):
             language = random_language(rng, rng.randint(2, 3))
             candidate_cap = rng.choice((5, 100, 100_000))
+            monkeypatch.setattr(polymorph, "CANDIDATE_CAP", candidate_cap)
             found, swept_to = [], 0
             try:
-                for ops in brute_force_discovery(language, 3, candidate_cap, 10**7):
+                for ops in brute_force_discovery(language, 3, candidate_cap):
                     found += [op for op in ops if not tag_operation(op).projection]
                     swept_to += 1
             except GuardrailError:
                 pass
-            generators, caps = discovered_generators(language, 3, candidate_cap)
+            generators, caps = discovered_generators(language, 3)
             assert [(g.name, g.table) for g in generators[: len(found)]] == [
                 (g.name, g.table) for g in found
             ]
@@ -338,14 +343,14 @@ class TestDiscoveredGenerators:
         swept = []
         sweep = polymorph.polymorphism_tables
 
-        def recording(language, k, forced, *caps, **named_caps):
+        def recording(language, k, forced):
             swept.append((k, len(forced)))
-            return sweep(language, k, forced, *caps, **named_caps)
+            return sweep(language, k, forced)
 
         monkeypatch.setattr(polymorph, "polymorphism_tables", recording)
         monkeypatch.setattr(classify, "polymorphism_tables", recording)
         language = lang(3, rel("Eq", 2, 3, [(v, v) for v in range(3)]))
-        _, caps = discovered_generators(language, 3, 100_000)
+        _, caps = discovered_generators(language, 3)
         assert caps["exhaustive_arity"] == 2
         assert swept == [(1, 3), (2, 3), (3, 27), (3, 15), (3, 21)]
 
@@ -462,7 +467,7 @@ class TestConservative:
 
         base = conservative_relations(3)
         language = ConstraintLanguage(Domain(3), base)
-        generators, _ = discovered_generators(language, 3, 100_000)
+        generators, _ = discovered_generators(language, 3)
         for size in range(1, 4):
             for subset in itertools.combinations(range(3), size):
                 fs = frozenset(subset)

@@ -282,6 +282,12 @@ class TestExitCodes:
                 (["analyze", "and", "--count-cap", "0"], 1),
                 (["certify", "and", "--count-cap", "0"], 1),
                 (["sweep", "--count-cap", "0"], 1),
+                (["solve-oracle", "horn", "--node-cap", "0"], 1),
+                (["solve-oracle", "horn", "--node-cap", "-1"], 1),
+                (["solve", "horn", "--j", "-1"], 0),
+                (["solve", "horn", "--unsafe", "--j", "-1"], 0),
+                (["collapse", "horn", "--j", "-1"], 0),
+                (["reduce", "horn", "--j", "-1"], 0),
             )
         ],
     )

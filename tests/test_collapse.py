@@ -188,11 +188,7 @@ class TestPipeline:
 
     def test_width_cap(self):
         phi = formula(2, "Ex", [Constraint(eq_rel(), ("x", "x"))])
-        from qcollapse.errors import GuardrailError
-
-        with pytest.raises(GuardrailError):
-            collapse_verdicts(phi, 4)
-        assert all(ok for _, ok in collapse_verdicts(phi, 4, width_cap=5))
+        assert all(ok for _, ok in collapse_verdicts(phi, 4))
 
     def test_truth_implies_collapsings_true(self):
         for _, phi in instances(CorpusSpec(seed=41, count=60, max_vars=5, max_universals=3)):
@@ -296,13 +292,15 @@ class TestEncodingGuardrail:
         phi = wide_star(20)
         assert encoding_size(phi, 10, 2) > 10_000_000
         with pytest.raises(GuardrailError, match="would emit"):
-            collapse_verdicts(phi, 10, None, width_cap=10)
+            collapse_verdicts(phi, 10, None)
         with pytest.raises(GuardrailError, match="would emit"):
-            relevant_collapsings(phi, 10, {1}, width_cap=10)
+            relevant_collapsings(phi, 10, {1})
 
-    def test_cap_is_exact(self):
+    def test_cap_is_exact(self, monkeypatch):
         phi = example_formula()
         size = encoding_size(phi, 1, 2)
-        assert len(collapse_verdicts(phi, 1, None, encoding_cap=size)) == 8
+        monkeypatch.setattr("qcollapse.collapse.ENCODING_CAP", size)
+        assert len(collapse_verdicts(phi, 1, None)) == 8
+        monkeypatch.setattr("qcollapse.collapse.ENCODING_CAP", size - 1)
         with pytest.raises(GuardrailError):
-            collapse_verdicts(phi, 1, None, encoding_cap=size - 1)
+            collapse_verdicts(phi, 1, None)

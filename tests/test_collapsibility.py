@@ -240,7 +240,7 @@ class TestChainBuilders:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_maltsev_chain(self, n):
         alg = ALGEBRAS["minority"]
-        cert = build_certificate(CertificateBuilder("maltsev_chain", {"source": 0}), alg, n)
+        cert = build_certificate(CertificateBuilder("maltsev_chain", {"element": 0}), alg, n)
         assert verify_certificate(cert, alg, n)
         assert cert.width == 1 and cert.source == frozenset({0})
 
@@ -255,7 +255,7 @@ class TestChainBuilders:
     def test_near_unanimity_width(self, n):
         alg = ALGEBRAS["majority"]
         cert = build_certificate(
-            CertificateBuilder("near_unanimity", {"source": 0}), alg, n
+            CertificateBuilder("near_unanimity", {"element": 0}), alg, n
         )
         assert verify_certificate(cert, alg, n)
         assert cert.width == 2 and cert.source == frozenset({0})
@@ -284,7 +284,7 @@ class TestChainBuilders:
                     CertificateBuilder(strategy, {"op": and_op()}), ALGEBRAS["and"], 3
                 )
         for unit, ok in ((0, False), (1, True)):
-            builder = CertificateBuilder("unit_element", {"op": and_op(), "unit": unit})
+            builder = CertificateBuilder("unit_element", {"op": and_op(), "element": unit})
             if ok:
                 assert build_certificate(builder, ALGEBRAS["and"], 3).source == frozenset({1})
             else:
@@ -350,7 +350,7 @@ class TestTwoElementDispatch:
 def _equality_algebra() -> Algebra:
     """The idempotent polymorphisms of equality up to arity 3."""
     language = ConstraintLanguage(Domain(2), (eq_rel(),))
-    generators, _ = discovered_generators(language, 3, DEFAULT_TERM_COUNT_CAP)
+    generators, _ = discovered_generators(language, 3)
     return Algebra(Domain(2), generators)
 
 
@@ -962,9 +962,7 @@ class TestSemanticSoundness:
             max_universals=2, max_constraints=3, closure_ops=alg.generators,
         )
         for _, phi in instances(spec):
-            reduced = all(
-                ok for _, ok in collapse_verdicts(phi, width, source, width_cap=max(width, 3))
-            )
+            reduced = all(ok for _, ok in collapse_verdicts(phi, width, source))
             assert reduced == evaluate_truth(phi)
 
     def test_certificate_implies_reduction_correct(self):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import enumerate_solutions, eq_rel, reference_solve_csp, rel
-from qcollapse.cspsolve import DEFAULT_NODE_CAP, CspInstance, solve_csp
+from qcollapse.cspsolve import NODE_CAP, CspInstance, solve_csp
 from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.model import Constraint, Domain
 
@@ -44,14 +44,15 @@ class TestBasics:
         inst = make_instance(2, ["b", "a"], [Constraint(any_pair, ("a", "b"))])
         assert solve_csp(inst) == {"a": 0, "b": 0}
 
-    def test_node_cap(self):
+    def test_node_cap(self, monkeypatch):
         neq = rel("Neq", 2, 3, [(a, b) for a in range(3) for b in range(3) if a != b])
         variables = [f"v{i}" for i in range(8)]
         constraints = [
             Constraint(neq, (a, b)) for a, b in itertools.combinations(variables, 2)
         ]
+        monkeypatch.setattr("qcollapse.cspsolve.NODE_CAP", 2)
         with pytest.raises(GuardrailError):
-            solve_csp(make_instance(3, variables, constraints), node_cap=2)
+            solve_csp(make_instance(3, variables, constraints))
 
 
 def random_instance(rng: random.Random, domain_size: int, max_vars: int = 6):
@@ -114,9 +115,9 @@ def differential_instance(rng: random.Random):
     return make_instance(d, variables, constraints)
 
 
-def outcome(solver, inst, node_cap):
+def outcome(solver, inst, *node_cap):
     try:
-        return solver(inst, node_cap)
+        return solver(inst, *node_cap)
     except GuardrailError as err:
         return str(err)
 
@@ -130,7 +131,7 @@ class TestAgainstSnapshotSolver:
         shapes = {"constant_only": 0, "repeated": 0, "sat": 0, "unsat": 0}
         for i in range(1500):
             inst = differential_instance(rng)
-            expected = reference_solve_csp(inst, DEFAULT_NODE_CAP)
+            expected = reference_solve_csp(inst, NODE_CAP)
             got = solve_csp(inst)
             assert got == expected, i
             assert got is None or list(got) == list(expected), i
@@ -140,13 +141,14 @@ class TestAgainstSnapshotSolver:
                 shapes["repeated"] += len(c.variables) < sum(isinstance(a, str) for a in c.args)
         assert min(shapes.values()) > 50, shapes
 
-    def test_identical_under_node_caps(self):
+    def test_identical_under_node_caps(self, monkeypatch):
         rng = random.Random(2025)
         capped = 0
         for i in range(600):
             inst = differential_instance(rng)
             for cap in (1, 2, 3, 5, 8):
+                monkeypatch.setattr("qcollapse.cspsolve.NODE_CAP", cap)
                 expected = outcome(reference_solve_csp, inst, cap)
-                assert outcome(solve_csp, inst, cap) == expected, (i, cap)
+                assert outcome(solve_csp, inst) == expected, (i, cap)
                 capped += isinstance(expected, str)
         assert capped > 100

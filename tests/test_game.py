@@ -252,21 +252,21 @@ class TestAgainstReference:
         assert extracted >= 300
 
     @pytest.mark.parametrize("cap", [1, 7, 64, 485, 486, 2186, 2187])
-    def test_guardrail_refuses_the_same_inputs_with_the_same_message(self, cap):
+    def test_guardrail_refuses_the_same_inputs_with_the_same_message(self, cap, monkeypatch):
         # estimates: 3^7 = 2187 without an adversary, 1*3*2*3*3*3*3 = 486 with it
         phi = formula(3, "Ay1 Ex1 Ay2 Ex2 Ay3 Ex3 Ex4", [Constraint(eq_rel(3), ("y1", "x4"))])
         adversary = adv({0}, {0, 1}, {0, 1, 2})
+        monkeypatch.setattr("qcollapse.game.DEFAULT_NODE_CAP", cap)
 
-        def outcome(decide, *args):
+        def outcome(decide, *args, **node_cap):
             try:
-                return decide(phi, *args, node_cap=cap)
+                return decide(phi, *args, **node_cap)
             except GuardrailError as err:
                 return str(err)
 
-        for args in ((), (adversary,)):
-            new = outcome(winnable if args else evaluate_truth, *args)
-            assert new == outcome(reference_game, *args)
-        assert outcome(evaluate_truth) == (
+        assert outcome(evaluate_truth, node_cap=cap) == outcome(reference_game, node_cap=cap)
+        assert outcome(winnable, adversary) == outcome(reference_game, adversary, node_cap=cap)
+        assert outcome(evaluate_truth, node_cap=cap) == (
             f"estimated game tree of 2187 assignments exceeds the cap of {cap}"
             if cap < 2187 else True
         )

@@ -111,10 +111,11 @@ class TestIsPolymorphism:
         with pytest.raises(StructuralError):
             is_polymorphism(and_op(), eq_rel(3))
 
-    def test_guardrail(self):
+    def test_guardrail(self, monkeypatch):
         big = rel("Big", 1, 2, [(0,), (1,)])
+        monkeypatch.setattr("qcollapse.polymorph.CHECK_CAP", 7)
         with pytest.raises(GuardrailError):
-            is_polymorphism(majority_op(), big, check_cap=7)
+            is_polymorphism(majority_op(), big)
 
 
 class TestTags:
@@ -436,22 +437,24 @@ class TestDiscovery:
         with pytest.raises(GuardrailError):
             discover_polymorphisms(language, 3)
 
-    def test_matches_brute_force_sweep(self):
+    def test_matches_brute_force_sweep(self, monkeypatch):
         rng = random.Random(4)
         seen = set()
         for _ in range(300):
             language = random_language(rng, rng.randint(1, 3))
             candidate_cap = rng.choice((5, 100, 100_000))
             check_cap = rng.choice((10**7, 10**7, 30))
+            monkeypatch.setattr("qcollapse.polymorph.CANDIDATE_CAP", candidate_cap)
+            monkeypatch.setattr("qcollapse.polymorph.CHECK_CAP", check_cap)
             try:
                 expected = [
                     op
-                    for ops in brute_force_discovery(language, 3, candidate_cap, check_cap)
+                    for ops in brute_force_discovery(language, 3, candidate_cap)
                     for op in ops
                 ]
             except GuardrailError as err:
                 with pytest.raises(GuardrailError) as raised:
-                    discover_polymorphisms(language, 3, candidate_cap, check_cap)
+                    discover_polymorphisms(language, 3)
                 assert str(raised.value) == str(err)
                 if "candidates" in str(err):
                     seen.add(("candidate cap", str(err).split("arity-")[1][0]))
@@ -463,7 +466,7 @@ class TestDiscovery:
                     )
                     seen.add(("check cap", "later relation" if first else "first relation"))
                 continue
-            ops = discover_polymorphisms(language, 3, candidate_cap, check_cap)
+            ops = discover_polymorphisms(language, 3)
             assert [(op.name, op.table) for op in ops] == [
                 (op.name, op.table) for op in expected
             ]
@@ -517,8 +520,9 @@ class TestDiscovery:
             )
         assert read and not any(name.startswith("Full") for name in read)
         full3 = rel("Full", 3, 3, itertools.product(range(3), repeat=3))
+        monkeypatch.setattr(polymorph, "CHECK_CAP", 728)
         with pytest.raises(GuardrailError, match=r"27\^2 tuple combinations exceed the cap of 728"):
-            next(polymorphism_tables(ConstraintLanguage(Domain(3), (full3,)), 2, {}, check_cap=728))
+            next(polymorphism_tables(ConstraintLanguage(Domain(3), (full3,)), 2, {}))
 
     def test_grouped_by_arity(self):
         language = ConstraintLanguage(Domain(2), (impl_rel(),))
