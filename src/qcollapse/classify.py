@@ -76,11 +76,12 @@ def dispatch_operations(
 
     Every idempotent clone on {0,1} other than the projections contains one
     of them (Post's lattice), so they decide the language's QCSP: as an
-    algebra's generators they give the two-element dispatch the same chain
-    kind, width and source as all the idempotent polymorphisms would, unless
-    its term closure is cut. A unit semilattice is AND or OR, the dual
-    discriminator and the ternary near-unanimity operation are majority, and
-    every Mal'tsev operation generates minority by arity 3.
+    algebra's generators they give the planner the same chain kind, width
+    and source as all the idempotent polymorphisms would. Each of them
+    satisfies a term condition itself, so the planner runs no term closure.
+    A unit semilattice is AND or OR, the dual discriminator and the ternary
+    near-unanimity operation are majority, and every Mal'tsev operation
+    generates minority by arity 3.
 
     Each operation meets the smallest relations first, so the size guard of
     `polymorphism_failure` refuses (GuardrailError) only when every smaller

@@ -64,8 +64,7 @@ EXIT_INTERNAL = 4
 
 # `certify --strategy` choices: the planner and every builder
 CLI_STRATEGIES = (
-    "auto", "singleton", "and_chain", *TERM_CONDITIONS,
-    "strictly_simple", "pair_minimal", "two_element", "quotient_lift",
+    "auto", "singleton", *TERM_CONDITIONS, "strictly_simple", "pair_minimal", "quotient_lift",
 )
 
 

