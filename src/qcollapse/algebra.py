@@ -35,7 +35,6 @@ class SubalgebraInfo:
 
 @dataclass(frozen=True)
 class SubalgebraSet:
-    algebra: Algebra
     entries: tuple[SubalgebraInfo, ...]
 
     def universes(self) -> list[frozenset[int]]:
@@ -136,12 +135,10 @@ def generated_subalgebra(algebra: Algebra, seed: Sequence[int]) -> frozenset[int
 
 def enumerate_subalgebras(algebra: Algebra) -> SubalgebraSet:
     """All generator-closed nonempty subsets, with propriety/maximality flags."""
-    # the set is built per call: cached, its back reference would make the
-    # algebra reach itself
-    return SubalgebraSet(algebra, _memo(algebra, "subalgebras", _subalgebras))
+    return _memo(algebra, "subalgebras", _subalgebras)
 
 
-def _subalgebras(algebra: Algebra) -> tuple[SubalgebraInfo, ...]:
+def _subalgebras(algebra: Algebra) -> SubalgebraSet:
     _check_universe(algebra)
     n = algebra.domain.size
     closed = []
@@ -156,7 +153,7 @@ def _subalgebras(algebra: Algebra) -> tuple[SubalgebraInfo, ...]:
         is_proper = len(u) < n
         maximal = is_proper and not any(u < v for v in proper)
         entries.append(SubalgebraInfo(u, is_proper, maximal, len(u) >= 2))
-    return tuple(entries)
+    return SubalgebraSet(tuple(entries))
 
 
 def _partitions(items: Sequence[int]) -> Iterator[list[set[int]]]:

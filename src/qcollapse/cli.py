@@ -28,7 +28,13 @@ from .classify import (
     discovered_generators,
     dispatch_operations,
 )
-from .collapse import collapse_verdicts, combine_csp, collapsing_to_csp, relevant_collapsings
+from .collapse import (
+    collapse_verdicts,
+    collapsing_to_csp,
+    combine_csp,
+    csp_variable_names,
+    relevant_collapsings,
+)
 from .collapsibility import (
     TERM_CONDITIONS,
     Certificate,
@@ -210,18 +216,19 @@ def cmd_reduce(args) -> int:
     document = _instance(args.file)
     formula = document.formula
     collapsings = relevant_collapsings(formula, args.j, _source(args, formula.domain))
-    combined = combine_csp(
-        [collapsing_to_csp(c.result) for c in collapsings], formula.domain
-    )
-    rename = {v: f"v{i}" for i, v in enumerate(combined.variables)}
+    combined = combine_csp([collapsing_to_csp(c) for c in collapsings], formula.domain.size)
     lines = [f"# combined CSP from {len(collapsings)} collapsings (width {args.j})"]
-    for v in combined.variables:
-        lines.append(f"# {rename[v]} = {v}")
-    body = tuple(
-        Constraint(c.relation, tuple(rename[a] if isinstance(a, str) else a for a in c.args))
-        for c in combined.constraints
+    names = (
+        f"c{k}.{name}" for k, col in enumerate(collapsings) for name in csp_variable_names(col)
     )
-    prefix = tuple((EXISTS, rename[v]) for v in combined.variables)
+    lines.extend(f"# v{i} = {name}" for i, name in enumerate(names))
+    # each constraint once, keyed by its printed form
+    unique = {(relation.name, args): relation for relation, args in combined.constraints}
+    body = tuple(
+        Constraint(relation, tuple(f"v{a}" if a >= 0 else ~a for a in args))
+        for (_, args), relation in unique.items()
+    )
+    prefix = tuple((EXISTS, f"v{i}") for i in range(combined.variable_count))
     csp_formula = QuantifiedFormula(formula.domain, prefix, body)
     text = "\n".join(lines) + "\n" + serialize_document(
         formula.domain, document.relations, (), csp_formula

@@ -1,10 +1,10 @@
 """Collapsing machinery: instantiate universal variables with constants,
-enumerate bounded collapsings, encode a collapsed formula as an existential
-CSP over strategy-output variables, and run the collapse-based decision
-pipeline.
+enumerate bounded collapsings, encode each collapsing as an existential CSP
+over strategy-output variables (`collapsing_to_csp`), and decide a formula by
+solving those CSPs (`collapse_verdicts`).
 
-Deciding works on integer variable indices (`collapse_verdicts`); the named
-encoding (`collapsing_to_csp`, `combine_csp`) is built only to print it.
+CSP variables are integer indices; `csp_variable_names` names them for
+printing, and `combine_csp` joins the CSPs into the one that `reduce` prints.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from math import comb
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .cspsolve import CspInstance, IndexedConstraint, solve_indexed
+from .cspsolve import CspInstance, IndexedConstraint, solve_csp
 from .errors import GuardrailError, StructuralError
-from .model import Constraint, Domain, QuantifiedFormula
+from .model import Constraint, QuantifiedFormula
 
 # constraints the collapse encoding may emit, over every collapsing of a request
 ENCODING_CAP = 10_000_000
@@ -107,73 +107,42 @@ def enumerate_j_collapsings(formula: QuantifiedFormula, j: int) -> list[Collapsi
     return _distinct_collapsings(formula, j, formula.domain.elements())
 
 
-def csp_variable_name(existential: str, context: Sequence[tuple[str, int]]) -> str:
-    """Stable name for the strategy-output variable (x, tau restricted to the
-    universals before x), e.g. ``x@y1=0,y2=1``."""
-    suffix = ",".join(f"{u}={v}" for u, v in context)
-    return f"{existential}@{suffix}"
+def csp_variable_names(col: Collapsing) -> list[str]:
+    """A printable name for each variable of `collapsing_to_csp(col)`, in
+    index order: the strategy output of x under an assignment to the kept
+    universals before x, e.g. ``x@y1=0,y2=1``."""
+    formula = col.origin
+    kept = col.kept_universals
+    names = []
+    for x in formula.existential_vars:
+        before = kept[: sum(u in kept for u in formula.universals_before[x])]
+        for combo in itertools.product(range(formula.domain.size), repeat=len(before)):
+            names.append(f"{x}@" + ",".join(f"{u}={v}" for u, v in zip(before, combo)))
+    return names
 
 
-def collapsing_to_csp(collapsed: QuantifiedFormula) -> CspInstance:
-    """Encode a collapsed formula as an existential CSP whose variables are
-    the possible strategy outputs; the CSP is satisfiable iff the collapsed
-    formula is true."""
-    d = collapsed.domain.size
-    uvars = collapsed.universal_vars
-    assignments = d ** len(uvars)
-    if assignments * max(len(collapsed.body), 1) > ENCODING_CAP:
-        raise GuardrailError(
-            f"encoding would emit about {assignments * len(collapsed.body)} constraints"
-        )
-    ubefore = collapsed.universals_before
-    variables: list[str] = []
-    for x in collapsed.existential_vars:
-        for combo in itertools.product(range(d), repeat=len(ubefore[x])):
-            variables.append(csp_variable_name(x, tuple(zip(ubefore[x], combo))))
-    constraints: list[Constraint] = []
-    for combo in itertools.product(range(d), repeat=len(uvars)):
-        tau = dict(zip(uvars, combo))
-        for c in collapsed.body:
-            args: list[str | int] = []
-            for a in c.args:
-                if isinstance(a, int):
-                    args.append(a)
-                elif a in tau:
-                    args.append(tau[a])
-                else:
-                    context = tuple((u, tau[u]) for u in ubefore[a])
-                    args.append(csp_variable_name(a, context))
-            constraints.append(Constraint(c.relation, tuple(args)))
-    return CspInstance(collapsed.domain, tuple(variables), tuple(constraints))
-
-
-def combine_csp(
-    instances: Sequence[CspInstance], domain: Domain | None = None
-) -> CspInstance:
-    """Variable-disjoint union: satisfiable iff every member is."""
-    if not instances:
-        if domain is None:
-            raise StructuralError("combining an empty list needs an explicit domain")
-        return CspInstance(domain, (), ())
-    base = instances[0].domain
+def combine_csp(instances: Sequence[CspInstance], domain_size: int) -> CspInstance:
+    """Variable-disjoint union: member k's variables follow those of members
+    0 .. k-1, so the union is satisfiable iff every member is."""
+    constraints: list[IndexedConstraint] = []
+    offset = 0
     for inst in instances:
-        if inst.domain != base:
+        if inst.domain_size != domain_size:
             raise StructuralError("cannot combine CSP instances over different domains")
-    variables: list[str] = []
-    constraints: list[Constraint] = []
-    for k, inst in enumerate(instances):
-        rename = {v: f"c{k}.{v}" for v in inst.variables}
-        variables.extend(rename[v] for v in inst.variables)
-        for c in inst.constraints:
-            args = tuple(rename[a] if isinstance(a, str) else a for a in c.args)
-            constraints.append(Constraint(c.relation, args))
-    return CspInstance(base, tuple(variables), tuple(constraints))
+        constraints.extend(
+            (relation, tuple(a + offset if a >= 0 else a for a in args))
+            for relation, args in inst.constraints
+        )
+        offset += inst.variable_count
+    return CspInstance(domain_size, offset, constraints)
 
 
 def encoding_size(formula: QuantifiedFormula, j: int, constants: int) -> int:
-    """Constraints the encoding emits for every collapsing of width <= j
-    under `constants` source constants: each kept set of s universals
-    instantiates the body once per assignment of its d^s values."""
+    """An upper bound on the constraints `collapsing_to_csp` emits for every
+    collapsing of width <= j under `constants` source constants: each kept
+    set of s universals instantiates the body once per assignment of its d^s
+    values. The encoder emits fewer when a body constraint reads no kept
+    universal or later existential, or when the body repeats a constraint."""
     n = len(formula.universal_vars)
     d = formula.domain.size
     per_constant = sum(comb(n, s) * d**s for s in range(min(j, n) + 1))
@@ -188,7 +157,7 @@ def relevant_collapsings(
     """The (j, a)-collapsings for a in `source`, or all j-collapsings when
     `source` is None; deduplicated by resulting formula.
 
-    The encoding emits |A|^min(j, universals) constraint copies per constraint,
+    The encoding emits up to |A|^min(j, universals) copies of each constraint,
     so a total over every collapsing (`encoding_size`) above ENCODING_CAP is
     refused before any is built.
     """
@@ -208,11 +177,13 @@ def relevant_collapsings(
     return _distinct_collapsings(formula, j, constants)
 
 
-def indexed_encoding(col: Collapsing) -> tuple[int, list[IndexedConstraint]]:
-    """`collapsing_to_csp` on variable indices, without building the
-    collapsed formula: the existential x owns d^m consecutive indices from
-    `base[x]`, one per assignment of the m kept universals before it, in
-    `itertools.product` order. Returns (variable count, constraints)."""
+def collapsing_to_csp(col: Collapsing) -> CspInstance:
+    """Encode the collapsed formula as an existential CSP whose variables are
+    the possible strategy outputs; the CSP is satisfiable iff the collapsed
+    formula is true. The collapsed formula itself is never built: the
+    existential x owns d^m consecutive variables, one per assignment of the
+    m kept universals before it in `itertools.product` order, and the
+    variables of x come before those of every later existential."""
     formula = col.origin
     d = formula.domain.size
     kept = col.kept_universals
@@ -266,7 +237,7 @@ def indexed_encoding(col: Collapsing) -> tuple[int, list[IndexedConstraint]]:
         for s, start, divisor in existential_prefixes:
             values[s] = start + t // divisor
         constraints.extend((relation, get(values)) for relation, get in getters)
-    return base, constraints
+    return CspInstance(d, base, constraints)
 
 
 def collapse_verdicts(
@@ -275,11 +246,9 @@ def collapse_verdicts(
     source: Iterable[int] | None = None,
 ) -> list[tuple[Collapsing, bool]]:
     """Per-collapsing truth. The collapsings share no variable, so each is
-    solved as its own integer-indexed CSP; they share the compiled tables."""
-    d = formula.domain.size
+    solved as its own CSP; they share the compiled tables."""
     tables: dict = {}
-    out = []
-    for col in relevant_collapsings(formula, j, source):
-        count, constraints = indexed_encoding(col)
-        out.append((col, solve_indexed(d, count, constraints, tables=tables) is not None))
-    return out
+    return [
+        (col, solve_csp(collapsing_to_csp(col), tables) is not None)
+        for col in relevant_collapsings(formula, j, source)
+    ]

@@ -250,7 +250,6 @@ class _Assembler:
     recording each step's adversary as the exact image of its inputs."""
 
     def __init__(self, algebra: Algebra, n: int, source: frozenset[int], width: int):
-        self.algebra = algebra
         self.n = n
         self.source = source
         self.width = width
@@ -848,7 +847,6 @@ def _with_warnings(cert: Certificate, warnings: Sequence[str]) -> Certificate:
 def plan_certificate(
     algebra: Algebra,
     count_cap: int = DEFAULT_TERM_COUNT_CAP,
-    _depth: int = 0,
 ) -> tuple[CertificateBuilder, list[str]]:
     """Choose a construction strategy: the first term condition of
     `TERM_CONDITIONS`, in that order, that a term operation satisfies under
@@ -856,8 +854,6 @@ def plan_certificate(
     elements no such term means a G-set (Post's lattice). Raises BuildError
     when no strategy applies (which is exactly the sink/G-set territory)."""
     _require_idempotent(algebra)
-    if _depth > algebra.domain.size + 2:
-        raise BuildError("strategy recursion exceeded the universe size")
     d = algebra.domain.size
     if d == 1:
         return CertificateBuilder("singleton", {"element": 0}), []
@@ -885,7 +881,7 @@ def plan_certificate(
     congruence = disjoint_maximal_congruence(algebra)
     if congruence is not None and any(len(b) > 1 for b in congruence.blocks):
         q_alg = quotient(algebra, congruence)
-        q_builder, q_notes = plan_certificate(q_alg, count_cap, _depth + 1)
+        q_builder, q_notes = plan_certificate(q_alg, count_cap)
         return (
             CertificateBuilder("quotient_lift", {"inner": q_builder, "count_cap": count_cap}),
             notes + q_notes,

@@ -8,8 +8,7 @@ repeated variables) into the value rows of its distinct variables, after
 compact-table GAC (Demeulenaere et al., CP 2016); the revision of a compiled
 table under one tuple of domains is computed once and remembered for the
 rest of the call. Variables are picked by smallest remaining domain (ties by
-index, which `solve_csp` hands out in name order) and values are tried in
-ascending order, so results are deterministic.
+index) and values are tried in ascending order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -18,38 +17,26 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import GuardrailError, StructuralError
-from .model import Constraint, Domain, Relation
+from .errors import GuardrailError
+from .model import Relation
 
 # search nodes one solve may visit
 NODE_CAP = 10_000_000
 
 
+# A constraint is (relation, args): an argument is a variable index (>= 0)
+# or ~c (< 0) for the constant c.
+IndexedConstraint = tuple[Relation, tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class CspInstance:
-    """Existential-only conjunction of constraints over named variables."""
+    """Existential-only conjunction of constraints over the variables
+    0 .. variable_count - 1, each ranging over 0 .. domain_size - 1."""
 
-    domain: Domain
-    variables: tuple[str, ...]
-    constraints: tuple[Constraint, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        declared = set(self.variables)
-        if len(declared) != len(self.variables):
-            raise StructuralError("duplicate CSP variable")
-        for c in self.constraints:
-            if c.relation.domain_size != self.domain.size:
-                raise StructuralError(f"constraint on {c.relation.name} over a different domain")
-            for v in c.variables:
-                if v not in declared:
-                    raise StructuralError(f"constraint uses undeclared variable {v!r}")
-
-
-# An indexed constraint is (relation, args): an argument is a variable index
-# (>= 0) or ~c (< 0) for the constant c.
-IndexedConstraint = tuple[Relation, tuple[int, ...]]
+    domain_size: int
+    variable_count: int
+    constraints: Sequence[IndexedConstraint]
 
 
 class _Table:
@@ -97,19 +84,16 @@ def _compile(relation: Relation, pattern: tuple[int, ...], width: int) -> _Table
     return _Table(tuple(sorted(rows)))
 
 
-def solve_indexed(
-    domain_size: int,
-    variable_count: int,
-    constraints: Sequence[IndexedConstraint],
-    tables: dict | None = None,
-) -> list[int] | None:
+def solve_csp(instance: CspInstance, tables: dict | None = None) -> list[int] | None:
     """The value of each variable in a satisfying assignment, or None when
-    there is none. Each constraint is (relation, args), an argument being a
-    variable index or ~c for the constant c.
+    there is none.
 
     `tables` holds the compiled tables; pass one dict to several calls to
     share them, as `collapse_verdicts` does for the collapsings of a formula.
     """
+    domain_size, variable_count, constraints = (
+        instance.domain_size, instance.variable_count, instance.constraints
+    )
     if tables is None:
         tables = {}
     dom = [(1 << domain_size) - 1] * variable_count
@@ -229,20 +213,3 @@ def solve_indexed(
                 break
         else:
             return None
-
-
-def solve_csp(instance: CspInstance) -> dict[str, int] | None:
-    """A total satisfying assignment, or None when the instance is unsatisfiable."""
-    names = sorted(instance.variables)
-    index = {v: i for i, v in enumerate(names)}
-    values = solve_indexed(
-        instance.domain.size,
-        len(names),
-        [
-            (c.relation, tuple(index[a] if isinstance(a, str) else ~a for a in c.args))
-            for c in instance.constraints
-        ],
-    )
-    if values is None:
-        return None
-    return {v: values[index[v]] for v in instance.variables}

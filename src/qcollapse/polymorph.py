@@ -294,8 +294,6 @@ class TermOperationSet:
     set may be incomplete.
     """
 
-    algebra: Algebra
-    arity_cap: int
     operations: tuple[Operation, ...]
     traces: Mapping[Operation, Trace]
     truncated: bool
@@ -442,7 +440,7 @@ def generate_term_operations(
             by_table[table] = trace
             operations.append(op)
             traces[op] = trace
-    return TermOperationSet(algebra, arity_cap, tuple(operations), traces, truncated)
+    return TermOperationSet(tuple(operations), traces, truncated)
 
 
 def relation_cells(rel: Relation, k: int) -> set[tuple[int, ...]]:

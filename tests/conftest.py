@@ -13,7 +13,6 @@ from qcollapse.cspsolve import CspInstance, solve_csp
 from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.model import (
     Algebra,
-    Constraint,
     ConstraintLanguage,
     Domain,
     EXISTS,
@@ -174,38 +173,47 @@ def brute_force_congruences(algebra: Algebra) -> list[tuple[frozenset[int], ...]
     return out
 
 
-def enumerate_solutions(instance: CspInstance, limit: int | None = None) -> list[dict[str, int]]:
+def csp_satisfied(instance: CspInstance, values) -> bool:
+    """Whether the values, one per variable index, satisfy every constraint."""
+    return all(
+        tuple(values[a] if a >= 0 else ~a for a in args) in relation.tuples
+        for relation, args in instance.constraints
+    )
+
+
+def enumerate_solutions(instance: CspInstance, limit: int | None = None) -> list[list[int]]:
     """Every satisfying assignment by plain enumeration; exponential."""
     out = []
-    for combo in itertools.product(range(instance.domain.size), repeat=len(instance.variables)):
-        assignment = dict(zip(instance.variables, combo))
-        if all(c.holds(assignment) for c in instance.constraints):
-            out.append(assignment)
+    for combo in itertools.product(range(instance.domain_size), repeat=instance.variable_count):
+        if csp_satisfied(instance, combo):
+            out.append(list(combo))
             if limit is not None and len(out) >= limit:
                 break
     return out
 
 
-def reference_solve_csp(instance: CspInstance, node_cap: int) -> dict[str, int] | None:
+def reference_solve_csp(instance: CspInstance, node_cap: int) -> list[int] | None:
     """The solver's search on set domains: every constraint revised by
     rescanning its relation, every domain copied at each search node. Same
-    variable order (smallest domain, ties by name), value order and node
+    variable order (smallest domain, ties by index), value order and node
     count as `solve_csp`, so it must return the identical assignment."""
-    domains = {v: set(range(instance.domain.size)) for v in instance.variables}
-    watch: dict[str, list[int]] = {v: [] for v in instance.variables}
-    for idx, c in enumerate(instance.constraints):
-        for v in c.variables:
+    variables = range(instance.variable_count)
+    domains = {v: set(range(instance.domain_size)) for v in variables}
+    watch: dict[int, list[int]] = {v: [] for v in variables}
+    for idx, (_, args) in enumerate(instance.constraints):
+        for v in sorted({a for a in args if a >= 0}):
             watch[v].append(idx)
 
-    def revise(c) -> tuple[set[str], bool]:
-        if not c.variables:
-            return set(), tuple(c.args) in c.relation.tuples
-        supported: dict[str, set[int]] = {v: set() for v in c.variables}
-        for t in c.relation.tuples:
-            row: dict[str, int] = {}
-            for pos, a in enumerate(c.args):
-                if isinstance(a, int):
-                    if t[pos] != a:
+    def revise(relation, args) -> tuple[set[int], bool]:
+        scope = {a for a in args if a >= 0}
+        if not scope:
+            return set(), tuple(~a for a in args) in relation.tuples
+        supported: dict[int, set[int]] = {v: set() for v in scope}
+        for t in relation.tuples:
+            row: dict[int, int] = {}
+            for pos, a in enumerate(args):
+                if a < 0:
+                    if t[pos] != ~a:
                         break
                 elif a not in row:
                     if t[pos] not in domains[a]:
@@ -217,7 +225,7 @@ def reference_solve_csp(instance: CspInstance, node_cap: int) -> dict[str, int] 
                 for v, val in row.items():
                     supported[v].add(val)
         changed = set()
-        for v in c.variables:
+        for v in sorted(scope):
             if not domains[v] <= supported[v]:
                 domains[v] &= supported[v]
                 changed.add(v)
@@ -231,7 +239,7 @@ def reference_solve_csp(instance: CspInstance, node_cap: int) -> dict[str, int] 
         while queue:
             cidx = queue.popleft()
             queued.discard(cidx)
-            changed, ok = revise(instance.constraints[cidx])
+            changed, ok = revise(*instance.constraints[cidx])
             if not ok:
                 return False
             for v in changed:
@@ -245,14 +253,14 @@ def reference_solve_csp(instance: CspInstance, node_cap: int) -> dict[str, int] 
         return None
     nodes = 0
 
-    def search() -> dict[str, int] | None:
+    def search() -> list[int] | None:
         nonlocal domains, nodes
         nodes += 1
         if nodes > node_cap:
             raise GuardrailError(f"CSP search exceeded {node_cap} nodes")
         pending = [(len(dom), v) for v, dom in domains.items() if len(dom) > 1]
         if not pending:
-            return {v: next(iter(dom)) for v, dom in domains.items()}
+            return [next(iter(dom)) for dom in domains.values()]
         _, var = min(pending)
         for val in sorted(domains[var]):
             snapshot = {v: set(dom) for v, dom in domains.items()}
@@ -399,19 +407,17 @@ def reference_shape_search(
     for cell, value in forced.items():
         if len(cell) != arity or not (0 <= value < d):
             raise StructuralError("forced entry out of range")
-    var_of = {c: "t" + "_".join(str(v) for v in c) for c in cells}
-    constraints = set()
-    for r in language.relations:
-        for indices in relation_cells(r, arity):
-            args = tuple(
-                forced[c] if c in forced else var_of[c] for c in (cells[i] for i in indices)
-            )
-            constraints.add(Constraint(r, args))
-    free = tuple(var_of[c] for c in cells if c not in forced)
-    solution = solve_csp(CspInstance(language.domain, free, tuple(sorted(constraints, key=str))))
+    free = [c for c in cells if c not in forced]
+    index = {c: i for i, c in enumerate(free)}
+    constraints = [
+        (r, tuple(~forced[c] if c in forced else index[c] for c in (cells[i] for i in indices)))
+        for r in language.relations
+        for indices in relation_cells(r, arity)
+    ]
+    solution = solve_csp(CspInstance(d, len(free), constraints))
     if solution is None:
         return None
-    table = tuple(forced[c] if c in forced else solution[var_of[c]] for c in cells)
+    table = tuple(forced[c] if c in forced else solution[index[c]] for c in cells)
     op = Operation(name, arity, d, table)
     assert is_polymorphism_of_language(op, language)
     return op
@@ -469,7 +475,7 @@ def reference_term_operations(
                         break
             current = current + new_tables
             frontier = new_tables
-    return TermOperationSet(algebra, arity_cap, tuple(order), dict(found), truncated)
+    return TermOperationSet(tuple(order), dict(found), truncated)
 
 
 # derives * * from the axiom {1} {1} through the binary AND generator g0, which

@@ -11,6 +11,7 @@ from conftest import rel
 from qcollapse.algebra import enumerate_congruences, enumerate_subalgebras, has_gset_factor
 from qcollapse.classify import classify_two_element
 from qcollapse.collapse import (
+    Collapsing,
     collapse_verdicts,
     collapsing_to_csp,
     enumerate_collapsings,
@@ -109,7 +110,8 @@ def test_criterion_3_encoding_soundness():
     checked = 0
     for collapsed in COLLECTED_COLLAPSINGS:
         truth = evaluate_truth(collapsed)
-        encoded = solve_csp(collapsing_to_csp(collapsed)) is not None
+        col = Collapsing(collapsed, collapsed.universal_vars, 0)
+        encoded = solve_csp(collapsing_to_csp(col)) is not None
         assert encoded == truth, "strategy-variable encoding disagrees with the game oracle"
         checked += 1
     report(3, f"{checked} collapsings from criteria 1-2 all match the game oracle")

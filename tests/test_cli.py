@@ -10,6 +10,9 @@ import qcollapse
 from conftest import NEGATIVE_REFERENCE_CERT, record_closure_caps
 from qcollapse import collapsibility
 from qcollapse.cli import main
+from qcollapse.collapse import collapse_verdicts
+from qcollapse.game import evaluate_truth
+from qcollapse.model import parse_document
 
 EXAMPLE = """\
 domain 2 a b
@@ -524,14 +527,56 @@ class TestSolveVerb:
         assert out.startswith("index\tconstant\tkept\tverdict")
 
 
+HORN_REDUCED_HEADER = """\
+# combined CSP from 3 collapsings (width 1)
+# v0 = c0.x1@
+# v1 = c0.x2@
+# v2 = c1.x1@y1=0
+# v3 = c1.x1@y1=1
+# v4 = c1.x2@y1=0
+# v5 = c1.x2@y1=1
+# v6 = c2.x1@
+# v7 = c2.x2@y2=0
+# v8 = c2.x2@y2=1
+"""
+
+
 class TestReduceVerb:
     def test_output_reparses_and_preserves_truth(self, files, capsys, tmp_path):
         out = tmp_path / "reduced.txt"
         assert main(["reduce", files["horn"], "--j", "1", "--const", "t", "--out", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
+        assert text.startswith(HORN_REDUCED_HEADER)
+        assert text.count("\n# ") == HORN_REDUCED_HEADER.count("\n# ")
         reparsed = main(["solve-oracle", str(out)])
         capsys.readouterr()
         assert reparsed == main(["solve-oracle", files["horn"]])
+
+    def test_every_fixture_width_and_constant(self, files, capsys, tmp_path):
+        # the reduction is satisfiable iff every collapsing is true, and is
+        # true whenever the formula is; each constraint is printed once
+        out = tmp_path / "reduced.txt"
+        checked = 0
+        for path in files.values():
+            document = parse_document(Path(path).read_text(encoding="utf-8"))
+            formula = document.formula
+            if formula is None:
+                continue
+            original = evaluate_truth(formula)
+            for j in (0, 1, 2):
+                for a, name in enumerate(formula.domain.names):
+                    argv = ["reduce", path, "--j", str(j), "--const", name, "--out", str(out)]
+                    assert main(argv) == 0
+                    collapsed = all(ok for _, ok in collapse_verdicts(formula, j, [a]))
+                    code = main(["solve-oracle", str(out), "--node-cap", str(10**12)])
+                    assert code == (0 if collapsed else 1), (path, j, name)
+                    assert collapsed or not original
+                    body = out.read_text(encoding="utf-8").splitlines()[-1].split(" : ")[1]
+                    constraints = body.split(" & ")
+                    assert len(set(constraints)) == len(constraints), (path, j, name)
+                    checked += 1
+        capsys.readouterr()
+        assert checked == 30
 
 
 class TestAnalyzeDetect:

@@ -1,13 +1,14 @@
 import itertools
-import random
 
 import pytest
 
 from conftest import eq_rel, formula, rel
 from qcollapse.collapse import (
+    Collapsing,
     collapse_verdicts,
     collapsing_to_csp,
     combine_csp,
+    csp_variable_names,
     encoding_size,
     enumerate_collapsings,
     enumerate_j_collapsings,
@@ -19,7 +20,7 @@ from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.cspsolve import solve_csp
 from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.game import evaluate_truth, winnable
-from qcollapse.model import Constraint, Domain, serialize_instance
+from qcollapse.model import Constraint, serialize_instance
 from qcollapse.ops import and_op, majority_op, minority_op
 
 
@@ -99,34 +100,47 @@ class TestEnumerate:
         assert len(enumerate_j_collapsings(phi, 1)) == 1
 
 
+def encode(phi):
+    """The CSP of `phi` itself: the collapsing that keeps every universal."""
+    return collapsing_to_csp(Collapsing(phi, phi.universal_vars, 0))
+
+
 class TestEncoding:
     def test_spec_shape(self):
         phi = formula(2, "Ay Ex", [Constraint(eq_rel(), ("y", "x"))])
-        csp = collapsing_to_csp(phi)
-        assert csp.variables == ("x@y=0", "x@y=1")
-        rendered = {(c.relation.name, c.args) for c in csp.constraints}
-        assert rendered == {("Eq", (0, "x@y=0")), ("Eq", (1, "x@y=1"))}
+        csp = encode(phi)
+        assert (csp.domain_size, csp.variable_count) == (2, 2)
+        assert csp_variable_names(Collapsing(phi, phi.universal_vars, 0)) == ["x@y=0", "x@y=1"]
+        rendered = {(relation.name, args) for relation, args in csp.constraints}
+        assert rendered == {("Eq", (~0, 0)), ("Eq", (~1, 1))}
 
     def test_existential_only_renames(self):
         phi = formula(2, "Ex Ez", [Constraint(eq_rel(), ("x", "z"))])
-        csp = collapsing_to_csp(phi)
-        assert csp.variables == ("x@", "z@")
-        assert csp.constraints[0].args == ("x@", "z@")
+        csp = encode(phi)
+        assert csp_variable_names(Collapsing(phi, (), 0)) == ["x@", "z@"]
+        assert [args for _, args in csp.constraints] == [(0, 1)]
 
     def test_constants_pass_through(self):
         phi = formula(2, "Ex", [Constraint(eq_rel(), ("x", 1))])
-        csp = collapsing_to_csp(phi)
-        assert csp.constraints[0].args == ("x@", 1)
+        assert [args for _, args in encode(phi).constraints] == [(0, ~1)]
+
+    def test_instantiated_universals_become_constants(self):
+        phi = formula(2, "Ay1 Ex Ay2 Ez", [Constraint(eq_rel(), ("y1", "x")),
+                                          Constraint(eq_rel(), ("y2", "z"))])
+        col = Collapsing(phi, ("y2",), 1)
+        csp = collapsing_to_csp(col)
+        assert csp_variable_names(col) == ["x@", "z@y2=0", "z@y2=1"]
+        # the constraint no kept universal changes comes first, once
+        assert [args for _, args in csp.constraints] == [(~1, 0), (~0, 1), (~1, 2)]
 
     def test_encoding_matches_game_oracle(self):
         # random collapsings with at most 2 universals over domains <= 3
-        rng = random.Random(42)
         checked = 0
         spec2 = CorpusSpec(seed=19, count=200, max_vars=5, max_universals=2)
         spec3 = CorpusSpec(seed=23, count=120, max_vars=4, max_universals=2, domain_size=3)
         for language, phi in itertools.chain(instances(spec2), instances(spec3)):
             truth = evaluate_truth(phi)
-            encoded = solve_csp(collapsing_to_csp(phi)) is not None
+            encoded = solve_csp(encode(phi)) is not None
             assert encoded == truth, serialize_instance(language, phi)
             checked += 1
         assert checked >= 200
@@ -134,35 +148,33 @@ class TestEncoding:
 
 class TestCombine:
     def sat(self):
-        return collapsing_to_csp(formula(2, "Ex", [Constraint(eq_rel(), ("x", 0))]))
+        return encode(formula(2, "Ex", [Constraint(eq_rel(), ("x", 0))]))
 
     def unsat(self):
         empty = rel("Never", 1, 2, [])
-        return collapsing_to_csp(formula(2, "Ex", [Constraint(empty, ("x",))]))
+        return encode(formula(2, "Ex Ez", [Constraint(empty, ("z",))]))
 
     def test_single(self):
-        combined = combine_csp([self.sat()])
-        assert solve_csp(combined) is not None
-        assert all(v.startswith("c0.") for v in combined.variables)
+        combined = combine_csp([self.sat()], 2)
+        assert combined == self.sat()
+        assert solve_csp(combined) == [0]
 
     def test_sat_plus_unsat(self):
-        assert solve_csp(combine_csp([self.sat(), self.unsat()])) is None
+        combined = combine_csp([self.sat(), self.unsat()], 2)
+        # the second member's variables follow the first's
+        assert combined.variable_count == 3
+        assert [args for _, args in combined.constraints] == [(0, ~0), (2,)]
+        assert solve_csp(combined) is None
 
     def test_empty_list(self):
-        combined = combine_csp([], Domain(2))
-        assert combined.constraints == ()
-        assert solve_csp(combined) == {}
-
-    def test_empty_list_needs_domain(self):
-        with pytest.raises(StructuralError):
-            combine_csp([])
+        combined = combine_csp([], 2)
+        assert (combined.variable_count, list(combined.constraints)) == (0, [])
+        assert solve_csp(combined) == []
 
     def test_domain_mismatch(self):
-        other = collapsing_to_csp(
-            formula(3, "Ex", [Constraint(eq_rel(3), ("x", "x"))])
-        )
+        other = encode(formula(3, "Ex", [Constraint(eq_rel(3), ("x", "x"))]))
         with pytest.raises(StructuralError):
-            combine_csp([self.sat(), other])
+            combine_csp([self.sat(), other], 2)
 
 
 def closed_corpus(seed, op, domain_size=2, count=60):
@@ -255,11 +267,6 @@ class TestVerdicts:
                         verdicts[ok] += 1
         assert min(verdicts.values()) > 200, verdicts
 
-    def test_named_encoding_agrees(self):
-        for _, phi in self.corpus():
-            for col, ok in collapse_verdicts(phi, 1, None):
-                assert ok == (solve_csp(collapsing_to_csp(col.result)) is not None)
-
     def test_result_is_built_on_demand(self):
         phi = example_formula()
         col = enumerate_collapsings(phi, 1, 1)[1]
@@ -279,14 +286,25 @@ def wide_star(n: int):
 
 class TestEncodingGuardrail:
     def test_size_is_the_emitted_constraint_count(self):
+        def emitted(phi, j, source):
+            return sum(
+                len(collapsing_to_csp(c).constraints)
+                for c in relevant_collapsings(phi, j, source)
+            )
+
         phi = example_formula()
         for j in (0, 1, 2, 3):
             for a in (0, 1):
-                emitted = sum(
-                    len(collapsing_to_csp(c.result).constraints)
-                    for c in relevant_collapsings(phi, j, {a})
-                )
-                assert encoding_size(phi, j, 1) == emitted
+                assert encoding_size(phi, j, 1) >= emitted(phi, j, {a})
+        # every constraint reads x, which follows every kept universal, and
+        # no two constraints are equal: the bound is met
+        le = rel("Le", 2, 2, [(0, 0), (0, 1), (1, 1)])
+        phi = formula(2, "Ay1 Ay2 Ex", [
+            Constraint(eq_rel(), ("y1", "x")), Constraint(le, ("y2", "x")),
+        ])
+        for j in (0, 1, 2):
+            for a in (0, 1):
+                assert encoding_size(phi, j, 1) == emitted(phi, j, {a})
 
     def test_total_over_collapsings_is_refused_before_enumerating(self):
         phi = wide_star(20)
