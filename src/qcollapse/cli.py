@@ -32,6 +32,7 @@ from .collapse import (
     collapse_verdicts,
     collapsing_to_csp,
     combine_csp,
+    conjunction_verdict,
     csp_variable_names,
     relevant_collapsings,
 )
@@ -174,20 +175,19 @@ def cmd_solve(args) -> int:
             )
     elif width is None:
         raise StructuralError("--unsafe mode needs an explicit --j")
-    verdict = True
-    rows = []
-    for col, ok in collapse_verdicts(formula, width, source):
-        verdict = verdict and ok
-        rows.append((col, ok))
     if args.format == "tsv":
+        rows = collapse_verdicts(formula, width, source)
+        verdict = all(ok for _, ok in rows)
         out = ["index\tconstant\tkept\tverdict"]
         for i, (col, ok) in enumerate(rows):
             kept = ",".join(col.kept_universals) or "-"
             out.append(f"{i}\t{formula.domain.name_of(col.constant)}\t{kept}\t{int(ok)}")
         print("\n".join(out))
     else:
+        collapsings = relevant_collapsings(formula, width, source)
+        verdict = conjunction_verdict(collapsings)
         print(f"collapse verdict: {'true' if verdict else 'false'} "
-              f"({len(rows)} collapsings, width {width})")
+              f"({len(collapsings)} collapsings, width {width})")
     return EXIT_TRUE if verdict else EXIT_FALSE
 
 

@@ -1,7 +1,9 @@
 """Collapsing machinery: instantiate universal variables with constants,
 enumerate bounded collapsings, encode each collapsing as an existential CSP
 over strategy-output variables (`collapsing_to_csp`), and decide a formula by
-solving those CSPs (`collapse_verdicts`).
+solving those CSPs: every one for the per-collapsing table
+(`collapse_verdicts`), the widest ones up to the first false one for the
+conjunction (`conjunction_verdict`).
 
 CSP variables are integer indices; `csp_variable_names` names them for
 printing, and `combine_csp` joins the CSPs into the one that `reduce` prints.
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cspsolve import CspInstance, IndexedConstraint, solve_csp
 from .errors import GuardrailError, StructuralError
@@ -141,8 +143,9 @@ def encoding_size(formula: QuantifiedFormula, j: int, constants: int) -> int:
     """An upper bound on the constraints `collapsing_to_csp` emits for every
     collapsing of width <= j under `constants` source constants: each kept
     set of s universals instantiates the body once per assignment of its d^s
-    values. The encoder emits fewer when a body constraint reads no kept
-    universal or later existential, or when the body repeats a constraint."""
+    values. The encoder emits fewer: no constraint twice, and each body
+    constraint once per assignment of only the kept universals it reads,
+    directly or through the existentials after them."""
     n = len(formula.universal_vars)
     d = formula.domain.size
     per_constant = sum(comb(n, s) * d**s for s in range(min(j, n) + 1))
@@ -183,7 +186,8 @@ def collapsing_to_csp(col: Collapsing) -> CspInstance:
     formula is true. The collapsed formula itself is never built: the
     existential x owns d^m consecutive variables, one per assignment of the
     m kept universals before it in `itertools.product` order, and the
-    variables of x come before those of every later existential."""
+    variables of x come before those of every later existential. Each
+    constraint is emitted once, in the order of its first occurrence."""
     formula = col.origin
     d = formula.domain.size
     kept = col.kept_universals
@@ -210,9 +214,11 @@ def collapsing_to_csp(col: Collapsing) -> CspInstance:
         values.append(0)
         kept_digits.append((slot[u], d ** (width - 1 - i)))
     dynamic = {s for s, *_ in kept_digits + existential_prefixes}
-    # A body constraint that reads no changing slot is the same for every
-    # assignment, so it is emitted once; so is a repeated one.
-    constraints: list[IndexedConstraint] = []
+    # Each constraint is emitted once, at its first occurrence: `emitted`
+    # maps (relation id, args) to the constraint, in insertion order. A body
+    # constraint that reads no changing slot is the same for every
+    # assignment, so it is instantiated once; so is a repeated one.
+    emitted: dict[tuple[int, tuple[int, ...]], IndexedConstraint] = {}
     body: dict[tuple, None] = {}
     for c in formula.body:
         slots = []
@@ -224,11 +230,13 @@ def collapsing_to_csp(col: Collapsing) -> CspInstance:
                 values.append(~a)
             slots.append(slot[a])
         if dynamic.isdisjoint(slots):
-            constraints.append((c.relation, tuple(values[s] for s in slots)))
+            args = tuple(values[s] for s in slots)
+            emitted[id(c.relation), args] = (c.relation, args)
         else:
             body[c.relation, tuple(slots)] = None
     getters = [
-        (relation, itemgetter(*slots) if len(slots) > 1 else lambda vals, s=slots[0]: (vals[s],))
+        (relation, id(relation),
+         itemgetter(*slots) if len(slots) > 1 else lambda vals, s=slots[0]: (vals[s],))
         for relation, slots in body
     ]
     for t in range(d**width):
@@ -236,8 +244,20 @@ def collapsing_to_csp(col: Collapsing) -> CspInstance:
             values[s] = ~(t // divisor % d)
         for s, start, divisor in existential_prefixes:
             values[s] = start + t // divisor
-        constraints.extend((relation, get(values)) for relation, get in getters)
+        for relation, rid, get in getters:
+            args = get(values)
+            emitted[rid, args] = (relation, args)
+    constraints = list(emitted.values())
     return CspInstance(d, base, constraints)
+
+
+def _solved(collapsings: Iterable[Collapsing]) -> Iterator[bool]:
+    """Encode and solve each collapsing in turn, only when asked for the next
+    verdict. The collapsings share no variable, so each is its own CSP; they
+    share the compiled tables."""
+    tables: dict = {}
+    for col in collapsings:
+        yield solve_csp(collapsing_to_csp(col), tables) is not None
 
 
 def collapse_verdicts(
@@ -245,10 +265,20 @@ def collapse_verdicts(
     j: int,
     source: Iterable[int] | None = None,
 ) -> list[tuple[Collapsing, bool]]:
-    """Per-collapsing truth. The collapsings share no variable, so each is
-    solved as its own CSP; they share the compiled tables."""
-    tables: dict = {}
-    return [
-        (col, solve_csp(collapsing_to_csp(col), tables) is not None)
-        for col in relevant_collapsings(formula, j, source)
-    ]
+    """Per-collapsing truth of every relevant collapsing."""
+    collapsings = relevant_collapsings(formula, j, source)
+    return list(zip(collapsings, _solved(collapsings)))
+
+
+def conjunction_verdict(collapsings: Sequence[Collapsing]) -> bool:
+    """Whether every collapsing of `relevant_collapsings` is true, deciding
+    only the widest ones, in order, up to the first false one.
+
+    Instantiating a universal keeps a true formula true, so a collapsing is
+    true when one with the same constant and a superset of its kept
+    universals is. Every collapsing has such a superset of the widest size
+    min(j, universals), and a widest one dropped as a duplicate has the
+    formula of one that was kept.
+    """
+    width = max((len(col.kept_universals) for col in collapsings), default=0)
+    return all(_solved(col for col in collapsings if len(col.kept_universals) == width))

@@ -89,7 +89,9 @@ def solve_csp(instance: CspInstance, tables: dict | None = None) -> list[int] | 
     there is none.
 
     `tables` holds the compiled tables; pass one dict to several calls to
-    share them, as `collapse_verdicts` does for the collapsings of a formula.
+    share them. The collapse loop behind `collapse.collapse_verdicts` and
+    `collapse.conjunction_verdict` shares one across the collapsings of a
+    formula.
     """
     domain_size, variable_count, constraints = (
         instance.domain_size, instance.variable_count, instance.constraints

@@ -12,8 +12,8 @@ from qcollapse.algebra import enumerate_congruences, enumerate_subalgebras, has_
 from qcollapse.classify import classify_two_element
 from qcollapse.collapse import (
     Collapsing,
-    collapse_verdicts,
     collapsing_to_csp,
+    conjunction_verdict,
     enumerate_collapsings,
     relevant_collapsings,
 )
@@ -72,10 +72,11 @@ def _equivalence_protocol(criterion, seed, op, width, source, label):
     agreements = 0
     for _, phi in closed_corpus(seed, op):
         truth = evaluate_truth(phi)
-        reduced = all(ok for _, ok in collapse_verdicts(phi, width, source))
+        collapsings = relevant_collapsings(phi, width, source)
+        reduced = conjunction_verdict(collapsings)
         assert reduced == truth, f"{label}: disagreement on a seeded instance"
         agreements += 1
-        for col in relevant_collapsings(phi, width, source):
+        for col in collapsings:
             COLLECTED_COLLAPSINGS.append(col.result)
     elapsed = time.monotonic() - started
     assert agreements == 500
@@ -314,8 +315,8 @@ def _audit_language(relation, verdict, rng_seed: int, count: int = 100) -> int:
             body.append(Constraint(relation, tuple(args)))
         phi = QuantifiedFormula(domain, tuple(prefix), tuple(body))
         truth = evaluate_truth(phi)
-        reduced = all(
-            ok for _, ok in collapse_verdicts(phi, verdict.reduction_width, verdict.reduction_source)
+        reduced = conjunction_verdict(
+            relevant_collapsings(phi, verdict.reduction_width, verdict.reduction_source)
         )
         assert reduced == truth, "certified reduction disagrees with the oracle"
         audited += 1

@@ -399,7 +399,7 @@ def _audit_reduction(language, verdict, seed, count=30):
     """Random instances over the language: certified reduction vs oracle."""
     import random
 
-    from qcollapse.collapse import collapse_verdicts
+    from qcollapse.collapse import conjunction_verdict, relevant_collapsings
     from qcollapse.corpus import CorpusSpec, random_formula
     from qcollapse.game import evaluate_truth
 
@@ -407,8 +407,8 @@ def _audit_reduction(language, verdict, seed, count=30):
     spec = CorpusSpec(max_vars=5, max_universals=2, max_constraints=3)
     for _ in range(count):
         phi = random_formula(rng, language, spec)
-        assert all(
-            ok for _, ok in collapse_verdicts(phi, verdict.reduction_width, verdict.reduction_source)
+        assert conjunction_verdict(
+            relevant_collapsings(phi, verdict.reduction_width, verdict.reduction_source)
         ) == evaluate_truth(phi)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -10,9 +11,16 @@ import qcollapse
 from conftest import NEGATIVE_REFERENCE_CERT, record_closure_caps
 from qcollapse import collapsibility
 from qcollapse.cli import main
-from qcollapse.collapse import collapse_verdicts
+from qcollapse.collapse import (
+    collapse_verdicts,
+    collapsing_to_csp,
+    conjunction_verdict,
+    relevant_collapsings,
+)
+from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.game import evaluate_truth
-from qcollapse.model import parse_document
+from qcollapse.model import parse_document, serialize_instance
+from qcollapse.ops import and_op, majority_op
 
 EXAMPLE = """\
 domain 2 a b
@@ -526,6 +534,63 @@ class TestSolveVerb:
         out = capsys.readouterr().out
         assert out.startswith("index\tconstant\tkept\tverdict")
 
+    def test_verdict_is_the_conjunction_of_every_collapsing(self, files, capsys, tmp_path):
+        # the text verdict decides only the widest collapsings; it equals the
+        # per-collapsing table at every width and source, and the oracle
+        # wherever a certificate backs the run
+        paths = [Path(path) for path in files.values()]
+        specs = [
+            CorpusSpec(seed=71, count=25, max_vars=5, max_universals=3),
+            CorpusSpec(seed=73, count=12, domain_size=3, max_vars=4, max_universals=2),
+            CorpusSpec(seed=79, count=15, max_vars=5, max_universals=3, closure_ops=(and_op(),)),
+            CorpusSpec(seed=83, count=15, max_vars=5, max_universals=3,
+                       closure_ops=(majority_op(),)),
+        ]
+        for k, (language, phi) in enumerate(itertools.chain.from_iterable(map(instances, specs))):
+            paths.append(tmp_path / f"random{k}.txt")
+            paths[-1].write_text(serialize_instance(language, phi), encoding="utf-8")
+        checks = {"runs": 0, "certified": 0, "false": 0}
+        for path in paths:
+            formula = parse_document(path.read_text(encoding="utf-8")).formula
+            if formula is None:
+                continue
+            sources = [([name], [a]) for a, name in enumerate(formula.domain.names)]
+            for j in (0, 1, 2):
+                for flags, source in sources + [(["--source", "all"], None)]:
+                    collapsings = relevant_collapsings(formula, j, source)
+                    table = [ok for _, ok in collapse_verdicts(formula, j, source)]
+                    assert conjunction_verdict(collapsings) == all(table), (path, j, flags)
+                    argv = ["solve", str(path), "--unsafe", "--j", str(j)]
+                    argv += flags if source is None else ["--const", *flags]
+                    code = main(argv)
+                    text = capsys.readouterr().out
+                    assert main(argv + ["--format", "tsv"]) == code
+                    rows = capsys.readouterr().out.splitlines()[1:]
+                    assert [row.endswith("\t1") for row in rows] == table
+                    verdict = "true" if all(table) else "false"
+                    assert text == (
+                        f"collapse verdict: {verdict} ({len(rows)} collapsings, width {j})\n"
+                    )
+                    assert code == (0 if all(table) else 1)
+                    checks["runs"] += 1
+                    checks["false"] += not all(table)
+            code = main(["solve", str(path)])
+            capsys.readouterr()
+            if code != 3:
+                assert code == (0 if evaluate_truth(formula) else 1), path
+                checks["certified"] += 1
+        assert checks["runs"] > 600 and checks["false"] > 300 and checks["certified"] > 50, checks
+
+    def test_encoding_emits_each_constraint_once(self, files):
+        for path in files.values():
+            formula = parse_document(Path(path).read_text(encoding="utf-8")).formula
+            if formula is None:
+                continue
+            for j in (0, 1, 2):
+                for col in relevant_collapsings(formula, j, None):
+                    constraints = collapsing_to_csp(col).constraints
+                    assert len(set(constraints)) == len(constraints), (path, col)
+
 
 HORN_REDUCED_HEADER = """\
 # combined CSP from 3 collapsings (width 1)
@@ -567,7 +632,7 @@ class TestReduceVerb:
                 for a, name in enumerate(formula.domain.names):
                     argv = ["reduce", path, "--j", str(j), "--const", name, "--out", str(out)]
                     assert main(argv) == 0
-                    collapsed = all(ok for _, ok in collapse_verdicts(formula, j, [a]))
+                    collapsed = conjunction_verdict(relevant_collapsings(formula, j, [a]))
                     code = main(["solve-oracle", str(out), "--node-cap", str(10**12)])
                     assert code == (0 if collapsed else 1), (path, j, name)
                     assert collapsed or not original

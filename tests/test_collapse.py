@@ -8,6 +8,7 @@ from qcollapse.collapse import (
     collapse_verdicts,
     collapsing_to_csp,
     combine_csp,
+    conjunction_verdict,
     csp_variable_names,
     encoding_size,
     enumerate_collapsings,
@@ -188,19 +189,19 @@ def closed_corpus(seed, op, domain_size=2, count=60):
 class TestPipeline:
     def test_and_closed_agreement(self):
         for _, phi in closed_corpus(29, and_op()):
-            assert all(ok for _, ok in collapse_verdicts(phi, 1, {1})) == evaluate_truth(phi)
+            assert conjunction_verdict(relevant_collapsings(phi, 1, {1})) == evaluate_truth(phi)
 
     def test_minority_closed_agreement(self):
         for _, phi in closed_corpus(31, minority_op()):
-            assert all(ok for _, ok in collapse_verdicts(phi, 1, {0})) == evaluate_truth(phi)
+            assert conjunction_verdict(relevant_collapsings(phi, 1, {0})) == evaluate_truth(phi)
 
     def test_majority_closed_agreement(self):
         for _, phi in closed_corpus(37, majority_op()):
-            assert all(ok for _, ok in collapse_verdicts(phi, 1, None)) == evaluate_truth(phi)
+            assert conjunction_verdict(relevant_collapsings(phi, 1, None)) == evaluate_truth(phi)
 
     def test_width_cap(self):
         phi = formula(2, "Ex", [Constraint(eq_rel(), ("x", "x"))])
-        assert all(ok for _, ok in collapse_verdicts(phi, 4))
+        assert conjunction_verdict(relevant_collapsings(phi, 4, None))
 
     def test_truth_implies_collapsings_true(self):
         for _, phi in instances(CorpusSpec(seed=41, count=60, max_vars=5, max_universals=3)):

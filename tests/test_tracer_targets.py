@@ -24,9 +24,9 @@ def test_every_traced_function_exists():
     assert tracing.TARGETS and not missing
 
 
-def test_collapse_verdicts_encodes_and_solves_each_collapsing_once(monkeypatch):
-    # rebinds every qcollapse module attribute that is the original function,
-    # as the tracer does, so a call through any import is counted
+def count_encodes_and_solves(monkeypatch) -> dict[str, int]:
+    """Rebind every qcollapse module attribute that is the original encoder
+    or solver, as the tracer does, so a call through any import is counted."""
     calls = {"collapsing_to_csp": 0, "solve_csp": 0}
     for module, name in ((collapse, "collapsing_to_csp"), (cspsolve, "solve_csp")):
         original = getattr(module, name)
@@ -40,6 +40,11 @@ def test_collapse_verdicts_encodes_and_solves_each_collapsing_once(monkeypatch):
                 for attr, value in list(vars(mod).items()):
                     if value is original:
                         monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_collapse_verdicts_encodes_and_solves_each_collapsing_once(monkeypatch):
+    calls = count_encodes_and_solves(monkeypatch)
     phi = formula(2, "Ay1 Ex Ay2 Ez", [
         Constraint(eq_rel(), ("y1", "x")), Constraint(eq_rel(), ("x", "z")),
         Constraint(eq_rel(), ("y2", "z")),
@@ -47,3 +52,28 @@ def test_collapse_verdicts_encodes_and_solves_each_collapsing_once(monkeypatch):
     rows = collapse.collapse_verdicts(phi, 1, None)
     assert len(rows) == 6
     assert calls == {"collapsing_to_csp": len(rows), "solve_csp": len(rows)}
+
+
+def test_conjunction_stops_at_the_first_false_widest_collapsing(monkeypatch):
+    calls = count_encodes_and_solves(monkeypatch)
+    # false; its first widest collapsing, y2 := 0, is false too
+    phi = formula(2, "Ay1 Ex Ay2", [
+        Constraint(eq_rel(), ("y1", "x")), Constraint(eq_rel(), ("x", "y2")),
+    ])
+    collapsings = collapse.relevant_collapsings(phi, 1, None)
+    widest = [col for col in collapsings if len(col.kept_universals) == 1]
+    assert (widest[0].kept_universals, widest[0].constant) == (("y1",), 0)
+    assert len(widest) == 4 and len(collapsings) == 6
+    assert collapse.conjunction_verdict(collapsings) is False
+    assert calls == {"collapsing_to_csp": 1, "solve_csp": 1}
+
+
+def test_true_conjunction_solves_each_widest_collapsing_once(monkeypatch):
+    calls = count_encodes_and_solves(monkeypatch)
+    phi = formula(2, "Ay1 Ex Ay2 Ez", [
+        Constraint(eq_rel(), ("y1", "x")), Constraint(eq_rel(), ("y2", "z")),
+    ])
+    collapsings = collapse.relevant_collapsings(phi, 1, None)
+    assert len(collapsings) == 6
+    assert collapse.conjunction_verdict(collapsings) is True
+    assert calls == {"collapsing_to_csp": 4, "solve_csp": 4}
