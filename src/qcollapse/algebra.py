@@ -10,6 +10,11 @@ enclosure, connectivity, strict-simplicity and pair-minimality predicates are
 computed once per `Algebra` object and kept on it (see `_memo`): the
 classifiers, the certificate planner and the analysis report ask the same
 object the same questions many times within one call.
+
+The G-set witness is found on the generator tables, without building any
+factor but the witness: each partition of each subuniverse is tested for a
+generator-wise block permutation of one coordinate (`_gset_blocks`). An
+algebra whose factor list is already built reads the witness from that list.
 """
 
 from __future__ import annotations
@@ -280,20 +285,28 @@ def enumerate_factors(algebra: Algebra) -> list[Factor]:
 def _factors(algebra: Algebra) -> tuple[Factor, ...]:
     _check_universe(algebra)
     out = []
-    full = frozenset(range(algebra.domain.size))
     for universe in enumerate_subalgebras(algebra).universes():
-        # the restriction to the full universe differs from the algebra only
-        # in element names, which no factor carries; the algebra itself shares
-        # its congruences with the report and the planner
-        if universe == full:
-            sub, old = algebra, list(range(algebra.domain.size))
-        else:
-            sub, old = restrict(algebra, universe)
+        sub, old = _restriction(algebra, universe)
         for cong in enumerate_congruences(sub):
-            q = quotient(sub, cong)
-            blocks = tuple(frozenset(old[i] for i in b) for b in cong.blocks)
-            out.append(Factor(universe, cong, q, blocks))
+            out.append(_factor(universe, sub, old, cong))
     return tuple(out)
+
+
+def _restriction(algebra: Algebra, universe: frozenset[int]) -> tuple[Algebra, list[int]]:
+    """`restrict`, except that the full universe gives the algebra itself.
+
+    The restriction to the full universe differs from the algebra only in
+    element names, which no factor carries; the algebra itself shares its
+    congruences with the report and the planner.
+    """
+    if len(universe) == algebra.domain.size:
+        return algebra, list(range(algebra.domain.size))
+    return restrict(algebra, universe)
+
+
+def _factor(universe: frozenset[int], sub: Algebra, old: list[int], cong: Congruence) -> Factor:
+    blocks = tuple(frozenset(old[i] for i in b) for b in cong.blocks)
+    return Factor(universe, cong, quotient(sub, cong), blocks)
 
 
 def canonical_form(algebra: Algebra) -> tuple:
@@ -348,15 +361,78 @@ def is_gset(algebra: Algebra) -> bool:
 
 
 def has_gset_factor(algebra: Algebra) -> tuple[bool, Factor | None]:
-    """Search every factor; returns the first G-set witness when one exists."""
+    """The first factor, in `enumerate_factors` order, whose quotient is a
+    G-set; returns it as the witness when one exists.
+
+    The search runs on the generator tables and builds the witness alone
+    (see `_gset_blocks`); an algebra that already holds its factor list reads
+    the witness from it.
+    """
     return _memo(algebra, "gset_factor", _gset_factor)
 
 
 def _gset_factor(algebra: Algebra) -> tuple[bool, Factor | None]:
-    for factor in enumerate_factors(algebra):
-        if is_gset(factor.quotient):
-            return True, factor
+    factors = algebra.__dict__.get("_structure", {}).get("factors")
+    if factors is not None:
+        for factor in factors:
+            if is_gset(factor.quotient):
+                return True, factor
+        return False, None
+    for universe in enumerate_subalgebras(algebra).universes():
+        blocks = _gset_blocks(algebra, sorted(universe))
+        if blocks is not None:
+            sub, old = _restriction(algebra, universe)
+            return True, _factor(universe, sub, old, Congruence(blocks))
     return False, None
+
+
+def _gset_blocks(algebra: Algebra, members: list[int]) -> tuple[frozenset[int], ...] | None:
+    """The first partition of the closed set `members`, in `_partitions`
+    order and re-indexed to 0..|B|-1, whose quotient is a G-set.
+
+    A partition t of B into at least two blocks passes when every generator
+    g has a coordinate i and a block permutation pi with g(a)/t = pi(a_i/t)
+    for every a in B^k. A passing partition is a congruence (a t b
+    coordinatewise gives a_i t b_i, so g(a) t g(b)) and its quotient is a
+    G-set; every G-set factor passes. The test reads only the distinct pairs (a_i, g(a)), at
+    most |B|^2 per generator and coordinate, computed once per subuniverse.
+    """
+    m = len(members)
+    if m < 2:
+        return None
+    d = algebra.domain.size
+    new_of = {v: i for i, v in enumerate(members)}
+    pairs_by_generator = []
+    for g in algebra.generators:
+        values = [new_of[g.table[i]] for i in _argument_indices(g.arity, d, members)]
+        pairs_by_generator.append([
+            {(j // m ** (g.arity - 1 - i) % m, v) for j, v in enumerate(values)}
+            for i in range(g.arity)
+        ])
+    for blocks in _partitions(range(m)):
+        if len(blocks) < 2:
+            continue
+        block_of = [0] * m
+        for b, block in enumerate(blocks):
+            for v in block:
+                block_of[v] = b
+        if all(
+            any(_permutes_blocks(pairs, block_of, len(blocks)) for pairs in coordinates)
+            for coordinates in pairs_by_generator
+        ):
+            return tuple(frozenset(block) for block in blocks)
+    return None
+
+
+def _permutes_blocks(pairs: set[tuple[int, int]], block_of: list[int], count: int) -> bool:
+    """The pairs (x, y), read on blocks, form a permutation of the `count`
+    blocks (every block occurs as some x)."""
+    image: dict[int, int] = {}
+    for x, y in pairs:
+        bx, by = block_of[x], block_of[y]
+        if image.setdefault(bx, by) != by:
+            return False
+    return len(set(image.values())) == count
 
 
 @dataclass(frozen=True)
@@ -399,12 +475,14 @@ def _pair_minimal(algebra: Algebra) -> bool:
     _check_universe(algebra)
     if algebra.domain.size < 2:
         raise StructuralError("pair minimality needs at least two elements")
+    # a subset of a closed B is closed in B exactly when it is closed in the
+    # algebra, so the algebra's own subuniverses (listed by size) answer for
+    # every generated B: the first one holding a pair is the one it generates
+    closed = enumerate_subalgebras(algebra).universes()
     for pair in itertools.combinations(range(algebra.domain.size), 2):
-        generated = generated_subalgebra(algebra, pair)
-        sub, _ = restrict(algebra, generated)
-        for info in enumerate_subalgebras(sub).entries:
-            if info.proper and info.nontrivial:
-                return False
+        generated = next(u for u in closed if u.issuperset(pair))
+        if any(len(c) >= 2 and c < generated for c in closed):
+            return False
     return True
 
 

@@ -62,7 +62,9 @@ class Domain:
 class Relation:
     """An arity-k relation: a duplicate-free set of k-tuples of elements.
 
-    The name is a display label; equality and hashing are structural.
+    The name is a display label; equality and hashing are structural. The
+    hash is computed once, in `__post_init__`: the CSP solver looks relations
+    up by value once per constraint.
     """
 
     name: str = field(compare=False)
@@ -79,6 +81,10 @@ class Relation:
                 raise StructuralError(f"relation {self.name}: tuple {t} has wrong arity")
             if any(not (0 <= v < self.domain_size) for v in t):
                 raise StructuralError(f"relation {self.name}: tuple {t} out of range")
+        object.__setattr__(self, "_hash", hash((self.arity, self.domain_size, self.tuples)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __contains__(self, t: tuple[int, ...]) -> bool:
         return t in self.tuples

@@ -9,6 +9,13 @@ from collections import deque
 import pytest
 
 from qcollapse import collapsibility
+from qcollapse.algebra import (
+    enumerate_factors,
+    enumerate_subalgebras,
+    generated_subalgebra,
+    is_gset,
+    restrict,
+)
 from qcollapse.cspsolve import CspInstance, solve_csp
 from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.model import (
@@ -129,18 +136,30 @@ def random_language(rng, d: int) -> ConstraintLanguage:
     return ConstraintLanguage(Domain(d), tuple(relations))
 
 
-def random_algebra(rng, d: int, idempotent: bool) -> Algebra:
-    """One to three generators of arity 1-3 over d elements, with random
-    tables (the diagonal fixed when idempotent)."""
-    generators = []
-    for i in range(rng.randint(1, 3)):
+def random_algebra(rng, d: int, idempotent: bool, generators: tuple[int, int] = (1, 3)) -> Algebra:
+    """Between `generators[0]` and `generators[1]` generators (one to three by
+    default) of arity 1-3 over d elements, with random tables (the diagonal
+    fixed when idempotent)."""
+    ops = []
+    for i in range(rng.randint(*generators)):
         k = rng.randint(1, 3)
         table = [rng.randrange(d) for _ in range(d**k)]
         if idempotent:
             for a in range(d):
                 table[a * sum(d**j for j in range(k))] = a
-        generators.append(Operation(f"g{i}", k, d, tuple(table)))
-    return Algebra(Domain(d), tuple(generators))
+        ops.append(Operation(f"g{i}", k, d, tuple(table)))
+    return Algebra(Domain(d), tuple(ops))
+
+
+def idempotent_binary_tables(d: int):
+    """Every idempotent binary table over d elements, row-major, in the
+    lexicographic order of their off-diagonal cells (729 for d = 3)."""
+    cells = [c for c in itertools.product(range(d), repeat=2) if c[0] != c[1]]
+    for values in itertools.product(range(d), repeat=len(cells)):
+        entries = dict(zip(cells, values))
+        yield tuple(
+            entries.get((x, y), x) for x, y in itertools.product(range(d), repeat=2)
+        )
 
 
 def all_partitions(d: int) -> list[tuple[frozenset[int], ...]]:
@@ -171,6 +190,25 @@ def brute_force_congruences(algebra: Algebra) -> list[tuple[frozenset[int], ...]
         ):
             out.append(blocks)
     return out
+
+
+def reference_gset_factor(algebra: Algebra):
+    """The replaced G-set search: the first factor of `enumerate_factors`
+    whose quotient is a G-set, or (False, None)."""
+    for factor in enumerate_factors(algebra):
+        if is_gset(factor.quotient):
+            return True, factor
+    return False, None
+
+
+def reference_pair_minimal(algebra: Algebra) -> bool:
+    """The replaced pair-minimality check: restrict to the subalgebra each
+    pair generates and enumerate that restriction's subalgebras again."""
+    for pair in itertools.combinations(range(algebra.domain.size), 2):
+        sub, _ = restrict(algebra, generated_subalgebra(algebra, pair))
+        if any(info.proper and info.nontrivial for info in enumerate_subalgebras(sub).entries):
+            return False
+    return True
 
 
 def csp_satisfied(instance: CspInstance, values) -> bool:

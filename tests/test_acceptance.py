@@ -7,7 +7,7 @@ import random
 import time
 
 from conftest import formula as make_formula
-from conftest import rel
+from conftest import idempotent_binary_tables, rel
 from qcollapse.algebra import enumerate_congruences, enumerate_subalgebras, has_gset_factor
 from qcollapse.classify import classify_two_element
 from qcollapse.collapse import (
@@ -239,21 +239,12 @@ def test_criterion_7_sink_suite():
     )
 
 
-def _idempotent_binary_tables(d: int):
-    cells = [c for c in itertools.product(range(d), repeat=2) if c[0] != c[1]]
-    for values in itertools.product(range(d), repeat=len(cells)):
-        entries = dict(zip(cells, values))
-        yield tuple(
-            entries.get((x, y), x) for x, y in itertools.product(range(d), repeat=2)
-        )
-
-
 def test_criterion_8_binary_sweep():
     started = time.monotonic()
     certified = []
     refuted = []
     three_element_total = 0
-    for table in _idempotent_binary_tables(3):
+    for table in idempotent_binary_tables(3):
         three_element_total += 1
         alg = Algebra(Domain(3), (Operation("f", 2, 3, table),))
         verdict = detect_sink_candidate(alg)
@@ -276,7 +267,7 @@ def test_criterion_8_binary_sweep():
         assert any(op in shapes for op in terms.operations), (
             "certified sink lacks a relabeled shared-element semilattice term"
         )
-    for table in _idempotent_binary_tables(2):
+    for table in idempotent_binary_tables(2):
         alg = Algebra(Domain(2), (Operation("f", 2, 2, table),))
         assert detect_sink_candidate(alg).kind == "not_sink"
     elapsed = time.monotonic() - started

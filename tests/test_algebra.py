@@ -19,7 +19,14 @@ from qcollapse.algebra import (
     quotient,
     restrict,
 )
-from conftest import all_partitions, brute_force_congruences, random_algebra
+from conftest import (
+    all_partitions,
+    brute_force_congruences,
+    idempotent_binary_tables,
+    random_algebra,
+    reference_gset_factor,
+    reference_pair_minimal,
+)
 from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.model import Algebra, Domain, Operation
 from qcollapse.ops import (
@@ -256,6 +263,106 @@ class TestGset:
         assert found and factor.quotient.domain.size == 2
         assert not has_gset_factor(shared_algebra())[0]
         assert not has_gset_factor(and_algebra())[0]
+
+
+def _witness_key(result):
+    found, factor = result
+    if not found:
+        return (found, factor)
+    quotient_generators = [(g.name, g.arity, g.table) for g in factor.quotient.generators]
+    return (
+        found,
+        factor.universe,
+        factor.congruence.blocks,
+        factor.blocks,
+        factor.quotient.domain,
+        quotient_generators,
+    )
+
+
+def _copy(alg: Algebra) -> Algebra:
+    # an equal algebra with an empty structure cache
+    return Algebra(alg.domain, alg.generators)
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("the G-set search built a factor")
+
+
+class TestGsetSearch:
+    """The table scan against the replaced factor scan (conftest)."""
+
+    def _check(self, alg):
+        expected = _witness_key(reference_gset_factor(_copy(alg)))
+        cold = _copy(alg)
+        assert _witness_key(has_gset_factor(cold)) == expected
+        warm = _copy(alg)
+        enumerate_factors(warm)
+        assert _witness_key(has_gset_factor(warm)) == expected
+        if alg.domain.size >= 2:
+            assert is_pair_minimal(_copy(alg)) == reference_pair_minimal(_copy(alg))
+        return expected[0]
+
+    def test_matches_the_factor_scan_on_random_algebras(self):
+        # d <= 4, idempotent or not, with 0-4 generators of arity 1-3
+        rng = random.Random(19)
+        found = [
+            self._check(random_algebra(rng, rng.randint(1, 4), rng.random() < 0.5, (0, 4)))
+            for _ in range(400)
+        ]
+        # both answers occur often enough to compare
+        assert 50 < sum(found) < 350
+
+    def test_matches_the_factor_scan_on_group_actions(self):
+        # several partitions of one universe pass: the first one is the witness
+        algebras = [Algebra(Domain(d), ()) for d in (1, 2, 3)]
+        for d in (2, 3, 4):
+            shift = from_function("s", 1, d, lambda x: (x + 1) % d)
+            twist = from_function("t", 2, d, lambda x, y: (y + 2) % d)
+            algebras += [Algebra(Domain(d), (shift,)), Algebra(Domain(d), (twist, shift))]
+        for alg in algebras:
+            self._check(alg)
+        shift4 = Algebra(Domain(4), (from_function("s", 1, 4, lambda x: (x + 1) % 4),))
+        assert has_gset_factor(shift4)[1].blocks == (frozenset({0, 2}), frozenset({1, 3}))
+
+    def test_matches_the_factor_scan_on_three_element_binaries(self):
+        algebras = [
+            Algebra(Domain(3), (Operation("f", 2, 3, table),))
+            for table in idempotent_binary_tables(3)
+        ]
+        assert len(algebras) == 729
+        found = [self._check(alg) for alg in algebras]
+        assert 0 < sum(found) < 729
+
+    def test_cold_search_without_witness_builds_no_factor(self, monkeypatch):
+        import qcollapse.algebra as algebra
+
+        for name in ("_restrict", "_congruences", "_factors", "quotient"):
+            monkeypatch.setattr(algebra, name, _fail)
+        assert has_gset_factor(shared_algebra()) == (False, None)
+        assert has_gset_factor(and_algebra()) == (False, None)
+
+    def test_witness_is_the_one_quotient_built(self, monkeypatch):
+        import qcollapse.algebra as algebra
+
+        # the first projection on {0, 1}, and 2 absorbing
+        f = from_function("f", 2, 3, lambda x, y: 2 if 2 in (x, y) else x)
+        alg = Algebra(Domain(3), (f,))
+        expected = _witness_key(reference_gset_factor(_copy(alg)))
+        built = []
+        real = algebra.quotient
+
+        def counting(sub, cong):
+            built.append(cong)
+            return real(sub, cong)
+
+        monkeypatch.setattr(algebra, "quotient", counting)
+        for name in ("_congruences", "_factors"):
+            monkeypatch.setattr(algebra, name, _fail)
+        result = has_gset_factor(alg)
+        assert _witness_key(result) == expected
+        assert result[1].universe == frozenset({0, 1})
+        assert len(built) == 1
 
 
 class TestPredicates:

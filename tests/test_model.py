@@ -95,6 +95,14 @@ class TestRelationAndOperation:
         assert rel("A", 2, 2, [(0, 0)]) == rel("B", 2, 2, [(0, 0)])
         assert Operation("f", 1, 2, (0, 1)) == Operation("g", 1, 2, (0, 1))
 
+    def test_relation_hash_is_structural_and_kept(self):
+        a, b = rel("A", 2, 2, [(0, 0), (1, 0)]), rel("B", 2, 2, [(1, 0), (0, 0)])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert rel("A", 2, 3, [(0, 0), (1, 0)]) != a
+        assert rel("A", 1, 2, [(0,), (1,)]) != rel("A", 2, 2, [(0, 0), (1, 1)])
+        # the value the generated dataclass hash had, stored on the object
+        assert hash(a) == hash((2, 2, frozenset({(0, 0), (1, 0)}))) == vars(a)["_hash"]
+
 
 class TestValidate:
     def test_valid_formula(self):
