@@ -95,10 +95,14 @@ class AdversaryFamily:
     def __contains__(self, adv: Adversary) -> bool:
         if len(adv) != self.n:
             return False
-        wide_at = [i for i, c in enumerate(adv.coords) if c != self.base]
-        if len(wide_at) > self.width:
-            return False
-        return all(adv.coords[i] == self.wide for i in wide_at)
+        base, wide = self.base, self.wide
+        widened = 0
+        for c in adv.coords:
+            if c != base:
+                if c != wide:
+                    return False
+                widened += 1
+        return widened <= self.width
 
 
 def adv_family(n: int, base: Iterable[int], width: int, wide: Iterable[int]) -> AdversaryFamily:
@@ -114,13 +118,16 @@ def dominated(a: Adversary, b: Adversary) -> bool:
 
 def _column_images(op: Operation, sources: Sequence[Adversary], n: int) -> list[frozenset[int]]:
     """The element-wise image of the sources' coordinates at each of the n
-    positions, computed once per distinct column of coordinates."""
+    positions, read from the operation's image memo (`op_image`)."""
     for s in sources:
         if len(s) != n:
             raise StructuralError("adversaries of different length")
-    columns = list(zip(*(s.coords for s in sources)))
-    images = {column: op_image(op, column) for column in set(columns)}
-    return [images[column] for column in columns]
+    memo = op._images
+    images = []
+    for column in zip(*(s.coords for s in sources)):
+        image = memo.get(column)
+        images.append(op_image(op, column) if image is None else image)
+    return images
 
 
 def composable(target: Adversary, op: Operation, sources: Sequence[Adversary]) -> bool:
@@ -191,7 +198,10 @@ def verify_certificate(
 ) -> VerificationResult:
     """Replay every step, re-derive every operation from its trace, check the
     axioms belong to the declared families, and check the final adversary
-    dominates target^n. Returns the first failure as a diagnostic."""
+    dominates target^n. Returns the first failure as a diagnostic.
+
+    Each distinct trace is replayed once per call; every step still compares
+    its own operation with the rebuilt one and checks its containment."""
     d = algebra.domain.size
     if n is not None and certificate.n != n:
         return VerificationResult(False, f"certificate is for n={certificate.n}, not n={n}")
@@ -203,6 +213,7 @@ def verify_certificate(
     if not certificate.target or not certificate.target <= frozenset(range(d)):
         return VerificationResult(False, "target is not a nonempty subset of the universe")
     families = _axiom_families(n, certificate.source, certificate.width, d)
+    replayed: dict[Trace, Operation] = {}
     for idx, e in enumerate(certificate.entries):
         if len(e.adversary) != n:
             return VerificationResult(False, f"entry {idx}: adversary length != n")
@@ -224,10 +235,12 @@ def verify_certificate(
             )
         if e.trace is None:
             return VerificationResult(False, f"step {idx}: missing construction trace")
-        try:
-            rebuilt = replay_trace(algebra, e.trace)
-        except (StructuralError, IndexError) as err:
-            return VerificationResult(False, f"step {idx}: trace replay failed: {err}")
+        rebuilt = replayed.get(e.trace)
+        if rebuilt is None:
+            try:
+                rebuilt = replayed[e.trace] = replay_trace(algebra, e.trace)
+            except (StructuralError, IndexError) as err:
+                return VerificationResult(False, f"step {idx}: trace replay failed: {err}")
         if rebuilt != e.op:
             return VerificationResult(False, f"step {idx}: trace does not rebuild the operation")
         sources = [certificate.entries[i].adversary for i in e.inputs]
@@ -1113,6 +1126,8 @@ def parse_certificate(text: str, algebra: Algebra) -> Certificate:
     entries: list[CertEntry] = []
     result: int | None = None
     warnings: list[str] = []
+    # steps with one trace share one operation, and so its image memo
+    replayed: dict[Trace, Operation] = {}
     d = algebra.domain.size
     full = frozenset(range(d))
 
@@ -1122,6 +1137,11 @@ def parse_certificate(text: str, algebra: Algebra) -> Certificate:
         if not (tok.startswith("{") and tok.endswith("}")):
             raise ValueError(f"bad adversary coordinate {tok!r}")
         return frozenset(int(v) for v in tok[1:-1].split(",") if v)
+
+    def input_id(tok: str) -> int:
+        if not tok.strip():
+            raise ValueError("empty step input id")
+        return int(tok)
 
     def body(line: str) -> str:
         kind, colon, rest = line.partition(":")
@@ -1152,10 +1172,14 @@ def parse_certificate(text: str, algebra: Algebra) -> Certificate:
                             f"trace names g{gi}, but the algebra has "
                             f"{len(algebra.generators)} generators"
                         )
-                ids = tuple(
-                    int(tok) for tok in ids_text.rstrip(")").split(",") if tok.strip()
-                )
-                entries.append(CertEntry(adv, replay_trace(algebra, trace), trace, ids))
+                if not ids_text.endswith(")"):
+                    raise ValueError("step input list has no closing ')'")
+                inner = ids_text[:-1]
+                ids = tuple(map(input_id, inner.split(","))) if inner.strip() else ()
+                op = replayed.get(trace)
+                if op is None:
+                    op = replayed[trace] = replay_trace(algebra, trace)
+                entries.append(CertEntry(adv, op, trace, ids))
             elif line.startswith("result"):
                 result = int(line.split()[1])
             elif line.startswith("warning:"):

@@ -52,9 +52,10 @@ class Adversary:
     coords: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(frozenset(c) for c in self.coords))
-        if any(not c for c in self.coords):
+        coords = tuple(map(frozenset, self.coords))
+        if not all(coords):
             raise StructuralError("adversary coordinates must be nonempty")
+        object.__setattr__(self, "coords", coords)
 
     def __len__(self) -> int:
         return len(self.coords)

@@ -120,6 +120,12 @@ class Operation:
         if any(not (0 <= v < self.domain_size) for v in self.table):
             raise StructuralError(f"operation {self.name}: table value out of range")
 
+    @cached_property
+    def _images(self) -> dict[tuple[frozenset[int], ...], frozenset[int]]:
+        """`polymorph.op_image`'s memo, argument sets -> image; it lives in
+        the instance `__dict__` and takes no part in equality, hash or repr."""
+        return {}
+
     def index(self, args: Sequence[int]) -> int:
         idx = 0
         for a in args:

@@ -69,13 +69,26 @@ def is_polymorphism_of_language(op: Operation, language: ConstraintLanguage) -> 
 
 
 def op_image(op: Operation, sets: Sequence[Iterable[int]]) -> frozenset[int]:
-    """Element-wise image f(B_1, ..., B_k)."""
-    if len(sets) != op.arity:
-        raise StructuralError(f"operation {op.name}: expected {op.arity} argument sets")
+    """Element-wise image f(B_1, ..., B_k).
+
+    Each operation keeps the images it has computed, keyed by the tuple of
+    argument frozensets: at most (2^d - 1)^k entries for nonempty sets, 343
+    for a ternary operation on three elements. Callers holding such a tuple
+    may read `op._images` directly and call here on a miss."""
+    key = tuple(map(frozenset, sets))
+    image = op._images.get(key)
+    if image is None:
+        if len(key) != op.arity:
+            raise StructuralError(f"operation {op.name}: expected {op.arity} argument sets")
+        image = op._images[key] = _compute_image(op, key)
+    return image
+
+
+def _compute_image(op: Operation, sets: tuple[frozenset[int], ...]) -> frozenset[int]:
     d = op.domain_size
     table = op.table
     out = set()
-    for combo in itertools.product(*[sorted(set(s)) for s in sets]):
+    for combo in itertools.product(*sets):
         idx = 0
         for a in combo:
             idx = idx * d + a

@@ -211,6 +211,32 @@ def reference_pair_minimal(algebra: Algebra) -> bool:
     return True
 
 
+def reference_op_image(op: Operation, sets) -> frozenset[int]:
+    """The element-wise image f(B_1, ..., B_k), computed afresh on every call,
+    as `polymorph.op_image` did before it kept images per operation."""
+    if len(sets) != op.arity:
+        raise StructuralError(f"operation {op.name}: expected {op.arity} argument sets")
+    d = op.domain_size
+    out = set()
+    for combo in itertools.product(*[sorted(set(s)) for s in sets]):
+        idx = 0
+        for a in combo:
+            idx = idx * d + a
+        out.add(op.table[idx])
+    return frozenset(out)
+
+
+def reference_column_images(op: Operation, sources, n: int) -> list[frozenset[int]]:
+    """The replaced `collapsibility._column_images`: a set of the distinct
+    columns, each imaged by `reference_op_image`, read back per position."""
+    for s in sources:
+        if len(s) != n:
+            raise StructuralError("adversaries of different length")
+    columns = list(zip(*(s.coords for s in sources)))
+    images = {column: reference_op_image(op, column) for column in set(columns)}
+    return [images[column] for column in columns]
+
+
 def csp_satisfied(instance: CspInstance, values) -> bool:
     """Whether the values, one per variable index, satisfy every constraint."""
     return all(

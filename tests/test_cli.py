@@ -378,10 +378,31 @@ class TestExitCodes:
                 "step 1 {1} <= g0(0, 0)\nresult 1\n",
                 3,
             ),
+            (
+                "certificate n=1 width=1 source=1 target=1 domain=2\naxiom 0: {1}\n"
+                "step 1: {1} <= g0(0, 0\nresult 1\n",
+                3,
+            ),
+            (
+                "certificate n=1 width=1 source=1 target=1 domain=2\naxiom 0: {1}\n"
+                "step 1: {1} <= g0(0,, 0)\nresult 1\n",
+                3,
+            ),
+            (
+                "certificate n=1 width=1 source=1 target=1 domain=2\naxiom 0: {1}\n"
+                "step 1: {1} <= g0(0, 0,)\nresult 1\n",
+                3,
+            ),
+            (
+                "certificate n=1 width=1 source=1 target=1 domain=2\naxiom 0: {1}\n"
+                "step 1: {1} <= g0(0, 0))\nresult 1\n",
+                3,
+            ),
         ],
         ids=[
             "no-source", "no-target", "no-width", "domain-mismatch",
             "unknown-generator", "bad-coordinate", "axiom-without-colon", "step-without-colon",
+            "unclosed-inputs", "empty-input-id", "trailing-comma", "doubled-close",
         ],
     )
     def test_malformed_certificate_is_usage_error(self, files, capsys, tmp_path, text, line):

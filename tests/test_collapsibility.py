@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -11,10 +12,12 @@ from conftest import (
     eq_rel,
     random_algebra,
     record_closure_caps,
+    reference_column_images,
+    reference_op_image,
 )
-from qcollapse import collapsibility
+from qcollapse import collapsibility, polymorph
 from qcollapse.algebra import Congruence, disjoint_maximal_congruence
-from qcollapse.classify import discovered_generators
+from qcollapse.classify import DISPATCH_OPERATIONS, discovered_generators
 from qcollapse.collapse import conjunction_verdict, relevant_collapsings
 from qcollapse.collapsibility import (
     DEFAULT_TERM_COUNT_CAP,
@@ -629,6 +632,248 @@ class TestVerification:
             assert parse_certificate(text, alg) == cert
 
 
+def _random_coord(rng, d: int) -> frozenset[int]:
+    mask = rng.randrange(1, 2**d)
+    return frozenset(a for a in range(d) if mask >> a & 1)
+
+
+def _random_adversary(rng, n: int, d: int) -> Adversary:
+    return Adversary(tuple(_random_coord(rng, d) for _ in range(n)))
+
+
+def _tampered(cert, idx: int, **changes):
+    entries = list(cert.entries)
+    entries[idx] = dataclasses.replace(entries[idx], **changes)
+    return dataclasses.replace(cert, entries=tuple(entries))
+
+
+class TestImageMemo:
+    """Set-valued images are kept per operation (`polymorph.op_image`); the
+    builder and the verifier read that memo and must decide exactly as the
+    memo-free reference images do, however warm the memo is."""
+
+    def test_composable_matches_the_reference(self):
+        rng = random.Random(20)
+        outcomes = {True: 0, False: 0}
+        for d, k in itertools.product((1, 2, 3), (1, 2, 3)):
+            for _ in range(6):
+                op = Operation("f", k, d, tuple(rng.randrange(d) for _ in range(d**k)))
+                for _ in range(40):
+                    n = rng.randint(1, 5)
+                    sources = [_random_adversary(rng, n, d) for _ in range(k)]
+                    images = reference_column_images(op, sources, n)
+                    if rng.random() < 0.5:
+                        target = Adversary(tuple(
+                            frozenset(rng.sample(sorted(im), rng.randint(1, len(im))))
+                            for im in images
+                        ))
+                    else:
+                        target = _random_adversary(rng, n, d)
+                    expected = all(goal <= im for goal, im in zip(target.coords, images))
+                    assert composable(target, op, sources) == expected
+                    assert collapsibility._image_adversary(op, sources).coords == tuple(images)
+                    column = [sorted(s.coords[0]) for s in sources]
+                    assert op_image(op, column) == reference_op_image(op, column)
+                    outcomes[expected] += 1
+                assert len(op._images) <= (2**d - 1) ** k
+        assert min(outcomes.values()) > 200, outcomes
+
+    def test_warm_and_cold_operations_are_equal(self):
+        warm, cold = majority_op(), majority_op()
+        assert composable(adv({0, 1}), warm, [adv({0}), adv({1}), adv({0, 1})])
+        assert warm._images and "_images" not in vars(cold)
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        assert Algebra(Domain(2), (warm,)) == Algebra(Domain(2), (cold,))
+
+    def _warm_unit_chain(self):
+        alg = ALGEBRAS["and"]
+        cert = build_certificate(CertificateBuilder("unit_element"), alg, 5)
+        assert verify_certificate(cert, alg, 5)
+        return alg, cert
+
+    def test_widened_step_rejected_after_warming(self):
+        alg, cert = self._warm_unit_chain()
+        full = frozenset({0, 1})
+        rejected = 0
+        for idx, e in enumerate(cert.entries):
+            if e.op is None:
+                continue
+            sources = [cert.entries[i].adversary for i in e.inputs]
+            for pos, image in enumerate(reference_column_images(e.op, sources, 5)):
+                if image == full:
+                    continue
+                coords = list(e.adversary.coords)
+                coords[pos] = full
+                outcome = verify_certificate(
+                    _tampered(cert, idx, adversary=Adversary(tuple(coords))), alg, 5
+                )
+                assert outcome.failure == f"step {idx}: coordinate containment fails"
+                rejected += 1
+        assert rejected >= 6
+        assert verify_certificate(cert, alg, 5)
+
+    def test_operation_checked_at_every_step_of_a_replayed_trace(self):
+        # a later step names a trace that rebuilt the right operation at an
+        # earlier step, but carries another operation itself
+        tampered = 0
+        for alg in (*ALGEBRAS.values(), block_mix_algebra(), block_meet_algebra()):
+            builder, _ = plan_certificate(alg)
+            cert = build_certificate(builder, alg, 4)
+            assert verify_certificate(cert, alg, 4)
+            seen = set()
+            for idx, e in enumerate(cert.entries):
+                if e.op is None:
+                    continue
+                if e.trace in seen:
+                    d, k = alg.domain.size, e.op.arity
+                    other = next(
+                        projection_op(d, k, i) for i in range(1, k + 1)
+                        if projection_op(d, k, i) != e.op
+                    )
+                    outcome = verify_certificate(_tampered(cert, idx, op=other), alg, 4)
+                    assert outcome.failure == f"step {idx}: trace does not rebuild the operation"
+                    tampered += 1
+                seen.add(e.trace)
+        assert tampered >= 10
+
+    def test_axiom_outside_the_families_rejected_after_warming(self):
+        alg, cert = self._warm_unit_chain()
+        full, one = frozenset({0, 1}), frozenset({1})
+        axiom = next(i for i, e in enumerate(cert.entries) if e.op is None)
+        for outsider in (
+            constant_adversary(5, frozenset({0})),
+            Adversary((full, full, one, one, one)),
+            Adversary((full, frozenset({0}), one, one, one)),
+        ):
+            outcome = verify_certificate(_tampered(cert, axiom, adversary=outsider), alg, 5)
+            assert outcome.failure == (
+                f"axiom {axiom}: not a member of the declared source/width families"
+            )
+
+    def test_family_membership_matches_the_two_pass_test(self):
+        def two_pass(fam, adversary):
+            if len(adversary) != fam.n:
+                return False
+            wide_at = [i for i, c in enumerate(adversary.coords) if c != fam.base]
+            if len(wide_at) > fam.width:
+                return False
+            return all(adversary.coords[i] == fam.wide for i in wide_at)
+
+        rng = random.Random(7)
+        outcomes = {True: 0, False: 0}
+        for _ in range(3000):
+            d, n = rng.randint(1, 3), rng.randint(1, 4)
+            fam = adv_family(n, _random_coord(rng, d), rng.randint(0, 3), _random_coord(rng, d))
+            pool = (fam.base, fam.wide, _random_coord(rng, d))
+            length = rng.choice((n, n, n, n + 1, max(n - 1, 1)))
+            adversary = Adversary(tuple(
+                rng.choice(pool[:2] if rng.random() < 0.8 else pool) for _ in range(length)
+            ))
+            expected = two_pass(fam, adversary)
+            assert (adversary in fam) == expected
+            outcomes[expected] += 1
+        assert min(outcomes.values()) > 500, outcomes
+
+
+class TestImageWorkCounts:
+    """Deterministic counts of the work the memo saves."""
+
+    def test_unit_chain_certify_images_each_column_once(self, monkeypatch):
+        computed = collections.Counter()
+        held = []  # keeps every counted operation alive, so no id is reused
+        real = polymorph._compute_image
+
+        def counting(op, sets):
+            held.append(op)
+            computed[id(op), sets] += 1
+            return real(op, sets)
+
+        monkeypatch.setattr(polymorph, "_compute_image", counting)
+        alg = Algebra(Domain(2), (and_op(),))  # a fresh operation: its memo starts cold
+        builder, _, cert = certify(alg, 14)
+        assert builder.strategy == "unit_element" and len(cert.entries) == 27
+        # built and verified: 13 steps of 14 coordinates each, over the three
+        # columns (*, {1}), ({1}, *) and ({1}, {1})
+        assert max(computed.values()) == 1 and len(computed) == 3
+
+    def test_verify_replays_each_distinct_trace_once(self, monkeypatch):
+        certs = []
+        for alg in (*ALGEBRAS.values(), block_mix_algebra(), block_meet_algebra()):
+            builder, _ = plan_certificate(alg)
+            certs.append((alg, build_certificate(builder, alg, 4)))
+        rng = random.Random(3)
+        for _ in range(30):
+            alg = random_algebra(rng, 3, idempotent=True)
+            cert = power_certificate(alg, 3, {0}, 1)
+            if cert is not None:
+                certs.append((alg, cert))
+        calls = collections.Counter()
+        real = collapsibility.replay_trace
+
+        def counting(algebra, trace):
+            calls[trace] += 1
+            return real(algebra, trace)
+
+        monkeypatch.setattr(collapsibility, "replay_trace", counting)
+        repeated, distinct = 0, 0
+        for alg, cert in certs:
+            calls.clear()
+            assert verify_certificate(cert, alg)
+            traces = [e.trace for e in cert.entries if e.op is not None]
+            assert calls == collections.Counter(set(traces))
+            repeated += len(traces) - len(set(traces))
+            distinct = max(distinct, len(set(traces)))
+        assert repeated >= 40 and distinct == 3
+
+
+def _certificate_texts(jobs) -> list[str]:
+    """The serialized certificate, with the planner's notes, or the refusal,
+    for each (algebra, n) by `certify` and each (algebra, n, source, width)
+    by `power_certificate`."""
+    out = []
+    for alg, n, *power in jobs:
+        try:
+            if power:
+                cert, notes = power_certificate(alg, n, *power), []
+                if cert is None:
+                    out.append("none")
+                    continue
+            else:
+                _, notes, cert = certify(alg, n)
+            out.append(serialize_certificate(cert, alg.domain.size) + "\n".join(notes))
+        except (BuildError, GuardrailError) as err:
+            out.append(f"{type(err).__name__}: {err}")
+    return out
+
+
+def test_certificates_are_byte_identical_to_reference_images(monkeypatch):
+    # the dispatch generators are shared and may be warm; every other
+    # operation here is made afresh for each side
+    def jobs():
+        out = [
+            (Algebra(Domain(2), (op,)), n) for op in DISPATCH_OPERATIONS for n in range(1, 15)
+        ]
+        out += [(alg, n) for alg in dispatch_algebras() for n in range(1, 15)]
+        others = (
+            *ALGEBRAS.values(), shared_algebra(), block_mix_algebra(), block_meet_algebra(),
+            Algebra(Domain(3), (dual_discriminator(3),)),
+        )
+        out += [(alg, n) for alg in others for n in (1, 2, 3, 5)]
+        rng = random.Random(3)
+        for _ in range(12):
+            alg = random_algebra(rng, rng.choice((2, 3)), idempotent=True)
+            out += [(alg, n, {0}, 1) for n in (2, 3)] + [(alg, 2, {0, 1}, 1)]
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(collapsibility, "_column_images", reference_column_images)
+        patch.setattr(collapsibility, "op_image", reference_op_image)
+        expected = _certificate_texts(jobs())
+    texts = _certificate_texts(jobs())
+    assert texts == expected
+    assert sum(text.startswith("certificate") for text in texts) > 300
+
+
 def _mutation_sources():
     """Serialized certificates of every builder family the planner picks,
     with their algebras."""
@@ -717,7 +962,9 @@ def _replays_from_axioms(cert, alg) -> bool:
         elif not (
             all(0 <= i < idx for i in e.inputs)
             and replay_trace(alg, e.trace) == e.op
-            and composable(e.adversary, e.op, [entries[i].adversary for i in e.inputs])
+            and all(goal <= image for goal, image in zip(coords, reference_column_images(
+                e.op, [entries[i].adversary for i in e.inputs], cert.n
+            )))
         ):
             return False
     if not 0 <= cert.result < len(entries):
