@@ -74,6 +74,15 @@ CLI_STRATEGIES = (
     "auto", "singleton", *TERM_CONDITIONS, "strictly_simple", "pair_minimal", "quotient_lift",
 )
 
+# the builder flags each strategy reads; every other strategy refuses them
+_STRATEGY_FLAGS = {
+    "singleton": ("element",),
+    "unit_element": ("element", "op"),
+    "maltsev_chain": ("element", "op"),
+    "dualdisc_chain": ("pair", "op"),
+    "near_unanimity": ("element", "op"),
+}
+
 
 def _read(path: str) -> str:
     try:
@@ -320,6 +329,9 @@ def cmd_detect(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    for flag in ("element", "pair", "op"):
+        if getattr(args, flag) is not None and flag not in _STRATEGY_FLAGS.get(args.strategy, ()):
+            raise StructuralError(f"--strategy {args.strategy} does not read --{flag}")
     document = parse_document(_read(args.file))
     if not document.operations:
         raise ParseError("certify needs an algebra file with op tables")
@@ -334,6 +346,8 @@ def cmd_certify(args) -> int:
             if len(names) != 2:
                 raise StructuralError(f"--pair needs two element names, got {args.pair!r}")
             params["pair"] = tuple(map(alg.domain.index_of, names))
+            if params["pair"][0] == params["pair"][1]:
+                raise StructuralError(f"--pair needs two different elements, got {args.pair!r}")
         if args.op is not None:
             named = {o.name: o for o in alg.generators}
             if args.op not in named:

@@ -10,7 +10,7 @@ import pytest
 import qcollapse
 from conftest import NEGATIVE_REFERENCE_CERT, record_closure_caps
 from qcollapse import collapsibility
-from qcollapse.cli import main
+from qcollapse.cli import CLI_STRATEGIES, main
 from qcollapse.collapse import (
     collapse_verdicts,
     collapsing_to_csp,
@@ -148,6 +148,15 @@ FLAGS_READ = {
     ("sweep", "--count-cap"),
 }
 
+# the (strategy, flag) pairs where `certify --strategy` reads the builder
+# flag; every other strategy refuses it
+STRATEGY_FLAGS_READ = {
+    ("singleton", "--element"), ("unit_element", "--element"), ("maltsev_chain", "--element"),
+    ("near_unanimity", "--element"), ("dualdisc_chain", "--pair"),
+    ("unit_element", "--op"), ("maltsev_chain", "--op"), ("dualdisc_chain", "--op"),
+    ("near_unanimity", "--op"),
+}
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -231,10 +240,12 @@ class TestExitCodes:
             (["--strategy", "two_element"], "invalid choice"),
             (["--strategy", "frobnicate"], "invalid choice"),
             (["--strategy", "dualdisc_chain", "--pair", "0"], "--pair needs two element names"),
+            (["--strategy", "dualdisc_chain", "--pair", "f,f"],
+             "--pair needs two different elements, got 'f,f'"),
         ],
         ids=[
             "extends_step", "subalgebra_enlarge", "combine_subsets", "and_chain", "two_element",
-            "frobnicate", "pair-of-one",
+            "frobnicate", "pair-of-one", "pair-of-equals",
         ],
     )
     def test_certify_refuses_strategies_it_cannot_parameterize(
@@ -244,6 +255,27 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "strategy, flag",
+        [
+            pytest.param(strategy, flag, id=f"{strategy}{flag[0]}")
+            for strategy in CLI_STRATEGIES
+            for flag in (["--element", "t"], ["--pair", "f,t"], ["--op", "and"])
+        ],
+    )
+    def test_certify_refuses_builder_flags_its_strategy_does_not_read(
+        self, files, capsys, strategy, flag
+    ):
+        code = main(["certify", files["and"], "--strategy", strategy, "--n", "2", *flag])
+        captured = capsys.readouterr()
+        if (strategy, flag[0]) in STRATEGY_FLAGS_READ:
+            assert code in (0, 1)
+            assert "does not read" not in captured.err
+        else:
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == f"error: --strategy {strategy} does not read {flag[0]}\n"
 
     def test_truncated_closure_claims_no_gset(self, tmp_path, capsys):
         # the generator satisfies no term condition, and the cap admits the
