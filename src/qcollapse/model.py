@@ -394,35 +394,25 @@ class _Parser:
         except StructuralError as e:
             self.fail(str(e), lineno)
 
-    def _kw_relation(self, tokens, line, lineno):
+    def _kw_block(self, tokens, line, lineno):
+        """Open a `relation` or `op` block: `KIND NAME ARITY`."""
+        kind = tokens[0]
         if len(tokens) != 3:
-            self.fail("expected: relation NAME ARITY", lineno)
+            self.fail(f"expected: {kind} NAME ARITY", lineno)
         self.need_domain(lineno)
         name = tokens[1]
-        if any(r.name == name for r in self.relations):
-            self.fail(f"duplicate relation {name!r}", lineno)
+        declared = self.relations if kind == "relation" else self.operations
+        if any(d.name == name for d in declared):
+            self.fail(f"duplicate {kind} {name!r}", lineno)
         try:
             arity = int(tokens[2])
         except ValueError:
             self.fail(f"bad arity {tokens[2]!r}", lineno)
         if arity < 1:
-            self.fail("relation arity must be >= 1", lineno)
-        self._block = ("relation", name, arity, lineno)
+            self.fail(f"{kind} arity must be >= 1", lineno)
+        self._block = (kind, name, arity, lineno)
 
-    def _kw_op(self, tokens, line, lineno):
-        if len(tokens) != 3:
-            self.fail("expected: op NAME ARITY", lineno)
-        self.need_domain(lineno)
-        name = tokens[1]
-        if any(o.name == name for o in self.operations):
-            self.fail(f"duplicate op {name!r}", lineno)
-        try:
-            arity = int(tokens[2])
-        except ValueError:
-            self.fail(f"bad arity {tokens[2]!r}", lineno)
-        if arity < 1:
-            self.fail("op arity must be >= 1", lineno)
-        self._block = ("op", name, arity, lineno)
+    _kw_relation = _kw_op = _kw_block
 
     def _data_row(self, tokens, lineno):
         if self._block is None:

@@ -173,6 +173,25 @@ class TestParsing:
             parse_document(text)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("kind", ["relation", "op"])
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("{kind} R", "line 4: expected: {kind} NAME ARITY"),
+            ("{kind} A 1", "line 4: duplicate {kind} 'A'"),
+            ("{kind} R two", "line 4: bad arity 'two'"),
+            ("{kind} R 0", "line 4: {kind} arity must be >= 1"),
+        ],
+        ids=["token-count", "duplicate-name", "bad-arity", "arity-below-1"],
+    )
+    def test_block_header_errors(self, kind, header, message):
+        # a complete block named A, then the header under test
+        row = {"relation": "a", "op": "a -> a"}[kind]
+        text = f"domain 1 a\n{kind} A 1\n  {row}\n{header.format(kind=kind)}\n"
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert str(err.value) == message.format(kind=kind)
+
     def test_error_carries_line_number(self):
         bad = "domain 2 a b\nrelation R 1\n  a\nformula exists x : R(x, x)\n"
         with pytest.raises(ParseError) as err:
