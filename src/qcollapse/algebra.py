@@ -7,18 +7,19 @@ MAX_ENUM_UNIVERSE elements so every sweep stays exhaustive.
 
 Subalgebras, congruences, restrictions, factors, the G-set witness and the
 enclosure, connectivity, strict-simplicity and pair-minimality predicates are
-computed once per `Algebra` object and kept on it (see `_memo`): the
-classifiers, the certificate planner and the analysis report ask the same
-object the same questions many times within one call.
+computed once per `Algebra` object and arguments and kept on it (`_cached`):
+the classifiers, the certificate planner and the analysis report ask the same
+object the same questions many times within one call. The restriction to the
+whole universe is the algebra itself.
 
 The G-set witness is found on the generator tables, without building any
 factor but the witness: each partition of each subuniverse is tested for a
-generator-wise block permutation of one coordinate (`_gset_blocks`). An
-algebra whose factor list is already built reads the witness from that list.
+generator-wise block permutation of one coordinate (`_gset_blocks`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -84,21 +85,33 @@ class Factor:
     blocks: tuple[frozenset[int], ...]
 
 
-def _memo(algebra: Algebra, key, compute, *args):
-    """`compute(algebra, *args)`, computed once per algebra object and `key`.
+def _cached(compute):
+    """`compute(algebra, *args)`, computed once per algebra object and
+    arguments.
 
     The answers live in a dict in the instance's `__dict__`, where
     `cached_property` keeps its values, so they die with the algebra. The
     cache is per object, not per value: generator names are not part of
-    `Operation` equality, yet quotients are named after them. Every cached
-    value is immutable, and a computation that raises caches nothing.
+    `Operation` equality, yet quotients are named after them. Every answer is
+    immutable and returned as stored, and a computation that raises caches
+    nothing. An answer that starts with the algebra itself (`restrict` to the
+    whole universe) is not kept: the algebra would then refer to itself and
+    wait, with all it caches, for the cycle collector.
     """
-    cache = algebra.__dict__.setdefault("_structure", {})
-    try:
-        return cache[key]
-    except KeyError:
-        value = cache[key] = compute(algebra, *args)
-        return value
+
+    @functools.wraps(compute)
+    def cached(algebra: Algebra, *args):
+        cache = algebra.__dict__.setdefault("_structure", {})
+        key = (compute, *args)
+        try:
+            return cache[key]
+        except KeyError:
+            value = compute(algebra, *args)
+            if not (type(value) is tuple and value and value[0] is algebra):
+                cache[key] = value
+            return value
+
+    return cached
 
 
 def _argument_indices(arity: int, d: int, values: Sequence[int]) -> list[int]:
@@ -138,12 +151,9 @@ def generated_subalgebra(algebra: Algebra, seed: Sequence[int]) -> frozenset[int
     return frozenset(v for (v,) in closure.vectors)
 
 
+@_cached
 def enumerate_subalgebras(algebra: Algebra) -> SubalgebraSet:
     """All generator-closed nonempty subsets, with propriety/maximality flags."""
-    return _memo(algebra, "subalgebras", _subalgebras)
-
-
-def _subalgebras(algebra: Algebra) -> SubalgebraSet:
     _check_universe(algebra)
     n = algebra.domain.size
     closed = []
@@ -209,12 +219,9 @@ def _preserves_partition(op: Operation, block_of: dict[int, int]) -> bool:
     return True
 
 
-def enumerate_congruences(algebra: Algebra) -> list[Congruence]:
+@_cached
+def enumerate_congruences(algebra: Algebra) -> tuple[Congruence, ...]:
     """Every partition of the universe preserved by all generators."""
-    return list(_memo(algebra, "congruences", _congruences))
-
-
-def _congruences(algebra: Algebra) -> tuple[Congruence, ...]:
     _check_universe(algebra)
     out = []
     for blocks in _partitions(range(algebra.domain.size)):
@@ -253,21 +260,21 @@ def quotient(algebra: Algebra, congruence: Congruence) -> Algebra:
     return Algebra(Domain(q), tuple(gens))
 
 
-def restrict(algebra: Algebra, universe: frozenset[int]) -> tuple[Algebra, list[int]]:
+@_cached
+def restrict(algebra: Algebra, universe: frozenset[int]) -> tuple[Algebra, tuple[int, ...]]:
     """Restriction to a closed subset, re-indexed to 0..|B|-1.
 
-    Returns the subalgebra and the list mapping new indices to old elements.
+    Returns the subalgebra and the tuple mapping new indices to old elements.
+    The whole universe gives the algebra itself, which differs from its
+    re-indexed copy only in being the object that already holds its answers.
     """
-    sub, old = _memo(algebra, ("restrict", frozenset(universe)), _restrict, universe)
-    return sub, list(old)
-
-
-def _restrict(algebra: Algebra, universe: frozenset[int]) -> tuple[Algebra, tuple[int, ...]]:
+    d = algebra.domain.size
+    if universe == frozenset(range(d)):
+        return algebra, tuple(range(d))
     if not is_closed(algebra, universe):
         raise StructuralError("subset is not closed under the generators")
     old = sorted(universe)
     new_of = {v: i for i, v in enumerate(old)}
-    d = algebra.domain.size
     gens = []
     for g in algebra.generators:
         table = [new_of[g.table[i]] for i in _argument_indices(g.arity, d, old)]
@@ -275,36 +282,23 @@ def _restrict(algebra: Algebra, universe: frozenset[int]) -> tuple[Algebra, tupl
     return Algebra(Domain(len(old)), tuple(gens)), tuple(old)
 
 
-def enumerate_factors(algebra: Algebra) -> list[Factor]:
+@_cached
+def enumerate_factors(algebra: Algebra) -> tuple[Factor, ...]:
     """Quotients of every subalgebra by every congruence of its restriction;
     includes the algebra itself via the identity congruence on the full
     universe."""
-    return list(_memo(algebra, "factors", _factors))
-
-
-def _factors(algebra: Algebra) -> tuple[Factor, ...]:
     _check_universe(algebra)
     out = []
     for universe in enumerate_subalgebras(algebra).universes():
-        sub, old = _restriction(algebra, universe)
+        sub, old = restrict(algebra, universe)
         for cong in enumerate_congruences(sub):
             out.append(_factor(universe, sub, old, cong))
     return tuple(out)
 
 
-def _restriction(algebra: Algebra, universe: frozenset[int]) -> tuple[Algebra, list[int]]:
-    """`restrict`, except that the full universe gives the algebra itself.
-
-    The restriction to the full universe differs from the algebra only in
-    element names, which no factor carries; the algebra itself shares its
-    congruences with the report and the planner.
-    """
-    if len(universe) == algebra.domain.size:
-        return algebra, list(range(algebra.domain.size))
-    return restrict(algebra, universe)
-
-
-def _factor(universe: frozenset[int], sub: Algebra, old: list[int], cong: Congruence) -> Factor:
+def _factor(
+    universe: frozenset[int], sub: Algebra, old: Sequence[int], cong: Congruence
+) -> Factor:
     blocks = tuple(frozenset(old[i] for i in b) for b in cong.blocks)
     return Factor(universe, cong, quotient(sub, cong), blocks)
 
@@ -360,28 +354,18 @@ def is_gset(algebra: Algebra) -> bool:
     return all(_permutation_projection_coord(g) is not None for g in algebra.generators)
 
 
+@_cached
 def has_gset_factor(algebra: Algebra) -> tuple[bool, Factor | None]:
     """The first factor, in `enumerate_factors` order, whose quotient is a
     G-set; returns it as the witness when one exists.
 
     The search runs on the generator tables and builds the witness alone
-    (see `_gset_blocks`); an algebra that already holds its factor list reads
-    the witness from it.
+    (see `_gset_blocks`).
     """
-    return _memo(algebra, "gset_factor", _gset_factor)
-
-
-def _gset_factor(algebra: Algebra) -> tuple[bool, Factor | None]:
-    factors = algebra.__dict__.get("_structure", {}).get("factors")
-    if factors is not None:
-        for factor in factors:
-            if is_gset(factor.quotient):
-                return True, factor
-        return False, None
     for universe in enumerate_subalgebras(algebra).universes():
         blocks = _gset_blocks(algebra, sorted(universe))
         if blocks is not None:
-            sub, old = _restriction(algebra, universe)
+            sub, old = restrict(algebra, universe)
             return True, _factor(universe, sub, old, Congruence(blocks))
     return False, None
 
@@ -446,13 +430,10 @@ class PredicateResult:
         return self.holds
 
 
+@_cached
 def is_strictly_simple(algebra: Algebra) -> PredicateResult:
     """Simple (only trivial congruences) with every proper subalgebra
     one-element."""
-    return _memo(algebra, "strictly_simple", _strictly_simple)
-
-
-def _strictly_simple(algebra: Algebra) -> PredicateResult:
     _check_universe(algebra)
     if algebra.domain.size == 1:
         return PredicateResult(True, trivial=True)
@@ -465,13 +446,10 @@ def _strictly_simple(algebra: Algebra) -> PredicateResult:
     return PredicateResult(True)
 
 
+@_cached
 def is_pair_minimal(algebra: Algebra) -> bool:
     """Every two-element subset generates a subalgebra with no proper
     non-trivial subalgebra."""
-    return _memo(algebra, "pair_minimal", _pair_minimal)
-
-
-def _pair_minimal(algebra: Algebra) -> bool:
     _check_universe(algebra)
     if algebra.domain.size < 2:
         raise StructuralError("pair minimality needs at least two elements")
@@ -486,6 +464,7 @@ def _pair_minimal(algebra: Algebra) -> bool:
     return True
 
 
+@_cached
 def is_enclosed(algebra: Algebra) -> bool:
     """Images of tuples of maximal proper subalgebras stay inside some maximal
     proper subalgebra.
@@ -495,10 +474,6 @@ def is_enclosed(algebra: Algebra) -> bool:
     composite's image is contained in its outer operation's image of the inner
     containments.
     """
-    return _memo(algebra, "enclosed", _enclosed)
-
-
-def _enclosed(algebra: Algebra) -> bool:
     _check_universe(algebra)
     maximal = enumerate_subalgebras(algebra).maximal_proper()
     for g in algebra.generators:
@@ -509,12 +484,9 @@ def _enclosed(algebra: Algebra) -> bool:
     return True
 
 
+@_cached
 def is_fully_connected(algebra: Algebra) -> PredicateResult:
     """The overlap graph of maximal proper subalgebras is connected."""
-    return _memo(algebra, "fully_connected", _fully_connected)
-
-
-def _fully_connected(algebra: Algebra) -> PredicateResult:
     _check_universe(algebra)
     if algebra.domain.size == 1:
         return PredicateResult(True, trivial=True)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -337,7 +339,7 @@ class TestGsetSearch:
     def test_cold_search_without_witness_builds_no_factor(self, monkeypatch):
         import qcollapse.algebra as algebra
 
-        for name in ("_restrict", "_congruences", "_factors", "quotient"):
+        for name in ("restrict", "enumerate_congruences", "enumerate_factors", "quotient"):
             monkeypatch.setattr(algebra, name, _fail)
         assert has_gset_factor(shared_algebra()) == (False, None)
         assert has_gset_factor(and_algebra()) == (False, None)
@@ -357,12 +359,23 @@ class TestGsetSearch:
             return real(sub, cong)
 
         monkeypatch.setattr(algebra, "quotient", counting)
-        for name in ("_congruences", "_factors"):
+        for name in ("enumerate_congruences", "enumerate_factors"):
             monkeypatch.setattr(algebra, name, _fail)
         result = has_gset_factor(alg)
         assert _witness_key(result) == expected
         assert result[1].universe == frozenset({0, 1})
         assert len(built) == 1
+
+    def test_warm_witness_matches_the_factor_scan(self):
+        # the factor list, once built, is not read: the table scan still
+        # finds the witness the replaced factor scan finds
+        absorbing = from_function("f", 2, 3, lambda x, y: 2 if 2 in (x, y) else x)
+        shift4 = from_function("s", 1, 4, lambda x: (x + 1) % 4)
+        for alg in (Algebra(Domain(3), (absorbing,)), Algebra(Domain(4), (shift4,))):
+            expected = _witness_key(reference_gset_factor(_copy(alg)))
+            assert expected[0]
+            enumerate_factors(alg)
+            assert _witness_key(has_gset_factor(alg)) == expected
 
 
 class TestPredicates:
@@ -451,7 +464,7 @@ class TestDisjointMaximalCongruence:
 class TestRestrict:
     def test_restrict_shared_pair(self):
         sub, elements = restrict(shared_algebra(), frozenset({0, 2}))
-        assert elements == [0, 2]
+        assert elements == (0, 2)
         assert sub.domain.size == 2
         # restriction acts as the two-element semilattice with unit 0 (old a)
         from qcollapse.polymorph import tag_operation
@@ -462,6 +475,29 @@ class TestRestrict:
     def test_unclosed_subset_rejected(self):
         with pytest.raises(StructuralError):
             restrict(shared_algebra(), frozenset({0, 1}))
+
+    def test_whole_universe_gives_the_algebra_itself(self):
+        alg = shared_algebra()
+        congruences = enumerate_congruences(alg)
+        sub, elements = restrict(alg, frozenset({0, 1, 2}))
+        assert sub is alg and elements == (0, 1, 2)
+        # one cache: the restriction's answers are the algebra's
+        assert enumerate_congruences(sub) is congruences
+
+    def test_the_cache_keeps_no_reference_to_its_algebra(self):
+        # so an algebra dies with its last reference, without waiting for
+        # the cycle collector
+        alg = shared_algebra()
+        enumerate_factors(alg)
+        has_gset_factor(alg)
+        assert restrict(alg, frozenset({0, 1, 2}))[0] is alg
+        ref = weakref.ref(alg)
+        gc.disable()
+        try:
+            del alg
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestStructureCache:
@@ -482,11 +518,13 @@ class TestStructureCache:
 
         alg = shared_algebra()
         first = enumerate_factors(alg)
+        gset = has_gset_factor(alg)
         monkeypatch.setattr(algebra, "_partitions", None)
         monkeypatch.setattr(algebra, "is_closed", None)
         assert enumerate_factors(alg) == first
-        assert has_gset_factor(alg) == (False, None)
-        assert restrict(alg, frozenset({0, 2}))[1] == [0, 2]
+        assert has_gset_factor(alg) == gset == (False, None)
+        # the factor scan restricted to every subuniverse
+        assert restrict(alg, frozenset({0, 2}))[1] == (0, 2)
 
     def test_predicates_are_computed_once(self, monkeypatch):
         import qcollapse.algebra as algebra
@@ -494,25 +532,25 @@ class TestStructureCache:
         alg = shared_algebra()
         predicates = (is_enclosed, is_fully_connected, is_strictly_simple, is_pair_minimal)
         first = [predicate(alg) for predicate in predicates]
-        for name in ("_enclosed", "_fully_connected", "_strictly_simple", "_pair_minimal"):
-            monkeypatch.setattr(algebra, name, None)
+        # every predicate's computation starts with the universe check
+        monkeypatch.setattr(algebra, "_check_universe", None)
         assert [predicate(alg) for predicate in predicates] == first
 
-    def test_returned_lists_are_fresh(self):
+    def test_second_call_returns_the_stored_immutable_answer(self):
         alg = shared_algebra()
-        congruences = enumerate_congruences(alg)
-        factors = enumerate_factors(alg)
-        universes = enumerate_subalgebras(alg).universes()
-        sub, elements = restrict(alg, frozenset({0, 2}))
-        expected = (list(congruences), list(factors), list(universes), list(elements))
-        congruences.clear()
-        factors.reverse()
-        universes.pop()
-        elements.append(1)
-        assert enumerate_congruences(alg) == expected[0]
-        assert enumerate_factors(alg) == expected[1]
-        assert enumerate_subalgebras(alg).universes() == expected[2]
-        assert restrict(alg, frozenset({0, 2})) == (sub, expected[3])
+        questions = (
+            enumerate_subalgebras, enumerate_congruences, enumerate_factors, has_gset_factor,
+            is_strictly_simple, is_pair_minimal, is_enclosed, is_fully_connected,
+            lambda a: restrict(a, frozenset({0, 2})),
+        )
+        for question in questions:
+            answer = question(alg)
+            assert question(alg) is answer
+            # hashable all the way down: tuples, frozensets and frozen
+            # dataclasses, so no caller can change what is stored
+            hash(answer)
+        assert isinstance(enumerate_congruences(alg), tuple)
+        assert isinstance(enumerate_factors(alg), tuple)
 
     def test_warm_cache_still_refuses(self):
         alg = shared_algebra()

@@ -19,7 +19,7 @@ from qcollapse.collapse import (
 )
 from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.game import evaluate_truth
-from qcollapse.model import parse_document, serialize_instance
+from qcollapse.model import Algebra, parse_document, serialize_instance
 from qcollapse.ops import and_op, majority_op
 
 EXAMPLE = """\
@@ -711,20 +711,29 @@ class TestAnalyzeDetect:
 
     def test_analyze_computes_each_predicate_once(self, files, capsys, monkeypatch):
         # the report, the disjoint-maximal congruence and sink detection all
-        # ask whether the algebra is enclosed; it is computed once
-        import qcollapse.algebra as algebra
-
+        # ask whether the algebra is enclosed; it is computed once. Every
+        # algebra's structure cache records what it stores, which it does
+        # once per computation.
         computed = []
-        for name in ("_enclosed", "_fully_connected", "_strictly_simple", "_pair_minimal"):
-            def counted(alg, _name=name, _compute=getattr(algebra, name)):
-                computed.append(_name)
-                return _compute(alg)
 
-            monkeypatch.setattr(algebra, name, counted)
+        class Recording(dict):
+            def __setitem__(self, key, value):
+                computed.append(key[0].__name__)
+                super().__setitem__(key, value)
+
+        real = Algebra.__post_init__
+
+        def post_init(self):
+            real(self)
+            self.__dict__["_structure"] = Recording()
+
+        monkeypatch.setattr(Algebra, "__post_init__", post_init)
         assert main(["analyze", files["shared"]]) == 0
         assert json.loads(capsys.readouterr().out)["enclosed"] is True
-        assert computed.count("_enclosed") == 1
-        assert len(computed) == len(set(computed))
+        asked = ("is_enclosed", "is_fully_connected", "is_strictly_simple", "is_pair_minimal")
+        predicates = [name for name in computed if name in asked]
+        assert predicates.count("is_enclosed") == 1
+        assert len(predicates) == len(set(predicates)) == 4
 
     def test_detect_tags(self, files, capsys):
         assert main(["detect", files["and"]]) == 0
