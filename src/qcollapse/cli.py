@@ -111,6 +111,13 @@ def _source(args, domain: Domain) -> frozenset[int] | None:
     return frozenset((domain.index_of(args.source),))
 
 
+def _refuse_unread(args, reader: str, flags) -> None:
+    """A usage error for the first of `flags` given, which `reader` does not read."""
+    for flag in flags:
+        if getattr(args, flag.replace("-", "_")) is not None:
+            raise StructuralError(f"{reader} does not read --{flag}")
+
+
 def _write(path: Path, text: str):
     try:
         path.write_text(text, encoding="utf-8")
@@ -154,14 +161,18 @@ def _certificate_for_language(document, n: int, arity_cap: int, count_cap: int) 
 
 
 def cmd_solve(args) -> int:
+    if args.unsafe:
+        _refuse_unread(args, "--unsafe", ("arity-cap", "count-cap"))
     document = _instance(args.file)
     formula = document.formula
     n = len(formula.universal_vars)
     width = args.j
     source = _source(args, formula.domain)
     if not args.unsafe:
+        arity_cap = args.arity_cap or DEFAULT_ARITY_CAP
+        count_cap = args.count_cap or DEFAULT_TERM_COUNT_CAP
         try:
-            cert = _certificate_for_language(document, n, args.arity_cap, args.count_cap)
+            cert = _certificate_for_language(document, n, arity_cap, count_cap)
         except (BuildError, GuardrailError) as err:
             raise GuardrailError(
                 f"refusing the collapse reduction without a verified certificate "
@@ -300,7 +311,7 @@ def cmd_analyze(args) -> int:
     document = parse_document(_read(args.file))
     if not document.operations:
         raise ParseError("analyze needs an algebra file with op tables")
-    report = _algebra_report(document.algebra, args.count_cap)
+    report = _algebra_report(document.algebra, args.count_cap or DEFAULT_TERM_COUNT_CAP)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_TRUE
 
@@ -317,7 +328,8 @@ def cmd_detect(args) -> int:
     for op in document.operations:
         report["operations"][op.name] = {"arity": op.arity, **dataclasses.asdict(tag_operation(op))}
     if document.relations:
-        generators, caps = discovered_generators(document.language, args.arity_cap)
+        arity_cap = args.arity_cap or DEFAULT_ARITY_CAP
+        generators, caps = discovered_generators(document.language, arity_cap)
         tags = [tag_operation(op) for op in generators]
         report["polymorphisms"] = {
             "caps": caps,
@@ -329,14 +341,15 @@ def cmd_detect(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    for flag in ("element", "pair", "op"):
-        if getattr(args, flag) is not None and flag not in _STRATEGY_FLAGS.get(args.strategy, ()):
-            raise StructuralError(f"--strategy {args.strategy} does not read --{flag}")
+    read = _STRATEGY_FLAGS.get(args.strategy, ())
+    unread = [flag for flag in ("element", "pair", "op") if flag not in read]
+    _refuse_unread(args, f"--strategy {args.strategy}", unread)
     document = parse_document(_read(args.file))
     if not document.operations:
         raise ParseError("certify needs an algebra file with op tables")
     alg = document.algebra
-    params: dict = {"count_cap": args.count_cap}
+    count_cap = args.count_cap or DEFAULT_TERM_COUNT_CAP
+    params: dict = {"count_cap": count_cap}
     builder = None
     if args.strategy != "auto":
         if args.element is not None:
@@ -354,7 +367,7 @@ def cmd_certify(args) -> int:
                 raise StructuralError(f"unknown operation {args.op!r}")
             params["op"] = named[args.op]
         builder = CertificateBuilder(args.strategy, params)
-    builder, notes, cert = certify(alg, args.n, builder, args.count_cap)
+    builder, notes, cert = certify(alg, args.n, builder, count_cap)
     header = [f"# strategy {builder.strategy}"]
     header.extend(f"# note: {note}" for note in notes)
     _emit("\n".join(header) + "\n" + serialize_certificate(cert, alg.domain.size), args.out)
@@ -380,11 +393,12 @@ def cmd_classify(args) -> int:
     document = parse_document(_read(args.file))
     language = document.language
     if args.conservative:
-        verdict = classify_conservative(language, args.arity_cap)
+        verdict = classify_conservative(language, args.arity_cap or DEFAULT_ARITY_CAP)
     elif language.domain.size == 2:
+        _refuse_unread(args, "two-element classify without --conservative", ["arity-cap"])
         verdict = classify_two_element(language)
     elif language.domain.size == 3:
-        verdict = classify_three_element(language, args.arity_cap)
+        verdict = classify_three_element(language, args.arity_cap or DEFAULT_ARITY_CAP)
     else:
         raise StructuralError(
             "classification covers two- and three-element domains, plus "
@@ -426,7 +440,7 @@ def cmd_sweep(args) -> int:
         for table in _idempotent_binary_tables(d):
             op = Operation("f", 2, d, table)
             alg = Algebra(Domain(d), (op,))
-            verdict = detect_sink_candidate(alg, args.count_cap)
+            verdict = detect_sink_candidate(alg, args.count_cap or DEFAULT_TERM_COUNT_CAP)
             if verdict.kind == "sink_certified":
                 sink_count += 1
             rows.append((d, table, verdict.kind))
@@ -485,18 +499,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def verb(name, summary, file=True, arity_cap=False, count_cap=False):
-        """A verb's parser, with the cap flags only where the verb reads them."""
+        """A verb's parser, with the cap flags only where the verb may read them.
+        A cap not given is None, so a path that does not read it can refuse it;
+        a path that reads it takes `cap or DEFAULT_...` (a given cap is >= 1)."""
         p = sub.add_parser(name, help=summary)
         if file:
             p.add_argument("file", help="instance or algebra file")
         if arity_cap:
-            p.add_argument(
-                "--arity-cap", type=positive_int, default=DEFAULT_ARITY_CAP, dest="arity_cap"
-            )
+            p.add_argument("--arity-cap", type=positive_int)
         if count_cap:
-            p.add_argument(
-                "--count-cap", type=positive_int, default=DEFAULT_TERM_COUNT_CAP, dest="count_cap"
-            )
+            p.add_argument("--count-cap", type=positive_int)
         return p
 
     p = verb("solve", "decide via the collapse reduction", arity_cap=True, count_cap=True)

@@ -1,5 +1,6 @@
-"""Game oracle: decides truth of quantified constraint formulas and
-winnability against adversaries, and replays explicit strategies.
+"""Game oracle: decides the truth of quantified constraint formulas as a game
+between the existential and universal players, and replays explicit strategies
+against adversaries.
 
 Each call compiles the body once onto prefix positions. A constraint closes at
 its last variable in prefix order; a lazily filled table maps the values of its
@@ -7,14 +8,16 @@ other variables to the bitmask of values the closing variable may take, with
 constants and repeated variables folded in. Once those other variables are
 assigned, the mask is ANDed into the closing variable's running mask and later
 undone through a trail (forward checking). A branch is lost as soon as an
-existential's mask empties or a universal's mask drops a value its branch set
-allows, since the universal player would pick that value. Past the last
-position where a constraint becomes ready no mask changes, and the masks
-already leave every player a legal move, so the game from there on is won.
+existential's mask empties or a universal's mask drops any value, since the
+universal player would pick that value. Past the last position where a
+constraint becomes ready no mask changes, and the masks already leave every
+player a legal move, so the game from there on is won.
 
 The search runs on an explicit stack, so prefix depth is bounded by memory and
 not by Python's recursion limit. Existentials try their remaining values in
-ascending element order, so evaluation is deterministic.
+ascending element order, so evaluation is deterministic. The one guardrail
+counts the nodes the search opens (memo misses before the settled position)
+and refuses once the count passes the node cap.
 
 Results are memoized on the residual state, the part of the search state that
 the rest of the game can still see (formula caching): the prefix position r,
@@ -31,16 +34,14 @@ are a function, and one search never repeats that.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import GuardrailError, StructuralError
 from .model import FORALL, QuantifiedFormula
 
-# assignments the estimated game tree may hold: `evaluate_truth`'s default,
-# and the cap of every adversary game
+# nodes one game search may open: `evaluate_truth`'s default
 DEFAULT_NODE_CAP = 10_000_000
 
 
@@ -92,14 +93,6 @@ class Strategy:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _check_cap(branches: Sequence[Sequence[int]], node_cap: int):
-    est = math.prod(len(b) for b in branches) if branches else 1
-    if est > node_cap:
-        raise GuardrailError(
-            f"estimated game tree of {est} assignments exceeds the cap of {node_cap}"
-        )
-
-
 class _Supports(dict):
     """The lazily filled table of one constraint shape: maps the values of the
     other variables (a scalar for one, else a tuple in first-occurrence order)
@@ -137,30 +130,19 @@ def _getter(positions):
 
 
 class _Game:
-    """One formula and adversary compiled onto prefix positions, with the
-    search state (values, running masks, trail, memo) of one call."""
+    """One formula compiled onto prefix positions, with the search state
+    (values, running masks, trail, memo, nodes opened) of one call."""
 
-    def __init__(self, formula: QuantifiedFormula, adversary: Adversary | None, node_cap: int):
+    def __init__(self, formula: QuantifiedFormula, node_cap: int):
         prefix = formula.prefix
         m = len(prefix)
         d = formula.domain.size
         full = (1 << d) - 1
+        self.node_cap = node_cap
+        self.nodes = 0
         self.forall = forall = [q == FORALL for q, _ in prefix]
-        if adversary is None:
-            _check_cap([range(d)] * m, node_cap)
-            self.branch = [full] * m
-        else:
-            if len(adversary) != len(formula.universal_vars):
-                raise StructuralError(
-                    f"adversary length {len(adversary)} != {len(formula.universal_vars)} universals"
-                )
-            coords = iter(adversary.coords)
-            branches = [sorted(next(coords)) if fa else range(d) for fa in forall]
-            _check_cap(branches, node_cap)
-            self.branch = [sum(1 << v for v in b) for b in branches]
-        # a universal's mask must keep its whole branch set, an existential's
-        # only some value
-        self.need = need = [b if fa else 0 for b, fa in zip(self.branch, forall)]
+        # a universal's mask must keep every value, an existential's only some
+        self.need = need = [full if fa else 0 for fa in forall]
         self.masks = masks = [full] * m
         # ready[r]: (closing position, key of the other values, table) of the
         # constraints whose other variables all sit before position r
@@ -203,7 +185,7 @@ class _Game:
         self.doomed = doomed
         # past the last position where a constraint becomes ready no mask
         # changes, and the masks already give each existential a value and
-        # each universal its branch set: the rest of the game is won
+        # each universal every value: the rest of the game is won
         self.settled = max((r for r in range(m + 1) if ready[r]), default=0)
         self.vals = [0] * m
         self.pending = [0] * m
@@ -234,12 +216,12 @@ class _Game:
         return not self.doomed and self.wins()
 
     def wins(self) -> bool:
-        """Value of the game; leaves the masks as it found them."""
-        settled, forall, branch, need, ready = (
-            self.settled, self.forall, self.branch, self.need, self.ready
-        )
+        """Value of the game; leaves the masks as it found them. Raises
+        GuardrailError once it has opened more than `node_cap` nodes."""
+        settled, forall, need, ready = self.settled, self.forall, self.need, self.ready
         vals, masks, pending, trail = self.vals, self.masks, self.pending, self.trail
         memo, keys, memo_from = self.memo, self.keys, self.memo_from
+        node_cap, nodes = self.node_cap, self.nodes
         frames: list[tuple[int, tuple | None, int]] = []  # (position, memo key, trail mark)
         at = 0
         while True:
@@ -254,9 +236,13 @@ class _Game:
                     key = (at, read_vals(vals), read_masks(masks))
                     result = memo.get(key)
                 if result is None:
+                    nodes += 1
+                    if nodes > node_cap:
+                        raise GuardrailError(f"game search opened more than {node_cap} nodes")
                     frames.append((at, key, len(trail)))
-                    pending[at] = masks[at] & branch[at]
+                    pending[at] = masks[at]
             if not frames:
+                self.nodes = nodes
                 return result
             while True:
                 top, key, mark = frames[-1]
@@ -292,18 +278,13 @@ class _Game:
                 if key is not None:
                     memo[key] = result
                 if not frames:
+                    self.nodes = nodes
                     return result
 
 
 def evaluate_truth(formula: QuantifiedFormula, node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """True iff the formula holds under standard first-order semantics."""
-    return _Game(formula, None, node_cap).run()
-
-
-def winnable(formula: QuantifiedFormula, adversary: Adversary) -> bool:
-    """True iff the existential player can handle every universal assignment
-    the adversary permits."""
-    return _Game(formula, adversary, DEFAULT_NODE_CAP).run()
+    return _Game(formula, node_cap).run()
 
 
 def check_strategy(

@@ -343,7 +343,9 @@ class _ReferenceGame:
     """The recursive game evaluator the oracle replaced: constraints checked
     by `Constraint.holds` once all their variables are assigned, every node
     memoized on (depth, values of the assigned variables still needed), with
-    the same branch order and the same up-front size guardrail."""
+    the same branch order. With an adversary, each universal ranges over its
+    coordinate set. It keeps its own up-front guardrail on the product of the
+    branch counts; the oracle counts the nodes it opens instead."""
 
     def __init__(self, phi: QuantifiedFormula, adversary, node_cap: int):
         if adversary is not None and len(adversary) != len(phi.universal_vars):
@@ -591,37 +593,6 @@ def naive_winnable(phi: QuantifiedFormula, adversary) -> bool:
         return any(rec(i + 1, {**env, v: val}, u) for val in range(phi.domain.size))
 
     return rec(0, {}, 0)
-
-
-def enumerate_strategies(phi: QuantifiedFormula):
-    """All total strategies in the universal-dependence sense; tiny inputs only."""
-    ubefore = phi.universals_before
-    d = phi.domain.size
-    per_var = []
-    for x in phi.existential_vars:
-        contexts = list(itertools.product(range(d), repeat=len(ubefore[x])))
-        tables = itertools.product(range(d), repeat=len(contexts))
-        per_var.append([(x, dict(zip(contexts, t))) for t in tables])
-    if not per_var:
-        yield {}
-        return
-    for combo in itertools.product(*per_var):
-        yield {x: table for x, table in combo}
-
-
-def strategy_wins(phi: QuantifiedFormula, tables: dict, coords) -> bool:
-    """Replays a raw strategy table against every universal assignment the
-    coordinate sets allow."""
-    uvars = phi.universal_vars
-    ubefore = phi.universals_before
-    for combo in itertools.product(*[sorted(c) for c in coords]):
-        tau = dict(zip(uvars, combo))
-        env = dict(tau)
-        for x in phi.existential_vars:
-            env[x] = tables[x][tuple(tau[u] for u in ubefore[x])]
-        if not all(c.holds(env) for c in phi.body):
-            return False
-    return True
 
 
 @pytest.fixture

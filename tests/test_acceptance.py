@@ -7,7 +7,7 @@ import random
 import time
 
 from conftest import formula as make_formula
-from conftest import idempotent_binary_tables, rel
+from conftest import idempotent_binary_tables, reference_game, rel
 from qcollapse.algebra import enumerate_congruences, enumerate_subalgebras, has_gset_factor
 from qcollapse.classify import classify_two_element
 from qcollapse.collapse import (
@@ -30,7 +30,7 @@ from qcollapse.collapsibility import (
 )
 from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.cspsolve import solve_csp
-from qcollapse.game import evaluate_truth, winnable
+from qcollapse.game import evaluate_truth
 from qcollapse.model import Algebra, Constraint, Domain, Operation, QuantifiedFormula
 from qcollapse.ops import (
     and_op,
@@ -146,7 +146,7 @@ def test_criterion_4_composition_semantic_audit():
             for m in adv_family(n, {a}, 1, {0, 1}).members()
         ]
         chosen = [members[rng.randrange(len(members))] for _ in range(op.arity)]
-        if not all(winnable(phi, b) for b in chosen):
+        if not all(reference_game(phi, b) for b in chosen):
             continue
         image = [
             op_image(op, [b.coords[i] for b in chosen]) for i in range(n)
@@ -159,7 +159,7 @@ def test_criterion_4_composition_semantic_audit():
         target = Adversary(tuple(target_coords))
         if not composable(target, op, chosen):
             continue
-        assert winnable(phi, target), "composable target failed to be winnable"
+        assert reference_game(phi, target), "composable target failed to be winnable"
         confirmed += 1
     report(4, f"200 composable targets all winnable ({attempts} sampled tuples)")
 

@@ -193,11 +193,10 @@ class TestExitCodes:
         assert main(["solve-oracle", str(bad)]) == 2
 
     def test_oracle_node_cap_is_a_guardrail(self, files, capsys):
-        assert main(["solve-oracle", files["horn"], "--node-cap", "15"]) == 3
-        assert capsys.readouterr().err == (
-            "guardrail: estimated game tree of 16 assignments exceeds the cap of 15\n"
-        )
-        assert main(["solve-oracle", files["horn"], "--node-cap", "16"]) == 0
+        # the search opens three nodes: y1, and x1 under each value of y1
+        assert main(["solve-oracle", files["horn"], "--node-cap", "2"]) == 3
+        assert capsys.readouterr().err == "guardrail: game search opened more than 2 nodes\n"
+        assert main(["solve-oracle", files["horn"], "--node-cap", "3"]) == 0
 
     @pytest.mark.parametrize(
         "flag", [["--count-cap", "1"], ["--arity-cap", "2"], ["--seed", "3"], ["--format", "tsv"]]
@@ -276,6 +275,27 @@ class TestExitCodes:
             assert code == 2
             assert captured.out == ""
             assert captured.err == f"error: --strategy {strategy} does not read {flag[0]}\n"
+
+    @pytest.mark.parametrize(
+        "argv, reader",
+        [
+            (["classify", "horn", "--arity-cap", "2"],
+             "two-element classify without --conservative"),
+            (["solve", "horn", "--unsafe", "--j", "1", "--arity-cap", "2"], "--unsafe"),
+            (["solve", "horn", "--unsafe", "--j", "1", "--count-cap", "5"], "--unsafe"),
+        ],
+        ids=["classify-two-element", "solve-unsafe-arity", "solve-unsafe-count"],
+    )
+    def test_cap_flags_are_refused_on_paths_that_do_not_read_them(
+        self, files, capsys, argv, reader
+    ):
+        argv = [files.get(arg, arg) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {reader} does not read {argv[-2]}\n"
+        # without the flag the same path runs
+        assert main(argv[:-2]) == 0
 
     def test_truncated_closure_claims_no_gset(self, tmp_path, capsys):
         # the generator satisfies no term condition, and the cap admits the

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import eq_rel, formula, rel
+from conftest import eq_rel, formula, reference_game, rel
 from qcollapse.collapse import (
     Collapsing,
     collapse_verdicts,
@@ -20,7 +20,7 @@ from qcollapse.collapsibility import adv_family
 from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.cspsolve import solve_csp
 from qcollapse.errors import GuardrailError, StructuralError
-from qcollapse.game import evaluate_truth, winnable
+from qcollapse.game import evaluate_truth
 from qcollapse.model import Constraint, serialize_instance
 from qcollapse.ops import and_op, majority_op, minority_op
 
@@ -220,7 +220,7 @@ class TestPipeline:
                 )
                 family = adv_family(max(n, 1), (a,), 1, range(phi.domain.size))
                 advs_win = all(
-                    winnable(phi, member)
+                    reference_game(phi, member)
                     for member in family.members()
                 ) if n else evaluate_truth(instantiate_universals(phi, {}))
                 if n:

@@ -13,6 +13,7 @@ from conftest import (
     random_algebra,
     record_closure_caps,
     reference_column_images,
+    reference_game,
     reference_op_image,
 )
 from qcollapse import collapsibility, polymorph
@@ -47,7 +48,7 @@ from qcollapse.collapsibility import (
 )
 from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.errors import BuildError, GuardrailError, ParseError, StructuralError
-from qcollapse.game import constant_adversary, evaluate_truth, full_adversary, winnable
+from qcollapse.game import constant_adversary, evaluate_truth, full_adversary
 from qcollapse.model import Algebra, ConstraintLanguage, Domain, Operation
 from qcollapse.ops import (
     and_op,
@@ -1197,7 +1198,7 @@ class TestSemanticSoundness:
                 continue
             members = adv_family(n, {1}, 1, {0, 1}).members()
             for b1, b2 in itertools.product(members, repeat=2):
-                if not (winnable(phi, b1) and winnable(phi, b2)):
+                if not (reference_game(phi, b1) and reference_game(phi, b2)):
                     continue
                 image = Adversary(
                     tuple(
@@ -1206,7 +1207,7 @@ class TestSemanticSoundness:
                     )
                 )
                 assert composable(image, land, [b1, b2])
-                assert winnable(phi, image)
+                assert reference_game(phi, image)
                 checked += 1
         assert checked >= 50
 

@@ -4,7 +4,6 @@ import itertools
 import pytest
 
 from conftest import (
-    enumerate_strategies,
     eq_rel,
     formula,
     impl_rel,
@@ -13,7 +12,6 @@ from conftest import (
     reference_game,
     reference_strategy,
     rel,
-    strategy_wins,
 )
 from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.errors import GuardrailError, StructuralError
@@ -25,7 +23,6 @@ from qcollapse.game import (
     evaluate_truth,
     _Game,
     full_adversary,
-    winnable,
 )
 from qcollapse.model import EXISTS, FORALL, Constraint, Domain, QuantifiedFormula, Relation
 
@@ -40,6 +37,15 @@ def deep_chain(n: int):
     e = rel("E", 2, 1, [(0, 0)])
     prefix = " ".join(("E" if i % 2 == 0 else "A") + f"v{i}" for i in range(n))
     return formula(1, prefix, [Constraint(e, (f"v{i}", f"v{i + 1}")) for i in range(n - 1)])
+
+
+def existential_chain(n: int):
+    """exists x1 .. xn: Unit(x1) & Impl(x1, x2) & ... & Impl(x_n-1, x_n), a
+    purely existential Horn chain: true, with 2^n assignments."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    body = [Constraint(rel("Unit", 1, 2, [(1,)]), ("x1",))]
+    body += [Constraint(impl_rel(), (a, b)) for a, b in zip(xs, xs[1:])]
+    return formula(2, " ".join("E" + x for x in xs), body)
 
 
 def edge_case_formula(rng, d: int) -> QuantifiedFormula:
@@ -165,11 +171,25 @@ class TestEvaluateTruth:
         for _, phi in instances(spec):
             assert evaluate_truth(phi) == naive_truth(phi)
 
-    def test_guardrail(self):
-        body = [Constraint(eq_rel(), (f"v{i}", f"v{i}")) for i in range(40)]
-        phi = formula(2, " ".join(f"Av{i}" for i in range(40)), body)
-        with pytest.raises(GuardrailError):
-            evaluate_truth(phi)
+    def test_guardrail_refuses_exactly_above_the_opened_nodes(self):
+        refused = 0
+        for _, phi, _ in residual_state_games(45, 300):
+            game = _Game(phi, DEFAULT_NODE_CAP)
+            truth = game.run()
+            assert evaluate_truth(phi, node_cap=max(game.nodes, 1)) == truth
+            if game.nodes > 1:
+                refused += 1
+                cap = game.nodes - 1
+                with pytest.raises(GuardrailError) as err:
+                    evaluate_truth(phi, node_cap=cap)
+                assert str(err.value) == f"game search opened more than {cap} nodes"
+        assert refused >= 200
+
+    def test_guardrail_counts_nodes_not_assignments(self):
+        # 2^24 and 2^40 assignments, each decided in a few opened nodes
+        for phi in (existential_chain(24), existential_chain(40), deep_chain(1500)):
+            assert evaluate_truth(phi)
+            assert evaluate_truth(phi, node_cap=len(phi.prefix))
 
     def test_deep_prefix_needs_no_recursion(self):
         assert evaluate_truth(deep_chain(1500))
@@ -187,14 +207,17 @@ class TestEvaluateTruth:
             2, " ".join("A" + y for y in ys) + " Ex",
             [Constraint(horn, (a, b, "x")) for a, b in zip(ys, ys[1:])],
         )
-        game = _Game(phi, None, DEFAULT_NODE_CAP)
+        game = _Game(phi, DEFAULT_NODE_CAP)
         assert game.run()  # what evaluate_truth returns
         assert 1 <= len(game.memo) <= 4 * (n + 1)
+        assert 1 <= game.nodes <= 4 * (n + 1)
 
 
 class TestAgainstReference:
     """The compiled forward-pruning search against the plain recursive
-    oracles and the recursive memoizing evaluator it replaced."""
+    oracle and the recursive memoizing evaluator it replaced; and that
+    evaluator's winnability, which the semantic tests of collapsibility
+    lean on, against the plain recursive game."""
 
     def test_edge_case_shapes_are_drawn(self):
         seen = {"constant": 0, "repeated": 0, "constants_only": 0, "empty_body": 0}
@@ -215,23 +238,8 @@ class TestAgainstReference:
             ((phi, adversary) for _, phi, adversary in residual_state_games(45, 600)),
         )
         for phi, adversary in games:
-            truth = evaluate_truth(phi)
-            assert truth == naive_truth(phi) == reference_game(phi)
-            won = winnable(phi, adversary)
-            assert won == naive_winnable(phi, adversary) == reference_game(phi, adversary)
-
-    def test_corpus_winnability_agrees(self):
-        import random
-
-        rng = random.Random(7)
-        for d, seed in ((2, 61), (3, 62)):
-            spec = CorpusSpec(seed=seed, count=150, max_vars=6, max_universals=4, domain_size=d)
-            for _, phi in instances(spec):
-                coords = tuple(
-                    frozenset(rng.sample(range(d), rng.randint(1, d))) for _ in phi.universal_vars
-                )
-                adversary = Adversary(coords)
-                assert winnable(phi, adversary) == reference_game(phi, adversary)
+            assert evaluate_truth(phi) == naive_truth(phi) == reference_game(phi)
+            assert reference_game(phi, adversary) == naive_winnable(phi, adversary)
 
     def test_extracted_strategies_are_identical(self):
         extracted = 0
@@ -244,104 +252,12 @@ class TestAgainstReference:
         for phi, adversary in games:
             expected = reference_strategy(phi, adversary)
             if expected is None:
-                assert not winnable(phi, adversary)
+                assert not naive_winnable(phi, adversary)
                 continue
             extracted += 1
-            assert winnable(phi, adversary)
+            assert naive_winnable(phi, adversary)
             assert check_strategy(phi, adversary, Strategy(expected))
         assert extracted >= 300
-
-    @pytest.mark.parametrize("cap", [1, 7, 64, 485, 486, 2186, 2187])
-    def test_guardrail_refuses_the_same_inputs_with_the_same_message(self, cap, monkeypatch):
-        # estimates: 3^7 = 2187 without an adversary, 1*3*2*3*3*3*3 = 486 with it
-        phi = formula(3, "Ay1 Ex1 Ay2 Ex2 Ay3 Ex3 Ex4", [Constraint(eq_rel(3), ("y1", "x4"))])
-        adversary = adv({0}, {0, 1}, {0, 1, 2})
-        monkeypatch.setattr("qcollapse.game.DEFAULT_NODE_CAP", cap)
-
-        def outcome(decide, *args, **node_cap):
-            try:
-                return decide(phi, *args, **node_cap)
-            except GuardrailError as err:
-                return str(err)
-
-        assert outcome(evaluate_truth, node_cap=cap) == outcome(reference_game, node_cap=cap)
-        assert outcome(winnable, adversary) == outcome(reference_game, adversary, node_cap=cap)
-        assert outcome(evaluate_truth, node_cap=cap) == (
-            f"estimated game tree of 2187 assignments exceeds the cap of {cap}"
-            if cap < 2187 else True
-        )
-
-
-class TestWinnable:
-    def test_full_adversary_is_truth(self):
-        spec = CorpusSpec(seed=3, count=80, max_vars=5, max_universals=3)
-        for _, phi in instances(spec):
-            n = len(phi.universal_vars)
-            assert winnable(phi, full_adversary(n, phi.domain.size)) == evaluate_truth(phi)
-
-    def test_singleton_adversary_single_check(self):
-        phi = formula(2, "Ex Ay", [Constraint(eq_rel(), ("x", "y"))])
-        assert winnable(phi, adv({0}))
-        assert winnable(phi, adv({1}))
-        assert not winnable(phi, adv({0, 1}))
-
-    def test_length_mismatch(self):
-        phi = formula(2, "Ay Ex", [Constraint(eq_rel(), ("y", "x"))])
-        with pytest.raises(StructuralError):
-            winnable(phi, adv({0}, {1}))
-
-    def test_empty_coordinate_rejected(self):
-        with pytest.raises(StructuralError):
-            adv(set())
-
-    def test_domination_monotonicity(self):
-        # bigger adversaries are harder: winnable(big) implies winnable(small)
-        spec = CorpusSpec(seed=5, count=40, max_vars=5, max_universals=2)
-        for _, phi in instances(spec):
-            n = len(phi.universal_vars)
-            if n == 0:
-                continue
-            coords = [
-                [frozenset(c) for c in ({0}, {1}, {0, 1})] for _ in range(n)
-            ]
-            for small in itertools.product(*coords):
-                small_adv = Adversary(small)
-                big = Adversary(
-                    tuple(frozenset({0, 1}) for _ in range(n))
-                )
-                if winnable(phi, big):
-                    assert winnable(phi, small_adv)
-
-    def test_matches_naive_winnability_on_corpus(self):
-        import random
-
-        rng = random.Random(321)
-        specs = [
-            CorpusSpec(seed=210, count=60, max_vars=6, max_universals=4),
-            CorpusSpec(seed=211, count=40, max_vars=4, max_universals=2, domain_size=3),
-        ]
-        for spec in specs:
-            for _, phi in instances(spec):
-                n = len(phi.universal_vars)
-                d = phi.domain.size
-                coords = tuple(
-                    frozenset(rng.sample(range(d), rng.randint(1, d)))
-                    for _ in range(n)
-                )
-                adversary = Adversary(coords)
-                assert winnable(phi, adversary) == naive_winnable(phi, adversary)
-
-    def test_agrees_with_strategy_enumeration(self):
-        # tiny instances: compare against the explicit strategy-space semantics
-        spec = CorpusSpec(seed=13, count=25, max_vars=3, max_universals=2, max_constraints=2)
-        for _, phi in instances(spec):
-            n = len(phi.universal_vars)
-            coords = tuple(frozenset({0, 1}) for _ in range(n))
-            expected = any(
-                strategy_wins(phi, tables, coords)
-                for tables in enumerate_strategies(phi)
-            )
-            assert winnable(phi, Adversary(coords)) == expected
 
 
 class TestStrategies:
@@ -362,6 +278,10 @@ class TestStrategies:
         with pytest.raises(StructuralError):
             check_strategy(self.phi, adv({0}, {1}), Strategy({"x": {(0,): 0, (1,): 1}}))
 
+    def test_empty_coordinate_rejected(self):
+        with pytest.raises(StructuralError):
+            adv(set())
+
     def test_undefined_strategy_fails(self):
         sigma = Strategy({"x": {(0,): 0}})
         assert not check_strategy(self.phi, self.full, sigma)
@@ -369,7 +289,7 @@ class TestStrategies:
     def test_unwinnable_returns_none(self):
         phi = formula(2, "Ex Ay", [Constraint(eq_rel(), ("x", "y"))])
         assert reference_strategy(phi, full_adversary(1, 2)) is None
-        assert not winnable(phi, full_adversary(1, 2))
+        assert not reference_game(phi, full_adversary(1, 2))
 
     def test_empty_body_any_total_strategy_wins(self):
         phi = formula(2, "Ay Ex", [])
@@ -383,7 +303,7 @@ class TestStrategies:
             adversary = full_adversary(n, phi.domain.size)
             responses = reference_strategy(phi, adversary)
             if responses is None:
-                assert not winnable(phi, adversary)
+                assert not reference_game(phi, adversary)
             else:
                 assert check_strategy(phi, adversary, Strategy(responses))
 
