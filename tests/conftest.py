@@ -595,6 +595,37 @@ def naive_winnable(phi: QuantifiedFormula, adversary) -> bool:
     return rec(0, {}, 0)
 
 
+def enumerate_strategies(phi: QuantifiedFormula):
+    """All total strategies in the universal-dependence sense; tiny inputs only."""
+    ubefore = phi.universals_before
+    d = phi.domain.size
+    per_var = []
+    for x in phi.existential_vars:
+        contexts = list(itertools.product(range(d), repeat=len(ubefore[x])))
+        tables = itertools.product(range(d), repeat=len(contexts))
+        per_var.append([(x, dict(zip(contexts, t))) for t in tables])
+    if not per_var:
+        yield {}
+        return
+    for combo in itertools.product(*per_var):
+        yield {x: table for x, table in combo}
+
+
+def strategy_wins(phi: QuantifiedFormula, tables: dict, coords) -> bool:
+    """Replays a raw strategy table against every universal assignment the
+    coordinate sets allow."""
+    uvars = phi.universal_vars
+    ubefore = phi.universals_before
+    for combo in itertools.product(*[sorted(c) for c in coords]):
+        tau = dict(zip(uvars, combo))
+        env = dict(tau)
+        for x in phi.existential_vars:
+            env[x] = tables[x][tuple(tau[u] for u in ubefore[x])]
+        if not all(c.holds(env) for c in phi.body):
+            return False
+    return True
+
+
 @pytest.fixture
 def two_domain() -> Domain:
     return Domain(2)

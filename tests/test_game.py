@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from conftest import (
+    enumerate_strategies,
     eq_rel,
     formula,
     impl_rel,
@@ -12,6 +13,7 @@ from conftest import (
     reference_game,
     reference_strategy,
     rel,
+    strategy_wins,
 )
 from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.errors import GuardrailError, StructuralError
@@ -191,6 +193,39 @@ class TestEvaluateTruth:
             assert evaluate_truth(phi)
             assert evaluate_truth(phi, node_cap=len(phi.prefix))
 
+    @pytest.mark.parametrize("cap", [1, 36, 37, 485, 486, 2186, 2187])
+    def test_guardrail_is_never_stricter_than_the_reference_estimate(self, cap):
+        # the search opens 37 nodes; the reference's up-front estimates are
+        # 3^7 = 2187 assignments without an adversary, 1*3*2*3*3*3*3 = 486 with it
+        pairs = itertools.product(range(3), repeat=2)
+        neq = rel("Neq", 2, 3, [t for t in pairs if t[0] != t[1]])
+        phi = formula(
+            3, "Ay1 Ex1 Ay2 Ex2 Ay3 Ex3 Ex4",
+            [Constraint(neq, args) for args in (("y1", "x4"), ("y2", "x4"), ("y3", "x3"), ("x3", "x4"))],
+        )
+        adversary = adv({0}, {0, 1}, {0, 1, 2})
+        game = _Game(phi, DEFAULT_NODE_CAP)
+        truth = game.run()
+
+        def outcome(decide, *args, **node_cap):
+            try:
+                return decide(phi, *args, **node_cap)
+            except GuardrailError as err:
+                return str(err)
+
+        assert outcome(evaluate_truth, node_cap=cap) == (
+            f"game search opened more than {cap} nodes" if cap < game.nodes else truth
+        )
+        assert outcome(reference_game, node_cap=cap) == (
+            f"estimated game tree of 2187 assignments exceeds the cap of {cap}"
+            if cap < 2187 else truth
+        )
+        assert outcome(reference_game, adversary, node_cap=cap) == (
+            f"estimated game tree of 486 assignments exceeds the cap of {cap}"
+            if cap < 486 else naive_winnable(phi, adversary)
+        )
+        assert game.nodes < 486
+
     def test_deep_prefix_needs_no_recursion(self):
         assert evaluate_truth(deep_chain(1500))
 
@@ -260,6 +295,80 @@ class TestAgainstReference:
         assert extracted >= 300
 
 
+class TestWinnable:
+    """Winnability against an adversary as the test reference decides it:
+    the semantic tests of composition and collapsibility lean on
+    `reference_game(phi, adversary)`, so it is held here to truth, to the
+    strategy-space semantics and to the memoization-free recursion."""
+
+    def test_full_adversary_is_truth(self):
+        spec = CorpusSpec(seed=3, count=80, max_vars=5, max_universals=3)
+        for _, phi in instances(spec):
+            n = len(phi.universal_vars)
+            assert reference_game(phi, full_adversary(n, phi.domain.size)) == evaluate_truth(phi)
+
+    def test_singleton_adversary_single_check(self):
+        phi = formula(2, "Ex Ay", [Constraint(eq_rel(), ("x", "y"))])
+        assert reference_game(phi, adv({0}))
+        assert reference_game(phi, adv({1}))
+        assert not reference_game(phi, adv({0, 1}))
+
+    def test_length_mismatch(self):
+        phi = formula(2, "Ay Ex", [Constraint(eq_rel(), ("y", "x"))])
+        with pytest.raises(StructuralError):
+            reference_game(phi, adv({0}, {1}))
+
+    def test_empty_coordinate_rejected(self):
+        with pytest.raises(StructuralError):
+            adv(set())
+
+    def test_domination_monotonicity(self):
+        # bigger adversaries are harder: winnable(big) implies winnable(small)
+        spec = CorpusSpec(seed=5, count=40, max_vars=5, max_universals=2)
+        for _, phi in instances(spec):
+            n = len(phi.universal_vars)
+            if n == 0:
+                continue
+            coords = [
+                [frozenset(c) for c in ({0}, {1}, {0, 1})] for _ in range(n)
+            ]
+            big = Adversary(tuple(frozenset({0, 1}) for _ in range(n)))
+            for small in itertools.product(*coords):
+                if reference_game(phi, big):
+                    assert reference_game(phi, Adversary(small))
+
+    def test_matches_naive_winnability_on_corpus(self):
+        import random
+
+        rng = random.Random(321)
+        specs = [
+            CorpusSpec(seed=210, count=60, max_vars=6, max_universals=4),
+            CorpusSpec(seed=211, count=40, max_vars=4, max_universals=2, domain_size=3),
+        ]
+        for spec in specs:
+            for _, phi in instances(spec):
+                n = len(phi.universal_vars)
+                d = phi.domain.size
+                coords = tuple(
+                    frozenset(rng.sample(range(d), rng.randint(1, d)))
+                    for _ in range(n)
+                )
+                adversary = Adversary(coords)
+                assert reference_game(phi, adversary) == naive_winnable(phi, adversary)
+
+    def test_agrees_with_strategy_enumeration(self):
+        # tiny instances: compare against the explicit strategy-space semantics
+        spec = CorpusSpec(seed=13, count=25, max_vars=3, max_universals=2, max_constraints=2)
+        for _, phi in instances(spec):
+            n = len(phi.universal_vars)
+            coords = tuple(frozenset({0, 1}) for _ in range(n))
+            expected = any(
+                strategy_wins(phi, tables, coords)
+                for tables in enumerate_strategies(phi)
+            )
+            assert reference_game(phi, Adversary(coords)) == expected
+
+
 class TestStrategies:
     def setup_method(self):
         self.phi = formula(2, "Ay Ex", [Constraint(eq_rel(), ("y", "x"))])
@@ -277,10 +386,6 @@ class TestStrategies:
     def test_replay_rejects_adversary_length_mismatch(self):
         with pytest.raises(StructuralError):
             check_strategy(self.phi, adv({0}, {1}), Strategy({"x": {(0,): 0, (1,): 1}}))
-
-    def test_empty_coordinate_rejected(self):
-        with pytest.raises(StructuralError):
-            adv(set())
 
     def test_undefined_strategy_fails(self):
         sigma = Strategy({"x": {(0,): 0}})
