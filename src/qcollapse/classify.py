@@ -19,8 +19,8 @@ from .errors import BuildError, GuardrailError, StructuralError
 from .model import Algebra, ConstraintLanguage, Operation
 from .ops import and_op, majority_op, minority_op, or_op, semilattice_to_shared
 from .polymorph import (
+    ARITY_CAP,
     CANDIDATE_CAP,
-    DEFAULT_ARITY_CAP,
     identity_cells,
     is_polymorphism,
     is_polymorphism_of_language,
@@ -68,11 +68,9 @@ def _certified_p(
 DISPATCH_OPERATIONS = (and_op(), or_op(), majority_op(), minority_op())
 
 
-def dispatch_operations(
-    language: ConstraintLanguage, arity_cap: int = DEFAULT_ARITY_CAP
-) -> tuple[Operation, ...]:
+def dispatch_operations(language: ConstraintLanguage) -> tuple[Operation, ...]:
     """The operations among AND, OR, majority and minority, in that order,
-    of arity at most `arity_cap` that preserve the two-element language.
+    that preserve the two-element language.
 
     Every idempotent clone on {0,1} other than the projections contains one
     of them (Post's lattice), so they decide the language's QCSP: as an
@@ -91,8 +89,7 @@ def dispatch_operations(
         raise StructuralError("two-element classification needs a two-element domain")
     relations = sorted(language.relations, key=lambda rel: len(rel.tuples))
     return tuple(
-        op for op in DISPATCH_OPERATIONS
-        if op.arity <= arity_cap and all(is_polymorphism(op, rel) for rel in relations)
+        op for op in DISPATCH_OPERATIONS if all(is_polymorphism(op, rel) for rel in relations)
     )
 
 
@@ -163,10 +160,8 @@ def _templates(d: int) -> tuple[tuple[str, str, dict[tuple[int, ...], int]], ...
     )
 
 
-def discovered_generators(
-    language: ConstraintLanguage, arity_cap: int
-) -> tuple[tuple[Operation, ...], dict]:
-    """Idempotent polymorphisms from one sweep over arities 1..arity_cap,
+def discovered_generators(language: ConstraintLanguage) -> tuple[tuple[Operation, ...], dict]:
+    """Idempotent polymorphisms from one sweep over arities 1..ARITY_CAP,
     kept below the first arity that hits a guardrail, topped up with the
     first table of each ternary template when the sweep stopped short of
     arity 3. Projections are dropped since they never constrain the
@@ -174,20 +169,20 @@ def discovered_generators(
     found: list[Operation] = []
     swept_to = 0
     try:
-        for ops in polymorphisms_by_arity(language, arity_cap):
+        for ops in polymorphisms_by_arity(language):
             found.extend(op for op in ops if not is_projection(op))
             swept_to += 1
     except GuardrailError:
         pass
     templates_ran: tuple[str, ...] = ()
-    if arity_cap >= 3 and swept_to < 3:
+    if swept_to < 3:
         templates = _templates(language.domain.size)
         templates_ran = tuple(label for label, _, _ in templates)
         shaped = (find_polymorphism_with_shape(language, 3, f, name) for _, name, f in templates)
         found.extend(op for op in shaped if op is not None)
     caps = {
         "exhaustive_arity": swept_to,
-        "arity_cap": arity_cap,
+        "arity_cap": ARITY_CAP,
         "candidate_cap": CANDIDATE_CAP,
         "targeted_templates": templates_ran,
     }
@@ -204,14 +199,13 @@ def _factor_witness(factor: Factor) -> dict:
 
 def _classify_discovered(
     language: ConstraintLanguage,
-    arity_cap: int,
     citation: str,
     builder: CertificateBuilder | None = None,
 ) -> ClassificationVerdict:
     """The verdict from the language's discovered idempotent polymorphisms: a
     G-set factor is NP-hard; otherwise a verified certificate (from `builder`,
     or the planner's) makes it P, and a failed one leaves it inconclusive."""
-    generators, caps = discovered_generators(language, arity_cap)
+    generators, caps = discovered_generators(language)
     algebra = Algebra(language.domain, generators)
     gset, factor = has_gset_factor(algebra)
     if gset:
@@ -232,9 +226,7 @@ def _classify_discovered(
         )
 
 
-def classify_three_element(
-    language: ConstraintLanguage, arity_cap: int = DEFAULT_ARITY_CAP
-) -> ClassificationVerdict:
+def classify_three_element(language: ConstraintLanguage) -> ClassificationVerdict:
     """Classification over a three-element domain, outside the zone where the
     shared-element semilattice is a polymorphism (there the problem is only
     known coNP-hard, and the verdict is `unresolved`)."""
@@ -248,12 +240,10 @@ def classify_three_element(
                 ("three-element-semilattice-conp-hardness",),
                 witness={"semilattice_shared_element": shared},
             )
-    return _classify_discovered(language, arity_cap, "three-element-qcsp-classification")
+    return _classify_discovered(language, "three-element-qcsp-classification")
 
 
-def classify_conservative(
-    language: ConstraintLanguage, arity_cap: int = DEFAULT_ARITY_CAP
-) -> ClassificationVerdict:
+def classify_conservative(language: ConstraintLanguage) -> ClassificationVerdict:
     """Dichotomy for languages containing every nonempty subset of the domain
     as a unary relation: a G-set factor means NP-hard, otherwise every pair of
     elements spans a subalgebra and the pair-minimal builder certifies the
@@ -276,5 +266,5 @@ def classify_conservative(
             ("conservative-qcsp-classification",), Algebra(language.domain, ()), {}
         )
     return _classify_discovered(
-        language, arity_cap, "conservative-qcsp-classification", CertificateBuilder("pair_minimal")
+        language, "conservative-qcsp-classification", CertificateBuilder("pair_minimal")
     )

@@ -61,7 +61,7 @@ from .model import (
     serialize_instance,
 )
 from .ops import and_op, majority_op, minority_op, or_op, semilattice_to_shared
-from .polymorph import DEFAULT_ARITY_CAP, DEFAULT_TERM_COUNT_CAP, tag_operation
+from .polymorph import tag_operation
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -111,13 +111,6 @@ def _source(args, domain: Domain) -> frozenset[int] | None:
     return frozenset((domain.index_of(args.source),))
 
 
-def _refuse_unread(args, reader: str, flags) -> None:
-    """A usage error for the first of `flags` given, which `reader` does not read."""
-    for flag in flags:
-        if getattr(args, flag.replace("-", "_")) is not None:
-            raise StructuralError(f"{reader} does not read --{flag}")
-
-
 def _write(path: Path, text: str):
     try:
         path.write_text(text, encoding="utf-8")
@@ -146,33 +139,29 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _certificate_for_language(document, n: int, arity_cap: int, count_cap: int) -> Certificate:
+def _certificate_for_language(document, n: int) -> Certificate:
     """A verified collapsibility certificate for the instance's language. A
     two-element language's algebra is generated by its dispatch operations,
     which fix the same chain as all its idempotent polymorphisms; any other
     language's by its discovered idempotent polymorphisms."""
     language = document.language
     if language.domain.size == 2:
-        generators = dispatch_operations(language, arity_cap)
+        generators = dispatch_operations(language)
     else:
-        generators, _ = discovered_generators(language, arity_cap)
-    _, _, cert = certify(Algebra(language.domain, generators), max(n, 1), count_cap=count_cap)
+        generators, _ = discovered_generators(language)
+    _, _, cert = certify(Algebra(language.domain, generators), max(n, 1))
     return cert
 
 
 def cmd_solve(args) -> int:
-    if args.unsafe:
-        _refuse_unread(args, "--unsafe", ("arity-cap", "count-cap"))
     document = _instance(args.file)
     formula = document.formula
     n = len(formula.universal_vars)
     width = args.j
     source = _source(args, formula.domain)
     if not args.unsafe:
-        arity_cap = args.arity_cap or DEFAULT_ARITY_CAP
-        count_cap = args.count_cap or DEFAULT_TERM_COUNT_CAP
         try:
-            cert = _certificate_for_language(document, n, arity_cap, count_cap)
+            cert = _certificate_for_language(document, n)
         except (BuildError, GuardrailError) as err:
             raise GuardrailError(
                 f"refusing the collapse reduction without a verified certificate "
@@ -257,7 +246,7 @@ def cmd_reduce(args) -> int:
     return EXIT_TRUE
 
 
-def _algebra_report(alg: Algebra, count_cap: int) -> dict:
+def _algebra_report(alg: Algebra) -> dict:
     subs = algmod.enumerate_subalgebras(alg)
     congruences = algmod.enumerate_congruences(alg)
     factors = algmod.enumerate_factors(alg)
@@ -302,7 +291,7 @@ def _algebra_report(alg: Algebra, count_cap: int) -> dict:
         None if disjoint is None else [sorted(b) for b in disjoint.blocks]
     )
     if alg.is_idempotent() and alg.domain.size <= 3:
-        verdict = detect_sink_candidate(alg, count_cap)
+        verdict = detect_sink_candidate(alg)
         report["sink"] = {"kind": verdict.kind, "reason": verdict.reason}
     return report
 
@@ -311,7 +300,7 @@ def cmd_analyze(args) -> int:
     document = parse_document(_read(args.file))
     if not document.operations:
         raise ParseError("analyze needs an algebra file with op tables")
-    report = _algebra_report(document.algebra, args.count_cap or DEFAULT_TERM_COUNT_CAP)
+    report = _algebra_report(document.algebra)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_TRUE
 
@@ -328,8 +317,7 @@ def cmd_detect(args) -> int:
     for op in document.operations:
         report["operations"][op.name] = {"arity": op.arity, **dataclasses.asdict(tag_operation(op))}
     if document.relations:
-        arity_cap = args.arity_cap or DEFAULT_ARITY_CAP
-        generators, caps = discovered_generators(document.language, arity_cap)
+        generators, caps = discovered_generators(document.language)
         tags = [tag_operation(op) for op in generators]
         report["polymorphisms"] = {
             "caps": caps,
@@ -342,14 +330,14 @@ def cmd_detect(args) -> int:
 
 def cmd_certify(args) -> int:
     read = _STRATEGY_FLAGS.get(args.strategy, ())
-    unread = [flag for flag in ("element", "pair", "op") if flag not in read]
-    _refuse_unread(args, f"--strategy {args.strategy}", unread)
+    for flag in ("element", "pair", "op"):
+        if flag not in read and getattr(args, flag) is not None:
+            raise StructuralError(f"--strategy {args.strategy} does not read --{flag}")
     document = parse_document(_read(args.file))
     if not document.operations:
         raise ParseError("certify needs an algebra file with op tables")
     alg = document.algebra
-    count_cap = args.count_cap or DEFAULT_TERM_COUNT_CAP
-    params: dict = {"count_cap": count_cap}
+    params: dict = {}
     builder = None
     if args.strategy != "auto":
         if args.element is not None:
@@ -367,7 +355,7 @@ def cmd_certify(args) -> int:
                 raise StructuralError(f"unknown operation {args.op!r}")
             params["op"] = named[args.op]
         builder = CertificateBuilder(args.strategy, params)
-    builder, notes, cert = certify(alg, args.n, builder, count_cap)
+    builder, notes, cert = certify(alg, args.n, builder)
     header = [f"# strategy {builder.strategy}"]
     header.extend(f"# note: {note}" for note in notes)
     _emit("\n".join(header) + "\n" + serialize_certificate(cert, alg.domain.size), args.out)
@@ -393,12 +381,11 @@ def cmd_classify(args) -> int:
     document = parse_document(_read(args.file))
     language = document.language
     if args.conservative:
-        verdict = classify_conservative(language, args.arity_cap or DEFAULT_ARITY_CAP)
+        verdict = classify_conservative(language)
     elif language.domain.size == 2:
-        _refuse_unread(args, "two-element classify without --conservative", ["arity-cap"])
         verdict = classify_two_element(language)
     elif language.domain.size == 3:
-        verdict = classify_three_element(language, args.arity_cap or DEFAULT_ARITY_CAP)
+        verdict = classify_three_element(language)
     else:
         raise StructuralError(
             "classification covers two- and three-element domains, plus "
@@ -440,7 +427,7 @@ def cmd_sweep(args) -> int:
         for table in _idempotent_binary_tables(d):
             op = Operation("f", 2, d, table)
             alg = Algebra(Domain(d), (op,))
-            verdict = detect_sink_candidate(alg, args.count_cap or DEFAULT_TERM_COUNT_CAP)
+            verdict = detect_sink_candidate(alg)
             if verdict.kind == "sink_certified":
                 sink_count += 1
             rows.append((d, table, verdict.kind))
@@ -498,20 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name, summary, file=True, arity_cap=False, count_cap=False):
-        """A verb's parser, with the cap flags only where the verb may read them.
-        A cap not given is None, so a path that does not read it can refuse it;
-        a path that reads it takes `cap or DEFAULT_...` (a given cap is >= 1)."""
+    def verb(name, summary, file=True):
         p = sub.add_parser(name, help=summary)
         if file:
             p.add_argument("file", help="instance or algebra file")
-        if arity_cap:
-            p.add_argument("--arity-cap", type=positive_int)
-        if count_cap:
-            p.add_argument("--count-cap", type=positive_int)
         return p
 
-    p = verb("solve", "decide via the collapse reduction", arity_cap=True, count_cap=True)
+    p = verb("solve", "decide via the collapse reduction")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
     p.add_argument("--j", type=non_negative_int, default=None)
     p.add_argument("--const", default=None, help="source element name")
@@ -537,13 +517,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_reduce)
 
-    p = verb("analyze", "algebra structural report (JSON)", count_cap=True)
+    p = verb("analyze", "algebra structural report (JSON)")
     p.set_defaults(fn=cmd_analyze)
 
-    p = verb("detect", "operation tags and polymorphism discovery", arity_cap=True)
+    p = verb("detect", "operation tags and polymorphism discovery")
     p.set_defaults(fn=cmd_detect)
 
-    p = verb("certify", "build a collapsibility certificate", count_cap=True)
+    p = verb("certify", "build a collapsibility certificate")
     p.add_argument("--strategy", choices=CLI_STRATEGIES, default="auto")
     p.add_argument("--n", type=positive_int, default=4)
     p.add_argument("--op", default=None, help="generator name for the chain strategies")
@@ -557,11 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=positive_int, default=None)
     p.set_defaults(fn=cmd_verify)
 
-    p = verb("classify", "complexity classification verdict (JSON)", arity_cap=True)
+    p = verb("classify", "complexity classification verdict (JSON)")
     p.add_argument("--conservative", action="store_true")
     p.set_defaults(fn=cmd_classify)
 
-    p = verb("sweep", "exhaustive single-binary-generator sink sweep", file=False, count_cap=True)
+    p = verb("sweep", "exhaustive single-binary-generator sink sweep", file=False)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep)
 

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import polymorph
 from .algebra import (
     disjoint_maximal_congruence,
     enumerate_subalgebras,
@@ -38,7 +39,6 @@ from .game import Adversary, constant_adversary, full_adversary
 from .model import Algebra, Operation
 from .ops import semilattice_to_shared
 from .polymorph import (
-    DEFAULT_TERM_COUNT_CAP,
     TermOperationSet,
     Trace,
     close_vectors,
@@ -633,7 +633,7 @@ TERM_CONDITIONS: dict[str, TermCondition] = {
 
 
 def _find_term(
-    algebra: Algebra, conditions: Sequence[tuple[str, dict]], count_cap: int
+    algebra: Algebra, conditions: Sequence[tuple[str, dict]]
 ) -> tuple[tuple[str, Operation, Trace] | None, dict[int, TermOperationSet]]:
     """The first term operation that satisfies one of the named term
     conditions, each with its parameters and tried in the order given, as
@@ -645,7 +645,7 @@ def _find_term(
     and scanned condition by condition in discovery order. The arity-2 prefix
     of a closure (operations, order, traces) does not depend on its arity
     cap, so a unit element never needs the arity-3 closure. A closure cut at
-    `count_cap` may miss a term, so a None then proves nothing.
+    `polymorph.TERM_COUNT_CAP` may miss a term, so a None then proves nothing.
     """
     for name, params in conditions:
         kind = TERM_CONDITIONS[name]
@@ -656,7 +656,7 @@ def _find_term(
     for name, params in conditions:
         kind = TERM_CONDITIONS[name]
         if kind.arity not in closures:
-            closures[kind.arity] = generate_term_operations(algebra, kind.arity, count_cap)
+            closures[kind.arity] = generate_term_operations(algebra, kind.arity)
         terms = closures[kind.arity]
         for op in terms.of_arity(kind.arity):
             if kind.holds(op, params):
@@ -668,9 +668,7 @@ def _cut(closures: dict[int, TermOperationSet]) -> bool:
     return any(terms.truncated for terms in closures.values())
 
 
-def _resolve_op(
-    algebra: Algebra, name: str, params: dict, count_cap: int
-) -> tuple[Operation, Trace, list[str]]:
+def _resolve_op(algebra: Algebra, name: str, params: dict) -> tuple[Operation, Trace, list[str]]:
     """Pin down (operation, trace) for the named term condition: use the
     explicit `op` and `trace` parameters when given (an operation without a
     trace must be a generator), else `_find_term`."""
@@ -690,7 +688,7 @@ def _resolve_op(
                     raise BuildError(f"{name}: the supplied operation fails the identity checks")
                 return op, ("gen", gi), []
         raise BuildError(f"{name}: the operation is not a generator")
-    found, closures = _find_term(algebra, [(name, params)], count_cap)
+    found, closures = _find_term(algebra, [(name, params)])
     cut = _cut(closures)
     if found is None:
         extra = " (closure truncated)" if cut else ""
@@ -706,7 +704,7 @@ def _meet_shapes(d: int) -> dict[Operation, int]:
     return {semilattice_to_shared(d, m): m for m in range(d)} if d > 1 else {}
 
 
-def _build_strictly_simple(algebra: Algebra, n: int, count_cap: int) -> Certificate:
+def _build_strictly_simple(algebra: Algebra, n: int) -> Certificate:
     """Dispatch for strictly simple idempotent algebras without a G-set factor:
     a dual discriminator, a Mal'tsev operation, or a semilattice collapsing all
     unequal pairs to one element must appear among the term operations."""
@@ -716,7 +714,7 @@ def _build_strictly_simple(algebra: Algebra, n: int, count_cap: int) -> Certific
     # keeps the source one-element, which the callers' inductions require
     names = ("maltsev_chain", "near_unanimity")
     found, closures = _find_term(
-        algebra, [(name, TERM_CONDITIONS[name].defaults) for name in names], count_cap
+        algebra, [(name, TERM_CONDITIONS[name].defaults) for name in names]
     )
     if found is not None:
         name, op, trace = found
@@ -741,7 +739,7 @@ def _build_strictly_simple(algebra: Algebra, n: int, count_cap: int) -> Certific
     raise BuildError(f"no dispatch operation found for the strictly simple algebra{extra}")
 
 
-def _build_pair_minimal(algebra: Algebra, n: int, count_cap: int) -> Certificate:
+def _build_pair_minimal(algebra: Algebra, n: int) -> Certificate:
     """Grow a collapsible subset one element at a time: each new element joins
     the current source inside a strictly simple generated subalgebra, and the
     union step reroots the source there."""
@@ -758,7 +756,7 @@ def _build_pair_minimal(algebra: Algebra, n: int, count_cap: int) -> Certificate
         if sub.domain.size == 1:
             covered.add(fresh)
             continue
-        sub_cert = _build_strictly_simple(sub, n, count_cap)
+        sub_cert = _build_strictly_simple(sub, n)
         lifted = _relabel_cert(
             algebra, sub_cert, len(elements), elements,
             frozenset(elements[s] for s in sub_cert.source),
@@ -818,19 +816,18 @@ def build_certificate(builder: CertificateBuilder, algebra: Algebra, n: int) -> 
     _require_idempotent(algebra)
     _require_n(n)
     p = builder.params
-    count_cap = p.get("count_cap", DEFAULT_TERM_COUNT_CAP)
     strategy = builder.strategy
     if strategy == "singleton":
         return _build_singleton(algebra, n, p.get("element", 0))
     if strategy in TERM_CONDITIONS:
         kind = TERM_CONDITIONS[strategy]
         params = {**kind.defaults, **p}
-        op, trace, warns = _resolve_op(algebra, strategy, params, count_cap)
+        op, trace, warns = _resolve_op(algebra, strategy, params)
         return _with_warnings(kind.build(algebra, n, op, trace, params), warns)
     if strategy == "strictly_simple":
-        return _build_strictly_simple(algebra, n, count_cap)
+        return _build_strictly_simple(algebra, n)
     if strategy == "pair_minimal":
-        return _build_pair_minimal(algebra, n, count_cap)
+        return _build_pair_minimal(algebra, n)
     if strategy == "quotient_lift":
         congruence = disjoint_maximal_congruence(algebra)
         if congruence is None:
@@ -841,7 +838,7 @@ def build_certificate(builder: CertificateBuilder, algebra: Algebra, n: int) -> 
         q_alg = quotient(algebra, congruence)
         q_builder = p.get("inner")
         if q_builder is None:
-            q_builder, _ = plan_certificate(q_alg, count_cap=count_cap)
+            q_builder, _ = plan_certificate(q_alg)
         q_cert = build_certificate(q_builder, q_alg, n)
         reps = [min(congruence.blocks[s]) for s in sorted(q_cert.source)]
         return lift_through_quotient(q_cert, algebra, congruence, reps)
@@ -857,10 +854,7 @@ def _with_warnings(cert: Certificate, warnings: Sequence[str]) -> Certificate:
     )
 
 
-def plan_certificate(
-    algebra: Algebra,
-    count_cap: int = DEFAULT_TERM_COUNT_CAP,
-) -> tuple[CertificateBuilder, list[str]]:
+def plan_certificate(algebra: Algebra) -> tuple[CertificateBuilder, list[str]]:
     """Choose a construction strategy: the first term condition of
     `TERM_CONDITIONS`, in that order, that a term operation satisfies under
     its default parameters (`_find_term`), else by structural analysis. On two
@@ -871,7 +865,7 @@ def plan_certificate(
     if d == 1:
         return CertificateBuilder("singleton", {"element": 0}), []
     found, closures = _find_term(
-        algebra, [(name, kind.defaults) for name, kind in TERM_CONDITIONS.items()], count_cap
+        algebra, [(name, kind.defaults) for name, kind in TERM_CONDITIONS.items()]
     )
     cut = _cut(closures)
     notes = ["term closure truncated during strategy planning"] if cut else []
@@ -883,22 +877,19 @@ def plan_certificate(
     if d == 2:
         raise BuildError(
             "no semilattice, Mal'tsev, dual discriminator, or near-unanimity term operation "
-            + (f"before the term closure was cut at the count cap of {count_cap}" if cut
-               else "up to arity 3: the algebra is a G-set")
+            + (f"before the term closure was cut at the count cap of {polymorph.TERM_COUNT_CAP}"
+               if cut else "up to arity 3: the algebra is a G-set")
         )
     if is_strictly_simple(algebra):
-        return CertificateBuilder("strictly_simple", {"count_cap": count_cap}), notes
+        return CertificateBuilder("strictly_simple"), notes
     gset, _ = has_gset_factor(algebra)
     if not gset and is_pair_minimal(algebra):
-        return CertificateBuilder("pair_minimal", {"count_cap": count_cap}), notes
+        return CertificateBuilder("pair_minimal"), notes
     congruence = disjoint_maximal_congruence(algebra)
     if congruence is not None and any(len(b) > 1 for b in congruence.blocks):
         q_alg = quotient(algebra, congruence)
-        q_builder, q_notes = plan_certificate(q_alg, count_cap)
-        return (
-            CertificateBuilder("quotient_lift", {"inner": q_builder, "count_cap": count_cap}),
-            notes + q_notes,
-        )
+        q_builder, q_notes = plan_certificate(q_alg)
+        return CertificateBuilder("quotient_lift", {"inner": q_builder}), notes + q_notes
     raise BuildError("no certificate strategy applies")
 
 
@@ -906,16 +897,15 @@ def certify(
     algebra: Algebra,
     n: int,
     builder: CertificateBuilder | None = None,
-    count_cap: int = DEFAULT_TERM_COUNT_CAP,
 ) -> tuple[CertificateBuilder, list[str], Certificate]:
     """The builder, the planner's notes and a verified certificate for `n`:
-    plan with `count_cap` unless a builder is given (its notes are then
-    empty), build, and verify. BuildError when no strategy applies, the build
-    fails, or the verifier rejects what was built; no certificate leaves the
-    library unverified."""
+    plan unless a builder is given (its notes are then empty), build, and
+    verify. BuildError when no strategy applies, the build fails, or the
+    verifier rejects what was built; no certificate leaves the library
+    unverified."""
     notes: list[str] = []
     if builder is None:
-        builder, notes = plan_certificate(algebra, count_cap)
+        builder, notes = plan_certificate(algebra)
     cert = build_certificate(builder, algebra, n)
     check = verify_certificate(cert, algebra, n)
     if not check:
@@ -1011,9 +1001,7 @@ class SinkVerdict:
     reason: str
 
 
-def detect_sink_candidate(
-    algebra: Algebra, count_cap: int = DEFAULT_TERM_COUNT_CAP
-) -> SinkVerdict:
+def detect_sink_candidate(algebra: Algebra) -> SinkVerdict:
     """Certified sink verdicts for idempotent algebras on at most 3 elements.
 
     A sink must be enclosed, fully connected, have no G-set factor, and admit
@@ -1051,7 +1039,7 @@ def detect_sink_candidate(
         common = alpha & beta
         if len(common) == 1:
             shared = next(iter(common))
-            terms = generate_term_operations(algebra, 2, count_cap)
+            terms = generate_term_operations(algebra, 2)
             has_shape = semilattice_to_shared(d, shared) in terms.traces
             projective = all(
                 is_alphabeta_projective(g, alpha, beta) for g in algebra.generators
@@ -1064,7 +1052,7 @@ def detect_sink_candidate(
                     "projective over them",
                 )
     try:
-        builder, notes, _ = certify(algebra, 1, count_cap=count_cap)
+        builder, notes, _ = certify(algebra, 1)
         for n in (2, 3):
             certify(algebra, n, builder)
     except BuildError as err:
@@ -1119,8 +1107,10 @@ def _trace_generators(trace: Trace) -> Iterator[int]:
 
 def parse_certificate(text: str, algebra: Algebra) -> Certificate:
     """Read the text `serialize_certificate` writes. Malformed text raises
-    ParseError naming its line; whether the derivation holds is left to
-    `verify_certificate`."""
+    ParseError naming its line, and so does what the writer never writes: a
+    first word that is no line kind, a second header or result line, an
+    unknown or repeated header key, tokens after the result index. Whether
+    the derivation holds is left to `verify_certificate`."""
     header: dict[str, str] = {}
     header_line = 0
     entries: list[CertEntry] = []
@@ -1154,14 +1144,21 @@ def parse_certificate(text: str, algebra: Algebra) -> Certificate:
         if not line or line.startswith("#"):
             continue
         try:
-            if line.startswith("certificate"):
+            word, *rest = line.split()
+            if word == "certificate":
+                if header_line:
+                    raise ValueError("second certificate header")
                 header_line = lineno
-                for part in line.split()[1:]:
+                for part in rest:
                     key, _, value = part.partition("=")
+                    if key not in ("n", "width", "source", "target", "domain"):
+                        raise ValueError(f"unknown header key {key!r}")
+                    if key in header:
+                        raise ValueError(f"repeated header key {key!r}")
                     header[key] = value
-            elif line.startswith("axiom"):
+            elif word == "axiom":
                 entries.append(CertEntry(Adversary(tuple(coord(t) for t in body(line).split()))))
-            elif line.startswith("step"):
+            elif word == "step":
                 adv_text, _, deriv = body(line).partition("<=")
                 adv = Adversary(tuple(coord(t) for t in adv_text.split()))
                 trace_text, _, ids_text = deriv.strip().rpartition("(")
@@ -1180,9 +1177,13 @@ def parse_certificate(text: str, algebra: Algebra) -> Certificate:
                 if op is None:
                     op = replayed[trace] = replay_trace(algebra, trace)
                 entries.append(CertEntry(adv, op, trace, ids))
-            elif line.startswith("result"):
-                result = int(line.split()[1])
-            elif line.startswith("warning:"):
+            elif word == "result":
+                if result is not None:
+                    raise ValueError("second result line")
+                if len(rest) != 1:
+                    raise ValueError(f"bad result line {line!r}")
+                result = int(rest[0])
+            elif word == "warning:":
                 warnings.append(line.split(":", 1)[1].strip())
             else:
                 raise ValueError(f"unrecognized certificate line {line!r}")

@@ -22,9 +22,10 @@ CHECK_CAP = 10_000_000
 FILL_CAP = 10_000_000
 # idempotent candidate tables of one arity that discovery sweeps
 CANDIDATE_CAP = 100_000
-DEFAULT_ARITY_CAP = 3
+# the highest arity that discovery sweeps
+ARITY_CAP = 3
 # term operations of all arities that one closure finds
-DEFAULT_TERM_COUNT_CAP = 2_000
+TERM_COUNT_CAP = 2_000
 
 # Construction trace for a term operation:
 #   ("gen", i)        generator i of the algebra
@@ -408,14 +409,10 @@ def close_vectors(
     return Closure(tuple(found), found, truncated)
 
 
-def generate_term_operations(
-    algebra: Algebra,
-    arity_cap: int = DEFAULT_ARITY_CAP,
-    count_cap: int = DEFAULT_TERM_COUNT_CAP,
-) -> TermOperationSet:
+def generate_term_operations(algebra: Algebra, arity_cap: int) -> TermOperationSet:
     """The term operations of each arity 1..arity_cap in turn: the closure of
     the arity-m projections and generators, as tables, under every generator.
-    `count_cap` bounds the operations of all arities together.
+    TERM_COUNT_CAP bounds the operations of all arities together.
 
     Composition never raises the arity above the cap because a composite's
     arity equals its inner operations' shared arity. An arity stops early once
@@ -423,8 +420,6 @@ def generate_term_operations(
     or all idempotent ones when every generator is idempotent (composition
     keeps idempotence), so nothing new could be found.
     """
-    if arity_cap < 1:
-        raise StructuralError("arity cap must be >= 1")
     d = algebra.domain.size
     generators = algebra.generators
     idempotent = all(g.is_idempotent() for g in generators)
@@ -439,7 +434,7 @@ def generate_term_operations(
             named.setdefault(op.table, (op, trace))
         room = d ** (d**m - d) if idempotent else d ** (d**m)
         closure = close_vectors(
-            generators, [op.table for op, _ in seeds], room, count_cap - len(operations)
+            generators, [op.table for op, _ in seeds], room, TERM_COUNT_CAP - len(operations)
         )
         truncated = truncated or closure.truncated
         by_table: dict[tuple[int, ...], Trace] = {}
@@ -575,11 +570,8 @@ def polymorphism_tables(
                     solved = p
 
 
-def polymorphisms_by_arity(
-    language: ConstraintLanguage,
-    arity_cap: int = DEFAULT_ARITY_CAP,
-) -> Iterator[tuple[Operation, ...]]:
-    """The idempotent polymorphisms of each arity 1..arity_cap in turn: the
+def polymorphisms_by_arity(language: ConstraintLanguage) -> Iterator[tuple[Operation, ...]]:
+    """The idempotent polymorphisms of each arity 1..ARITY_CAP in turn: the
     sweep's tables with the diagonal forced, named `f{k}_{n}` with n counting
     every operation found before, projections and lower arities included.
 
@@ -590,12 +582,12 @@ def polymorphisms_by_arity(
     """
     d = language.domain.size
     found = 0
-    for k in range(1, arity_cap + 1):
+    for k in range(1, ARITY_CAP + 1):
         free_cells = d**k - d
         if d**free_cells > CANDIDATE_CAP:
             raise GuardrailError(
                 f"{d}^{free_cells} idempotent arity-{k} candidates exceed the cap; "
-                "restrict the arity cap or use a targeted detector"
+                "use a targeted detector"
             )
         diagonal = {(a,) * k: a for a in range(d)}
         tables = list(polymorphism_tables(language, k, diagonal))
@@ -603,16 +595,13 @@ def polymorphisms_by_arity(
         found += len(tables)
 
 
-def discover_polymorphisms(
-    language: ConstraintLanguage,
-    arity_cap: int = DEFAULT_ARITY_CAP,
-) -> tuple[Operation, ...]:
-    """All idempotent polymorphisms of arity <= arity_cap, in one list.
+def discover_polymorphisms(language: ConstraintLanguage) -> tuple[Operation, ...]:
+    """All idempotent polymorphisms of arity <= ARITY_CAP, in one list.
 
     Raises GuardrailError when an arity has too many candidate tables; use the
     targeted detectors in `classify` for larger domains.
     """
-    return tuple(itertools.chain(*polymorphisms_by_arity(language, arity_cap)))
+    return tuple(itertools.chain(*polymorphisms_by_arity(language)))
 
 
 def close_relation_under(rel: Relation, op: Operation) -> Relation:

@@ -61,9 +61,9 @@ def record_closure_caps(monkeypatch) -> list[int]:
     caps: list[int] = []
     real = collapsibility.generate_term_operations
 
-    def recording(algebra, arity_cap, count_cap):
+    def recording(algebra, arity_cap):
         caps.append(arity_cap)
-        return real(algebra, arity_cap, count_cap)
+        return real(algebra, arity_cap)
 
     monkeypatch.setattr(collapsibility, "generate_term_operations", recording)
     return caps
@@ -117,7 +117,7 @@ def brute_force_discovery(language: ConstraintLanguage, arity_cap: int, candidat
         if d**free_cells > candidate_cap:
             raise GuardrailError(
                 f"{d}^{free_cells} idempotent arity-{k} candidates exceed the cap; "
-                "restrict the arity cap or use a targeted detector"
+                "use a targeted detector"
             )
         diagonal = {tuple([a] * k): a for a in range(d)}
         for table in brute_force_tables(language, k, diagonal):

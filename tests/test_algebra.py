@@ -29,6 +29,7 @@ from conftest import (
     reference_gset_factor,
     reference_pair_minimal,
 )
+from qcollapse import polymorph
 from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.model import Algebra, Domain, Operation
 from qcollapse.ops import (
@@ -243,7 +244,7 @@ class TestGset:
     def test_shared_semilattice_is_not(self):
         assert not is_gset(shared_algebra())
 
-    def test_generator_check_matches_term_check(self):
+    def test_generator_check_matches_term_check(self, monkeypatch):
         # the permutation-on-one-argument shape is composition closed
         algebras = [
             shared_algebra(),
@@ -252,8 +253,9 @@ class TestGset:
             Algebra(Domain(2), (from_function("nf", 2, 2, lambda x, y: 1 - x),)),
             Algebra(Domain(3), (dual_discriminator(3),)),
         ]
+        monkeypatch.setattr(polymorph, "TERM_COUNT_CAP", 500)
         for alg in algebras:
-            terms = generate_term_operations(alg, 3, count_cap=500)
+            terms = generate_term_operations(alg, 3)
             term_level = alg.domain.size >= 2 and all(
                 is_gset(Algebra(alg.domain, (op,))) or alg.domain.size < 2
                 for op in terms.operations

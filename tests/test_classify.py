@@ -15,6 +15,7 @@ from conftest import (
     rel,
 )
 from qcollapse import classify, polymorph
+from qcollapse.algebra import has_gset_factor
 from qcollapse.classify import (
     classify_conservative,
     classify_three_element,
@@ -136,18 +137,22 @@ class TestDispatchOperations:
             assert not terms.truncated
             assert minority_op() in terms.of_arity(3), op.table
 
-    def test_planner_matches_the_discovered_generators(self):
+    def test_planner_matches_the_discovered_generators(self, monkeypatch):
         # the four operations fix the planner's chain exactly as all the
-        # idempotent polymorphisms do, at every arity cap; arity cap 4 runs
-        # on a seeded sample of ten, since discovering and planning the
-        # arity-4 polymorphisms takes up to about 2 s a language
+        # idempotent polymorphisms do, when both keep only the operations up
+        # to an arity cap; cap 4 raises the discovery arity and runs on a
+        # seeded sample of ten, since discovering and planning the arity-4
+        # polymorphisms takes up to about 2 s a language
         rng = random.Random(12)
         languages = _boolean_languages(rng)
         outcomes = collections.defaultdict(set)
         for cap in (1, 2, 3, 4):
+            monkeypatch.setattr(polymorph, "ARITY_CAP", max(cap, 3))
             for language in languages if cap < 4 else rng.sample(languages, 10):
-                reference = _planned(language, discovered_generators(language, cap)[0])
-                assert _planned(language, dispatch_operations(language, cap)) == reference, (
+                discovered = discovered_generators(language)[0]
+                reference = _planned(language, [op for op in discovered if op.arity <= cap])
+                dispatch = [op for op in dispatch_operations(language) if op.arity <= cap]
+                assert _planned(language, dispatch) == reference, (
                     cap, [sorted(r.tuples) for r in language.relations],
                 )
                 outcomes[cap].add(reference[0] if isinstance(reference, tuple) else reference)
@@ -160,13 +165,11 @@ class TestDispatchOperations:
         for cap in (3, 4):
             assert outcomes[cap] == {gset, "unit_element", "maltsev_chain", "dualdisc_chain"}
 
-    def test_honours_the_arity_cap_and_order(self):
+    def test_keeps_the_dispatch_order(self):
         equality = lang(2, rel("Eq", 2, 2, [(0, 0), (1, 1)]))
         assert [op.name for op in dispatch_operations(equality)] == [
             "and", "or", "majority", "minority",
         ]
-        assert [op.name for op in dispatch_operations(equality, 2)] == ["and", "or"]
-        assert dispatch_operations(equality, 1) == ()
         assert dispatch_operations(lang(2, nae_rel())) == ()
 
     def test_size_guard_does_not_depend_on_relation_order(self):
@@ -181,7 +184,6 @@ class TestDispatchOperations:
             assert [op.name for op in dispatch_operations(lang(2, *relations))] == ["and"]
         with pytest.raises(GuardrailError, match=r"224\^3 tuple combinations"):
             dispatch_operations(lang(2, big))
-        assert [op.name for op in dispatch_operations(lang(2, big), 2)] == ["and"]
 
 
 class TestShapeSearch:
@@ -329,7 +331,7 @@ class TestDiscoveredGenerators:
                     swept_to += 1
             except GuardrailError:
                 pass
-            generators, caps = discovered_generators(language, 3)
+            generators, caps = discovered_generators(language)
             assert [(g.name, g.table) for g in generators[: len(found)]] == [
                 (g.name, g.table) for g in found
             ]
@@ -351,7 +353,7 @@ class TestDiscoveredGenerators:
         monkeypatch.setattr(polymorph, "polymorphism_tables", recording)
         monkeypatch.setattr(classify, "polymorphism_tables", recording)
         language = lang(3, rel("Eq", 2, 3, [(v, v) for v in range(3)]))
-        _, caps = discovered_generators(language, 3)
+        _, caps = discovered_generators(language)
         assert caps["exhaustive_arity"] == 2
         assert swept == [(1, 3), (2, 3), (3, 27), (3, 15), (3, 21)]
 
@@ -393,6 +395,21 @@ class TestThreeElement:
         verdict = classify_three_element(lang(3, rel("AffZ3", 3, 3, rows)))
         assert verdict.label == "P_certified"
         assert verdict.reduction_width == 1
+
+    def test_path_needs_the_ternary_polymorphisms(self):
+        # the binary idempotent polymorphisms alone have a G-set factor, which
+        # the ternary template tables break: a verdict from the binary ones is
+        # unsound
+        language = lang(
+            3, rel("R0", 1, 3, [(0,), (2,)]), rel("R1", 2, 3, [(0, 1), (1, 0), (1, 2), (2, 1)])
+        )
+        binary = [g for g in discovered_generators(language)[0] if g.arity <= 2]
+        assert has_gset_factor(Algebra(language.domain, tuple(binary)))[0]
+        verdict = classify_three_element(language)
+        assert verdict.label == "P_certified"
+        assert verdict.caps["arity_cap"] == 3
+        assert verdict.caps["exhaustive_arity"] == 2
+        assert verdict.caps["targeted_templates"]
 
 
 def _audit_reduction(language, verdict, seed, count=30):
@@ -468,7 +485,7 @@ class TestConservative:
 
         base = conservative_relations(3)
         language = ConstraintLanguage(Domain(3), base)
-        generators, _ = discovered_generators(language, 3)
+        generators, _ = discovered_generators(language)
         for size in range(1, 4):
             for subset in itertools.combinations(range(3), size):
                 fs = frozenset(subset)
@@ -480,3 +497,14 @@ class TestConservative:
         rainbow = rel("AllDiff", 3, 3, list(itertools.permutations(range(3))))
         verdict = classify_conservative(ConstraintLanguage(Domain(3), base + (rainbow,)))
         assert verdict.label == "NP_hard_certified"
+
+    def test_boolean_affine_needs_the_ternary_polymorphisms(self):
+        # x + y + z = 1 (mod 2): its only idempotent binary polymorphisms are
+        # the projections, a G-set; minority is ternary
+        odd = rel("Odd", 3, 2, [t for t in itertools.product(range(2), repeat=3) if sum(t) % 2])
+        language = ConstraintLanguage(Domain(2), conservative_relations(2) + (odd,))
+        binary = [g for g in discovered_generators(language)[0] if g.arity <= 2]
+        assert has_gset_factor(Algebra(language.domain, tuple(binary)))[0]
+        verdict = classify_conservative(language)
+        assert verdict.label == "P_certified"
+        assert verdict.caps["arity_cap"] == verdict.caps["exhaustive_arity"] == 3

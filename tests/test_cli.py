@@ -9,7 +9,7 @@ import pytest
 
 import qcollapse
 from conftest import NEGATIVE_REFERENCE_CERT, record_closure_caps
-from qcollapse import collapsibility
+from qcollapse import collapsibility, polymorph
 from qcollapse.cli import CLI_STRATEGIES, main
 from qcollapse.collapse import (
     collapse_verdicts,
@@ -141,12 +141,7 @@ relation AffZ3 3
 
 # the (verb, flag) pairs where the verb reads the flag; every other verb
 # refuses it
-FLAGS_READ = {
-    ("solve", "--format"), ("gen", "--seed"),
-    ("solve", "--arity-cap"), ("detect", "--arity-cap"), ("classify", "--arity-cap"),
-    ("solve", "--count-cap"), ("analyze", "--count-cap"), ("certify", "--count-cap"),
-    ("sweep", "--count-cap"),
-}
+FLAGS_READ = {("solve", "--format"), ("gen", "--seed")}
 
 # the (strategy, flag) pairs where `certify --strategy` reads the builder
 # flag; every other strategy refuses it
@@ -276,28 +271,7 @@ class TestExitCodes:
             assert captured.out == ""
             assert captured.err == f"error: --strategy {strategy} does not read {flag[0]}\n"
 
-    @pytest.mark.parametrize(
-        "argv, reader",
-        [
-            (["classify", "horn", "--arity-cap", "2"],
-             "two-element classify without --conservative"),
-            (["solve", "horn", "--unsafe", "--j", "1", "--arity-cap", "2"], "--unsafe"),
-            (["solve", "horn", "--unsafe", "--j", "1", "--count-cap", "5"], "--unsafe"),
-        ],
-        ids=["classify-two-element", "solve-unsafe-arity", "solve-unsafe-count"],
-    )
-    def test_cap_flags_are_refused_on_paths_that_do_not_read_them(
-        self, files, capsys, argv, reader
-    ):
-        argv = [files.get(arg, arg) for arg in argv]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {reader} does not read {argv[-2]}\n"
-        # without the flag the same path runs
-        assert main(argv[:-2]) == 0
-
-    def test_truncated_closure_claims_no_gset(self, tmp_path, capsys):
+    def test_truncated_closure_claims_no_gset(self, tmp_path, capsys, monkeypatch):
         # the generator satisfies no term condition, and the cap admits the
         # three projections of arity 1 and 2 and cuts the AND term x&(y|y),
         # so finding no semilattice proves nothing
@@ -306,31 +280,12 @@ class TestExitCodes:
         )
         path = tmp_path / "meet_join.txt"
         path.write_text(f"domain 2 0 1\nop m 3\n{rows}", encoding="utf-8")
-        assert main(["certify", str(path), "--n", "2", "--count-cap", "3"]) == 1
+        monkeypatch.setattr(polymorph, "TERM_COUNT_CAP", 3)
+        assert main(["certify", str(path), "--n", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cut at the count cap of 3" in captured.err
         assert "G-set" not in captured.err
-
-    @pytest.mark.parametrize("name", ["affine", "2cnf"])
-    def test_solve_arity_cap_drops_the_ternary_dispatch_operations(self, files, capsys, name):
-        # minority and majority are ternary, so at arity cap 2 the language
-        # keeps no dispatch operation and solve refuses
-        assert main(["solve", files[name]]) == 0
-        capsys.readouterr()
-        assert main(["solve", files[name], "--arity-cap", "2"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "refusing the collapse reduction" in captured.err
-        assert "the algebra is a G-set" in captured.err
-
-    def test_solve_count_cap_has_no_closure_to_cut(self, files, capsys):
-        # the dispatch operations are the generators and qualify themselves,
-        # so no term closure runs for the cap to cut
-        assert main(["solve", files["horn"]]) == 0
-        expected = capsys.readouterr().out
-        assert main(["solve", files["horn"], "--count-cap", "1"]) == 0
-        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("name", ["example", "horn", "horn_false", "affine", "2cnf"])
     def test_solve_on_two_elements_runs_no_term_closure(self, files, capsys, monkeypatch, name):
@@ -338,13 +293,6 @@ class TestExitCodes:
         assert main(["solve", files[name]]) in (0, 1)
         assert "collapse verdict" in capsys.readouterr().out
         assert closures == []
-
-    @pytest.mark.parametrize("verb", ["solve", "detect", "classify"])
-    def test_arity_cap_below_one_is_usage_error(self, files, capsys, verb):
-        assert main([verb, files["horn"], "--arity-cap", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "argument --arity-cap: must be >= 1, got 0" in captured.err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -360,10 +308,6 @@ class TestExitCodes:
                 (["certify", "and", "--n", "0"], 1),
                 (["certify", "and", "--n", "-2"], 1),
                 (["verify", "and", "--certificate", "and", "--n", "0"], 1),
-                (["solve", "horn", "--count-cap", "0"], 1),
-                (["analyze", "and", "--count-cap", "0"], 1),
-                (["certify", "and", "--count-cap", "0"], 1),
-                (["sweep", "--count-cap", "0"], 1),
                 (["solve-oracle", "horn", "--node-cap", "0"], 1),
                 (["solve-oracle", "horn", "--node-cap", "-1"], 1),
                 (["solve", "horn", "--j", "-1"], 0),

@@ -21,7 +21,6 @@ from qcollapse.algebra import Congruence, disjoint_maximal_congruence
 from qcollapse.classify import DISPATCH_OPERATIONS, discovered_generators
 from qcollapse.collapse import conjunction_verdict, relevant_collapsings
 from qcollapse.collapsibility import (
-    DEFAULT_TERM_COUNT_CAP,
     TERM_CONDITIONS,
     Adversary,
     CertEntry,
@@ -388,7 +387,7 @@ def _planned_term(alg: Algebra):
 def _equality_algebra() -> Algebra:
     """The idempotent polymorphisms of equality up to arity 3."""
     language = ConstraintLanguage(Domain(2), (eq_rel(),))
-    generators, _ = discovered_generators(language, 3)
+    generators, _ = discovered_generators(language)
     return Algebra(Domain(2), generators)
 
 
@@ -415,7 +414,7 @@ def _full_scan_dispatch(alg: Algebra):
     op = pick(alg.generators)
     if op is not None:
         return op, ("gen", alg.generators.index(op))
-    terms = generate_term_operations(alg, 3, DEFAULT_TERM_COUNT_CAP)
+    terms = generate_term_operations(alg, 3)
     op = pick(terms.operations)
     return None if op is None else (op, terms.traces[op])
 
@@ -624,6 +623,33 @@ class TestVerification:
         alg = ALGEBRAS["and"]
         with pytest.raises(ParseError, match="line 2"):
             parse_certificate("certificate n=2 width=1 source=1 target=0,1\nnonsense line\nresult 0\n", alg)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("result 2", "result 0\nresult 2", "line 6: second result line"),
+            ("result 2", "result 2\ncertificate n=2 width=1 source=1 target=0,1",
+             "line 6: second certificate header"),
+            (" n=2", " n=3 n=2", "line 1: repeated header key 'n'"),
+            ("domain=2", "domain=2 bogus=7", "line 1: unknown header key 'bogus'"),
+            ("result 2", "result 2 3", "line 5: bad result line 'result 2 3'"),
+            ("step 2", "steps 2", "line 4: unrecognized certificate line 'steps 2: * * <= g0(0, 1)'"),
+        ],
+        ids=[
+            "second-result", "second-header", "repeated-key", "unknown-key", "trailing-tokens",
+            "keyword-prefix",
+        ],
+    )
+    def test_certificate_text_rejects_what_the_writer_never_writes(self, old, new, message):
+        alg = ALGEBRAS["and"]
+        text = serialize_certificate(
+            build_certificate(CertificateBuilder("unit_element"), alg, 2), 2
+        )
+        assert verify_certificate(parse_certificate(text, alg), alg, 2)
+        assert text.count(old) == 1
+        with pytest.raises(ParseError) as raised:
+            parse_certificate(text.replace(old, new), alg)
+        assert str(raised.value) == message
 
     def test_serialization_roundtrip(self):
         for name, alg in ALGEBRAS.items():

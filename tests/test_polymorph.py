@@ -15,6 +15,7 @@ from conftest import (
     reference_term_operations,
     rel,
 )
+from qcollapse import polymorph
 from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.model import Algebra, Constraint, ConstraintLanguage, Domain, Operation
 from qcollapse.ops import (
@@ -322,9 +323,10 @@ class TestTermGeneration:
         assert projection_op(3, 2, 1) in terms.operations
         assert projection_op(3, 2, 2) in terms.operations
 
-    def test_traces_replay(self):
+    def test_traces_replay(self, monkeypatch):
         alg = Algebra(Domain(3), (semilattice_to_shared(3, 2), dual_discriminator(3)))
-        terms = generate_term_operations(alg, 3, count_cap=60)
+        monkeypatch.setattr(polymorph, "TERM_COUNT_CAP", 60)
+        terms = generate_term_operations(alg, 3)
         assert terms.truncated
         for op in terms.operations:
             assert replay_trace(alg, terms.traces[op]) == op
@@ -348,9 +350,10 @@ class TestTermGeneration:
                 for combo in itertools.product(inners_pool, repeat=outer.arity):
                     assert compose(outer, combo) in ops
 
-    def test_truncation_flag(self):
+    def test_truncation_flag(self, monkeypatch):
         alg = Algebra(Domain(3), (dual_discriminator(3),))
-        terms = generate_term_operations(alg, 3, count_cap=5)
+        monkeypatch.setattr(polymorph, "TERM_COUNT_CAP", 5)
+        terms = generate_term_operations(alg, 3)
         assert terms.truncated
         assert len(terms.operations) <= 5
 
@@ -372,7 +375,7 @@ class TestTermGeneration:
                 assert replay_trace(alg, terms.traces[op]) == op
 
     @pytest.mark.parametrize("count_cap", [1, 3, 7, 50, 2000])
-    def test_matches_the_replaced_closure(self, count_cap):
+    def test_matches_the_replaced_closure(self, monkeypatch, count_cap):
         rng = random.Random(1)
         three = []
         for i in range(6):
@@ -384,8 +387,9 @@ class TestTermGeneration:
             three.append(Algebra(Domain(3), (Operation("f", 2, 3, table),)))
         cases = [(alg, k) for alg in dispatch_algebras() for k in (2, 3)]
         cases += [(alg, 3) for alg in three]
+        monkeypatch.setattr(polymorph, "TERM_COUNT_CAP", count_cap)
         for alg, arity_cap in cases:
-            got = generate_term_operations(alg, arity_cap, count_cap)
+            got = generate_term_operations(alg, arity_cap)
             want = reference_term_operations(alg, arity_cap, count_cap)
             label = ([g.table for g in alg.generators], arity_cap)
             assert got.operations == want.operations, label
@@ -408,7 +412,7 @@ class TestTermGeneration:
 class TestDiscovery:
     def test_equality_gives_all_idempotent_binaries(self):
         language = ConstraintLanguage(Domain(2), (eq_rel(),))
-        ops = discover_polymorphisms(language, 2)
+        ops = discover_polymorphisms(language)
         binaries = {op.table for op in ops if op.arity == 2}
         assert binaries == {
             (0, 0, 0, 1),  # and
@@ -419,23 +423,23 @@ class TestDiscovery:
 
     def test_nae_admits_only_projections(self):
         language = ConstraintLanguage(Domain(2), (nae_rel(),))
-        ops = discover_polymorphisms(language, 3)
+        ops = discover_polymorphisms(language)
         assert all(tag_operation(op).projection for op in ops)
 
     def test_implication_has_majority(self):
         language = ConstraintLanguage(Domain(2), (impl_rel(),))
-        ops = discover_polymorphisms(language, 3)
+        ops = discover_polymorphisms(language)
         assert any(tag_operation(op).majority for op in ops)
 
     def test_affine_has_minority(self):
         language = ConstraintLanguage(Domain(2), (affine_rel(),))
-        ops = discover_polymorphisms(language, 3)
+        ops = discover_polymorphisms(language)
         assert any(tag_operation(op).minority for op in ops)
 
     def test_guardrail_for_three_element_ternary(self):
         language = ConstraintLanguage(Domain(3), (eq_rel(3),))
         with pytest.raises(GuardrailError):
-            discover_polymorphisms(language, 3)
+            discover_polymorphisms(language)
 
     def test_matches_brute_force_sweep(self, monkeypatch):
         rng = random.Random(4)
@@ -454,7 +458,7 @@ class TestDiscovery:
                 ]
             except GuardrailError as err:
                 with pytest.raises(GuardrailError) as raised:
-                    discover_polymorphisms(language, 3)
+                    discover_polymorphisms(language)
                 assert str(raised.value) == str(err)
                 if "candidates" in str(err):
                     seen.add(("candidate cap", str(err).split("arity-")[1][0]))
@@ -466,7 +470,7 @@ class TestDiscovery:
                     )
                     seen.add(("check cap", "later relation" if first else "first relation"))
                 continue
-            ops = discover_polymorphisms(language, 3)
+            ops = discover_polymorphisms(language)
             assert [(op.name, op.table) for op in ops] == [
                 (op.name, op.table) for op in expected
             ]
@@ -497,8 +501,6 @@ class TestDiscovery:
     def test_full_relations_constrain_nothing(self, monkeypatch):
         # a relation holding every tuple is left out of the sweep's checks;
         # its row choices are still counted against the cap
-        import qcollapse.polymorph as polymorph
-
         read = []
         monkeypatch.setattr(
             polymorph, "relation_cells",
@@ -526,9 +528,9 @@ class TestDiscovery:
 
     def test_grouped_by_arity(self):
         language = ConstraintLanguage(Domain(2), (impl_rel(),))
-        groups = list(polymorphisms_by_arity(language, 3))
+        groups = list(polymorphisms_by_arity(language))
         assert [{op.arity for op in ops} for ops in groups] == [{1}, {2}, {3}]
-        assert tuple(op for ops in groups for op in ops) == discover_polymorphisms(language, 3)
+        assert tuple(op for ops in groups for op in ops) == discover_polymorphisms(language)
 
     def test_relation_cells_match_row_choices(self):
         relation = rel("R", 2, 3, [(0, 1), (1, 2), (2, 2)])
