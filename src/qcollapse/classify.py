@@ -39,8 +39,6 @@ class ClassificationVerdict:
     citations: tuple[str, ...]
     builder: CertificateBuilder | None = None
     certificate: Certificate | None = None
-    reduction_width: int | None = None
-    reduction_source: frozenset[int] | None = None
     witness: dict = field(default_factory=dict)
     caps: dict = field(default_factory=dict)
 
@@ -59,8 +57,6 @@ def _certified_p(
         label_citations,
         builder=builder,
         certificate=cert,
-        reduction_width=cert.width,
-        reduction_source=cert.source,
         caps=caps,
     )
 

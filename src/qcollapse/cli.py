@@ -37,7 +37,7 @@ from .collapse import (
     relevant_collapsings,
 )
 from .collapsibility import (
-    TERM_CONDITIONS,
+    STRATEGIES,
     Certificate,
     CertificateBuilder,
     certify,
@@ -70,18 +70,7 @@ EXIT_GUARDRAIL = 3
 EXIT_INTERNAL = 4
 
 # `certify --strategy` choices: the planner and every builder
-CLI_STRATEGIES = (
-    "auto", "singleton", *TERM_CONDITIONS, "strictly_simple", "pair_minimal", "quotient_lift",
-)
-
-# the builder flags each strategy reads; every other strategy refuses them
-_STRATEGY_FLAGS = {
-    "singleton": ("element",),
-    "unit_element": ("element", "op"),
-    "maltsev_chain": ("element", "op"),
-    "dualdisc_chain": ("pair", "op"),
-    "near_unanimity": ("element", "op"),
-}
+CLI_STRATEGIES = ("auto", *STRATEGIES)
 
 
 def _read(path: str) -> str:
@@ -329,7 +318,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    read = _STRATEGY_FLAGS.get(args.strategy, ())
+    # a strategy reads the builder flags of its parameters; the planner none
+    read = STRATEGIES[args.strategy].params if args.strategy != "auto" else ()
     for flag in ("element", "pair", "op"):
         if flag not in read and getattr(args, flag) is not None:
             raise StructuralError(f"--strategy {args.strategy} does not read --{flag}")
@@ -397,12 +387,11 @@ def cmd_classify(args) -> int:
         "caps": verdict.caps,
         "witness": verdict.witness,
     }
-    if verdict.reduction_width is not None:
-        payload["reduction"] = {
-            "width": verdict.reduction_width,
-            "source": sorted(verdict.reduction_source),
-        }
     if verdict.certificate is not None:
+        payload["reduction"] = {
+            "width": verdict.certificate.width,
+            "source": sorted(verdict.certificate.source),
+        }
         payload["certificate"] = serialize_certificate(
             verdict.certificate, language.domain.size
         ).splitlines()

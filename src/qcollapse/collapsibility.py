@@ -8,10 +8,11 @@ set. Builders emit the instantiated chain for the requested n, and
 `power_certificate` decides one n, source and width exactly; verification is
 pure finite replay.
 
-The planner, the term-condition builders and the strictly simple builder find
-their term operation by one search, `_find_term`: generators first, then the
-term closure, with the term conditions of `TERM_CONDITIONS` tried in priority
-order (unit element, Mal'tsev, dual discriminator, near-unanimity).
+Every strategy is one entry of `STRATEGIES`. The planner, the term-condition
+builders and the strictly simple builder find their term operation by one
+search, `_find_term`: generators first, then the term closure, with the term
+conditions of `TERM_CONDITIONS` tried in priority order (unit element,
+Mal'tsev, dual discriminator, near-unanimity).
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from .algebra import (
     is_strictly_simple,
     quotient,
     restrict,
-    Congruence,
 )
 from .errors import BuildError, GuardrailError, ParseError, StructuralError
-from .game import Adversary, constant_adversary, full_adversary
+from .game import Adversary, constant_adversary
 from .model import Algebra, Operation
 from .ops import semilattice_to_shared
 from .polymorph import (
@@ -308,13 +308,10 @@ class _Assembler:
 
 @dataclass
 class CertificateBuilder:
-    """A named construction strategy with its parameters.
-
-    Strategies: singleton, the term conditions of `TERM_CONDITIONS`
-    (unit_element, maltsev_chain, dualdisc_chain, near_unanimity), and
-    strictly_simple, pair_minimal, quotient_lift. A term condition's builder
-    takes its operation from the `op` and `trace` parameters, or else from
-    `_find_term`.
+    """A strategy of `STRATEGIES`, by name, with its parameters. A term
+    condition's builder takes its operation from the `op` and `trace`
+    parameters, or else from `_find_term`; `quotient_lift` takes the quotient's
+    builder from `inner`, or else from the planner.
     """
 
     strategy: str
@@ -427,21 +424,6 @@ def _graft(
     return local[cert.result]
 
 
-def _axiom_shape(
-    adv: Adversary, full: frozenset[int], fallback: int
-) -> tuple[int, frozenset[int]]:
-    """Decompose a single-source family member into (element, wide positions);
-    all-wide members carry no element, so `fallback` stands in."""
-    wide = frozenset(i for i, c in enumerate(adv.coords) if c == full and len(full) > 1)
-    singles = {c for i, c in enumerate(adv.coords) if i not in wide}
-    if len(full) == 1:
-        return next(iter(full)), frozenset()
-    if len(singles) > 1 or any(len(c) != 1 for c in singles):
-        raise BuildError("internal: axiom adversary is not a single-source family member")
-    element = next(iter(next(iter(singles)))) if singles else fallback
-    return element, wide
-
-
 def _extends(op: Operation, small: frozenset[int], large: frozenset[int]) -> bool:
     """Every argument position of `op`, restricted to `small` there and `large`
     elsewhere, reaches all of `large`."""
@@ -529,7 +511,9 @@ def _combine_certs(
     algebra: Algebra, n: int, first: Certificate, second: Certificate
 ) -> Certificate:
     """Union of two collapsible subsets; the second's source must sit inside
-    the first's target set, and widths add."""
+    the first's target set, and widths add. Each axiom of the second is
+    replaced by the first's derivation widened at the axiom's full
+    coordinates."""
     full = _full_set(algebra)
     if not second.source <= first.target:
         raise BuildError("the second source must be contained in the first target set")
@@ -538,7 +522,7 @@ def _combine_certs(
     widened: dict[frozenset[int], int] = {}
 
     def resolve(adv: Adversary) -> int:
-        _, wide = _axiom_shape(adv, full, min(second.source))
+        wide = frozenset(i for i, c in enumerate(adv.coords) if c == full)
         ref = widened.get(wide)
         if ref is None:
             ref = _graft(asm, first, lambda a: asm.axiom(_widen(a, wide, full)))
@@ -549,26 +533,25 @@ def _combine_certs(
     return asm.finish(first.target | second.target, result)
 
 
-def _relabel_cert(
-    algebra: Algebra, cert: Certificate, inner_size: int, label: Sequence[int] | dict[int, int],
-    source: frozenset[int], target: frozenset[int],
-) -> Certificate:
-    """Replay a certificate of an algebra on `inner_size` elements (a
-    subalgebra or a quotient) inside `algebra`: the axiom on element e becomes
-    the full-domain family member on `label[e]`, and every step replays its
-    trace on `algebra`'s generators, so every image only grows."""
-    inner_full = frozenset(range(inner_size))
+def _relabel_cert(algebra: Algebra, cert: Certificate, label: Sequence[int]) -> Certificate:
+    """Replay a certificate of an algebra on at least two elements (a
+    subalgebra or a quotient) inside `algebra`, inner element e standing for
+    `label[e]`: in each axiom the inner universe becomes `algebra`'s and {e}
+    becomes {label[e]}, and every step replays its trace on `algebra`'s
+    generators, so every image only grows."""
+    inner_full = frozenset(range(len(label)))
     full = _full_set(algebra)
-    asm = _Assembler(algebra, cert.n, source, cert.width)
+    asm = _Assembler(algebra, cert.n, frozenset(label[s] for s in cert.source), cert.width)
 
     def resolve(adv: Adversary) -> int:
-        element, wide = _axiom_shape(adv, inner_full, min(cert.source))
-        fam = adv_family(cert.n, (label[element],), cert.width, full)
-        return asm.axiom(fam.member(sorted(wide)))
+        return asm.axiom(Adversary(tuple(
+            full if c == inner_full else frozenset(label[e] for e in c) for c in adv.coords
+        )))
 
     def transform(e: CertEntry) -> tuple[Operation, Trace]:
         return replay_trace(algebra, e.trace), e.trace
 
+    target = frozenset(label[t] for t in cert.target)
     return asm.finish(target, _graft(asm, cert, resolve, transform))
 
 
@@ -601,35 +584,6 @@ class TermCondition:
             return satisfies(op, self.identity)
         unit = params.get("element")
         return unit_element(op) is not None if unit is None else satisfies(op, "unit", unit)
-
-
-# in the planner's priority order
-TERM_CONDITIONS: dict[str, TermCondition] = {
-    "unit_element": TermCondition(
-        "unit",
-        2,
-        {},
-        lambda alg, n, op, trace, p: _build_unit_chain(alg, n, op, trace, unit_element(op)),
-    ),
-    "maltsev_chain": TermCondition(
-        "maltsev",
-        3,
-        {"element": 0},
-        lambda alg, n, op, trace, p: _build_maltsev_chain(alg, n, op, trace, p["element"]),
-    ),
-    "dualdisc_chain": TermCondition(
-        "dual_discriminator",
-        3,
-        {"pair": (0, 1)},
-        lambda alg, n, op, trace, p: _build_dualdisc_chain(alg, n, op, trace, *p["pair"]),
-    ),
-    "near_unanimity": TermCondition(
-        "near_unanimity",
-        3,
-        {"element": 0},
-        lambda alg, n, op, trace, p: _build_near_unanimity(alg, n, op, trace, p["element"]),
-    ),
-}
 
 
 def _find_term(
@@ -757,11 +711,7 @@ def _build_pair_minimal(algebra: Algebra, n: int) -> Certificate:
             covered.add(fresh)
             continue
         sub_cert = _build_strictly_simple(sub, n)
-        lifted = _relabel_cert(
-            algebra, sub_cert, len(elements), elements,
-            frozenset(elements[s] for s in sub_cert.source),
-            frozenset(elements[s] for s in sub_cert.target),
-        )
+        lifted = _relabel_cert(algebra, sub_cert, elements)
         current = _combine_certs(algebra, n, lifted, current)
         covered |= set(pair_universe) | set(current.target)
         source_element = next(iter(lifted.source))
@@ -772,77 +722,86 @@ def _build_pair_minimal(algebra: Algebra, n: int) -> Certificate:
     return current
 
 
-def lift_through_quotient(
-    quotient_certificate: Certificate,
-    algebra: Algebra,
-    congruence: Congruence,
-    representatives: Iterable[int],
-) -> Certificate:
-    """Lift a certificate for the block algebra back to the original algebra:
-    block-valued axioms become representative-valued axioms, traces replay on
-    the original generators, and a closing enlargement reaches the universe.
-
-    `representatives` must contain one element of every source block.
-    """
-    _require_idempotent(algebra)
+def _build_quotient_lift(algebra: Algebra, n: int, builder: CertificateBuilder) -> Certificate:
+    """Certify the quotient by the disjoint maximal congruence, relabel each
+    block to its least element, and enlarge: each lifted coordinate meets
+    every block its quotient coordinate holds, so the enlargement closes it
+    to the universe."""
+    congruence = disjoint_maximal_congruence(algebra)
+    if congruence is None:
+        raise BuildError(
+            "quotient_lift needs an enclosed algebra whose maximal proper "
+            "subalgebras are disjoint and covering"
+        )
     q_alg = quotient(algebra, congruence)
-    n = quotient_certificate.n
-    check = verify_certificate(quotient_certificate, q_alg)
-    if not check:
-        raise BuildError(f"quotient certificate does not verify: {check.failure}")
-    reps = sorted(set(representatives))
-    block_rep: dict[int, int] = {}
-    for t in reps:
-        if not (0 <= t < algebra.domain.size):
-            raise BuildError(f"representative {t} out of range")
-        block_rep.setdefault(congruence.block_of(t), t)
-    for s in quotient_certificate.source:
-        if s not in block_rep:
-            raise BuildError(f"no representative given for source block {s}")
-    lifted = _relabel_cert(
-        algebra, quotient_certificate, q_alg.domain.size, block_rep,
-        frozenset(reps), _full_set(algebra),
-    )
-    closed = _enlarge_cert(algebra, n, lifted)
-    final = closed.entries[closed.result].adversary
-    if not dominated(full_adversary(n, algebra.domain.size), final):
-        raise BuildError("lifted derivation does not reach the full universe")
-    return closed
+    q_builder = builder.params.get("inner")
+    if q_builder is None:
+        q_builder, _ = plan_certificate(q_alg)
+    q_cert = build_certificate(q_builder, q_alg, n)
+    lifted = _relabel_cert(algebra, q_cert, [min(block) for block in congruence.blocks])
+    return _enlarge_cert(algebra, n, lifted)
+
+
+def _build_term(algebra: Algebra, n: int, builder: CertificateBuilder) -> Certificate:
+    """A term condition's chain, on the operation `_resolve_op` pins down."""
+    kind = TERM_CONDITIONS[builder.strategy]
+    params = {**kind.defaults, **builder.params}
+    op, trace, warns = _resolve_op(algebra, builder.strategy, params)
+    return _with_warnings(kind.build(algebra, n, op, trace, params), warns)
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """A certificate construction: the builder parameters among `element`,
+    `pair` and `op` that a caller may set, the build function, and for a
+    chain on a term operation its `TermCondition`."""
+
+    params: tuple[str, ...]
+    build: Callable[[Algebra, int, CertificateBuilder], Certificate]
+    condition: TermCondition | None = None
+
+
+# every strategy, in `certify --strategy` order; the term conditions in the
+# planner's priority order
+STRATEGIES: dict[str, Strategy] = {
+    "singleton": Strategy(
+        ("element",), lambda alg, n, b: _build_singleton(alg, n, b.params.get("element", 0))
+    ),
+    "unit_element": Strategy(("element", "op"), _build_term, TermCondition(
+        "unit", 2, {},
+        lambda alg, n, op, trace, p: _build_unit_chain(alg, n, op, trace, unit_element(op)),
+    )),
+    "maltsev_chain": Strategy(("element", "op"), _build_term, TermCondition(
+        "maltsev", 3, {"element": 0},
+        lambda alg, n, op, trace, p: _build_maltsev_chain(alg, n, op, trace, p["element"]),
+    )),
+    "dualdisc_chain": Strategy(("pair", "op"), _build_term, TermCondition(
+        "dual_discriminator", 3, {"pair": (0, 1)},
+        lambda alg, n, op, trace, p: _build_dualdisc_chain(alg, n, op, trace, *p["pair"]),
+    )),
+    "near_unanimity": Strategy(("element", "op"), _build_term, TermCondition(
+        "near_unanimity", 3, {"element": 0},
+        lambda alg, n, op, trace, p: _build_near_unanimity(alg, n, op, trace, p["element"]),
+    )),
+    "strictly_simple": Strategy((), lambda alg, n, b: _build_strictly_simple(alg, n)),
+    "pair_minimal": Strategy((), lambda alg, n, b: _build_pair_minimal(alg, n)),
+    "quotient_lift": Strategy((), _build_quotient_lift),
+}
+
+TERM_CONDITIONS: dict[str, TermCondition] = {
+    name: s.condition for name, s in STRATEGIES.items() if s.condition is not None
+}
 
 
 def build_certificate(builder: CertificateBuilder, algebra: Algebra, n: int) -> Certificate:
-    """Run a named construction strategy; raises BuildError with the reason
-    when the strategy does not apply."""
+    """Run a strategy of `STRATEGIES`; raises BuildError with the reason when
+    the strategy does not apply."""
     _require_idempotent(algebra)
     _require_n(n)
-    p = builder.params
-    strategy = builder.strategy
-    if strategy == "singleton":
-        return _build_singleton(algebra, n, p.get("element", 0))
-    if strategy in TERM_CONDITIONS:
-        kind = TERM_CONDITIONS[strategy]
-        params = {**kind.defaults, **p}
-        op, trace, warns = _resolve_op(algebra, strategy, params)
-        return _with_warnings(kind.build(algebra, n, op, trace, params), warns)
-    if strategy == "strictly_simple":
-        return _build_strictly_simple(algebra, n)
-    if strategy == "pair_minimal":
-        return _build_pair_minimal(algebra, n)
-    if strategy == "quotient_lift":
-        congruence = disjoint_maximal_congruence(algebra)
-        if congruence is None:
-            raise BuildError(
-                "quotient_lift needs an enclosed algebra whose maximal proper "
-                "subalgebras are disjoint and covering"
-            )
-        q_alg = quotient(algebra, congruence)
-        q_builder = p.get("inner")
-        if q_builder is None:
-            q_builder, _ = plan_certificate(q_alg)
-        q_cert = build_certificate(q_builder, q_alg, n)
-        reps = [min(congruence.blocks[s]) for s in sorted(q_cert.source)]
-        return lift_through_quotient(q_cert, algebra, congruence, reps)
-    raise BuildError(f"unknown strategy {strategy!r}")
+    strategy = STRATEGIES.get(builder.strategy)
+    if strategy is None:
+        raise BuildError(f"unknown strategy {builder.strategy!r}")
+    return strategy.build(algebra, n, builder)
 
 
 def _with_warnings(cert: Certificate, warnings: Sequence[str]) -> Certificate:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -16,7 +17,8 @@ from .errors import GuardrailError, StructuralError
 from .model import Algebra, ConstraintLanguage, Operation, Relation
 from .ops import dual_discriminator, projection_op
 
-# k-row choices of one relation that a polymorphism check or sweep takes on
+# k-row choices of one relation that a polymorphism check or sweep takes on,
+# and argument cells of the projection table a trace names
 CHECK_CAP = 10_000_000
 # cells one polymorphism table sweep fills
 FILL_CAP = 10_000_000
@@ -238,12 +240,21 @@ def compose(outer: Operation, inners: Sequence[Operation], name: str | None = No
 
 def replay_trace(algebra: Algebra, trace: Trace) -> Operation:
     """Rebuild the operation a construction trace denotes, from the algebra's
-    generators, projections, and composition."""
+    generators, projections, and composition. A projection whose table reads
+    more than CHECK_CAP argument cells raises GuardrailError unbuilt."""
     kind = trace[0]
     if kind == "gen":
         return algebra.generators[trace[1]]
     if kind == "proj":
-        return projection_op(algebra.domain.size, trace[1], trace[2])
+        d, k = algebra.domain.size, trace[1]
+        # the table reads k*d^k argument cells; 2^k alone exceeds the cap
+        # from this arity on, so d**k is computed only below it
+        if (d > 1 and k >= CHECK_CAP.bit_length()) or k * d**k > CHECK_CAP:
+            raise GuardrailError(
+                f"projection p{k}.{trace[2]} reads {k}*{d}^{k} argument cells, "
+                f"above the cap of {CHECK_CAP}"
+            )
+        return projection_op(d, k, trace[2])
     if kind == "comp":
         outer = replay_trace(algebra, trace[1])
         inners = [replay_trace(algebra, t) for t in trace[2]]
@@ -263,8 +274,13 @@ def trace_to_str(trace: Trace) -> str:
 
 
 def parse_trace(text: str) -> Trace:
+    """The trace `trace_to_str` writes. Replay, printing and hashing recurse
+    once or twice per level, so a trace nested deeper than a quarter of the
+    interpreter's recursion limit is a StructuralError, raised before any of
+    them runs."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
+    depth_bound = sys.getrecursionlimit() // 4
 
     def atom(tok: str) -> Trace:
         if tok.startswith("g"):
@@ -274,17 +290,19 @@ def parse_trace(text: str) -> Trace:
             return ("proj", int(arity), int(coord))
         raise StructuralError(f"bad trace token {tok!r}")
 
-    def parse() -> Trace:
+    def parse(depth: int) -> Trace:
         nonlocal pos
         if pos >= len(tokens):
             raise StructuralError("truncated trace")
         tok = tokens[pos]
         pos += 1
         if tok == "(":
-            outer = parse()
+            if depth == depth_bound:
+                raise StructuralError(f"trace nests deeper than {depth_bound} compositions")
+            outer = parse(depth + 1)
             inners = []
             while pos < len(tokens) and tokens[pos] != ")":
-                inners.append(parse())
+                inners.append(parse(depth + 1))
             if pos >= len(tokens):
                 raise StructuralError("unclosed trace")
             pos += 1
@@ -293,7 +311,7 @@ def parse_trace(text: str) -> Trace:
             raise StructuralError("unexpected ')' in trace")
         return atom(tok)
 
-    out = parse()
+    out = parse(0)
     if pos != len(tokens):
         raise StructuralError("trailing tokens in trace")
     return out

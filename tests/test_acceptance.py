@@ -307,7 +307,7 @@ def _audit_language(relation, verdict, rng_seed: int, count: int = 100) -> int:
         phi = QuantifiedFormula(domain, tuple(prefix), tuple(body))
         truth = evaluate_truth(phi)
         reduced = conjunction_verdict(
-            relevant_collapsings(phi, verdict.reduction_width, verdict.reduction_source)
+            relevant_collapsings(phi, verdict.certificate.width, verdict.certificate.source)
         )
         assert reduced == truth, "certified reduction disagrees with the oracle"
         audited += 1
@@ -340,7 +340,7 @@ def test_criterion_9_two_element_totality():
             )
             check = verify_certificate(verdict.certificate, Algebra(Domain(2), hits))
             assert check, f"stored certificate failed replay: {check.failure}"
-            assert verdict.reduction_width == 1  # tractable two-element cases are width-1
+            assert verdict.certificate.width == 1  # tractable two-element cases are width-1
             audited_languages += 1
             _audit_language(relation, verdict, rng_seed=9000 + index, count=100)
     assert labels["P_certified"] + labels["PSPACE_complete_cited"] == 256

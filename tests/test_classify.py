@@ -44,13 +44,13 @@ class TestTwoElement:
     def test_implication_is_tractable(self):
         verdict = classify_two_element(lang(2, impl_rel()))
         assert verdict.label == "P_certified"
-        assert verdict.reduction_width == 1
+        assert verdict.certificate.width == 1
         assert verdict.certificate is not None
 
     def test_affine_is_tractable_via_minority(self):
         verdict = classify_two_element(lang(2, affine_rel()))
         assert verdict.label == "P_certified"
-        assert verdict.reduction_width == 1
+        assert verdict.certificate.width == 1
 
     def test_nae_is_pspace_with_witnesses(self):
         verdict = classify_two_element(lang(2, nae_rel()))
@@ -394,7 +394,7 @@ class TestThreeElement:
         ]
         verdict = classify_three_element(lang(3, rel("AffZ3", 3, 3, rows)))
         assert verdict.label == "P_certified"
-        assert verdict.reduction_width == 1
+        assert verdict.certificate.width == 1
 
     def test_path_needs_the_ternary_polymorphisms(self):
         # the binary idempotent polymorphisms alone have a G-set factor, which
@@ -425,7 +425,7 @@ def _audit_reduction(language, verdict, seed, count=30):
     for _ in range(count):
         phi = random_formula(rng, language, spec)
         assert conjunction_verdict(
-            relevant_collapsings(phi, verdict.reduction_width, verdict.reduction_source)
+            relevant_collapsings(phi, verdict.certificate.width, verdict.certificate.source)
         ) == evaluate_truth(phi)
 
 

@@ -18,9 +18,9 @@ from qcollapse.collapse import (
     relevant_collapsings,
 )
 from qcollapse.corpus import CorpusSpec, instances
-from qcollapse.game import evaluate_truth
+from qcollapse.game import evaluate_truth, full_adversary
 from qcollapse.model import Algebra, parse_document, serialize_instance
-from qcollapse.ops import and_op, majority_op
+from qcollapse.ops import and_op, majority_op, projection_op
 
 EXAMPLE = """\
 domain 2 a b
@@ -151,6 +151,20 @@ STRATEGY_FLAGS_READ = {
     ("unit_element", "--op"), ("maltsev_chain", "--op"), ("dualdisc_chain", "--op"),
     ("near_unanimity", "--op"),
 }
+
+
+# the algebra files among the ledger's inputs
+LEDGER_INPUTS = Path(__file__).parent / "ledger" / "inputs"
+LEDGER_ALGEBRAS = sorted(
+    path.name for path in LEDGER_INPUTS.glob("*.txt")
+    if parse_document(path.read_text(encoding="utf-8")).operations
+)
+
+
+def _trace_depth(trace) -> int:
+    if trace[0] != "comp":
+        return 0
+    return 1 + max(_trace_depth(part) for part in (trace[1],) + trace[2])
 
 
 @pytest.fixture
@@ -418,6 +432,68 @@ class TestExitCodes:
         assert capsys.readouterr().out == (
             "certificate rejected: step 1: 1 inputs for an arity-2 operation\n"
         )
+
+    @pytest.mark.parametrize("arity", [23, 100_000_000])
+    def test_verify_refuses_a_huge_projection_before_building_it(
+        self, files, capsys, tmp_path, monkeypatch, arity
+    ):
+        def small_projection(d, k, coord, name=None):
+            assert k <= 3, f"a projection table of arity {k} was built"
+            return projection_op(d, k, coord, name)
+
+        monkeypatch.setattr(polymorph, "projection_op", small_projection)
+        cert_path = tmp_path / "huge.cert"
+        cert_path.write_text(
+            "certificate n=1 width=1 source=1 target=0,1 domain=2\naxiom 0: *\n"
+            f"step 1: * <= p{arity}.1(0, 0)\nresult 1\n",
+            encoding="utf-8",
+        )
+        assert main(["verify", files["and"], "--certificate", str(cert_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"guardrail: projection p{arity}.1 reads {arity}*2^{arity} argument cells, "
+            f"above the cap of {polymorph.CHECK_CAP}\n"
+        )
+
+    @pytest.mark.parametrize("depth", [1_200, 100_000])
+    def test_verify_refuses_a_trace_nested_too_deep(self, files, capsys, tmp_path, depth):
+        # (g0 (g0 ... (g0 p2.1 p2.2) ... p2.2) p2.2) is x AND y at any depth
+        trace = "(g0 " * depth + "p2.1" + " p2.2)" * depth
+        cert_path = tmp_path / "deep.cert"
+        cert_path.write_text(
+            "certificate n=1 width=1 source=1 target=0,1 domain=2\naxiom 0: *\n"
+            f"step 1: * <= {trace}(0, 0)\nresult 1\n",
+            encoding="utf-8",
+        )
+        assert main(["verify", files["and"], "--certificate", str(cert_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: line 3: trace nests deeper than {sys.getrecursionlimit() // 4} "
+            "compositions\n"
+        )
+
+    @pytest.mark.parametrize("name", LEDGER_ALGEBRAS)
+    def test_the_deepest_closure_trace_round_trips(self, capsys, tmp_path, name):
+        # a one-step certificate on the deepest trace of the algebra's
+        # arity-3 term closure, as the certificate writer prints it, verifies
+        alg = parse_document((LEDGER_INPUTS / name).read_text(encoding="utf-8")).algebra
+        terms = polymorph.generate_term_operations(alg, 3)
+        op = max(terms.operations, key=lambda o: _trace_depth(terms.traces[o]))
+        full = full_adversary(1, alg.domain.size)
+        cert = collapsibility.Certificate(
+            full.coords[0], frozenset({0}), 1, 1,
+            (collapsibility.CertEntry(full),
+             collapsibility.CertEntry(full, op, terms.traces[op], (0,) * op.arity)),
+            1,
+        )
+        text = collapsibility.serialize_certificate(cert, alg.domain.size)
+        assert collapsibility.parse_certificate(text, alg) == cert
+        cert_path = tmp_path / "deepest.cert"
+        cert_path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(LEDGER_INPUTS / name), "--certificate", str(cert_path)]) == 0
+        assert capsys.readouterr().out.startswith("certificate ok: ")
 
     def test_certify_out_to_missing_directory(self, files, capsys, tmp_path):
         out = tmp_path / "missing" / "cert.txt"

@@ -17,7 +17,7 @@ from conftest import (
     reference_op_image,
 )
 from qcollapse import collapsibility, polymorph
-from qcollapse.algebra import Congruence, disjoint_maximal_congruence
+from qcollapse.algebra import disjoint_maximal_congruence
 from qcollapse.classify import DISPATCH_OPERATIONS, discovered_generators
 from qcollapse.collapse import conjunction_verdict, relevant_collapsings
 from qcollapse.collapsibility import (
@@ -32,7 +32,6 @@ from qcollapse.collapsibility import (
     detect_sink_candidate,
     dominated,
     is_alphabeta_projective,
-    lift_through_quotient,
     parse_certificate,
     plan_certificate,
     power_certificate,
@@ -522,27 +521,13 @@ class TestQuotientLift:
         assert cert.source == frozenset({2})
 
     def test_identity_congruence_passthrough(self):
+        # AND's maximal proper subalgebras are {0} and {1}, so the lift goes
+        # through a quotient isomorphic to AND and relabels nothing
         alg = ALGEBRAS["and"]
-        ident = Congruence((frozenset({0}), frozenset({1})))
-        inner = build_certificate(CertificateBuilder("unit_element"), alg, 3)
-        lifted = lift_through_quotient(inner, alg, ident, [0, 1])
+        assert disjoint_maximal_congruence(alg).blocks == (frozenset({0}), frozenset({1}))
+        lifted = build_certificate(CertificateBuilder("quotient_lift"), alg, 3)
+        assert lifted == build_certificate(CertificateBuilder("unit_element"), alg, 3)
         assert verify_certificate(lifted, alg, 3)
-        assert lifted.width == 1
-
-    def test_missing_representative(self):
-        alg = ALGEBRAS["and"]
-        ident = Congruence((frozenset({0}), frozenset({1})))
-        inner = build_certificate(CertificateBuilder("unit_element"), alg, 3)
-        with pytest.raises(BuildError):
-            lift_through_quotient(inner, alg, ident, [0])
-
-    def test_rejects_unverifiable_quotient_cert(self):
-        alg = block_meet_algebra()
-        cong = disjoint_maximal_congruence(alg)
-        bogus = build_certificate(CertificateBuilder("unit_element"), ALGEBRAS["and"], 2)
-        wrong_n = dataclasses.replace(bogus, n=3)
-        with pytest.raises(BuildError):
-            lift_through_quotient(wrong_n, alg, cong, [0, 2])
 
 
 class TestVerification:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -337,6 +338,32 @@ class TestTermGeneration:
         for op in terms.operations:
             trace = terms.traces[op]
             assert parse_trace(trace_to_str(trace)) == trace
+
+    @pytest.mark.parametrize("d, largest", [(1, 10_000_000), (2, 19), (3, 12)])
+    def test_projection_cap_refuses_exactly_above_the_check_cap(self, monkeypatch, d, largest):
+        # the largest arity k with k * d^k <= CHECK_CAP replays; one more is
+        # refused before any table is built
+        built = []
+        monkeypatch.setattr(polymorph, "projection_op", lambda *args: built.append(args))
+        alg = Algebra(Domain(d), ())
+        replay_trace(alg, ("proj", largest, 1))
+        assert built == [(d, largest, 1)]
+        for k in (largest + 1, 10**8):
+            with pytest.raises(GuardrailError, match=f"above the cap of {polymorph.CHECK_CAP}$"):
+                replay_trace(alg, ("proj", k, 1))
+        assert built == [(d, largest, 1)]
+
+    def test_trace_nesting_bound(self):
+        bound = sys.getrecursionlimit() // 4
+        for depth in (bound, bound + 1):
+            text = "(g0 " * depth + "p2.1" + " p2.2)" * depth
+            if depth <= bound:
+                trace = parse_trace(text)
+                assert trace_to_str(trace) == text
+                assert replay_trace(Algebra(Domain(2), (and_op(),)), trace) == and_op()
+            else:
+                with pytest.raises(StructuralError, match=f"deeper than {bound} compositions"):
+                    parse_trace(text)
 
     def test_closure_is_composition_closed(self):
         # fixed-point audit: composing members with members stays inside
