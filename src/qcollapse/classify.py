@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .algebra import Factor, has_gset_factor
-from .collapsibility import Certificate, CertificateBuilder, certify
+from .collapsibility import TERM_CONDITIONS, Certificate, CertificateBuilder, certify
 from .errors import BuildError, GuardrailError, StructuralError
-from .model import Algebra, ConstraintLanguage, Operation
+from .model import Algebra, ConstraintLanguage, Operation, Relation
 from .ops import and_op, majority_op, minority_op, or_op, semilattice_to_shared
 from .polymorph import (
     ARITY_CAP,
@@ -64,9 +64,33 @@ def _certified_p(
 DISPATCH_OPERATIONS = (and_op(), or_op(), majority_op(), minority_op())
 
 
+def _planner_rank(op: Operation) -> int:
+    """The position in `TERM_CONDITIONS` of the first condition the
+    operation satisfies under its defaults: the planner's preference."""
+    return next(
+        rank for rank, kind in enumerate(TERM_CONDITIONS.values())
+        if kind.holds(op, kind.defaults)
+    )
+
+
+# the dispatch operations in the planner's order (a sort is stable, so AND
+# stays before OR, as in the generator order the planner scans)
+PLANNER_DISPATCH_ORDER = tuple(sorted(DISPATCH_OPERATIONS, key=_planner_rank))
+
+
+def _relations_smallest_first(language: ConstraintLanguage) -> list[Relation]:
+    """The relations by row count, so the size guard of `polymorphism_failure`
+    refuses (GuardrailError) only when every smaller relation is preserved,
+    whatever the order of the relations."""
+    if language.domain.size != 2:
+        raise StructuralError("two-element classification needs a two-element domain")
+    return sorted(language.relations, key=lambda rel: len(rel.tuples))
+
+
 def dispatch_operations(language: ConstraintLanguage) -> tuple[Operation, ...]:
     """The operations among AND, OR, majority and minority, in that order,
-    that preserve the two-element language.
+    that preserve the two-element language: every hit, as `classify` lists
+    them.
 
     Every idempotent clone on {0,1} other than the projections contains one
     of them (Post's lattice), so they decide the language's QCSP: as an
@@ -75,17 +99,26 @@ def dispatch_operations(language: ConstraintLanguage) -> tuple[Operation, ...]:
     satisfies a term condition itself, so the planner runs no term closure.
     A unit semilattice is AND or OR, the dual discriminator and the ternary
     near-unanimity operation are majority, and every Mal'tsev operation
-    generates minority by arity 3.
-
-    Each operation meets the smallest relations first, so the size guard of
-    `polymorphism_failure` refuses (GuardrailError) only when every smaller
-    relation is preserved, whatever the order of the relations.
+    generates minority by arity 3. Each operation meets the smallest
+    relations first.
     """
-    if language.domain.size != 2:
-        raise StructuralError("two-element classification needs a two-element domain")
-    relations = sorted(language.relations, key=lambda rel: len(rel.tuples))
+    relations = _relations_smallest_first(language)
     return tuple(
         op for op in DISPATCH_OPERATIONS if all(is_polymorphism(op, rel) for rel in relations)
+    )
+
+
+def planned_dispatch_operation(language: ConstraintLanguage) -> Operation | None:
+    """The first dispatch operation, in the planner's order (AND or OR, then
+    minority, then majority), that preserves the two-element language, or
+    None. The planner on it alone picks the strategy, width and source it
+    picks on all of `dispatch_operations`, and the operations after it are
+    never checked. Each operation meets the smallest relations first."""
+    relations = _relations_smallest_first(language)
+    return next(
+        (op for op in PLANNER_DISPATCH_ORDER
+         if all(is_polymorphism(op, rel) for rel in relations)),
+        None,
     )
 
 

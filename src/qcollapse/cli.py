@@ -26,7 +26,7 @@ from .classify import (
     classify_three_element,
     classify_two_element,
     discovered_generators,
-    dispatch_operations,
+    planned_dispatch_operation,
 )
 from .collapse import (
     collapse_verdicts,
@@ -130,12 +130,16 @@ def positive_int(text: str) -> int:
 
 def _certificate_for_language(document, n: int) -> Certificate:
     """A verified collapsibility certificate for the instance's language. A
-    two-element language's algebra is generated by its dispatch operations,
-    which fix the same chain as all its idempotent polymorphisms; any other
-    language's by its discovered idempotent polymorphisms."""
+    two-element language's algebra is generated by the first dispatch
+    operation, in the planner's order, that preserves it: the planner picks
+    the same strategy, width and source there as on every dispatch operation
+    that preserves it, which fix the same chain as all its idempotent
+    polymorphisms. Any other language's algebra is generated by its
+    discovered idempotent polymorphisms."""
     language = document.language
     if language.domain.size == 2:
-        generators = dispatch_operations(language)
+        op = planned_dispatch_operation(language)
+        generators = () if op is None else (op,)
     else:
         generators, _ = discovered_generators(language)
     _, _, cert = certify(Algebra(language.domain, generators), max(n, 1))

@@ -39,6 +39,7 @@ from .game import Adversary, constant_adversary
 from .model import Algebra, Operation
 from .ops import semilattice_to_shared
 from .polymorph import (
+    ReplayBudget,
     TermOperationSet,
     Trace,
     close_vectors,
@@ -201,7 +202,8 @@ def verify_certificate(
     dominates target^n. Returns the first failure as a diagnostic.
 
     Each distinct trace is replayed once per call; every step still compares
-    its own operation with the rebuilt one and checks its containment."""
+    its own operation with the rebuilt one and checks its containment. The
+    replays share one `ReplayBudget`: past it, GuardrailError."""
     d = algebra.domain.size
     if n is not None and certificate.n != n:
         return VerificationResult(False, f"certificate is for n={certificate.n}, not n={n}")
@@ -214,6 +216,7 @@ def verify_certificate(
         return VerificationResult(False, "target is not a nonempty subset of the universe")
     families = _axiom_families(n, certificate.source, certificate.width, d)
     replayed: dict[Trace, Operation] = {}
+    budget = ReplayBudget()
     for idx, e in enumerate(certificate.entries):
         if len(e.adversary) != n:
             return VerificationResult(False, f"entry {idx}: adversary length != n")
@@ -238,7 +241,7 @@ def verify_certificate(
         rebuilt = replayed.get(e.trace)
         if rebuilt is None:
             try:
-                rebuilt = replayed[e.trace] = replay_trace(algebra, e.trace)
+                rebuilt = replayed[e.trace] = replay_trace(algebra, e.trace, budget)
             except (StructuralError, IndexError) as err:
                 return VerificationResult(False, f"step {idx}: trace replay failed: {err}")
         if rebuilt != e.op:
@@ -1068,8 +1071,10 @@ def parse_certificate(text: str, algebra: Algebra) -> Certificate:
     """Read the text `serialize_certificate` writes. Malformed text raises
     ParseError naming its line, and so does what the writer never writes: a
     first word that is no line kind, a second header or result line, an
-    unknown or repeated header key, tokens after the result index. Whether
-    the derivation holds is left to `verify_certificate`."""
+    unknown or repeated header key, tokens after the result index. Each
+    distinct trace is replayed once, and the replays share one
+    `ReplayBudget`: past it, GuardrailError. Whether the derivation holds is
+    left to `verify_certificate`."""
     header: dict[str, str] = {}
     header_line = 0
     entries: list[CertEntry] = []
@@ -1077,6 +1082,7 @@ def parse_certificate(text: str, algebra: Algebra) -> Certificate:
     warnings: list[str] = []
     # steps with one trace share one operation, and so its image memo
     replayed: dict[Trace, Operation] = {}
+    budget = ReplayBudget()
     d = algebra.domain.size
     full = frozenset(range(d))
 
@@ -1134,7 +1140,7 @@ def parse_certificate(text: str, algebra: Algebra) -> Certificate:
                 ids = tuple(map(input_id, inner.split(","))) if inner.strip() else ()
                 op = replayed.get(trace)
                 if op is None:
-                    op = replayed[trace] = replay_trace(algebra, trace)
+                    op = replayed[trace] = replay_trace(algebra, trace, budget)
                 entries.append(CertEntry(adv, op, trace, ids))
             elif word == "result":
                 if result is not None:

@@ -126,6 +126,17 @@ class Operation:
         the instance `__dict__` and takes no part in equality, hash or repr."""
         return {}
 
+    @cached_property
+    def symmetric(self) -> bool:
+        """The table is unchanged by every permutation of the arguments;
+        computed once per object, and like `_images` no part of equality,
+        hash or repr."""
+        table = self.table
+        return all(
+            value == table[self.index(sorted(args))]
+            for value, args in zip(table, self.inputs())
+        )
+
     def index(self, args: Sequence[int]) -> int:
         idx = 0
         for a in args:

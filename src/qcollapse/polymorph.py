@@ -18,7 +18,8 @@ from .model import Algebra, ConstraintLanguage, Operation, Relation
 from .ops import dual_discriminator, projection_op
 
 # k-row choices of one relation that a polymorphism check or sweep takes on,
-# and argument cells of the projection table a trace names
+# argument cells of the projection table a trace names, and argument cells of
+# all the tables that one certificate's trace replays build
 CHECK_CAP = 10_000_000
 # cells one polymorphism table sweep fills
 FILL_CAP = 10_000_000
@@ -39,7 +40,14 @@ Trace = tuple
 def polymorphism_failure(
     op: Operation, rel: Relation
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
-    """The first witness (rows, image) with image outside the relation, or None."""
+    """The first witness (rows, image) with image outside the relation, in
+    `itertools.product` order of the sorted rows, or None. GuardrailError
+    when the relation has over CHECK_CAP k-row choices.
+
+    A totally symmetric operation walks row multisets, as sorted choices:
+    the image of a choice depends only on the multiset of its rows, and
+    sorting a failing choice gives a failing choice no later in product
+    order, so the first witness is the same."""
     if op.domain_size != rel.domain_size:
         raise StructuralError("operation and relation are over different domains")
     rows = rel.sorted_tuples()
@@ -49,7 +57,11 @@ def polymorphism_failure(
         )
     d = op.domain_size
     table = op.table
-    for choice in itertools.product(rows, repeat=op.arity):
+    if op.symmetric:
+        choices = itertools.combinations_with_replacement(rows, op.arity)
+    else:
+        choices = itertools.product(rows, repeat=op.arity)
+    for choice in choices:
         image = []
         for col in range(rel.arity):
             idx = 0
@@ -238,10 +250,33 @@ def compose(outer: Operation, inners: Sequence[Operation], name: str | None = No
     return Operation(label, m, d, tuple(table))
 
 
-def replay_trace(algebra: Algebra, trace: Trace) -> Operation:
+class ReplayBudget:
+    """The argument cells that the trace replays sharing it build together,
+    against CHECK_CAP as it reads when the budget is made. The parser and the
+    verifier each give one budget to all the replays of a certificate."""
+
+    def __init__(self) -> None:
+        self.cap = CHECK_CAP
+        self.cells = 0
+
+    def charge(self, cells: int) -> None:
+        self.cells += cells
+        if self.cells > self.cap:
+            raise GuardrailError(
+                f"trace replays read {self.cells} argument cells, "
+                f"above the cap of {self.cap}"
+            )
+
+
+def replay_trace(algebra: Algebra, trace: Trace, budget: ReplayBudget | None = None) -> Operation:
     """Rebuild the operation a construction trace denotes, from the algebra's
     generators, projections, and composition. A projection whose table reads
-    more than CHECK_CAP argument cells raises GuardrailError unbuilt."""
+    more than CHECK_CAP argument cells raises GuardrailError unbuilt. Every
+    table is charged before it is built to `budget`, a fresh one when none is
+    given: k*d^k cells for a projection pk.i, k*d^m for a k-ary operation
+    over m-ary inners."""
+    if budget is None:
+        budget = ReplayBudget()
     kind = trace[0]
     if kind == "gen":
         return algebra.generators[trace[1]]
@@ -254,10 +289,13 @@ def replay_trace(algebra: Algebra, trace: Trace) -> Operation:
                 f"projection p{k}.{trace[2]} reads {k}*{d}^{k} argument cells, "
                 f"above the cap of {CHECK_CAP}"
             )
+        budget.charge(k * d**k)
         return projection_op(d, k, trace[2])
     if kind == "comp":
-        outer = replay_trace(algebra, trace[1])
-        inners = [replay_trace(algebra, t) for t in trace[2]]
+        outer = replay_trace(algebra, trace[1], budget)
+        inners = [replay_trace(algebra, t, budget) for t in trace[2]]
+        if inners:
+            budget.charge(outer.arity * algebra.domain.size ** inners[0].arity)
         return compose(outer, inners)
     raise StructuralError(f"unknown trace node {kind!r}")
 

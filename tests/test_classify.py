@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,10 +24,23 @@ from qcollapse.classify import (
     discovered_generators,
     dispatch_operations,
     find_polymorphism_with_shape,
+    planned_dispatch_operation,
 )
-from qcollapse.collapsibility import TERM_CONDITIONS, build_certificate, plan_certificate
+from qcollapse.collapsibility import (
+    TERM_CONDITIONS,
+    build_certificate,
+    certify,
+    plan_certificate,
+)
 from qcollapse.errors import BuildError, GuardrailError, StructuralError
-from qcollapse.model import Algebra, ConstraintLanguage, Domain, Operation, Relation
+from qcollapse.model import (
+    Algebra,
+    ConstraintLanguage,
+    Domain,
+    Operation,
+    Relation,
+    parse_document,
+)
 from qcollapse.ops import dual_discriminator, minority_op, semilattice_to_shared
 from qcollapse.polymorph import (
     close_relation_under,
@@ -123,7 +137,118 @@ def _boolean_languages(rng: random.Random) -> list[ConstraintLanguage]:
     return out
 
 
+def _benchmark_languages() -> list[ConstraintLanguage]:
+    """The six Boolean languages of the benchmark's `solve` and `scale`
+    workloads, rebuilt from their defining clauses."""
+    def relation(name, arity, pred):
+        return rel(name, arity, 2, [t for t in itertools.product((0, 1), repeat=arity) if pred(*t)])
+
+    false, true = relation("F", 1, lambda a: a == 0), relation("T", 1, lambda a: a == 1)
+    return [
+        lang(2, relation("H", 3, lambda a, b, c: not (a and b) or c), false, true),
+        lang(2, relation("D", 3, lambda a, b, c: a or b or not c), false, true),
+        lang(2, relation("O", 2, lambda a, b: a or b), relation("I", 2, lambda a, b: not a or b),
+             relation("N", 2, lambda a, b: not (a and b))),
+        lang(2, relation("X", 3, lambda a, b, c: a ^ b ^ c == 0),
+             relation("Y", 3, lambda a, b, c: a ^ b ^ c == 1)),
+        lang(2, relation("I", 2, lambda a, b: not a or b)),
+        lang(2, relation("O", 2, lambda a, b: a or b)),
+    ]
+
+
+LEDGER_INPUTS = Path(__file__).parent / "ledger" / "inputs"
+
+
+def _ledger_languages() -> dict[str, ConstraintLanguage]:
+    """The two-element languages among the ledger's input files, by name."""
+    out = {}
+    for path in sorted(LEDGER_INPUTS.glob("*.txt")):
+        document = parse_document(path.read_text(encoding="utf-8"))
+        if document.language.domain.size == 2:
+            out[path.name] = document.language
+    return out
+
+
+def _certified(language: ConstraintLanguage, generators, n: int) -> tuple | str:
+    """What `solve` reads of the certificate on these generators, and every
+    entry's adversary; or the reason no certificate exists."""
+    try:
+        builder, _, cert = certify(Algebra(language.domain, tuple(generators)), n)
+    except BuildError as err:
+        return str(err)
+    adversaries = tuple(e.adversary for e in cert.entries)
+    return builder.strategy, cert.width, cert.source, cert.target, cert.n, cert.result, adversaries
+
+
 class TestDispatchOperations:
+    def test_planner_order_is_read_from_the_term_conditions(self):
+        ranks = [
+            next(i for i, kind in enumerate(TERM_CONDITIONS.values())
+                 if kind.holds(op, kind.defaults))
+            for op in classify.PLANNER_DISPATCH_ORDER
+        ]
+        assert ranks == sorted(ranks)
+        assert sorted(classify.PLANNER_DISPATCH_ORDER, key=classify.DISPATCH_OPERATIONS.index) == (
+            list(classify.DISPATCH_OPERATIONS)
+        )
+        assert [op.name for op in classify.PLANNER_DISPATCH_ORDER] == [
+            "and", "or", "minority", "majority",
+        ]
+
+    def test_planned_operation_certifies_as_every_hit_does(self):
+        # the planner on the first operation that preserves the language, in
+        # its order, builds what it builds on all of them, up to the generator
+        # index inside traces; with none, both fail with the same message
+        ternary = list(itertools.product((0, 1), repeat=3))
+        languages = [
+            lang(2, rel("R", 3, 2, [t for i, t in enumerate(ternary) if mask >> i & 1]))
+            for mask in range(256)
+        ]
+        languages += _benchmark_languages()
+        ledger = _ledger_languages()
+        refused = set()
+        for name, language in ledger.items():
+            try:
+                dispatch_operations(language)
+            except GuardrailError:
+                refused.add(name)
+                continue
+            languages.append(language)
+        assert refused == {"nand3_wide.txt"}
+        assert len(languages) == 256 + 6 + len(ledger) - 1
+        strategies = collections.Counter()
+        for language in languages:
+            hits = dispatch_operations(language)
+            planned = planned_dispatch_operation(language)
+            assert planned == next(
+                (op for op in classify.PLANNER_DISPATCH_ORDER if op in hits), None
+            )
+            walked = () if planned is None else (planned,)
+            for n in (1, 2, 3, 4):
+                expected = _certified(language, hits, n)
+                assert _certified(language, walked, n) == expected, (
+                    n, [sorted(r.tuples) for r in language.relations],
+                )
+            strategies[expected if isinstance(expected, str) else expected[0]] += 1
+        assert set(strategies) == {
+            "unit_element", "maltsev_chain", "dualdisc_chain",
+            "no semilattice, Mal'tsev, dual discriminator, or near-unanimity term operation "
+            "up to arity 3: the algebra is a G-set",
+        }, strategies
+
+    def test_planned_operation_checks_past_the_size_guard_only_when_needed(self):
+        # AND preserves the 224-row relation, so majority's 224^3 check never runs
+        language = _ledger_languages()["nand3_wide.txt"]
+        assert planned_dispatch_operation(language).name == "and"
+        with pytest.raises(GuardrailError, match=r"^224\^3 tuple combinations"):
+            dispatch_operations(language)
+        wide = language.relations[0]
+        # x or y breaks AND and minority, and OR breaks the wide relation, so
+        # the walk reaches majority and refuses
+        broken = lang(2, rel("Or", 2, 2, [(0, 1), (1, 0), (1, 1)]), wide)
+        with pytest.raises(GuardrailError, match=r"^224\^3 tuple combinations"):
+            planned_dispatch_operation(broken)
+
     def test_every_boolean_maltsev_operation_generates_minority(self):
         maltsev = [
             op for op in (

@@ -674,6 +674,21 @@ class TestSolveVerb:
                 checks["certified"] += 1
         assert checks["runs"] > 600 and checks["false"] > 300 and checks["certified"] > 50, checks
 
+    def test_walk_certifies_where_a_later_check_is_over_the_size_guard(self, capsys):
+        # AND preserves the 224-row relation; majority's check would take
+        # 224^3 row choices, and only classify, which lists every hit, needs it
+        path = LEDGER_INPUTS / "nand3_wide.txt"
+        formula = parse_document(path.read_text(encoding="utf-8")).formula
+        assert evaluate_truth(formula) is True
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out == "collapse verdict: true (3 collapsings, width 1)\n"
+        assert main(["solve-oracle", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["classify", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "guardrail: 224^3 tuple combinations exceed the cap of 10000000\n"
+        )
+
     def test_encoding_emits_each_constraint_once(self, files):
         for path in files.values():
             formula = parse_document(Path(path).read_text(encoding="utf-8")).formula

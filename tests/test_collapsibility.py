@@ -636,6 +636,49 @@ class TestVerification:
             parse_certificate(text.replace(old, new), alg)
         assert str(raised.value) == message
 
+    @staticmethod
+    def _projection_cert(arity: int, count: int) -> str:
+        ids = ", ".join(["0"] * arity)
+        steps = "".join(f"step {i}: * <= p{arity}.{i}({ids})\n" for i in range(1, count + 1))
+        return (
+            "certificate n=1 width=1 source=1 target=0,1 domain=2\naxiom 0: *\n"
+            f"{steps}result {count}\n"
+        )
+
+    def test_replays_share_one_budget(self, monkeypatch):
+        # each p12.i table reads 12 * 2^12 = 49 152 argument cells: two fit
+        # in a budget of 100 000, three do not, though each is under it
+        alg = ALGEBRAS["and"]
+        two, three = (self._projection_cert(12, count) for count in (2, 3))
+        parsed = parse_certificate(three, alg)
+        monkeypatch.setattr(polymorph, "CHECK_CAP", 100_000)
+        assert verify_certificate(parse_certificate(two, alg), alg, 1)
+        refusal = "trace replays read 147456 argument cells, above the cap of 100000"
+        with pytest.raises(GuardrailError) as raised:
+            parse_certificate(three, alg)
+        assert str(raised.value) == refusal
+        with pytest.raises(GuardrailError) as raised:
+            verify_certificate(parsed, alg, 1)
+        assert str(raised.value) == refusal
+
+    def test_budget_charges_projections_and_compositions(self, monkeypatch):
+        # (g0 p2.1 p2.2) builds p2.1 and p2.2 (2 * 2^2 cells each) and AND
+        # over them (2 * 2^2): 24 cells; a repeated trace is replayed once
+        alg = ALGEBRAS["and"]
+        step = "* <= (g0 p2.1 p2.2)(0, 0)"
+        text = (
+            "certificate n=1 width=1 source=1 target=0,1 domain=2\naxiom 0: *\n"
+            f"step 1: {step}\nstep 2: {step}\nresult 2\n"
+        )
+        parsed = parse_certificate(text, alg)
+        monkeypatch.setattr(polymorph, "CHECK_CAP", 24)
+        assert verify_certificate(parse_certificate(text, alg), alg, 1)
+        monkeypatch.setattr(polymorph, "CHECK_CAP", 23)
+        with pytest.raises(GuardrailError, match="read 24 argument cells, above the cap of 23$"):
+            parse_certificate(text, alg)
+        with pytest.raises(GuardrailError, match="read 24 argument cells, above the cap of 23$"):
+            verify_certificate(parsed, alg, 1)
+
     def test_serialization_roundtrip(self):
         for name, alg in ALGEBRAS.items():
             builder, _ = plan_certificate(alg)
@@ -822,9 +865,9 @@ class TestImageWorkCounts:
         calls = collections.Counter()
         real = collapsibility.replay_trace
 
-        def counting(algebra, trace):
+        def counting(algebra, trace, budget=None):
             calls[trace] += 1
-            return real(algebra, trace)
+            return real(algebra, trace, budget)
 
         monkeypatch.setattr(collapsibility, "replay_trace", counting)
         repeated, distinct = 0, 0

@@ -120,6 +120,111 @@ class TestIsPolymorphism:
             is_polymorphism(majority_op(), big)
 
 
+def _product_order_failure(op: Operation, relation):
+    """The first (rows, image) with image outside the relation, over every
+    choice of rows in `itertools.product` order of the sorted rows, and the
+    choice's position in that order; None when the operation preserves it."""
+    rows = sorted(relation.tuples)
+    for position, choice in enumerate(itertools.product(rows, repeat=op.arity)):
+        image = tuple(op(*(t[col] for t in choice)) for col in range(relation.arity))
+        if image not in relation.tuples:
+            return (choice, image), position
+    return None
+
+
+def _symmetric_operation(rng: random.Random, d: int, arity: int) -> Operation:
+    """A seeded table whose value depends only on the multiset of arguments,
+    idempotent or not."""
+    values = {}
+    table = []
+    for args in itertools.product(range(d), repeat=arity):
+        key = tuple(sorted(args))
+        table.append(values.setdefault(key, rng.randrange(d)))
+    return Operation("s", arity, d, tuple(table))
+
+
+def _seeded_relation(rng: random.Random, d: int, op: Operation):
+    """A random relation; or its closure under `op`, preserved; or that
+    closure less one tuple, whose first failure may come late."""
+    arity = rng.randint(1, 3)
+    cells = list(itertools.product(range(d), repeat=arity))
+    base = rel("R", arity, d, rng.sample(cells, rng.randint(1, len(cells))))
+    shape = rng.randrange(3)
+    if shape == 0:
+        return base
+    closed = close_relation_under(base, op)
+    if shape == 1 or len(closed.tuples) == 1:
+        return closed
+    dropped = rng.choice(sorted(closed.tuples))
+    return rel("R", arity, d, closed.tuples - {dropped})
+
+
+class TestSymmetricWalk:
+    def test_symmetric_means_unchanged_by_every_permutation(self):
+        rng = random.Random(25)
+        ops = [and_op(), or_op(), majority_op(), minority_op(), dual_discriminator(3)]
+        ops += [semilattice_to_shared(3, m) for m in range(3)]
+        for d in (2, 3):
+            for arity in (1, 2, 3):
+                for _ in range(40):
+                    ops.append(_symmetric_operation(rng, d, arity))
+                    cells = rng.choices(range(d), k=d**arity)
+                    ops.append(Operation("r", arity, d, tuple(cells)))
+        flags = set()
+        for op in ops:
+            expected = all(
+                op(*args) == op(*perm)
+                for args in op.inputs()
+                for perm in itertools.permutations(args)
+            )
+            assert op.symmetric == expected, op.table
+            flags.add(expected)
+        assert flags == {True, False}
+        assert [op.symmetric for op in ops[:8]] == [True] * 4 + [False] + [True] * 3
+
+    def test_symmetric_flag_is_not_part_of_the_value(self):
+        op = majority_op()
+        assert op.symmetric
+        twin = majority_op()
+        assert op == twin and hash(op) == hash(twin) and repr(op) == repr(twin)
+
+    def test_witness_is_the_first_in_product_order(self):
+        rng = random.Random(7)
+        seen = {"symmetric": 0, "non_idempotent": 0, "preserved": 0, "first": 0, "late": 0}
+        for d in (2, 3):
+            for arity in (1, 2, 3):
+                for k in range(60):
+                    if k % 2:
+                        op = _symmetric_operation(rng, d, arity)
+                    else:
+                        op = Operation("r", arity, d, tuple(rng.choices(range(d), k=d**arity)))
+                    relation = _seeded_relation(rng, d, op)
+                    reference = _product_order_failure(op, relation)
+                    got = polymorphism_failure(op, relation)
+                    assert got == (reference and reference[0]), (op.table, relation.tuples)
+                    if not op.symmetric:
+                        continue
+                    seen["symmetric"] += 1
+                    seen["non_idempotent"] += not op.is_idempotent()
+                    if reference is None:
+                        seen["preserved"] += 1
+                        continue
+                    _, position = reference
+                    seen["first"] += position == 0
+                    seen["late"] += 2 * position >= len(relation.tuples) ** arity
+        assert seen["symmetric"] >= 180 and seen["non_idempotent"] >= 100, seen
+        assert min(seen["preserved"], seen["first"], seen["late"]) >= 10, seen
+
+    def test_size_guard_counts_every_row_choice(self, monkeypatch):
+        # the symmetric walk takes 4 of the 8 choices, and is refused at the
+        # same size with the same message
+        both = rel("R", 1, 2, [(0,), (1,)])
+        monkeypatch.setattr(polymorph, "CHECK_CAP", 7)
+        for op in (majority_op(), projection_op(2, 3, 1)):
+            with pytest.raises(GuardrailError, match=r"^2\^3 tuple combinations exceed the cap of 7$"):
+                polymorphism_failure(op, both)
+
+
 class TestTags:
     def test_minority_is_maltsev(self):
         assert tag_operation(minority_op()).maltsev
