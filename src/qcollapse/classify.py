@@ -49,9 +49,7 @@ def _certified_p(
     caps: dict,
     builder: CertificateBuilder | None = None,
 ) -> ClassificationVerdict:
-    builder, notes, cert = certify(algebra, SAMPLE_CERTIFICATE_N, builder)
-    if notes:
-        caps = dict(caps, planning_notes=tuple(notes))
+    builder, cert = certify(algebra, SAMPLE_CERTIFICATE_N, builder)
     return ClassificationVerdict(
         "P_certified",
         label_citations,
@@ -87,10 +85,13 @@ def _relations_smallest_first(language: ConstraintLanguage) -> list[Relation]:
     return sorted(language.relations, key=lambda rel: len(rel.tuples))
 
 
-def dispatch_operations(language: ConstraintLanguage) -> tuple[Operation, ...]:
+def dispatch_operations(
+    language: ConstraintLanguage,
+) -> tuple[tuple[Operation, ...], dict[str, str]]:
     """The operations among AND, OR, majority and minority, in that order,
     that preserve the two-element language: every hit, as `classify` lists
-    them.
+    them; and, by operation name, the refusal of each check that met a
+    relation over the size guard of `is_polymorphism` before a failure.
 
     Every idempotent clone on {0,1} other than the projections contains one
     of them (Post's lattice), so they decide the language's QCSP: as an
@@ -103,9 +104,14 @@ def dispatch_operations(language: ConstraintLanguage) -> tuple[Operation, ...]:
     relations first.
     """
     relations = _relations_smallest_first(language)
-    return tuple(
-        op for op in DISPATCH_OPERATIONS if all(is_polymorphism(op, rel) for rel in relations)
-    )
+    hits, refused = [], {}
+    for op in DISPATCH_OPERATIONS:
+        try:
+            if all(is_polymorphism(op, rel) for rel in relations):
+                hits.append(op)
+        except GuardrailError as err:
+            refused[op.name] = str(err)
+    return tuple(hits), refused
 
 
 def planned_dispatch_operation(language: ConstraintLanguage) -> Operation | None:
@@ -126,9 +132,12 @@ def classify_two_element(language: ConstraintLanguage) -> ClassificationVerdict:
     """Complete dichotomy over {0,1}: one of AND, OR, majority, minority as
     polymorphism yields a tractable, certified reduction; otherwise the
     idempotent-polymorphism algebra is a G-set and the problem is cited
-    PSPACE-complete."""
-    hits = dispatch_operations(language)
-    caps = {"dispatch_ops": tuple(op.name for op in DISPATCH_OPERATIONS)}
+    PSPACE-complete. The certificate is over the hits that could be checked,
+    and `caps` lists each check over the size guard."""
+    hits, refused = dispatch_operations(language)
+    caps: dict = {"dispatch_ops": tuple(op.name for op in DISPATCH_OPERATIONS)}
+    if refused:
+        caps["refused_checks"] = refused
     if hits:
         return _certified_p(
             ("two-element-qcsp-classification", "collapse-reduction-soundness"),
@@ -140,12 +149,12 @@ def classify_two_element(language: ConstraintLanguage) -> ClassificationVerdict:
     # stands only when no other relation yields a witness
     witnesses = {}
     for op in DISPATCH_OPERATIONS:
-        refused = None
+        refusal = None
         for rel in language.relations:
             try:
                 failure = polymorphism_failure(op, rel)
             except GuardrailError as err:
-                refused = refused or err
+                refusal = refusal or err
                 continue
             if failure is not None:
                 rows, image = failure
@@ -156,8 +165,8 @@ def classify_two_element(language: ConstraintLanguage) -> ClassificationVerdict:
                 }
                 break
         else:
-            if refused is not None:
-                raise refused
+            if refusal is not None:
+                raise refusal
     return ClassificationVerdict(
         "PSPACE_complete_cited",
         ("two-element-qcsp-classification",),

@@ -142,7 +142,7 @@ def _certificate_for_language(document, n: int) -> Certificate:
         generators = () if op is None else (op,)
     else:
         generators, _ = discovered_generators(language)
-    _, _, cert = certify(Algebra(language.domain, generators), max(n, 1))
+    _, cert = certify(Algebra(language.domain, generators), max(n, 1))
     return cert
 
 
@@ -349,10 +349,8 @@ def cmd_certify(args) -> int:
                 raise StructuralError(f"unknown operation {args.op!r}")
             params["op"] = named[args.op]
         builder = CertificateBuilder(args.strategy, params)
-    builder, notes, cert = certify(alg, args.n, builder)
-    header = [f"# strategy {builder.strategy}"]
-    header.extend(f"# note: {note}" for note in notes)
-    _emit("\n".join(header) + "\n" + serialize_certificate(cert, alg.domain.size), args.out)
+    builder, cert = certify(alg, args.n, builder)
+    _emit(f"# strategy {builder.strategy}\n" + serialize_certificate(cert, alg.domain.size), args.out)
     return EXIT_TRUE
 
 

@@ -8,11 +8,12 @@ set. Builders emit the instantiated chain for the requested n, and
 `power_certificate` decides one n, source and width exactly; verification is
 pure finite replay.
 
-Every strategy is one entry of `STRATEGIES`. The planner, the term-condition
-builders and the strictly simple builder find their term operation by one
-search, `_find_term`: generators first, then the term closure, with the term
-conditions of `TERM_CONDITIONS` tried in priority order (unit element,
-Mal'tsev, dual discriminator, near-unanimity).
+Every strategy is one entry of `STRATEGIES`. A term condition's builder takes
+a generator that satisfies its identity (`_find_term`, which tries the
+conditions of `TERM_CONDITIONS` in priority order: unit element, Mal'tsev,
+dual discriminator, near-unanimity), or an operation given with its trace.
+`power_lift` grafts one exact search at n = width + 1 up to every n. No
+strategy runs a term closure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import polymorph
 from .algebra import (
     disjoint_maximal_congruence,
     enumerate_subalgebras,
@@ -30,7 +30,6 @@ from .algebra import (
     is_enclosed,
     is_fully_connected,
     is_pair_minimal,
-    is_strictly_simple,
     quotient,
     restrict,
 )
@@ -40,7 +39,6 @@ from .model import Algebra, Operation
 from .ops import semilattice_to_shared
 from .polymorph import (
     ReplayBudget,
-    TermOperationSet,
     Trace,
     close_vectors,
     generate_term_operations,
@@ -52,7 +50,7 @@ from .polymorph import (
     unit_element,
 )
 
-# the largest power P(A)^n, or generator table on subsets, `power_certificate` builds
+# the largest power P(A)^n whose vectors `power_certificate` searches
 POWER_VECTOR_CAP = 10_000
 
 
@@ -170,7 +168,6 @@ class Certificate:
     n: int
     entries: tuple[CertEntry, ...]
     result: int
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass
@@ -313,8 +310,9 @@ class _Assembler:
 class CertificateBuilder:
     """A strategy of `STRATEGIES`, by name, with its parameters. A term
     condition's builder takes its operation from the `op` and `trace`
-    parameters, or else from `_find_term`; `quotient_lift` takes the quotient's
-    builder from `inner`, or else from the planner.
+    parameters, or else from `_find_term`; `power_lift` grafts the certificate
+    `seed`, or else searches; `quotient_lift` takes the quotient's builder from
+    `inner`, or else from the planner.
     """
 
     strategy: str
@@ -427,65 +425,61 @@ def _graft(
     return local[cert.result]
 
 
-def _extends(op: Operation, small: frozenset[int], large: frozenset[int]) -> bool:
-    """Every argument position of `op`, restricted to `small` there and `large`
-    elsewhere, reaches all of `large`."""
-    if op.arity < 2:
-        return False
-    for i in range(op.arity):
-        sets: list[frozenset[int]] = [large] * op.arity
-        sets[i] = small
-        if not large <= op_image(op, sets):
-            return False
-    return True
-
-
-def _extend_cert(
-    algebra: Algebra,
-    n: int,
-    inner: Certificate,
-    op: Operation,
-    trace: Trace,
-    target: frozenset[int],
-) -> Certificate:
-    """Derivation of target^n from the inner certificate's sources, through an
-    operation extending the inner target to `target`; width grows by arity-1."""
-    full = _full_set(algebra)
-    small = inner.target
-    if not small <= target:
-        raise BuildError("extension target must contain the inner target")
-    if not _extends(op, small, target):
-        raise BuildError(f"{op.name} does not extend the inner target to the requested set")
-    k = op.arity
-    width = inner.width + k - 1
-    asm = _Assembler(algebra, n, inner.source, width)
-    base_memo: dict[frozenset[int], int] = {}
-
-    def base(positions: frozenset[int]) -> int:
-        ref = base_memo.get(positions)
-        if ref is None:
-            ref = _graft(asm, inner, lambda adv: asm.axiom(_widen(adv, positions, full)))
-            base_memo[positions] = ref
-        return ref
-
-    need_memo: dict[frozenset[int], int] = {}
-
-    def need(positions: frozenset[int]) -> int:
-        ref = need_memo.get(positions)
-        if ref is not None:
-            return ref
-        if len(positions) <= k - 1:
-            ref = base(positions)
+def _derive_by_positions(asm: _Assembler, axioms: AdversaryFamily, split: Callable) -> int:
+    """The entry of the adversary wide on all n positions, by recursion on
+    the set of wide positions: a member of `axioms` for at most its width of
+    them; otherwise `split(positions)` gives the smaller sets it needs and a
+    function that makes it from their entries. Each set is derived once,
+    after the sets it needs, depth first and in their order, on an explicit
+    stack, as the depth grows with n."""
+    n = axioms.n
+    made: dict[frozenset[int], int] = {}
+    stack = [frozenset(range(n))]
+    while stack:
+        positions = stack[-1]
+        if positions in made:
+            stack.pop()
+        elif len(positions) <= axioms.width:
+            made[stack.pop()] = asm.axiom(axioms.member(positions))
         else:
-            anchors = sorted(positions)[:k]
-            ref = asm.step(
-                op, trace, tuple(need(positions - {a}) for a in anchors)
-            )
-        need_memo[positions] = ref
-        return ref
+            needed, make = split(positions)
+            missing = [p for p in needed if p not in made]
+            if missing:
+                stack.extend(reversed(missing))
+            else:
+                made[stack.pop()] = make([made[p] for p in needed])
+    return made[frozenset(range(n))]
 
-    result = need(frozenset(range(n)))
-    return asm.finish(target, result)
+
+def _lift_cert(algebra: Algebra, n: int, seed: Certificate) -> Certificate:
+    """Graft a certificate of A^(k+1) from Adv(k+1, {b}, k) up to A^n (the
+    argument is `plan_certificate`'s). The adversary wide on a set X of more
+    than k positions is the seed replayed with its first coordinate standing
+    for X less its last k positions and each other coordinate for one of
+    those: each seed axiom becomes the adversary wide on the positions its
+    wide coordinates stand for, fewer than |X|. At width 1 the sets derived
+    are the prefixes, so the certificate grows linearly in n."""
+    full = _full_set(algebra)
+    base, k = seed.source, seed.width
+    asm = _Assembler(algebra, n, base, k)
+    axioms = adv_family(n, base, k, full)
+    seed_axioms = [e.adversary for e in seed.entries if e.op is None]
+
+    def split(positions: frozenset[int]) -> tuple[list, Callable]:
+        ordered = sorted(positions)
+        blocks = [ordered[:-k]] + [[p] for p in ordered[-k:]]
+        wide = {adv: frozenset(p for block, c in zip(blocks, adv.coords) if c != base
+                               for p in block)
+                for adv in seed_axioms}
+        needed = list(wide.values())
+
+        def make(refs: list[int]) -> int:
+            ref_of = dict(zip(needed, refs))
+            return _graft(asm, seed, lambda adv: ref_of[wide[adv]])
+
+        return needed, make
+
+    return asm.finish(full, _derive_by_positions(asm, axioms, split))
 
 
 def _enlarge_cert(algebra: Algebra, n: int, inner: Certificate) -> Certificate:
@@ -561,20 +555,29 @@ def _relabel_cert(algebra: Algebra, cert: Certificate, label: Sequence[int]) -> 
 def _build_near_unanimity(
     algebra: Algebra, n: int, op: Operation, trace: Trace, source: int
 ) -> Certificate:
-    inner = _build_singleton(algebra, n, source)
-    return _extend_cert(algebra, n, inner, op, trace, _full_set(algebra))
+    """Width arity - 1 from {source}: the adversary wide on more positions is
+    the near-unanimity operation applied to those wide on the same positions
+    less each of the first arity ones."""
+    full = _full_set(algebra)
+    k = op.arity
+    asm = _Assembler(algebra, n, frozenset((source,)), k - 1)
+    axioms = adv_family(n, (source,), k - 1, full)
+
+    def split(positions: frozenset[int]) -> tuple[list, Callable]:
+        needed = [positions - {a} for a in sorted(positions)[:k]]
+        return needed, lambda refs: asm.step(op, trace, refs)
+
+    return asm.finish(full, _derive_by_positions(asm, axioms, split))
 
 
 @dataclass(frozen=True)
 class TermCondition:
     """An identity of `polymorph.identity_cells` that one term operation
-    satisfies and a chain builder turns into a certificate. `arity` is where
-    a term closure is searched for it, and `build` takes the parameters
-    merged over `defaults`; every caller tests `holds` before `build`, so the
-    chain builders do not test the identity again."""
+    satisfies and a chain builder turns into a certificate. `build` takes the
+    parameters merged over `defaults`; every caller tests `holds` before
+    `build`, so the chain builders do not test the identity again."""
 
     identity: str
-    arity: int
     defaults: dict
     build: Callable[[Algebra, int, Operation, Trace, dict], Certificate]
 
@@ -591,115 +594,81 @@ class TermCondition:
 
 def _find_term(
     algebra: Algebra, conditions: Sequence[tuple[str, dict]]
-) -> tuple[tuple[str, Operation, Trace] | None, dict[int, TermOperationSet]]:
-    """The first term operation that satisfies one of the named term
-    conditions, each with its parameters and tried in the order given, as
-    (condition name, operation, trace), or None; and the term closures run,
-    by arity.
-
-    Every generator is tested against each condition in turn first. Only when
-    none qualifies is the term closure run, once per arity a condition needs,
-    and scanned condition by condition in discovery order. The arity-2 prefix
-    of a closure (operations, order, traces) does not depend on its arity
-    cap, so a unit element never needs the arity-3 closure. A closure cut at
-    `polymorph.TERM_COUNT_CAP` may miss a term, so a None then proves nothing.
-    """
+) -> tuple[str, Operation, Trace] | None:
+    """The first generator that satisfies one of the named term conditions,
+    each with its parameters and tried in the order given, as (condition
+    name, generator, trace), or None. A term operation that is no generator
+    is not searched for: the power lift certifies without naming one."""
     for name, params in conditions:
         kind = TERM_CONDITIONS[name]
         for gi, g in enumerate(algebra.generators):
             if kind.holds(g, params):
-                return (name, g, ("gen", gi)), {}
-    closures: dict[int, TermOperationSet] = {}
-    for name, params in conditions:
-        kind = TERM_CONDITIONS[name]
-        if kind.arity not in closures:
-            closures[kind.arity] = generate_term_operations(algebra, kind.arity)
-        terms = closures[kind.arity]
-        for op in terms.of_arity(kind.arity):
-            if kind.holds(op, params):
-                return (name, op, terms.traces[op]), closures
-    return None, closures
+                return name, g, ("gen", gi)
+    return None
 
 
-def _cut(closures: dict[int, TermOperationSet]) -> bool:
-    return any(terms.truncated for terms in closures.values())
-
-
-def _resolve_op(algebra: Algebra, name: str, params: dict) -> tuple[Operation, Trace, list[str]]:
+def _resolve_op(algebra: Algebra, name: str, params: dict) -> tuple[Operation, Trace]:
     """Pin down (operation, trace) for the named term condition: use the
     explicit `op` and `trace` parameters when given (an operation without a
     trace must be a generator), else `_find_term`."""
-    kind = TERM_CONDITIONS[name]
     op, trace = params.get("op"), params.get("trace")
-    if trace is not None:
-        rebuilt = replay_trace(algebra, trace)
-        if op is not None and rebuilt != op:
-            raise BuildError(f"{name}: trace does not rebuild the given operation")
-        if not kind.holds(rebuilt, params):
-            raise BuildError(f"{name}: the supplied operation fails the identity checks")
-        return rebuilt, trace, []
-    if op is not None:
-        for gi, g in enumerate(algebra.generators):
-            if g == op:
-                if not kind.holds(op, params):
-                    raise BuildError(f"{name}: the supplied operation fails the identity checks")
-                return op, ("gen", gi), []
-        raise BuildError(f"{name}: the operation is not a generator")
-    found, closures = _find_term(algebra, [(name, params)])
-    cut = _cut(closures)
-    if found is None:
-        extra = " (closure truncated)" if cut else ""
-        raise BuildError(f"{name}: no matching term operation found{extra}")
-    _, op, trace = found
-    return op, trace, ["term closure truncated during the scan"] if cut else []
+    if trace is None and op is None:
+        found = _find_term(algebra, [(name, params)])
+        if found is None:
+            raise BuildError(f"{name}: no generator satisfies the identity")
+        return found[1], found[2]
+    if trace is None:
+        if op not in algebra.generators:
+            raise BuildError(f"{name}: the operation is not a generator")
+        trace = ("gen", algebra.generators.index(op))
+    rebuilt = replay_trace(algebra, trace)
+    if op is not None and rebuilt != op:
+        raise BuildError(f"{name}: trace does not rebuild the given operation")
+    if not TERM_CONDITIONS[name].holds(rebuilt, params):
+        raise BuildError(f"{name}: the supplied operation fails the identity checks")
+    return rebuilt, trace
 
 
-def _meet_shapes(d: int) -> dict[Operation, int]:
-    """Each semilattice `semilattice_to_shared(d, m)`, which sends every pair
-    of distinct elements to m, keyed to m; none on one element, which has no
-    such pair."""
-    return {semilattice_to_shared(d, m): m for m in range(d)} if d > 1 else {}
+def _find_lift(algebra: Algebra) -> tuple[Certificate | None, str | None]:
+    """The first certificate of A^(k+1) from Adv(k+1, {b}, k), for the width
+    k = 1 then 2 and b ascending, or None; and the first refusal at
+    POWER_VECTOR_CAP, which depends on k alone. A None proves nothing when a
+    search was refused."""
+    refusal = None
+    for k in (1, 2):
+        for b in range(algebra.domain.size):
+            try:
+                seed = power_certificate(algebra, k + 1, (b,), k)
+            except GuardrailError as err:
+                refusal = refusal or str(err)
+                break
+            if seed is not None:
+                return seed, refusal
+    return None, refusal
 
 
-def _build_strictly_simple(algebra: Algebra, n: int) -> Certificate:
-    """Dispatch for strictly simple idempotent algebras without a G-set factor:
-    a dual discriminator, a Mal'tsev operation, or a semilattice collapsing all
-    unequal pairs to one element must appear among the term operations."""
-    if not is_strictly_simple(algebra):
-        raise BuildError("the algebra is not strictly simple")
-    # a dual discriminator is a near-unanimity operation, and that chain
-    # keeps the source one-element, which the callers' inductions require
-    names = ("maltsev_chain", "near_unanimity")
-    found, closures = _find_term(
-        algebra, [(name, TERM_CONDITIONS[name].defaults) for name in names]
-    )
-    if found is not None:
-        name, op, trace = found
-        kind = TERM_CONDITIONS[name]
-        return kind.build(algebra, n, op, trace, kind.defaults)
-    terms = closures[3]
-    meets = _meet_shapes(algebra.domain.size)
-    for op in terms.operations:
-        m = meets.get(op)
-        if m is None:
-            continue
-        anchor = next(a for a in range(algebra.domain.size) if a != m)
-        inner = _build_singleton(algebra, n, anchor)
-        pair = _extend_cert(
-            algebra, n, inner, op, terms.traces[op], frozenset((anchor, m))
-        )
-        cert = _enlarge_cert(algebra, n, pair)
-        if cert.target != _full_set(algebra):
-            raise BuildError("the two-element seed does not generate the whole algebra")
-        return cert
-    extra = " (closure truncated)" if _cut(closures) else ""
-    raise BuildError(f"no dispatch operation found for the strictly simple algebra{extra}")
+def _no_lift(refusal: str | None) -> str:
+    """Why `_find_lift` found nothing: exact unless a search was refused."""
+    return (f"the lift search was refused: {refusal}" if refusal
+            else "no certificate of width <= 2 from one element at any n >= 3")
+
+
+def _build_power_lift(algebra: Algebra, n: int, builder: CertificateBuilder) -> Certificate:
+    """The planner's `seed`, or else the first certificate `_find_lift`
+    finds, grafted up to n."""
+    seed = builder.params.get("seed")
+    if seed is None:
+        seed, refusal = _find_lift(algebra)
+        if seed is None:
+            raise BuildError(_no_lift(refusal))
+    return _lift_cert(algebra, n, seed)
 
 
 def _build_pair_minimal(algebra: Algebra, n: int) -> Certificate:
     """Grow a collapsible subset one element at a time: each new element joins
-    the current source inside a strictly simple generated subalgebra, and the
-    union step reroots the source there."""
+    the current source inside a strictly simple generated subalgebra, which
+    the power lift certifies from one element, and the union step reroots
+    the source there."""
     if not is_pair_minimal(algebra):
         raise BuildError("the algebra is not pair minimal")
     d = algebra.domain.size
@@ -713,8 +682,12 @@ def _build_pair_minimal(algebra: Algebra, n: int) -> Certificate:
         if sub.domain.size == 1:
             covered.add(fresh)
             continue
-        sub_cert = _build_strictly_simple(sub, n)
-        lifted = _relabel_cert(algebra, sub_cert, elements)
+        seed, refusal = _find_lift(sub)
+        if seed is None:
+            raise BuildError(
+                f"the subalgebra on {sorted(pair_universe)} has {_no_lift(refusal)}"
+            )
+        lifted = _relabel_cert(algebra, _lift_cert(sub, n, seed), elements)
         current = _combine_certs(algebra, n, lifted, current)
         covered |= set(pair_universe) | set(current.target)
         source_element = next(iter(lifted.source))
@@ -737,9 +710,7 @@ def _build_quotient_lift(algebra: Algebra, n: int, builder: CertificateBuilder) 
             "subalgebras are disjoint and covering"
         )
     q_alg = quotient(algebra, congruence)
-    q_builder = builder.params.get("inner")
-    if q_builder is None:
-        q_builder, _ = plan_certificate(q_alg)
+    q_builder = builder.params.get("inner") or plan_certificate(q_alg)
     q_cert = build_certificate(q_builder, q_alg, n)
     lifted = _relabel_cert(algebra, q_cert, [min(block) for block in congruence.blocks])
     return _enlarge_cert(algebra, n, lifted)
@@ -749,8 +720,8 @@ def _build_term(algebra: Algebra, n: int, builder: CertificateBuilder) -> Certif
     """A term condition's chain, on the operation `_resolve_op` pins down."""
     kind = TERM_CONDITIONS[builder.strategy]
     params = {**kind.defaults, **builder.params}
-    op, trace, warns = _resolve_op(algebra, builder.strategy, params)
-    return _with_warnings(kind.build(algebra, n, op, trace, params), warns)
+    op, trace = _resolve_op(algebra, builder.strategy, params)
+    return kind.build(algebra, n, op, trace, params)
 
 
 @dataclass(frozen=True)
@@ -764,29 +735,29 @@ class Strategy:
     condition: TermCondition | None = None
 
 
-# every strategy, in `certify --strategy` order; the term conditions in the
-# planner's priority order
+# every strategy, in `certify --strategy` order, which is the planner's: the
+# term conditions in priority order, the power lift, the structural builders
 STRATEGIES: dict[str, Strategy] = {
     "singleton": Strategy(
         ("element",), lambda alg, n, b: _build_singleton(alg, n, b.params.get("element", 0))
     ),
     "unit_element": Strategy(("element", "op"), _build_term, TermCondition(
-        "unit", 2, {},
+        "unit", {},
         lambda alg, n, op, trace, p: _build_unit_chain(alg, n, op, trace, unit_element(op)),
     )),
     "maltsev_chain": Strategy(("element", "op"), _build_term, TermCondition(
-        "maltsev", 3, {"element": 0},
+        "maltsev", {"element": 0},
         lambda alg, n, op, trace, p: _build_maltsev_chain(alg, n, op, trace, p["element"]),
     )),
     "dualdisc_chain": Strategy(("pair", "op"), _build_term, TermCondition(
-        "dual_discriminator", 3, {"pair": (0, 1)},
+        "dual_discriminator", {"pair": (0, 1)},
         lambda alg, n, op, trace, p: _build_dualdisc_chain(alg, n, op, trace, *p["pair"]),
     )),
     "near_unanimity": Strategy(("element", "op"), _build_term, TermCondition(
-        "near_unanimity", 3, {"element": 0},
+        "near_unanimity", {"element": 0},
         lambda alg, n, op, trace, p: _build_near_unanimity(alg, n, op, trace, p["element"]),
     )),
-    "strictly_simple": Strategy((), lambda alg, n, b: _build_strictly_simple(alg, n)),
+    "power_lift": Strategy((), _build_power_lift),
     "pair_minimal": Strategy((), lambda alg, n, b: _build_pair_minimal(alg, n)),
     "quotient_lift": Strategy((), _build_quotient_lift),
 }
@@ -807,77 +778,111 @@ def build_certificate(builder: CertificateBuilder, algebra: Algebra, n: int) -> 
     return strategy.build(algebra, n, builder)
 
 
-def _with_warnings(cert: Certificate, warnings: Sequence[str]) -> Certificate:
-    if not warnings:
-        return cert
-    return Certificate(
-        cert.target, cert.source, cert.width, cert.n,
-        cert.entries, cert.result, cert.warnings + tuple(warnings),
-    )
+def plan_certificate(algebra: Algebra) -> CertificateBuilder:
+    """Choose a construction strategy; BuildError when none applies (which is
+    exactly the sink/G-set territory). The order:
 
-
-def plan_certificate(algebra: Algebra) -> tuple[CertificateBuilder, list[str]]:
-    """Choose a construction strategy: the first term condition of
-    `TERM_CONDITIONS`, in that order, that a term operation satisfies under
-    its default parameters (`_find_term`), else by structural analysis. On two
-    elements no such term means a G-set (Post's lattice). Raises BuildError
-    when no strategy applies (which is exactly the sink/G-set territory)."""
+    1. The first term condition of `TERM_CONDITIONS` that a generator
+       satisfies under its default parameters: a chain of O(n) entries.
+    2. `power_lift`: the first certificate of A^(k+1) from Adv(k+1, {b}, k),
+       for k = 1 then 2 and b ascending, grafted up to any n (`_lift_cert`).
+       For a target wide (A) on a set X of more than k positions and {b}
+       elsewhere, let the seed's first coordinate stand for the block B of X
+       less its last k positions, and each other coordinate for one of
+       those. Replayed so, every input is constant on B, so each image there
+       is the seed's first coordinate's, and off X every input is {b}, which
+       an idempotent term maps to {b}. Each input is wide on at most k of
+       the last k positions, or on B and at most k - 1 of them: fewer than
+       |X|, so the recursion ends in axioms. Conversely, a certificate at
+       any n >= k + 1, restricted to k + 1 positions, is one at k + 1: a
+       search that finds none refutes width k from {b} at every n >= k + 1.
+       A source of several elements does not lift: its axioms fix different
+       constants off X, and the grafted inputs would mix them into tuples
+       that are no axioms. A search over POWER_VECTOR_CAP does not apply.
+    3. On two elements a lift refuted under the cap means a G-set: any other
+       idempotent clone on {0,1} holds AND, OR, minority or majority (Post's
+       lattice), each with a one-element certificate of width at most 2.
+       Else `pair_minimal` on a pair-minimal algebra without a G-set factor,
+       then `quotient_lift` through a quotient with a block of two or more.
+    """
     _require_idempotent(algebra)
     d = algebra.domain.size
     if d == 1:
-        return CertificateBuilder("singleton", {"element": 0}), []
-    found, closures = _find_term(
+        return CertificateBuilder("singleton", {"element": 0})
+    found = _find_term(
         algebra, [(name, kind.defaults) for name, kind in TERM_CONDITIONS.items()]
     )
-    cut = _cut(closures)
-    notes = ["term closure truncated during strategy planning"] if cut else []
     if found is not None:
         name, op, trace = found
         return CertificateBuilder(
             name, {"op": op, "trace": trace, **TERM_CONDITIONS[name].defaults}
-        ), notes
-    if d == 2:
-        raise BuildError(
-            "no semilattice, Mal'tsev, dual discriminator, or near-unanimity term operation "
-            + (f"before the term closure was cut at the count cap of {polymorph.TERM_COUNT_CAP}"
-               if cut else "up to arity 3: the algebra is a G-set")
         )
-    if is_strictly_simple(algebra):
-        return CertificateBuilder("strictly_simple"), notes
+    seed, refusal = _find_lift(algebra)
+    if seed is not None:
+        return CertificateBuilder("power_lift", {"seed": seed})
+    if d == 2 and refusal is None:
+        raise BuildError(f"{_no_lift(None)}: the algebra is a G-set")
     gset, _ = has_gset_factor(algebra)
     if not gset and is_pair_minimal(algebra):
-        return CertificateBuilder("pair_minimal"), notes
+        return CertificateBuilder("pair_minimal")
     congruence = disjoint_maximal_congruence(algebra)
     if congruence is not None and any(len(b) > 1 for b in congruence.blocks):
-        q_alg = quotient(algebra, congruence)
-        q_builder, q_notes = plan_certificate(q_alg)
-        return CertificateBuilder("quotient_lift", {"inner": q_builder}), notes + q_notes
-    raise BuildError("no certificate strategy applies")
+        q_builder = plan_certificate(quotient(algebra, congruence))
+        return CertificateBuilder("quotient_lift", {"inner": q_builder})
+    raise BuildError(f"no certificate strategy applies: {_no_lift(refusal)}")
 
 
 def certify(
     algebra: Algebra,
     n: int,
     builder: CertificateBuilder | None = None,
-) -> tuple[CertificateBuilder, list[str], Certificate]:
-    """The builder, the planner's notes and a verified certificate for `n`:
-    plan unless a builder is given (its notes are then empty), build, and
-    verify. BuildError when no strategy applies, the build fails, or the
-    verifier rejects what was built; no certificate leaves the library
-    unverified."""
-    notes: list[str] = []
+) -> tuple[CertificateBuilder, Certificate]:
+    """The builder and a verified certificate for `n`: plan unless a builder
+    is given, build, and verify. BuildError when no strategy applies, the
+    build fails, or the verifier rejects what was built; no certificate
+    leaves the library unverified."""
     if builder is None:
-        builder, notes = plan_certificate(algebra)
+        builder = plan_certificate(algebra)
     cert = build_certificate(builder, algebra, n)
     check = verify_certificate(cert, algebra, n)
     if not check:
         raise BuildError(f"certificate failed verification: {check.failure}")
-    return builder, notes, cert
+    return builder, cert
 
 
 # ---------------------------------------------------------------------------
 # Exact power-algebra certificate search
 # ---------------------------------------------------------------------------
+
+
+def _essential_positions(op: Operation) -> list[int]:
+    """The argument positions the operation depends on, or [0] if none."""
+    d, table = op.domain_size, op.table
+    strides = [d ** (op.arity - 1 - i) for i in range(op.arity)]
+    return [i for i, s in enumerate(strides)
+            if any(v != table[x - x // s % d * s] for x, v in enumerate(table))] or [0]
+
+
+class _OnSubsets(dict):
+    """A generator acting on the nonempty subsets at the argument positions
+    it depends on, which `close_vectors` reads as an operation whose table is
+    itself: keyed by the row-major index of those arguments' subset numbers,
+    each entry computed on first read, through `op_image`'s memo. The image
+    does not depend on the other arguments, which get the first subset."""
+
+    def __init__(self, op: Operation, subsets: list[frozenset[int]], value: dict):
+        super().__init__()
+        self.op, self.subsets, self.value, self.table = op, subsets, value, self
+        self.positions = _essential_positions(op)
+        self.arity, self.domain_size = len(self.positions), len(subsets)
+
+    def __missing__(self, index: int) -> int:
+        args, rest = [self.subsets[0]] * self.op.arity, index
+        for p in reversed(self.positions):
+            rest, v = divmod(rest, self.domain_size)
+            args[p] = self.subsets[v]
+        image = self[index] = self.value[op_image(self.op, args)]
+        return image
 
 
 def power_certificate(
@@ -891,9 +896,10 @@ def power_certificate(
     distinct variables composes generators, and one that repeats a variable
     has an image inside that of the same term with its variables made
     distinct. The kernel's provenance of (A, ..., A), pruned to what it needs,
-    is the certificate; each step applies one generator. GuardrailError when
-    P(A)^n or a generator's table on subsets exceeds POWER_VECTOR_CAP; the
-    closure is never cut.
+    is the certificate; each step applies one generator. A generator acts at
+    the arguments it depends on, its table on subsets filled as the closure
+    reads it, so no arity bounds the search. GuardrailError when P(A)^n
+    exceeds POWER_VECTOR_CAP; the closure is never cut.
     """
     _require_n(n)
     full = _full_set(algebra)
@@ -901,19 +907,13 @@ def power_certificate(
     if not source or not source <= full:
         raise BuildError("the source must be a nonempty subset of the universe")
     subsets = [frozenset(a for a in full if mask >> a & 1) for mask in range(1, 2 ** len(full))]
-    largest = len(subsets) ** max([n] + [g.arity for g in algebra.generators])
-    if largest > POWER_VECTOR_CAP:
+    if len(subsets) ** n > POWER_VECTOR_CAP:
         raise GuardrailError(
-            f"the power search needs {largest} vectors or table entries, "
+            f"the power search needs {len(subsets) ** n} vectors, "
             f"above the cap of {POWER_VECTOR_CAP}"
         )
     value = {subset: v for v, subset in enumerate(subsets)}
-    lifted = [
-        Operation(g.name, g.arity, len(subsets), tuple(
-            value[op_image(g, args)] for args in itertools.product(subsets, repeat=g.arity)
-        ))
-        for g in algebra.generators
-    ]
+    lifted = [_OnSubsets(g, subsets, value) for g in algebra.generators]
     seeds = [
         tuple(value[c] for c in adv.coords)
         for a in sorted(source)
@@ -931,9 +931,10 @@ def power_certificate(
         if made is None:
             ref[vector] = asm.axiom(Adversary(tuple(subsets[v] for v in vector)))
         else:
-            ref[vector] = asm.step(
-                algebra.generators[made[0]], ("gen", made[0]), [ref[c] for c in made[1]]
-            )
+            gi, combo = made
+            at = dict(zip(lifted[gi].positions, combo))
+            inputs = [ref[at.get(p, combo[0])] for p in range(lifted[gi].op.arity)]
+            ref[vector] = asm.step(algebra.generators[gi], ("gen", gi), inputs)
     return asm.finish(full, ref[goal])
 
 
@@ -1014,16 +1015,12 @@ def detect_sink_candidate(algebra: Algebra) -> SinkVerdict:
                     "projective over them",
                 )
     try:
-        builder, notes, _ = certify(algebra, 1)
+        builder, _ = certify(algebra, 1)
         for n in (2, 3):
             certify(algebra, n, builder)
     except BuildError as err:
         return SinkVerdict("inconclusive", f"no builder applies: {err}")
-    return SinkVerdict(
-        "not_sink",
-        "collapsible: a certificate builder succeeds"
-        + (f" ({'; '.join(notes)})" if notes else ""),
-    )
+    return SinkVerdict("not_sink", "collapsible: a certificate builder succeeds")
 
 
 # ---------------------------------------------------------------------------
@@ -1054,8 +1051,6 @@ def serialize_certificate(cert: Certificate, domain_size: int) -> str:
             ids = ", ".join(str(i) for i in e.inputs)
             lines.append(f"step {idx}: {adv} <= {trace_to_str(e.trace)}({ids})")
     lines.append(f"result {cert.result}")
-    for w in cert.warnings:
-        lines.append(f"warning: {w}")
     return "\n".join(lines) + "\n"
 
 
@@ -1079,7 +1074,6 @@ def parse_certificate(text: str, algebra: Algebra) -> Certificate:
     header_line = 0
     entries: list[CertEntry] = []
     result: int | None = None
-    warnings: list[str] = []
     # steps with one trace share one operation, and so its image memo
     replayed: dict[Trace, Operation] = {}
     budget = ReplayBudget()
@@ -1148,8 +1142,6 @@ def parse_certificate(text: str, algebra: Algebra) -> Certificate:
                 if len(rest) != 1:
                     raise ValueError(f"bad result line {line!r}")
                 result = int(rest[0])
-            elif word == "warning:":
-                warnings.append(line.split(":", 1)[1].strip())
             else:
                 raise ValueError(f"unrecognized certificate line {line!r}")
         except (ValueError, IndexError) as err:
@@ -1172,7 +1164,6 @@ def parse_certificate(text: str, algebra: Algebra) -> Certificate:
             n=int(header["n"]),
             entries=tuple(entries),
             result=result,
-            warnings=tuple(warnings),
         )
     except ValueError as err:
         raise ParseError(str(err), header_line) from None

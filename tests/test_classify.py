@@ -110,7 +110,7 @@ def _planned(language: ConstraintLanguage, generators) -> tuple | str:
     reason no certificate exists."""
     algebra = Algebra(language.domain, tuple(generators))
     try:
-        builder, _ = plan_certificate(algebra)
+        builder = plan_certificate(algebra)
         cert = build_certificate(builder, algebra, 2)
     except BuildError as err:
         return str(err)
@@ -158,6 +158,11 @@ def _benchmark_languages() -> list[ConstraintLanguage]:
 
 LEDGER_INPUTS = Path(__file__).parent / "ledger" / "inputs"
 
+# the planner's refusal on two elements, where a refuted lift means a G-set
+GSET_REFUSAL = (
+    "no certificate of width <= 2 from one element at any n >= 3: the algebra is a G-set"
+)
+
 
 def _ledger_languages() -> dict[str, ConstraintLanguage]:
     """The two-element languages among the ledger's input files, by name."""
@@ -173,7 +178,7 @@ def _certified(language: ConstraintLanguage, generators, n: int) -> tuple | str:
     """What `solve` reads of the certificate on these generators, and every
     entry's adversary; or the reason no certificate exists."""
     try:
-        builder, _, cert = certify(Algebra(language.domain, tuple(generators)), n)
+        builder, cert = certify(Algebra(language.domain, tuple(generators)), n)
     except BuildError as err:
         return str(err)
     adversaries = tuple(e.adversary for e in cert.entries)
@@ -206,19 +211,12 @@ class TestDispatchOperations:
         ]
         languages += _benchmark_languages()
         ledger = _ledger_languages()
-        refused = set()
-        for name, language in ledger.items():
-            try:
-                dispatch_operations(language)
-            except GuardrailError:
-                refused.add(name)
-                continue
-            languages.append(language)
+        refused = {name for name, language in ledger.items() if dispatch_operations(language)[1]}
         assert refused == {"nand3_wide.txt"}
-        assert len(languages) == 256 + 6 + len(ledger) - 1
+        languages += ledger.values()
         strategies = collections.Counter()
         for language in languages:
-            hits = dispatch_operations(language)
+            hits, _ = dispatch_operations(language)
             planned = planned_dispatch_operation(language)
             assert planned == next(
                 (op for op in classify.PLANNER_DISPATCH_ORDER if op in hits), None
@@ -231,17 +229,19 @@ class TestDispatchOperations:
                 )
             strategies[expected if isinstance(expected, str) else expected[0]] += 1
         assert set(strategies) == {
-            "unit_element", "maltsev_chain", "dualdisc_chain",
-            "no semilattice, Mal'tsev, dual discriminator, or near-unanimity term operation "
-            "up to arity 3: the algebra is a G-set",
+            "unit_element", "maltsev_chain", "dualdisc_chain", GSET_REFUSAL,
         }, strategies
 
     def test_planned_operation_checks_past_the_size_guard_only_when_needed(self):
-        # AND preserves the 224-row relation, so majority's 224^3 check never runs
+        # AND preserves the 224-row relation, so majority's 224^3 check never
+        # runs; `dispatch_operations` lists it, and minority's, as refused
         language = _ledger_languages()["nand3_wide.txt"]
         assert planned_dispatch_operation(language).name == "and"
-        with pytest.raises(GuardrailError, match=r"^224\^3 tuple combinations"):
-            dispatch_operations(language)
+        hits, refused = dispatch_operations(language)
+        assert [op.name for op in hits] == ["and"]
+        assert refused == dict.fromkeys(
+            ("majority", "minority"), "224^3 tuple combinations exceed the cap of 10000000"
+        )
         wide = language.relations[0]
         # x or y breaks AND and minority, and OR breaks the wide relation, so
         # the walk reaches majority and refuses
@@ -276,15 +276,12 @@ class TestDispatchOperations:
             for language in languages if cap < 4 else rng.sample(languages, 10):
                 discovered = discovered_generators(language)[0]
                 reference = _planned(language, [op for op in discovered if op.arity <= cap])
-                dispatch = [op for op in dispatch_operations(language) if op.arity <= cap]
+                dispatch = [op for op in dispatch_operations(language)[0] if op.arity <= cap]
                 assert _planned(language, dispatch) == reference, (
                     cap, [sorted(r.tuples) for r in language.relations],
                 )
                 outcomes[cap].add(reference[0] if isinstance(reference, tuple) else reference)
-        gset = (
-            "no semilattice, Mal'tsev, dual discriminator, or near-unanimity term operation "
-            "up to arity 3: the algebra is a G-set"
-        )
+        gset = GSET_REFUSAL
         assert outcomes[1] == {gset}
         assert outcomes[2] == {gset, "unit_element"}
         for cap in (3, 4):
@@ -292,10 +289,10 @@ class TestDispatchOperations:
 
     def test_keeps_the_dispatch_order(self):
         equality = lang(2, rel("Eq", 2, 2, [(0, 0), (1, 1)]))
-        assert [op.name for op in dispatch_operations(equality)] == [
-            "and", "or", "majority", "minority",
-        ]
-        assert dispatch_operations(lang(2, nae_rel())) == ()
+        hits, refused = dispatch_operations(equality)
+        assert [op.name for op in hits] == ["and", "or", "majority", "minority"]
+        assert refused == {}
+        assert dispatch_operations(lang(2, nae_rel())) == ((), {})
 
     def test_size_guard_does_not_depend_on_relation_order(self):
         # the Horn clause breaks majority and minority, so its 8-ary form,
@@ -306,9 +303,12 @@ class TestDispatchOperations:
 
         small, big = horn(3), horn(8)
         for relations in ((small, big), (big, small)):
-            assert [op.name for op in dispatch_operations(lang(2, *relations))] == ["and"]
-        with pytest.raises(GuardrailError, match=r"224\^3 tuple combinations"):
-            dispatch_operations(lang(2, big))
+            hits, refused = dispatch_operations(lang(2, *relations))
+            assert [op.name for op in hits] == ["and"] and refused == {}
+        hits, refused = dispatch_operations(lang(2, big))
+        assert [op.name for op in hits] == ["and"]
+        assert sorted(refused) == ["majority", "minority"]
+        assert all(m.startswith("224^3 tuple combinations") for m in refused.values())
 
 
 class TestShapeSearch:

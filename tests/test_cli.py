@@ -247,13 +247,14 @@ class TestExitCodes:
             (["--strategy", "and_chain"], "invalid choice"),
             (["--strategy", "two_element"], "invalid choice"),
             (["--strategy", "frobnicate"], "invalid choice"),
+            (["--strategy", "strictly_simple"], "invalid choice"),
             (["--strategy", "dualdisc_chain", "--pair", "0"], "--pair needs two element names"),
             (["--strategy", "dualdisc_chain", "--pair", "f,f"],
              "--pair needs two different elements, got 'f,f'"),
         ],
         ids=[
             "extends_step", "subalgebra_enlarge", "combine_subsets", "and_chain", "two_element",
-            "frobnicate", "pair-of-one", "pair-of-equals",
+            "frobnicate", "strictly_simple", "pair-of-one", "pair-of-equals",
         ],
     )
     def test_certify_refuses_strategies_it_cannot_parameterize(
@@ -285,21 +286,46 @@ class TestExitCodes:
             assert captured.out == ""
             assert captured.err == f"error: --strategy {strategy} does not read {flag[0]}\n"
 
-    def test_truncated_closure_claims_no_gset(self, tmp_path, capsys, monkeypatch):
-        # the generator satisfies no term condition, and the cap admits the
-        # three projections of arity 1 and 2 and cuts the AND term x&(y|y),
-        # so finding no semilattice proves nothing
+    def test_composite_term_certifies_without_a_term_closure(self, tmp_path, capsys, monkeypatch):
+        # the generator satisfies no term condition, and its AND term
+        # x&(y|y) is no generator: the lift certifies from {1} at width 1,
+        # whatever the closure's count cap
         rows = "".join(
             f"  {x} {y} {z} -> {x & (y | z)}\n" for x in (0, 1) for y in (0, 1) for z in (0, 1)
         )
         path = tmp_path / "meet_join.txt"
         path.write_text(f"domain 2 0 1\nop m 3\n{rows}", encoding="utf-8")
         monkeypatch.setattr(polymorph, "TERM_COUNT_CAP", 3)
-        assert main(["certify", str(path), "--n", "2"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "cut at the count cap of 3" in captured.err
-        assert "G-set" not in captured.err
+        closures = record_closure_caps(monkeypatch)
+        assert main(["certify", str(path), "--n", "4"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# strategy power_lift\ncertificate n=4 width=1 source=1 ")
+        assert closures == []
+
+    def test_only_sink_detection_runs_a_term_closure(self, capsys, monkeypatch):
+        # certify, classify and detect on every ledger input run none; analyze
+        # runs the binary one of the three-element sink test
+        closures = record_closure_caps(monkeypatch)
+        analyzed = 0
+        for path in sorted(LEDGER_INPUTS.glob("*.txt")):
+            document = parse_document(path.read_text(encoding="utf-8"))
+            runs = [["detect"]]
+            if document.operations:
+                runs.append(["certify", "--n", "3"])
+            if document.relations and document.domain.size in (2, 3):
+                runs.append(["classify"])
+            for verb, *flags in runs:
+                # discovery may stop at a guardrail (exit 3) before any planning
+                assert main([verb, str(path), *flags]) in (0, 1, 3), (path.name, verb)
+                capsys.readouterr()
+                assert closures == [], (path.name, verb)
+            if document.operations:
+                assert main(["analyze", str(path)]) == 0
+                capsys.readouterr()
+                assert set(closures) <= {2}, path.name
+                analyzed += bool(closures)
+                closures.clear()
+        assert analyzed > 0
 
     @pytest.mark.parametrize("name", ["example", "horn", "horn_false", "affine", "2cnf"])
     def test_solve_on_two_elements_runs_no_term_closure(self, files, capsys, monkeypatch, name):
@@ -676,7 +702,7 @@ class TestSolveVerb:
 
     def test_walk_certifies_where_a_later_check_is_over_the_size_guard(self, capsys):
         # AND preserves the 224-row relation; majority's check would take
-        # 224^3 row choices, and only classify, which lists every hit, needs it
+        # 224^3 row choices
         path = LEDGER_INPUTS / "nand3_wide.txt"
         formula = parse_document(path.read_text(encoding="utf-8")).formula
         assert evaluate_truth(formula) is True
@@ -684,9 +710,14 @@ class TestSolveVerb:
         assert capsys.readouterr().out == "collapse verdict: true (3 collapsings, width 1)\n"
         assert main(["solve-oracle", str(path)]) == 0
         capsys.readouterr()
-        assert main(["classify", str(path)]) == 3
-        assert capsys.readouterr().err == (
-            "guardrail: 224^3 tuple combinations exceed the cap of 10000000\n"
+        # classify certifies over the hits it could check, and lists the
+        # checks over the size guard among its caps
+        assert main(["classify", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["label"] == "P_certified"
+        assert report["reduction"] == {"width": 1, "source": [1]}
+        assert report["caps"]["refused_checks"] == dict.fromkeys(
+            ("majority", "minority"), "224^3 tuple combinations exceed the cap of 10000000"
         )
 
     def test_encoding_emits_each_constraint_once(self, files):

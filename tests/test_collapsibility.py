@@ -1,8 +1,11 @@
 import collections
 import dataclasses
+import functools
+import inspect
 import itertools
 import random
 import re
+import sys
 
 import pytest
 
@@ -10,6 +13,7 @@ from conftest import (
     NEGATIVE_REFERENCE_CERT,
     dispatch_algebras,
     eq_rel,
+    idempotent_binary_tables,
     random_algebra,
     record_closure_caps,
     reference_column_images,
@@ -38,11 +42,10 @@ from qcollapse.collapsibility import (
     serialize_certificate,
     verify_certificate,
     VerificationResult,
+    _build_near_unanimity,
     _build_singleton,
     _combine_certs,
     _enlarge_cert,
-    _extend_cert,
-    _meet_shapes,
 )
 from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.errors import BuildError, GuardrailError, ParseError, StructuralError
@@ -313,7 +316,7 @@ class TestTwoElementDispatch:
     )
     def test_dispatch(self, name, source):
         alg = ALGEBRAS[name]
-        _, _, cert = certify(alg, 6)
+        _, cert = certify(alg, 6)
         assert verify_certificate(cert, alg, 6)
         assert cert.width == 1
         assert cert.source == frozenset(source)
@@ -323,44 +326,54 @@ class TestTwoElementDispatch:
         with pytest.raises(BuildError, match="G-set"):
             plan_certificate(alg)
 
-    def test_matches_full_arity3_scan(self):
+    def test_matches_full_arity3_scan_on_generators_else_lifts(self):
+        # where the scan's term is a generator the planner picks it; else it
+        # lifts, at no greater width than the chain on the scan's term
+        lifted = 0
         for alg in dispatch_algebras():
             expected = _full_scan_dispatch(alg)
             assert expected is not None
-            assert _planned_term(alg) == expected, [g.name for g in alg.generators]
+            names = [g.name for g in alg.generators]
+            builder = plan_certificate(alg)
+            if expected[1][0] == "gen":
+                assert (builder.params["op"], builder.params["trace"]) == expected, names
+                continue
+            assert builder.strategy == "power_lift", names
+            strategy = next(
+                name for name, kind in TERM_CONDITIONS.items()
+                if kind.holds(expected[0], kind.defaults)
+            )
+            params = {"op": expected[0], "trace": expected[1]}
+            for n in (2, 3, 5):
+                chain = build_certificate(CertificateBuilder(strategy, params), alg, n)
+                cert = build_certificate(builder, alg, n)
+                assert verify_certificate(cert, alg, n)
+                assert len(cert.source) == 1 and cert.width <= chain.width, names
+            lifted += 1
+        assert lifted > 0
 
     def test_equality_algebra_matches_full_arity3_scan(self):
         alg = _equality_algebra()
         assert len(alg.generators) == 63
         assert _planned_term(alg) == _full_scan_dispatch(alg)
 
-    def test_unit_semilattice_never_closes_to_arity3(self, monkeypatch):
+    def test_plan_and_build_run_no_term_closure(self, monkeypatch):
+        # a term condition's builder takes a generator or refuses
         caps = record_closure_caps(monkeypatch)
-        binary = [a for a in dispatch_algebras() if _full_scan_dispatch(a)[0].arity == 2]
-        assert len(binary) > 1
-        closed = 0
-        for alg in binary + [_equality_algebra()]:
-            caps.clear()
-            builder, _ = plan_certificate(alg)
-            build_certificate(builder, alg, 3)
-            build_certificate(CertificateBuilder("unit_element"), alg, 3)
+        refused = 0
+        for alg in dispatch_algebras() + [_equality_algebra()]:
             names = [g.name for g in alg.generators]
-            assert 3 not in caps, names
-            if _full_scan_dispatch(alg)[1][0] == "gen":
-                assert caps == [], names
-            else:
-                assert caps, names
-                closed += 1
-        assert closed > 0
-
-    def test_plan_then_build_closes_once_per_arity(self, monkeypatch):
-        caps = record_closure_caps(monkeypatch)
-        for alg in dispatch_algebras():
-            caps.clear()
-            builder, _ = plan_certificate(alg)
-            cert = build_certificate(builder, alg, 3)
-            assert verify_certificate(cert, alg, 3)
-            assert len(caps) == len(set(caps)), [g.name for g in alg.generators]
+            builder = plan_certificate(alg)
+            assert verify_certificate(build_certificate(builder, alg, 3), alg, 3)
+            for strategy, kind in TERM_CONDITIONS.items():
+                if any(kind.holds(g, kind.defaults) for g in alg.generators):
+                    build_certificate(CertificateBuilder(strategy), alg, 3)
+                    continue
+                with pytest.raises(BuildError, match="no generator satisfies the identity"):
+                    build_certificate(CertificateBuilder(strategy), alg, 3)
+                refused += 1
+            assert caps == [], names
+        assert refused > 0
 
 
 class TestTermSearch:
@@ -369,8 +382,8 @@ class TestTermSearch:
         # Mal'tsev term is the cheaper certificate: one source, not two
         affine = from_function("x-y+z", 3, 3, lambda x, y, z: (x - y + z) % 3)
         alg = Algebra(Domain(3), (dual_discriminator(3), affine))
-        builder, notes = plan_certificate(alg)
-        assert builder.strategy == "maltsev_chain" and notes == []
+        builder = plan_certificate(alg)
+        assert builder.strategy == "maltsev_chain"
         assert builder.params["trace"] == ("gen", 1)
         cert = build_certificate(builder, alg, 3)
         assert verify_certificate(cert, alg, 3)
@@ -379,7 +392,7 @@ class TestTermSearch:
 
 def _planned_term(alg: Algebra):
     """The operation and trace the planner chose."""
-    builder, _ = plan_certificate(alg)
+    builder = plan_certificate(alg)
     return builder.params["op"], builder.params["trace"]
 
 
@@ -418,34 +431,13 @@ def _full_scan_dispatch(alg: Algebra):
     return None if op is None else (op, terms.traces[op])
 
 
-def _off_diagonal_shape(op) -> int | None:
-    """The absorbing element m when op is idempotent, binary and sends every
-    pair of distinct elements to m, else None: the reference for
-    `_meet_shapes`."""
-    if op.arity != 2 or not op.is_idempotent():
-        return None
-    d = op.domain_size
-    off = {op.table[op.index((x, y))] for x in range(d) for y in range(d) if x != y}
-    return next(iter(off)) if len(off) == 1 else None
-
-
 class TestCompositeBuilders:
-    def test_meet_shapes_match_the_off_diagonal_test(self):
-        for d in (1, 2, 3):
-            meets = _meet_shapes(d)
-            found = 0
-            for table in itertools.product(range(d), repeat=d * d):
-                op = Operation("b", 2, d, table)
-                assert meets.get(op) == _off_diagonal_shape(op), table
-                found += meets.get(op) is not None
-            assert found == (d if d > 1 else 0)
-
-    def test_strictly_simple_on_and(self):
+    def test_power_lift_on_and(self):
         alg = ALGEBRAS["and"]
         for n in (1, 4):
-            cert = build_certificate(CertificateBuilder("strictly_simple"), alg, n)
+            cert = build_certificate(CertificateBuilder("power_lift"), alg, n)
             assert verify_certificate(cert, alg, n)
-            assert cert.width == 1 and len(cert.source) == 1
+            assert cert.width == 1 and cert.source == frozenset({1})
 
     def test_pair_minimal_on_dualdisc(self):
         alg = ALGEBRAS["dualdisc3"]
@@ -460,8 +452,7 @@ class TestCompositeBuilders:
 
     def test_extends_step(self):
         alg = ALGEBRAS["majority"]
-        inner = _build_singleton(alg, 5, 1)
-        cert = _extend_cert(alg, 5, inner, majority_op(), ("gen", 0), frozenset({0, 1}))
+        cert = _build_near_unanimity(alg, 5, majority_op(), ("gen", 0), 1)
         assert verify_certificate(cert, alg, 5)
         assert cert.width == 2
 
@@ -681,7 +672,7 @@ class TestVerification:
 
     def test_serialization_roundtrip(self):
         for name, alg in ALGEBRAS.items():
-            builder, _ = plan_certificate(alg)
+            builder = plan_certificate(alg)
             cert = build_certificate(builder, alg, 4)
             text = serialize_certificate(cert, alg.domain.size)
             assert parse_certificate(text, alg) == cert
@@ -772,7 +763,7 @@ class TestImageMemo:
         # earlier step, but carries another operation itself
         tampered = 0
         for alg in (*ALGEBRAS.values(), block_mix_algebra(), block_meet_algebra()):
-            builder, _ = plan_certificate(alg)
+            builder = plan_certificate(alg)
             cert = build_certificate(builder, alg, 4)
             assert verify_certificate(cert, alg, 4)
             seen = set()
@@ -845,7 +836,7 @@ class TestImageWorkCounts:
 
         monkeypatch.setattr(polymorph, "_compute_image", counting)
         alg = Algebra(Domain(2), (and_op(),))  # a fresh operation: its memo starts cold
-        builder, _, cert = certify(alg, 14)
+        builder, cert = certify(alg, 14)
         assert builder.strategy == "unit_element" and len(cert.entries) == 27
         # built and verified: 13 steps of 14 coordinates each, over the three
         # columns (*, {1}), ({1}, *) and ({1}, {1})
@@ -854,7 +845,7 @@ class TestImageWorkCounts:
     def test_verify_replays_each_distinct_trace_once(self, monkeypatch):
         certs = []
         for alg in (*ALGEBRAS.values(), block_mix_algebra(), block_meet_algebra()):
-            builder, _ = plan_certificate(alg)
+            builder = plan_certificate(alg)
             certs.append((alg, build_certificate(builder, alg, 4)))
         rng = random.Random(3)
         for _ in range(30):
@@ -882,20 +873,19 @@ class TestImageWorkCounts:
 
 
 def _certificate_texts(jobs) -> list[str]:
-    """The serialized certificate, with the planner's notes, or the refusal,
-    for each (algebra, n) by `certify` and each (algebra, n, source, width)
-    by `power_certificate`."""
+    """The serialized certificate, or the refusal, for each (algebra, n) by
+    `certify` and each (algebra, n, source, width) by `power_certificate`."""
     out = []
     for alg, n, *power in jobs:
         try:
             if power:
-                cert, notes = power_certificate(alg, n, *power), []
+                cert = power_certificate(alg, n, *power)
                 if cert is None:
                     out.append("none")
                     continue
             else:
-                _, notes, cert = certify(alg, n)
-            out.append(serialize_certificate(cert, alg.domain.size) + "\n".join(notes))
+                _, cert = certify(alg, n)
+            out.append(serialize_certificate(cert, alg.domain.size))
         except (BuildError, GuardrailError) as err:
             out.append(f"{type(err).__name__}: {err}")
     return out
@@ -934,7 +924,7 @@ def _mutation_sources():
     with their algebras."""
     out = []
     for name, alg in ALGEBRAS.items():
-        builder, _ = plan_certificate(alg)
+        builder = plan_certificate(alg)
         for n in (2, 3):
             cert = build_certificate(builder, alg, n)
             out.append((name, alg, serialize_certificate(cert, alg.domain.size)))
@@ -1146,7 +1136,7 @@ class TestSearch:
         # wherever a builder certifies, the power search does at the same
         # n, source and width
         for name, alg in ALGEBRAS.items():
-            builders = [plan_certificate(alg)[0]] + [
+            builders = [plan_certificate(alg)] + [
                 CertificateBuilder(strategy) for strategy in TERM_CONDITIONS
             ]
             for builder in builders:
@@ -1187,6 +1177,195 @@ class TestSearch:
                 power_certificate(alg, 2, source, 1)
         with pytest.raises(BuildError):
             power_certificate(alg, 0, {1}, 1)
+
+
+def _binary_algebra(table) -> Algebra:
+    return Algebra(Domain(3), (Operation("f", 2, 3, tuple(map(int, table))),))
+
+
+THREE_ELEMENT_BINARIES = [_binary_algebra(table) for table in idempotent_binary_tables(3)]
+
+
+@functools.lru_cache(maxsize=None)
+def _refuted(alg: Algebra, b: int, k: int, n: int) -> bool:
+    """No certificate of A^n from Adv(n, {b}, k); kept, as the 729 are
+    searched by more than one test."""
+    return power_certificate(alg, n, {b}, k) is None
+
+
+class TestPowerLift:
+    """`power_lift`: one exact search at n = k + 1 from one element, grafted
+    up to every n."""
+
+    def test_width_1_search_at_2_decides_3_on_the_729(self):
+        lifted = set()
+        for alg in THREE_ELEMENT_BINARIES:
+            for b in range(3):
+                refuted = _refuted(alg, b, 1, 2)
+                assert refuted == _refuted(alg, b, 1, 3), (alg.generators[0].table, b)
+                if not refuted:
+                    lifted.add(alg)
+        assert len(THREE_ELEMENT_BINARIES) == 729 and len(lifted) == 568
+
+    def test_width_2_search_at_3_decides_4_on_a_seeded_stratum(self):
+        # the algebras where width 1 fails from some element, where width 2
+        # is the next question; the full k = 2 sweep takes several seconds
+        stratum = [
+            alg for alg in THREE_ELEMENT_BINARIES
+            if any(_refuted(alg, b, 1, 2) for b in range(3))
+        ]
+        outcomes = collections.Counter()
+        for alg in random.Random(26).sample(stratum, 60):
+            for b in range(3):
+                refuted = _refuted(alg, b, 2, 3)
+                assert refuted == _refuted(alg, b, 2, 4), (alg.generators[0].table, b)
+                outcomes[refuted] += 1
+        assert min(outcomes.values()) > 20, outcomes
+
+    def test_certified_sinks_have_no_lift(self):
+        sinks = [
+            alg for alg in THREE_ELEMENT_BINARIES
+            if detect_sink_candidate(alg).kind == "sink_certified"
+        ]
+        assert len(sinks) == 15
+        for alg in sinks:
+            for b, k in itertools.product(range(3), (1, 2)):
+                assert _refuted(alg, b, k, k + 1), (alg.generators[0].table, b, k)
+            with pytest.raises(BuildError, match=(
+                "^no certificate strategy applies: no certificate of width <= 2 "
+                "from one element at any n >= 3$"
+            )):
+                plan_certificate(alg)
+
+    def test_lifts_past_the_power_cap(self):
+        alg = _binary_algebra("001011122")
+        builder = plan_certificate(alg)
+        assert builder.strategy == "power_lift"
+        assert builder.params["seed"] == power_certificate(alg, 2, {2}, 1)
+        for n in (5, 30):
+            cert = build_certificate(builder, alg, n)
+            assert verify_certificate(cert, alg, n)
+            assert (cert.width, cert.source, cert.target) == (1, frozenset({2}), _full(3))
+            with pytest.raises(GuardrailError, match="above the cap"):
+                power_certificate(alg, n, {2}, 1)
+        # without the planner's seed the builder searches, and finds the same
+        assert build_certificate(CertificateBuilder("power_lift"), alg, 30) == cert
+        # width 1: the sets derived are the prefixes, one seed replay each
+        assert len(cert.entries) <= 30 * len(builder.params["seed"].entries)
+
+    def test_depth_does_not_grow_with_n(self):
+        # the position-set recursion runs on an explicit stack
+        alg = _binary_algebra("001011122")
+        builder = plan_certificate(alg)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            cert = build_certificate(builder, alg, 60)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verify_certificate(cert, alg, 60)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_lifted_certificate_verifies(self, seed):
+        # seeded algebras with up to three generators, and the lift at
+        # n = 1..8, each through the text format
+        rng = random.Random(seed)
+        lifted = 0
+        for _ in range(12):
+            alg = random_algebra(rng, rng.choice((2, 3)), idempotent=True)
+            try:
+                builder = CertificateBuilder("power_lift")
+                build_certificate(builder, alg, 1)
+            except BuildError:
+                continue
+            lifted += 1
+            for n in range(1, 9):
+                cert = build_certificate(builder, alg, n)
+                assert verify_certificate(cert, alg, n), (seed, n)
+                text = serialize_certificate(cert, alg.domain.size)
+                assert parse_certificate(text, alg) == cert
+                assert len(cert.source) == 1 and cert.target == _full(alg.domain.size)
+        assert lifted >= 3
+
+    def test_lifted_width_and_source_decide_formulas(self):
+        alg = _binary_algebra("001011122")
+        cert = build_certificate(plan_certificate(alg), alg, 1)
+        spec = CorpusSpec(
+            seed=83, count=40, domain_size=3, max_vars=7, max_universals=4,
+            max_constraints=4, closure_ops=alg.generators,
+        )
+        verdicts = collections.Counter()
+        for _, phi in instances(spec):
+            reduced = conjunction_verdict(relevant_collapsings(phi, cert.width, cert.source))
+            assert reduced == evaluate_truth(phi)
+            verdicts[reduced, len(phi.universal_vars) > cert.width] += 1
+        # formulas with more universals than the width, where the collapsings
+        # differ from the formula, true and false
+        assert verdicts[True, True] >= 10 and verdicts[False, True] >= 10, verdicts
+
+    def test_generator_arity_bounds_no_search(self):
+        # one 9-ary generator on two elements: it satisfies no term condition,
+        # its AND term x & (y | y) is no generator, and its table on subsets
+        # would have 3^9 entries, of which the lift reads those it needs
+        alg = Algebra(Domain(2), (from_function("f", 9, 2, lambda *x: x[0] & (x[1] | x[2])),))
+        builder = plan_certificate(alg)
+        assert builder.strategy == "power_lift"
+        for n in (3, 5):
+            cert = build_certificate(builder, alg, n)
+            assert verify_certificate(cert, alg, n)
+            assert (cert.width, cert.source) == (1, frozenset({1}))
+        # a generator that depends on one argument adds no vector: a G-set
+        fifth = from_function("p", 9, 2, lambda *x: x[4])
+        with pytest.raises(BuildError, match="the algebra is a G-set$"):
+            plan_certificate(Algebra(Domain(2), (fifth,)))
+
+    @pytest.mark.parametrize("d, arity", [(2, 9), (3, 5)])
+    def test_seeded_high_arity_generators(self, d, arity):
+        # one idempotent generator of high arity: a random table, or a random
+        # binary g as g(x1, g(x2, x3)), the other arguments dummies
+        def random_table(rng):
+            return lambda *x: x[0] if len(set(x)) == 1 else rng.randrange(d)
+
+        def nested_binary(rng):
+            g = [[x if x == y else rng.randrange(d) for y in range(d)] for x in range(d)]
+            return lambda *x: g[x[0]][g[x[1]][x[2]]]
+
+        outcomes = collections.Counter()
+        for kind in (random_table, nested_binary):
+            rng = random.Random(1000 * d + arity + (kind is nested_binary) * 7)
+            for _ in range(6):
+                alg = Algebra(Domain(d), (from_function("f", arity, d, kind(rng)),))
+                try:
+                    builder, cert = certify(alg, 3)
+                except BuildError as err:
+                    # a G-set, or no width-2 lift from one element
+                    gset = polymorph.is_projection(alg.generators[0])
+                    assert ("G-set" in str(err)) == gset, str(err)
+                    outcomes["G-set" if gset else "no lift"] += 1
+                    continue
+                assert verify_certificate(build_certificate(builder, alg, 6), alg, 6)
+                outcomes[builder.strategy, cert.width] += 1
+        expected = {2: {("power_lift", 1): 10, "G-set": 2}, 3: {("power_lift", 1): 11, "no lift": 1}}
+        assert outcomes == expected[d]
+
+    def test_refused_at_the_cap_planning_goes_on(self):
+        # five elements: the width-1 searches on 31^2 vectors find nothing,
+        # the width-2 search would need 31^3 = 29 791 vectors, and the
+        # refusal claims nothing about other n
+        def f(x, y, z):
+            return x if x == y else 0
+
+        alg = Algebra(Domain(5), (from_function("f", 3, 5, f),))
+        assert all(power_certificate(alg, 2, {b}, 1) is None for b in range(5))
+        with pytest.raises(GuardrailError, match="29791"):
+            power_certificate(alg, 3, {0}, 2)
+        with pytest.raises(BuildError) as raised:
+            plan_certificate(alg)
+        assert "29791" in str(raised.value) and "at any n" not in str(raised.value)
+
+
+def _full(d: int) -> frozenset[int]:
+    return frozenset(range(d))
 
 
 class TestAlphaBetaProjective:
@@ -1297,7 +1476,7 @@ class TestSemanticSoundness:
     def test_certificate_implies_reduction_correct(self):
         # and-closed corpus decided through the certified (width, source)
         alg = ALGEBRAS["and"]
-        builder, _ = plan_certificate(alg)
+        builder = plan_certificate(alg)
         spec = CorpusSpec(
             seed=59, count=30, max_vars=6, max_universals=3, closure_ops=(and_op(),)
         )
