@@ -1,10 +1,10 @@
 """Adversary algebra and the collapsibility certificate engine.
 
 A certificate is a concrete per-n derivation list: each step asserts that one
-adversary is composable, via a term operation given with its construction
-trace, from previously derived adversaries or axioms. Axioms are exactly the
-members of the single-source families Adv(n, {a}, w, A) for a in the source
-set. Builders emit the instantiated chain for the requested n, and
+adversary is composable, via the term operation its construction trace builds
+from the generators, from previously derived adversaries or axioms. Axioms are
+exactly the members of the single-source families Adv(n, {a}, w, A) for a in
+the source set. Builders emit the instantiated chain for the requested n, and
 `power_certificate` decides one n, source and width exactly; verification is
 pure finite replay.
 
@@ -36,12 +36,11 @@ from .algebra import (
 from .errors import BuildError, GuardrailError, ParseError, StructuralError
 from .game import Adversary, constant_adversary
 from .model import Algebra, Operation
-from .ops import semilattice_to_shared
+from .ops import projection_op, semilattice_to_shared
 from .polymorph import (
     ReplayBudget,
     Trace,
     close_vectors,
-    generate_term_operations,
     op_image,
     parse_trace,
     replay_trace,
@@ -149,10 +148,10 @@ def _image_adversary(op: Operation, sources: Sequence[Adversary]) -> Adversary:
 
 @dataclass(frozen=True)
 class CertEntry:
-    """An axiom (op is None) or a derivation step."""
+    """An axiom (trace is None) or a derivation step: the term operation the
+    trace builds, applied to the inputs' adversaries."""
 
     adversary: Adversary
-    op: Operation | None = None
     trace: Trace | None = None
     inputs: tuple[int, ...] = ()
 
@@ -194,13 +193,12 @@ def _axiom_families(
 def verify_certificate(
     certificate: Certificate, algebra: Algebra, n: int | None = None
 ) -> VerificationResult:
-    """Replay every step, re-derive every operation from its trace, check the
-    axioms belong to the declared families, and check the final adversary
-    dominates target^n. Returns the first failure as a diagnostic.
+    """Replay every step's trace, check its containment, check the axioms
+    belong to the declared families, and check the final adversary dominates
+    target^n. Returns the first failure as a diagnostic.
 
-    Each distinct trace is replayed once per call; every step still compares
-    its own operation with the rebuilt one and checks its containment. The
-    replays share one `ReplayBudget`: past it, GuardrailError."""
+    Each distinct trace is replayed once per call, and the replays share one
+    `ReplayBudget`: past it, GuardrailError."""
     d = algebra.domain.size
     if n is not None and certificate.n != n:
         return VerificationResult(False, f"certificate is for n={certificate.n}, not n={n}")
@@ -217,7 +215,7 @@ def verify_certificate(
     for idx, e in enumerate(certificate.entries):
         if len(e.adversary) != n:
             return VerificationResult(False, f"entry {idx}: adversary length != n")
-        if e.op is None:
+        if e.trace is None:
             if not any(e.adversary in family for family in families):
                 return VerificationResult(
                     False,
@@ -229,23 +227,19 @@ def verify_certificate(
             return VerificationResult(
                 False, f"step {idx}: input {bad[0]} is a forward or negative reference"
             )
-        if len(e.inputs) != e.op.arity:
-            return VerificationResult(
-                False, f"step {idx}: {len(e.inputs)} inputs for an arity-{e.op.arity} operation"
-            )
-        if e.trace is None:
-            return VerificationResult(False, f"step {idx}: missing construction trace")
-        rebuilt = replayed.get(e.trace)
-        if rebuilt is None:
+        op = replayed.get(e.trace)
+        if op is None:
             try:
-                rebuilt = replayed[e.trace] = replay_trace(algebra, e.trace, budget)
+                op = replayed[e.trace] = replay_trace(algebra, e.trace, budget)
             except (StructuralError, IndexError) as err:
                 return VerificationResult(False, f"step {idx}: trace replay failed: {err}")
-        if rebuilt != e.op:
-            return VerificationResult(False, f"step {idx}: trace does not rebuild the operation")
+        if len(e.inputs) != op.arity:
+            return VerificationResult(
+                False, f"step {idx}: {len(e.inputs)} inputs for an arity-{op.arity} operation"
+            )
         sources = [certificate.entries[i].adversary for i in e.inputs]
         try:
-            if not composable(e.adversary, e.op, sources):
+            if not composable(e.adversary, op, sources):
                 return VerificationResult(False, f"step {idx}: coordinate containment fails")
         except StructuralError as err:
             return VerificationResult(False, f"step {idx}: {err}")
@@ -260,9 +254,13 @@ def verify_certificate(
 
 class _Assembler:
     """Accumulates certificate entries, deduplicating by derived adversary and
-    recording each step's adversary as the exact image of its inputs."""
+    recording each step's adversary as the exact image of its inputs. Each
+    distinct trace is replayed once on the algebra; a generator's replay is
+    the generator itself, whose image memo is kept."""
 
     def __init__(self, algebra: Algebra, n: int, source: frozenset[int], width: int):
+        self.algebra = algebra
+        self.ops: dict[Trace, Operation] = {}
         self.n = n
         self.source = source
         self.width = width
@@ -285,7 +283,10 @@ class _Assembler:
         self.index[adv] = len(self.entries) - 1
         return len(self.entries) - 1
 
-    def step(self, op: Operation, trace: Trace, inputs: Sequence[int]) -> int:
+    def step(self, trace: Trace, inputs: Sequence[int]) -> int:
+        op = self.ops.get(trace)
+        if op is None:
+            op = self.ops[trace] = replay_trace(self.algebra, trace)
         if len(inputs) != op.arity:
             raise BuildError(f"internal: {op.name} needs {op.arity} inputs")
         sources = [self.entries[i].adversary for i in inputs]
@@ -293,7 +294,7 @@ class _Assembler:
         existing = self.index.get(image)
         if existing is not None:
             return existing
-        self.entries.append(CertEntry(image, op, trace, tuple(inputs)))
+        self.entries.append(CertEntry(image, trace, tuple(inputs)))
         self.index[image] = len(self.entries) - 1
         return len(self.entries) - 1
 
@@ -341,9 +342,7 @@ def _build_singleton(algebra: Algebra, n: int, element: int) -> Certificate:
     return asm.finish(frozenset((element,)), ref)
 
 
-def _build_unit_chain(
-    algebra: Algebra, n: int, op: Operation, trace: Trace, unit: int
-) -> Certificate:
+def _build_unit_chain(algebra: Algebra, n: int, trace: Trace, unit: int) -> Certificate:
     """Width-1 chain for a binary operation with a unit element: at each step
     the next coordinate is released to the full domain."""
     full = _full_set(algebra)
@@ -351,26 +350,22 @@ def _build_unit_chain(
     fam = adv_family(n, (unit,), 1, full)
     prev = asm.axiom(fam.member((0,)))
     for i in range(1, n):
-        prev = asm.step(op, trace, (prev, asm.axiom(fam.member((i,)))))
+        prev = asm.step(trace, (prev, asm.axiom(fam.member((i,)))))
     return asm.finish(full, prev)
 
 
-def _build_maltsev_chain(
-    algebra: Algebra, n: int, op: Operation, trace: Trace, source: int
-) -> Certificate:
+def _build_maltsev_chain(algebra: Algebra, n: int, trace: Trace, source: int) -> Certificate:
     full = _full_set(algebra)
     asm = _Assembler(algebra, n, frozenset((source,)), 1)
     fam = adv_family(n, (source,), 1, full)
     base = asm.axiom(fam.member(()))
     prev = asm.axiom(fam.member((0,)))
     for i in range(1, n):
-        prev = asm.step(op, trace, (prev, base, asm.axiom(fam.member((i,)))))
+        prev = asm.step(trace, (prev, base, asm.axiom(fam.member((i,)))))
     return asm.finish(full, prev)
 
 
-def _build_dualdisc_chain(
-    algebra: Algebra, n: int, op: Operation, trace: Trace, b: int, c: int
-) -> Certificate:
+def _build_dualdisc_chain(algebra: Algebra, n: int, trace: Trace, b: int, c: int) -> Certificate:
     """Two width-1 chains advanced in lockstep, one per tracked source element."""
     full = _full_set(algebra)
     if b == c:
@@ -381,8 +376,8 @@ def _build_dualdisc_chain(
     prev_b = asm.axiom(fam_b.member((0,)))
     prev_c = asm.axiom(fam_c.member((0,)))
     for i in range(1, n):
-        next_b = asm.step(op, trace, (prev_b, prev_c, asm.axiom(fam_b.member((i,)))))
-        next_c = asm.step(op, trace, (prev_c, prev_b, asm.axiom(fam_c.member((i,)))))
+        next_b = asm.step(trace, (prev_b, prev_c, asm.axiom(fam_b.member((i,)))))
+        next_c = asm.step(trace, (prev_c, prev_b, asm.axiom(fam_c.member((i,)))))
         prev_b, prev_c = next_b, next_c
     return asm.finish(full, prev_b)
 
@@ -405,23 +400,18 @@ def _reachable(root, inputs_of: Callable) -> set:
     return seen
 
 
-def _graft(
-    asm: _Assembler,
-    cert: Certificate,
-    resolve_axiom: Callable[[Adversary], int],
-    transform_op: Callable[[CertEntry], tuple[Operation, Trace]] | None = None,
-) -> int:
+def _graft(asm: _Assembler, cert: Certificate, resolve_axiom: Callable[[Adversary], int]) -> int:
     """Re-emit the ancestry of the certificate's result into the assembler,
-    mapping axioms through `resolve_axiom` and recomputing every step's
-    adversary as the exact image of its (possibly enlarged) inputs."""
+    mapping axioms through `resolve_axiom`, replaying every step's trace on
+    the assembler's algebra and recomputing its adversary as the exact image
+    of its (possibly enlarged) inputs."""
     local: dict[int, int] = {}
     for idx in sorted(_reachable(cert.result, lambda i: cert.entries[i].inputs)):
         e = cert.entries[idx]
-        if e.op is None:
+        if e.trace is None:
             local[idx] = resolve_axiom(e.adversary)
         else:
-            op, trace = (e.op, e.trace) if transform_op is None else transform_op(e)
-            local[idx] = asm.step(op, trace, tuple(local[i] for i in e.inputs))
+            local[idx] = asm.step(e.trace, tuple(local[i] for i in e.inputs))
     return local[cert.result]
 
 
@@ -463,7 +453,7 @@ def _lift_cert(algebra: Algebra, n: int, seed: Certificate) -> Certificate:
     base, k = seed.source, seed.width
     asm = _Assembler(algebra, n, base, k)
     axioms = adv_family(n, base, k, full)
-    seed_axioms = [e.adversary for e in seed.entries if e.op is None]
+    seed_axioms = [e.adversary for e in seed.entries if e.trace is None]
 
     def split(positions: frozenset[int]) -> tuple[list, Callable]:
         ordered = sorted(positions)
@@ -499,7 +489,7 @@ def _enlarge_cert(algebra: Algebra, n: int, inner: Certificate) -> Certificate:
         if escaping is None:
             break
         gi, g = escaping
-        ref = asm.step(g, ("gen", gi), (ref,) * g.arity)
+        ref = asm.step(("gen", gi), (ref,) * g.arity)
     target = generated_subalgebra(algebra, sorted(inner.target))
     return asm.finish(target, ref)
 
@@ -532,10 +522,11 @@ def _combine_certs(
 
 def _relabel_cert(algebra: Algebra, cert: Certificate, label: Sequence[int]) -> Certificate:
     """Replay a certificate of an algebra on at least two elements (a
-    subalgebra or a quotient) inside `algebra`, inner element e standing for
-    `label[e]`: in each axiom the inner universe becomes `algebra`'s and {e}
-    becomes {label[e]}, and every step replays its trace on `algebra`'s
-    generators, so every image only grows."""
+    subalgebra or a quotient, which keeps the generator order) inside
+    `algebra`, inner element e standing for `label[e]`: in each axiom the
+    inner universe becomes `algebra`'s and {e} becomes {label[e]}, and every
+    step replays its trace on `algebra`'s generators, so every image only
+    grows."""
     inner_full = frozenset(range(len(label)))
     full = _full_set(algebra)
     asm = _Assembler(algebra, cert.n, frozenset(label[s] for s in cert.source), cert.width)
@@ -545,27 +536,23 @@ def _relabel_cert(algebra: Algebra, cert: Certificate, label: Sequence[int]) -> 
             full if c == inner_full else frozenset(label[e] for e in c) for c in adv.coords
         )))
 
-    def transform(e: CertEntry) -> tuple[Operation, Trace]:
-        return replay_trace(algebra, e.trace), e.trace
-
     target = frozenset(label[t] for t in cert.target)
-    return asm.finish(target, _graft(asm, cert, resolve, transform))
+    return asm.finish(target, _graft(asm, cert, resolve))
 
 
 def _build_near_unanimity(
-    algebra: Algebra, n: int, op: Operation, trace: Trace, source: int
+    algebra: Algebra, n: int, trace: Trace, k: int, source: int
 ) -> Certificate:
-    """Width arity - 1 from {source}: the adversary wide on more positions is
-    the near-unanimity operation applied to those wide on the same positions
-    less each of the first arity ones."""
+    """Width k - 1 from {source}: the adversary wide on more positions is the
+    k-ary near-unanimity operation applied to those wide on the same
+    positions less each of the first k ones."""
     full = _full_set(algebra)
-    k = op.arity
     asm = _Assembler(algebra, n, frozenset((source,)), k - 1)
     axioms = adv_family(n, (source,), k - 1, full)
 
     def split(positions: frozenset[int]) -> tuple[list, Callable]:
         needed = [positions - {a} for a in sorted(positions)[:k]]
-        return needed, lambda refs: asm.step(op, trace, refs)
+        return needed, lambda refs: asm.step(trace, refs)
 
     return asm.finish(full, _derive_by_positions(asm, axioms, split))
 
@@ -743,19 +730,19 @@ STRATEGIES: dict[str, Strategy] = {
     ),
     "unit_element": Strategy(("element", "op"), _build_term, TermCondition(
         "unit", {},
-        lambda alg, n, op, trace, p: _build_unit_chain(alg, n, op, trace, unit_element(op)),
+        lambda alg, n, op, trace, p: _build_unit_chain(alg, n, trace, unit_element(op)),
     )),
     "maltsev_chain": Strategy(("element", "op"), _build_term, TermCondition(
         "maltsev", {"element": 0},
-        lambda alg, n, op, trace, p: _build_maltsev_chain(alg, n, op, trace, p["element"]),
+        lambda alg, n, op, trace, p: _build_maltsev_chain(alg, n, trace, p["element"]),
     )),
     "dualdisc_chain": Strategy(("pair", "op"), _build_term, TermCondition(
         "dual_discriminator", {"pair": (0, 1)},
-        lambda alg, n, op, trace, p: _build_dualdisc_chain(alg, n, op, trace, *p["pair"]),
+        lambda alg, n, op, trace, p: _build_dualdisc_chain(alg, n, trace, *p["pair"]),
     )),
     "near_unanimity": Strategy(("element", "op"), _build_term, TermCondition(
         "near_unanimity", {"element": 0},
-        lambda alg, n, op, trace, p: _build_near_unanimity(alg, n, op, trace, p["element"]),
+        lambda alg, n, op, trace, p: _build_near_unanimity(alg, n, trace, op.arity, p["element"]),
     )),
     "power_lift": Strategy((), _build_power_lift),
     "pair_minimal": Strategy((), lambda alg, n, b: _build_pair_minimal(alg, n)),
@@ -934,7 +921,7 @@ def power_certificate(
             gi, combo = made
             at = dict(zip(lifted[gi].positions, combo))
             inputs = [ref[at.get(p, combo[0])] for p in range(lifted[gi].op.arity)]
-            ref[vector] = asm.step(algebra.generators[gi], ("gen", gi), inputs)
+            ref[vector] = asm.step(("gen", gi), inputs)
     return asm.finish(full, ref[goal])
 
 
@@ -1001,13 +988,16 @@ def detect_sink_candidate(algebra: Algebra) -> SinkVerdict:
         alpha, beta = two_element_subs
         common = alpha & beta
         if len(common) == 1:
-            shared = next(iter(common))
-            terms = generate_term_operations(algebra, 2)
-            has_shape = semilattice_to_shared(d, shared) in terms.traces
+            meet = semilattice_to_shared(d, next(iter(common))).table
+            # the binary term operations: the tables the generators make from
+            # the two projections, at most the d^(d*d - d) idempotent ones
+            projections = [projection_op(d, 2, i).table for i in (1, 2)]
             projective = all(
                 is_alphabeta_projective(g, alpha, beta) for g in algebra.generators
             )
-            if has_shape and projective:
+            if projective and meet in close_vectors(
+                algebra.generators, projections, d ** (d * d - d), stop=meet
+            ).provenance:
                 return SinkVerdict(
                     "sink_certified",
                     "two overlapping two-element subalgebras, the collapsing "
@@ -1045,7 +1035,7 @@ def serialize_certificate(cert: Certificate, domain_size: int) -> str:
     ]
     for idx, e in enumerate(cert.entries):
         adv = " ".join(_format_coord(c, domain_size) for c in e.adversary.coords)
-        if e.op is None:
+        if e.trace is None:
             lines.append(f"axiom {idx}: {adv}")
         else:
             ids = ", ".join(str(i) for i in e.inputs)
@@ -1066,17 +1056,13 @@ def parse_certificate(text: str, algebra: Algebra) -> Certificate:
     """Read the text `serialize_certificate` writes. Malformed text raises
     ParseError naming its line, and so does what the writer never writes: a
     first word that is no line kind, a second header or result line, an
-    unknown or repeated header key, tokens after the result index. Each
-    distinct trace is replayed once, and the replays share one
-    `ReplayBudget`: past it, GuardrailError. Whether the derivation holds is
-    left to `verify_certificate`."""
+    unknown or repeated header key, tokens after the result index, a trace
+    nested too deep or naming a generator the algebra lacks. No trace is
+    replayed: whether the derivation holds is left to `verify_certificate`."""
     header: dict[str, str] = {}
     header_line = 0
     entries: list[CertEntry] = []
     result: int | None = None
-    # steps with one trace share one operation, and so its image memo
-    replayed: dict[Trace, Operation] = {}
-    budget = ReplayBudget()
     d = algebra.domain.size
     full = frozenset(range(d))
 
@@ -1132,10 +1118,7 @@ def parse_certificate(text: str, algebra: Algebra) -> Certificate:
                     raise ValueError("step input list has no closing ')'")
                 inner = ids_text[:-1]
                 ids = tuple(map(input_id, inner.split(","))) if inner.strip() else ()
-                op = replayed.get(trace)
-                if op is None:
-                    op = replayed[trace] = replay_trace(algebra, trace, budget)
-                entries.append(CertEntry(adv, op, trace, ids))
+                entries.append(CertEntry(adv, trace, ids))
             elif word == "result":
                 if result is not None:
                     raise ValueError("second result line")

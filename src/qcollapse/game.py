@@ -65,10 +65,6 @@ class Adversary:
         return iter(self.coords)
 
 
-def full_adversary(n: int, domain_size: int) -> Adversary:
-    return Adversary((frozenset(range(domain_size)),) * n)
-
-
 def constant_adversary(n: int, subset: frozenset[int]) -> Adversary:
     return Adversary((frozenset(subset),) * n)
 

@@ -1,7 +1,8 @@
 """Polymorphism testing, operation composition, the closure kernel for
-subuniverses of A^m and its callers (term-operation generation up to an arity
-cap, relation closure), detectors for the named operation classes, and the
-table sweep behind every polymorphism search.
+subuniverses of A^m and its callers (relation closure, and term-operation
+generation up to an arity cap, which no verb calls: sink detection closes
+the binary projections with the kernel directly), detectors for the named
+operation classes, and the table sweep behind every polymorphism search.
 """
 
 from __future__ import annotations
@@ -252,8 +253,8 @@ def compose(outer: Operation, inners: Sequence[Operation], name: str | None = No
 
 class ReplayBudget:
     """The argument cells that the trace replays sharing it build together,
-    against CHECK_CAP as it reads when the budget is made. The parser and the
-    verifier each give one budget to all the replays of a certificate."""
+    against CHECK_CAP as it reads when the budget is made. The verifier gives
+    one budget to all the replays of a certificate."""
 
     def __init__(self) -> None:
         self.cap = CHECK_CAP

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import deque
 
 import pytest
 
-from qcollapse import collapsibility
+from qcollapse import polymorph
 from qcollapse.algebra import (
     enumerate_factors,
     enumerate_subalgebras,
@@ -57,15 +58,20 @@ def dispatch_algebras() -> list[Algebra]:
 
 
 def record_closure_caps(monkeypatch) -> list[int]:
-    """Record the arity cap of every term closure the certificate engine runs."""
+    """Record the arity cap of every term closure run through any loaded
+    `qcollapse` module that holds `generate_term_operations`."""
     caps: list[int] = []
-    real = collapsibility.generate_term_operations
+    real = polymorph.generate_term_operations
 
     def recording(algebra, arity_cap):
         caps.append(arity_cap)
         return real(algebra, arity_cap)
 
-    monkeypatch.setattr(collapsibility, "generate_term_operations", recording)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "qcollapse" and (
+            getattr(module, "generate_term_operations", None) is real
+        ):
+            monkeypatch.setattr(module, "generate_term_operations", recording)
     return caps
 
 

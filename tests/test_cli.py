@@ -18,7 +18,7 @@ from qcollapse.collapse import (
     relevant_collapsings,
 )
 from qcollapse.corpus import CorpusSpec, instances
-from qcollapse.game import evaluate_truth, full_adversary
+from qcollapse.game import constant_adversary, evaluate_truth
 from qcollapse.model import Algebra, parse_document, serialize_instance
 from qcollapse.ops import and_op, majority_op, projection_op
 
@@ -302,11 +302,19 @@ class TestExitCodes:
         assert out.startswith("# strategy power_lift\ncertificate n=4 width=1 source=1 ")
         assert closures == []
 
-    def test_only_sink_detection_runs_a_term_closure(self, capsys, monkeypatch):
-        # certify, classify and detect on every ledger input run none; analyze
-        # runs the binary one of the three-element sink test
+    def test_no_verb_runs_a_term_closure(self, capsys, monkeypatch):
+        # detect, certify, classify and analyze on every ledger input run
+        # none; analyze's three-element sink test closes the two binary
+        # projections itself
         closures = record_closure_caps(monkeypatch)
-        analyzed = 0
+        sink_tests = []
+        real_meet = collapsibility.semilattice_to_shared
+
+        def meet(d, shared):
+            sink_tests.append(shared)
+            return real_meet(d, shared)
+
+        monkeypatch.setattr(collapsibility, "semilattice_to_shared", meet)
         for path in sorted(LEDGER_INPUTS.glob("*.txt")):
             document = parse_document(path.read_text(encoding="utf-8"))
             runs = [["detect"]]
@@ -322,10 +330,8 @@ class TestExitCodes:
             if document.operations:
                 assert main(["analyze", str(path)]) == 0
                 capsys.readouterr()
-                assert set(closures) <= {2}, path.name
-                analyzed += bool(closures)
-                closures.clear()
-        assert analyzed > 0
+                assert closures == [], path.name
+        assert sink_tests
 
     @pytest.mark.parametrize("name", ["example", "horn", "horn_false", "affine", "2cnf"])
     def test_solve_on_two_elements_runs_no_term_closure(self, files, capsys, monkeypatch, name):
@@ -459,6 +465,23 @@ class TestExitCodes:
             "certificate rejected: step 1: 1 inputs for an arity-2 operation\n"
         )
 
+    def test_verify_rejects_a_trace_that_does_not_compose(self, files, capsys, tmp_path):
+        # the trace parses, but the binary g0 gets one inner operation: the
+        # verifier, the only one to replay it, rejects the step
+        cert_path = tmp_path / "uncomposable.cert"
+        cert_path.write_text(
+            "certificate n=1 width=1 source=1 target=0,1 domain=2\naxiom 0: *\n"
+            "step 1: * <= (g0 p1.1)(0)\nresult 1\n",
+            encoding="utf-8",
+        )
+        assert main(["verify", files["and"], "--certificate", str(cert_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "certificate rejected: step 1: trace replay failed: "
+            "compose: and has arity 2, got 1 inner operations\n"
+        )
+
     @pytest.mark.parametrize("arity", [23, 100_000_000])
     def test_verify_refuses_a_huge_projection_before_building_it(
         self, files, capsys, tmp_path, monkeypatch, arity
@@ -507,11 +530,11 @@ class TestExitCodes:
         alg = parse_document((LEDGER_INPUTS / name).read_text(encoding="utf-8")).algebra
         terms = polymorph.generate_term_operations(alg, 3)
         op = max(terms.operations, key=lambda o: _trace_depth(terms.traces[o]))
-        full = full_adversary(1, alg.domain.size)
+        full = constant_adversary(1, frozenset(range(alg.domain.size)))
         cert = collapsibility.Certificate(
             full.coords[0], frozenset({0}), 1, 1,
             (collapsibility.CertEntry(full),
-             collapsibility.CertEntry(full, op, terms.traces[op], (0,) * op.arity)),
+             collapsibility.CertEntry(full, terms.traces[op], (0,) * op.arity)),
             1,
         )
         text = collapsibility.serialize_certificate(cert, alg.domain.size)
@@ -847,6 +870,22 @@ class TestCertifyVerify:
         assert main([
             "verify", files["and"], "--certificate", str(cert_path), "--n", "6",
         ]) == 1
+
+    def test_verify_replays_each_distinct_trace_once(self, files, capsys, tmp_path, monkeypatch):
+        # the certificate applies the one generator at both of its steps
+        cert_path = tmp_path / "and.cert"
+        assert main(["certify", files["and"], "--n", "3", "--out", str(cert_path)]) == 0
+        calls = []
+        real = collapsibility.replay_trace
+
+        def counting(algebra, trace, budget=None):
+            calls.append(trace)
+            return real(algebra, trace, budget)
+
+        monkeypatch.setattr(collapsibility, "replay_trace", counting)
+        assert main(["verify", files["and"], "--certificate", str(cert_path)]) == 0
+        assert cert_path.read_text(encoding="utf-8").count("<= g0(") == 2
+        assert calls == [("gen", 0)]
 
     def test_auto_strategy(self, files, capsys):
         assert main(["certify", files["and"], "--strategy", "auto", "--n", "3"]) == 0

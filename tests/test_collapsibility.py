@@ -49,7 +49,7 @@ from qcollapse.collapsibility import (
 )
 from qcollapse.corpus import CorpusSpec, instances
 from qcollapse.errors import BuildError, GuardrailError, ParseError, StructuralError
-from qcollapse.game import constant_adversary, evaluate_truth, full_adversary
+from qcollapse.game import constant_adversary, evaluate_truth
 from qcollapse.model import Algebra, ConstraintLanguage, Domain, Operation
 from qcollapse.ops import (
     and_op,
@@ -191,7 +191,7 @@ class TestDominated:
         assert dominated(a, a)
 
     def test_full_not_dominated_by_smaller(self):
-        assert not dominated(full_adversary(2, 2), adv({0}, {0, 1}))
+        assert not dominated(constant_adversary(2, frozenset(range(2))), adv({0}, {0, 1}))
 
     def test_length_mismatch(self):
         with pytest.raises(StructuralError):
@@ -228,7 +228,7 @@ class TestComposable:
         asm.entries.append(CertEntry(short))  # as a faulty builder might leave it
         for inputs in ((first, 1), (1, first)):
             with pytest.raises(StructuralError, match="different length"):
-                asm.step(and_op(), ("gen", 0), inputs)
+                asm.step(("gen", 0), inputs)
 
 
 class TestChainBuilders:
@@ -238,7 +238,7 @@ class TestChainBuilders:
         cert = build_certificate(CertificateBuilder("unit_element"), alg, n)
         assert verify_certificate(cert, alg, n)
         assert cert.width == 1 and cert.source == frozenset({1})
-        assert len([e for e in cert.entries if e.op is not None]) == n - 1
+        assert len([e for e in cert.entries if e.trace is not None]) == n - 1
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_unit_element_or(self, n):
@@ -452,7 +452,7 @@ class TestCompositeBuilders:
 
     def test_extends_step(self):
         alg = ALGEBRAS["majority"]
-        cert = _build_near_unanimity(alg, 5, majority_op(), ("gen", 0), 1)
+        cert = _build_near_unanimity(alg, 5, ("gen", 0), 3, 1)
         assert verify_certificate(cert, alg, 5)
         assert cert.width == 2
 
@@ -526,7 +526,7 @@ class TestVerification:
         alg = ALGEBRAS["and"]
         cert = build_certificate(CertificateBuilder("unit_element"), alg, 4)
         entries = list(cert.entries)
-        victim = next(i for i, e in enumerate(entries) if e.op is not None)
+        victim = next(i for i, e in enumerate(entries) if e.trace is not None)
         wider = Adversary(tuple(frozenset({0, 1}) for _ in entries[victim].adversary.coords))
         entries[victim] = dataclasses.replace(entries[victim], adversary=wider)
         broken = dataclasses.replace(cert, entries=tuple(entries))
@@ -548,11 +548,12 @@ class TestVerification:
             CertificateBuilder("unit_element", {"op": and_op()}), alg, 3
         )
         entries = list(cert.entries)
-        victim = next(i for i, e in enumerate(entries) if e.op is not None)
+        victim = next(i for i, e in enumerate(entries) if e.trace is not None)
         entries[victim] = dataclasses.replace(entries[victim], trace=("gen", 1))
         broken = dataclasses.replace(cert, entries=tuple(entries))
         outcome = verify_certificate(broken, alg, 3)
-        assert not outcome and "trace" in outcome.failure
+        # the step now applies OR, whose image misses the widened coordinate
+        assert outcome.failure == f"step {victim}: coordinate containment fails"
 
     def test_wrong_n_detected(self):
         alg = ALGEBRAS["and"]
@@ -563,7 +564,7 @@ class TestVerification:
         alg = ALGEBRAS["and"]
         cert = build_certificate(CertificateBuilder("unit_element"), alg, 3)
         entries = list(cert.entries)
-        victim = next(i for i, e in enumerate(entries) if e.op is not None)
+        victim = next(i for i, e in enumerate(entries) if e.trace is not None)
         entries[victim] = dataclasses.replace(
             entries[victim], inputs=(victim,) + entries[victim].inputs[1:]
         )
@@ -583,7 +584,7 @@ class TestVerification:
         cert = build_certificate(CertificateBuilder("unit_element"), alg, 3)
         axiom_id = next(
             i for i, e in enumerate(cert.entries)
-            if e.op is None and e.adversary != full_adversary(3, 2)
+            if e.trace is None and e.adversary != constant_adversary(3, frozenset(range(2)))
         )
         broken = dataclasses.replace(cert, result=axiom_id)
         outcome = verify_certificate(broken, alg, 3)
@@ -644,13 +645,13 @@ class TestVerification:
         parsed = parse_certificate(three, alg)
         monkeypatch.setattr(polymorph, "CHECK_CAP", 100_000)
         assert verify_certificate(parse_certificate(two, alg), alg, 1)
-        refusal = "trace replays read 147456 argument cells, above the cap of 100000"
-        with pytest.raises(GuardrailError) as raised:
-            parse_certificate(three, alg)
-        assert str(raised.value) == refusal
+        # the parser replays nothing, so only the verifier charges the budget
+        assert parse_certificate(three, alg) == parsed
         with pytest.raises(GuardrailError) as raised:
             verify_certificate(parsed, alg, 1)
-        assert str(raised.value) == refusal
+        assert str(raised.value) == (
+            "trace replays read 147456 argument cells, above the cap of 100000"
+        )
 
     def test_budget_charges_projections_and_compositions(self, monkeypatch):
         # (g0 p2.1 p2.2) builds p2.1 and p2.2 (2 * 2^2 cells each) and AND
@@ -665,8 +666,7 @@ class TestVerification:
         monkeypatch.setattr(polymorph, "CHECK_CAP", 24)
         assert verify_certificate(parse_certificate(text, alg), alg, 1)
         monkeypatch.setattr(polymorph, "CHECK_CAP", 23)
-        with pytest.raises(GuardrailError, match="read 24 argument cells, above the cap of 23$"):
-            parse_certificate(text, alg)
+        assert parse_certificate(text, alg) == parsed
         with pytest.raises(GuardrailError, match="read 24 argument cells, above the cap of 23$"):
             verify_certificate(parsed, alg, 1)
 
@@ -742,10 +742,11 @@ class TestImageMemo:
         full = frozenset({0, 1})
         rejected = 0
         for idx, e in enumerate(cert.entries):
-            if e.op is None:
+            if e.trace is None:
                 continue
             sources = [cert.entries[i].adversary for i in e.inputs]
-            for pos, image in enumerate(reference_column_images(e.op, sources, 5)):
+            op = replay_trace(alg, e.trace)
+            for pos, image in enumerate(reference_column_images(op, sources, 5)):
                 if image == full:
                     continue
                 coords = list(e.adversary.coords)
@@ -758,34 +759,10 @@ class TestImageMemo:
         assert rejected >= 6
         assert verify_certificate(cert, alg, 5)
 
-    def test_operation_checked_at_every_step_of_a_replayed_trace(self):
-        # a later step names a trace that rebuilt the right operation at an
-        # earlier step, but carries another operation itself
-        tampered = 0
-        for alg in (*ALGEBRAS.values(), block_mix_algebra(), block_meet_algebra()):
-            builder = plan_certificate(alg)
-            cert = build_certificate(builder, alg, 4)
-            assert verify_certificate(cert, alg, 4)
-            seen = set()
-            for idx, e in enumerate(cert.entries):
-                if e.op is None:
-                    continue
-                if e.trace in seen:
-                    d, k = alg.domain.size, e.op.arity
-                    other = next(
-                        projection_op(d, k, i) for i in range(1, k + 1)
-                        if projection_op(d, k, i) != e.op
-                    )
-                    outcome = verify_certificate(_tampered(cert, idx, op=other), alg, 4)
-                    assert outcome.failure == f"step {idx}: trace does not rebuild the operation"
-                    tampered += 1
-                seen.add(e.trace)
-        assert tampered >= 10
-
     def test_axiom_outside_the_families_rejected_after_warming(self):
         alg, cert = self._warm_unit_chain()
         full, one = frozenset({0, 1}), frozenset({1})
-        axiom = next(i for i, e in enumerate(cert.entries) if e.op is None)
+        axiom = next(i for i, e in enumerate(cert.entries) if e.trace is None)
         for outsider in (
             constant_adversary(5, frozenset({0})),
             Adversary((full, full, one, one, one)),
@@ -865,7 +842,7 @@ class TestImageWorkCounts:
         for alg, cert in certs:
             calls.clear()
             assert verify_certificate(cert, alg)
-            traces = [e.trace for e in cert.entries if e.op is not None]
+            traces = [e.trace for e in cert.entries if e.trace is not None]
             assert calls == collections.Counter(set(traces))
             repeated += len(traces) - len(set(traces))
             distinct = max(distinct, len(set(traces)))
@@ -997,7 +974,7 @@ def _replays_from_axioms(cert, alg) -> bool:
         coords = e.adversary.coords
         if len(coords) != cert.n:
             return False
-        if e.op is None:
+        if e.trace is None:
             if not any(
                 all(c in (frozenset({a}), full) for c in coords)
                 and sum(c != frozenset({a}) for c in coords) <= cert.width
@@ -1006,9 +983,8 @@ def _replays_from_axioms(cert, alg) -> bool:
                 return False
         elif not (
             all(0 <= i < idx for i in e.inputs)
-            and replay_trace(alg, e.trace) == e.op
             and all(goal <= image for goal, image in zip(coords, reference_column_images(
-                e.op, [entries[i].adversary for i in e.inputs], cert.n
+                replay_trace(alg, e.trace), [entries[i].adversary for i in e.inputs], cert.n
             )))
         ):
             return False
@@ -1098,7 +1074,9 @@ def _check_power_certificate(cert, alg, n):
     assert needed == set(range(len(cert.entries)))
     assert cert.target == frozenset(range(alg.domain.size))
     for e in cert.entries:
-        assert e.op is None or e.trace[0] == "gen" and e.op == alg.generators[e.trace[1]]
+        assert e.trace is None or (
+            e.trace[0] == "gen" and len(e.inputs) == alg.generators[e.trace[1]].arity
+        )
 
 
 class TestSearch:
@@ -1108,7 +1086,8 @@ class TestSearch:
         # width n admits the full adversary itself as an axiom
         alg = ALGEBRAS["and"]
         cert = power_certificate(alg, 2, {1}, 2)
-        assert cert.entries == (CertEntry(full_adversary(2, 2)),) and cert.result == 0
+        full = constant_adversary(2, frozenset(range(2)))
+        assert cert.entries == (CertEntry(full),) and cert.result == 0
         _check_power_certificate(cert, alg, 2)
 
     def test_and_derivation_found(self):
@@ -1130,7 +1109,8 @@ class TestSearch:
         alg = shared_algebra()
         for n, width in ((2, 1), (3, 1), (3, 2)):
             assert power_certificate(alg, n, range(3), width) is None
-        assert full_adversary(2, 3).coords not in brute_force_power(alg, 2, range(3), 1)
+        full = constant_adversary(2, frozenset(range(3)))
+        assert full.coords not in brute_force_power(alg, 2, range(3), 1)
 
     def test_search_subsumes_builders(self):
         # wherever a builder certifies, the power search does at the same
@@ -1158,9 +1138,8 @@ class TestSearch:
             for n, width in itertools.product((1, 2, 3), (0, 1, 2)):
                 for source in ({0}, {1}, {0, 1}):
                     cert = power_certificate(alg, n, source, width)
-                    expected = full_adversary(n, 2).coords in brute_force_power(
-                        alg, n, source, width
-                    )
+                    full = constant_adversary(n, frozenset(range(2)))
+                    expected = full.coords in brute_force_power(alg, n, source, width)
                     assert (cert is not None) == expected, (alg, n, source, width)
                     if cert is not None:
                         _check_power_certificate(cert, alg, n)

@@ -22,9 +22,9 @@ from qcollapse.game import (
     Adversary,
     Strategy,
     check_strategy,
+    constant_adversary,
     evaluate_truth,
     _Game,
-    full_adversary,
 )
 from qcollapse.model import EXISTS, FORALL, Constraint, Domain, QuantifiedFormula, Relation
 
@@ -305,7 +305,8 @@ class TestWinnable:
         spec = CorpusSpec(seed=3, count=80, max_vars=5, max_universals=3)
         for _, phi in instances(spec):
             n = len(phi.universal_vars)
-            assert reference_game(phi, full_adversary(n, phi.domain.size)) == evaluate_truth(phi)
+            full = constant_adversary(n, frozenset(range(phi.domain.size)))
+            assert reference_game(phi, full) == evaluate_truth(phi)
 
     def test_singleton_adversary_single_check(self):
         phi = formula(2, "Ex Ay", [Constraint(eq_rel(), ("x", "y"))])
@@ -372,7 +373,7 @@ class TestWinnable:
 class TestStrategies:
     def setup_method(self):
         self.phi = formula(2, "Ay Ex", [Constraint(eq_rel(), ("y", "x"))])
-        self.full = full_adversary(1, 2)
+        self.full = constant_adversary(1, frozenset(range(2)))
 
     def test_extracted_strategy_copies(self):
         sigma = Strategy(reference_strategy(self.phi, self.full))
@@ -393,19 +394,19 @@ class TestStrategies:
 
     def test_unwinnable_returns_none(self):
         phi = formula(2, "Ex Ay", [Constraint(eq_rel(), ("x", "y"))])
-        assert reference_strategy(phi, full_adversary(1, 2)) is None
-        assert not reference_game(phi, full_adversary(1, 2))
+        assert reference_strategy(phi, constant_adversary(1, frozenset(range(2)))) is None
+        assert not reference_game(phi, constant_adversary(1, frozenset(range(2))))
 
     def test_empty_body_any_total_strategy_wins(self):
         phi = formula(2, "Ay Ex", [])
         sigma = Strategy({"x": {(0,): 1, (1,): 1}})
-        assert check_strategy(phi, full_adversary(1, 2), sigma)
+        assert check_strategy(phi, constant_adversary(1, frozenset(range(2))), sigma)
 
     def test_extraction_replays_on_corpus(self):
         spec = CorpusSpec(seed=17, count=60, max_vars=5, max_universals=3)
         for _, phi in instances(spec):
             n = len(phi.universal_vars)
-            adversary = full_adversary(n, phi.domain.size)
+            adversary = constant_adversary(n, frozenset(range(phi.domain.size)))
             responses = reference_strategy(phi, adversary)
             if responses is None:
                 assert not reference_game(phi, adversary)
@@ -421,7 +422,7 @@ class TestStrategies:
                 Constraint(impl_rel(), ("x1", "x2")),
             ],
         )
-        adversary = full_adversary(2, 2)
+        adversary = constant_adversary(2, frozenset(range(2)))
         responses = reference_strategy(phi, adversary)
         assert responses is not None
         assert check_strategy(phi, adversary, Strategy(responses))
