@@ -5,8 +5,11 @@ solving those CSPs: every one for the per-collapsing table
 (`collapse_verdicts`), the widest ones up to the first false one for the
 conjunction (`conjunction_verdict`).
 
-CSP variables are integer indices; `csp_variable_names` names them for
-printing, and `combine_csp` joins the CSPs into the one that `reduce` prints.
+The encoder reads what is fixed per formula from the formula's `body_plan`,
+made once for all its collapsings, and one walk over the prefix per
+collapsing lays out its variables. CSP variables are integer indices;
+`csp_variable_names` names them from the same walk for printing, and
+`combine_csp` joins the CSPs into the one that `reduce` prints.
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cspsolve import CspInstance, IndexedConstraint, solve_csp
 from .errors import GuardrailError, StructuralError
-from .model import Constraint, QuantifiedFormula
+from .model import EXISTS, Constraint, QuantifiedFormula
 
 # constraints the collapse encoding may emit, over every collapsing of a request
 ENCODING_CAP = 10_000_000
@@ -109,17 +111,40 @@ def enumerate_j_collapsings(formula: QuantifiedFormula, j: int) -> list[Collapsi
     return _distinct_collapsings(formula, j, formula.domain.elements())
 
 
+def _prefix_layout(col: Collapsing) -> tuple[list[tuple[int, int, int]], list[int], int]:
+    """One walk over the prefix: each existential's (prefix position, first
+    variable, number m of kept universals before it), the prefix positions
+    of the kept universals, and the number of variables. The existential
+    owns d^m consecutive variables from its first, one per assignment of the
+    m kept universals before it in `itertools.product` order, and they come
+    before those of every later existential."""
+    formula = col.origin
+    d = formula.domain.size
+    kept = set(col.kept_universals)
+    existentials: list[tuple[int, int, int]] = []
+    kept_positions: list[int] = []
+    base = 0
+    for p, (q, v) in enumerate(formula.prefix):
+        if q == EXISTS:
+            m = len(kept_positions)
+            existentials.append((p, base, m))
+            base += d**m
+        elif v in kept:
+            kept_positions.append(p)
+    return existentials, kept_positions, base
+
+
 def csp_variable_names(col: Collapsing) -> list[str]:
     """A printable name for each variable of `collapsing_to_csp(col)`, in
     index order: the strategy output of x under an assignment to the kept
     universals before x, e.g. ``x@y1=0,y2=1``."""
-    formula = col.origin
-    kept = col.kept_universals
+    prefix = col.origin.prefix
+    existentials, kept_positions, _ = _prefix_layout(col)
     names = []
-    for x in formula.existential_vars:
-        before = kept[: sum(u in kept for u in formula.universals_before[x])]
-        for combo in itertools.product(range(formula.domain.size), repeat=len(before)):
-            names.append(f"{x}@" + ",".join(f"{u}={v}" for u, v in zip(before, combo)))
+    for p, _, m in existentials:
+        before = [prefix[k][1] for k in kept_positions[:m]]
+        for combo in itertools.product(range(col.origin.domain.size), repeat=m):
+            names.append(f"{prefix[p][1]}@" + ",".join(f"{u}={v}" for u, v in zip(before, combo)))
     return names
 
 
@@ -182,79 +207,60 @@ def relevant_collapsings(
 
 def collapsing_to_csp(col: Collapsing) -> CspInstance:
     """Encode the collapsed formula as an existential CSP whose variables are
-    the possible strategy outputs; the CSP is satisfiable iff the collapsed
-    formula is true. The collapsed formula itself is never built: the
-    existential x owns d^m consecutive variables, one per assignment of the
-    m kept universals before it in `itertools.product` order, and the
-    variables of x come before those of every later existential. Each
-    constraint is emitted once, in the order of its first occurrence."""
+    the possible strategy outputs, laid out by `_prefix_layout`; the CSP is
+    satisfiable iff the collapsed formula is true. The collapsed formula
+    itself is never built: the formula's `body_plan`, made once for all its
+    collapsings, reads each constraint's arguments from one value array.
+    Each constraint is emitted once, in the order of its first occurrence."""
     formula = col.origin
+    plan = formula.body_plan
     d = formula.domain.size
-    kept = col.kept_universals
-    width = len(kept)
-    universal = set(formula.universal_vars)
-    # The body reads its arguments from `values`, refilled for each
-    # assignment t (a mixed-radix number) of the kept universals: a kept
-    # universal at position i reads digit i, an existential after m kept
-    # universals reads base + the first m digits.
-    values: list[int] = []
-    slot: dict[str | int, int] = {}
-    kept_digits: list[tuple[int, int]] = []  # (slot, divisor)
-    existential_prefixes: list[tuple[int, int, int]] = []  # (slot, base, divisor)
-    base = 0
-    for x in formula.existential_vars:
-        m = sum(u in kept for u in formula.universals_before[x])
-        slot[x] = len(values)
-        values.append(base)
+    existentials, kept_positions, variable_count = _prefix_layout(col)
+    width = len(kept_positions)
+    # The array holds ~c at the slot of each constant c and at every
+    # universal that is not kept, and for each assignment t (a mixed-radix
+    # number) of the kept universals: ~digit i at the i-th kept universal,
+    # and base + the first m digits at an existential after m kept ones.
+    values = [~col.constant] * len(formula.prefix) + list(plan.constants)
+    kept_digits = [(p, d ** (width - 1 - i)) for i, p in enumerate(kept_positions)]
+    existential_prefixes = []  # (position, base, divisor)
+    for p, base, m in existentials:
+        values[p] = base
         if m:
-            existential_prefixes.append((slot[x], base, d ** (width - m)))
-        base += d**m
-    for i, u in enumerate(kept):
-        slot[u] = len(values)
-        values.append(0)
-        kept_digits.append((slot[u], d ** (width - 1 - i)))
-    dynamic = {s for s, *_ in kept_digits + existential_prefixes}
-    # Each constraint is emitted once, at its first occurrence: `emitted`
-    # maps (relation id, args) to the constraint, in insertion order. A body
-    # constraint that reads no changing slot is the same for every
-    # assignment, so it is instantiated once; so is a repeated one.
+            existential_prefixes.append((p, base, d ** (width - m)))
+    dynamic = set(kept_positions).union(p for p, *_ in existential_prefixes)
+    # Before the first assignment each kept universal holds a number above
+    # every variable, so the arguments read name each variable and constant
+    # apart. A constraint that reads no changing position is the same for
+    # every assignment and is emitted first; the others are kept once per
+    # relation value and arguments read. `emitted` maps (relation id, args)
+    # to the constraint, in insertion order.
+    for i, p in enumerate(kept_positions):
+        values[p] = variable_count + i
     emitted: dict[tuple[int, tuple[int, ...]], IndexedConstraint] = {}
-    body: dict[tuple, None] = {}
-    for c in formula.body:
-        slots = []
-        for a in c.args:
-            if a in universal and a not in slot:
-                a = col.constant
-            if a not in slot:
-                slot[a] = len(values)
-                values.append(~a)
-            slots.append(slot[a])
+    moving = {}  # (relation value, args read) -> (relation, getter)
+    for relation, value_class, slots, get in plan.constraints:
+        args = get(values)
         if dynamic.isdisjoint(slots):
-            args = tuple(values[s] for s in slots)
-            emitted[id(c.relation), args] = (c.relation, args)
+            emitted[id(relation), args] = (relation, args)
         else:
-            body[c.relation, tuple(slots)] = None
-    getters = [
-        (relation, id(relation),
-         itemgetter(*slots) if len(slots) > 1 else lambda vals, s=slots[0]: (vals[s],))
-        for relation, slots in body
-    ]
+            moving.setdefault((value_class, args), (relation, get))
     for t in range(d**width):
-        for s, divisor in kept_digits:
-            values[s] = ~(t // divisor % d)
-        for s, start, divisor in existential_prefixes:
-            values[s] = start + t // divisor
-        for relation, rid, get in getters:
+        for p, divisor in kept_digits:
+            values[p] = ~(t // divisor % d)
+        for p, start, divisor in existential_prefixes:
+            values[p] = start + t // divisor
+        for relation, get in moving.values():
             args = get(values)
-            emitted[rid, args] = (relation, args)
-    constraints = list(emitted.values())
-    return CspInstance(d, base, constraints)
+            emitted[id(relation), args] = (relation, args)
+    return CspInstance(d, variable_count, list(emitted.values()))
 
 
 def _solved(collapsings: Iterable[Collapsing]) -> Iterator[bool]:
     """Encode and solve each collapsing in turn, only when asked for the next
     verdict. The collapsings share no variable, so each is its own CSP; they
-    share the compiled tables."""
+    share the solver's `tables`, so a constraint that recurs across them is
+    compiled and wired once."""
     tables: dict = {}
     for col in collapsings:
         yield solve_csp(collapsing_to_csp(col), tables) is not None

@@ -114,9 +114,13 @@ def dominated(a: Adversary, b: Adversary) -> bool:
     return all(x <= y for x, y in zip(a.coords, b.coords))
 
 
-def _column_images(op: Operation, sources: Sequence[Adversary], n: int) -> list[frozenset[int]]:
+def _column_images(
+    op: Operation, sources: Sequence[Adversary], n: int, budget: ReplayBudget | None = None
+) -> list[frozenset[int]]:
     """The element-wise image of the sources' coordinates at each of the n
-    positions, read from the operation's image memo (`op_image`)."""
+    positions, read from the operation's image memo (`op_image`). An image
+    the memo lacks is charged to `budget`, when one is given, before it is
+    computed."""
     for s in sources:
         if len(s) != n:
             raise StructuralError("adversaries of different length")
@@ -124,16 +128,24 @@ def _column_images(op: Operation, sources: Sequence[Adversary], n: int) -> list[
     images = []
     for column in zip(*(s.coords for s in sources)):
         image = memo.get(column)
-        images.append(op_image(op, column) if image is None else image)
+        if image is None:
+            if budget is not None:
+                budget.charge_image(op, column)
+            image = op_image(op, column)
+        images.append(image)
     return images
 
 
-def composable(target: Adversary, op: Operation, sources: Sequence[Adversary]) -> bool:
+def composable(
+    target: Adversary, op: Operation, sources: Sequence[Adversary],
+    budget: ReplayBudget | None = None,
+) -> bool:
     """target <| op(sources): every coordinate of the target is inside the
-    element-wise image of the sources' matching coordinates."""
+    element-wise image of the sources' matching coordinates. The images the
+    operation's memo lacks are charged to `budget`, when one is given."""
     if len(sources) != op.arity:
         raise StructuralError(f"operation {op.name}: expected {op.arity} source adversaries")
-    images = _column_images(op, sources, len(target))
+    images = _column_images(op, sources, len(target), budget)
     return all(goal <= image for goal, image in zip(target.coords, images))
 
 
@@ -197,8 +209,9 @@ def verify_certificate(
     belong to the declared families, and check the final adversary dominates
     target^n. Returns the first failure as a diagnostic.
 
-    Each distinct trace is replayed once per call, and the replays share one
-    `ReplayBudget`: past it, GuardrailError."""
+    Each distinct trace is replayed once per call. The replays share one
+    `ReplayBudget`, and the set images the containment checks compute are
+    charged to it too: past it, GuardrailError."""
     d = algebra.domain.size
     if n is not None and certificate.n != n:
         return VerificationResult(False, f"certificate is for n={certificate.n}, not n={n}")
@@ -239,7 +252,7 @@ def verify_certificate(
             )
         sources = [certificate.entries[i].adversary for i in e.inputs]
         try:
-            if not composable(e.adversary, op, sources):
+            if not composable(e.adversary, op, sources, budget):
                 return VerificationResult(False, f"step {idx}: coordinate containment fails")
         except StructuralError as err:
             return VerificationResult(False, f"step {idx}: {err}")

@@ -6,9 +6,12 @@ and every domain change is logged on a trail that backtracking unwinds.
 Each constraint is compiled once per (relation, pattern of constants and
 repeated variables) into the value rows of its distinct variables, after
 compact-table GAC (Demeulenaere et al., CP 2016); the revision of a compiled
-table under one tuple of domains is computed once and remembered for the
-rest of the call. Variables are picked by smallest remaining domain (ties by
-index) and values are tried in ascending order, so results are deterministic.
+table under one tuple of domains is computed once and remembered. The tables
+and each constraint's wiring (its scope, table and domain getter) live in a
+dict that several calls may share, so a constraint that recurs across them
+is compiled and wired once. Variables are picked by smallest remaining
+domain (ties by index) and values are tried in ascending order, so results
+are deterministic.
 """
 
 from __future__ import annotations
@@ -84,14 +87,43 @@ def _compile(relation: Relation, pattern: tuple[int, ...], width: int) -> _Table
     return _Table(tuple(sorted(rows)))
 
 
+def _wire(relation: Relation, args: tuple[int, ...], tables: dict) -> tuple:
+    """(scope, table, getter of the scope's domains) for a constraint on two
+    or more distinct variables. On fewer, (scope, mask, None): the mask has
+    a bit per value the variable may take, or is -1 or 0 for a constraint on
+    constants that holds or fails. The table is shared by every constraint
+    on the relation with the same pattern of constants and repeated
+    variables."""
+    scope: list[int] = []
+    pattern = []
+    for a in args:
+        if a < 0:
+            pattern.append(a)
+        elif a in scope:
+            pattern.append(scope.index(a))
+        else:
+            pattern.append(len(scope))
+            scope.append(a)
+    key = (relation, tuple(pattern))
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = _compile(relation, key[1], len(scope))
+    if len(scope) > 1:
+        return tuple(scope), table, itemgetter(*scope)
+    if scope:
+        return tuple(scope), sum(1 << row[0] for row in table.rows), None
+    return (), -1 if table.rows else 0, None
+
+
 def solve_csp(instance: CspInstance, tables: dict | None = None) -> list[int] | None:
     """The value of each variable in a satisfying assignment, or None when
     there is none.
 
-    `tables` holds the compiled tables; pass one dict to several calls to
-    share them. The collapse loop behind `collapse.collapse_verdicts` and
-    `collapse.conjunction_verdict` shares one across the collapsings of a
-    formula.
+    `tables` holds the compiled tables and each constraint's wiring; pass one
+    dict to several calls to share them, so a constraint that recurs is
+    compiled and wired once. The collapse loop behind
+    `collapse.collapse_verdicts` and `collapse.conjunction_verdict` shares
+    one across the collapsings of a formula.
     """
     domain_size, variable_count, constraints = (
         instance.domain_size, instance.variable_count, instance.constraints
@@ -99,45 +131,33 @@ def solve_csp(instance: CspInstance, tables: dict | None = None) -> list[int] | 
     if tables is None:
         tables = {}
     dom = [(1 << domain_size) - 1] * variable_count
-    seen: set = set()
-    scopes: list[tuple[int, ...]] = []
-    compiled: list[_Table] = []
-    for relation, args in constraints:
-        scope: list[int] = []
-        pattern = []
-        for a in args:
-            if a < 0:
-                pattern.append(a)
-            elif a in scope:
-                pattern.append(scope.index(a))
-            else:
-                pattern.append(len(scope))
-                scope.append(a)
-        key = (relation, tuple(pattern))
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = _compile(relation, key[1], len(scope))
-        if len(scope) < 2:
-            if not table.rows:
-                return None
+    # each constraint's wiring, under its 1-tuple: no (relation, pattern)
+    # key of a table is a 1-tuple
+    network: dict[tuple, None] = {}
+    for constraint in constraints:
+        wired = tables.get((constraint,))
+        if wired is None:
+            wired = tables[constraint,] = _wire(*constraint, tables)
+        scope, table, get = wired
+        if get is None:
+            # a unary constraint only narrows the starting domain
             if scope:
-                # a unary constraint only narrows the starting domain
                 v = scope[0]
-                dom[v] &= sum(1 << row[0] for row in table.rows)
+                dom[v] &= table
                 if not dom[v]:
                     return None
-            continue
-        entry = (tuple(scope), table)
-        if entry not in seen:
-            seen.add(entry)
-            scopes.append(entry[0])
-            compiled.append(table)
+            elif not table:
+                return None
+        else:
+            network[wired] = None
+    scopes = [scope for scope, _, _ in network]
+    compiled: list[_Table] = [table for _, table, _ in network]
+    getters = [get for _, _, get in network]
 
     watch: list[list[int]] = [[] for _ in range(variable_count)]
     for ci, scope in enumerate(scopes):
         for v in scope:
             watch[v].append(ci)
-    getters = [itemgetter(*scope) for scope in scopes]
     queued = [True] * len(scopes)
     trail: list[tuple[int, int]] = []
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, StructuralError
 
@@ -233,6 +234,41 @@ class QuantifiedFormula:
     @cached_property
     def body_vars(self) -> frozenset[str]:
         return frozenset(v for c in self.body for v in c.variables)
+
+    @cached_property
+    def body_plan(self) -> BodyPlan:
+        """The body as the collapse encoder reads it, for every collapsing."""
+        position: dict[str | int, int] = {v: p for p, (_, v) in enumerate(self.prefix)}
+        constants: list[int] = []
+        classes: dict[Relation, int] = {}
+        constraints: dict[tuple[int, tuple], tuple[Relation, int, tuple[int, ...], Callable]] = {}
+        for c in self.body:
+            key = (id(c.relation), c.args)
+            if key in constraints:
+                continue
+            for a in c.args:
+                if a not in position:
+                    position[a] = len(self.prefix) + len(constants)
+                    constants.append(~a)
+            slots = tuple(position[a] for a in c.args)
+            get = itemgetter(*slots) if len(slots) > 1 else lambda vals, s=slots[0]: (vals[s],)
+            constraints[key] = (c.relation, classes.setdefault(c.relation, len(classes)), slots, get)
+        return BodyPlan(tuple(constants), tuple(constraints.values()))
+
+
+@dataclass(frozen=True)
+class BodyPlan:
+    """A formula's body constraints without repeats, in first-occurrence
+    order; two constraints are repeats when they apply the same relation
+    object to the same arguments. Each has its relation, the index of its
+    relation among the distinct relation values (two objects with the same
+    tuples share it), the positions of its arguments in a value array, and a
+    getter that reads the argument tuple from such an array. A variable
+    sits at its prefix position, the constant c at a slot after the prefix
+    that holds ~c."""
+
+    constants: tuple[int, ...]  # the value of each slot after the prefix
+    constraints: tuple[tuple[Relation, int, tuple[int, ...], Callable], ...]
 
 
 def validate(formula: QuantifiedFormula) -> list[str]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -253,18 +254,31 @@ def compose(outer: Operation, inners: Sequence[Operation], name: str | None = No
 
 class ReplayBudget:
     """The argument cells that the trace replays sharing it build together,
-    against CHECK_CAP as it reads when the budget is made. The verifier gives
-    one budget to all the replays of a certificate."""
+    and apart from them the cells that the set images computed under it
+    read, each against CHECK_CAP as it reads when the budget is made. The
+    verifier gives one budget to all the replays and containment checks of a
+    certificate."""
 
     def __init__(self) -> None:
         self.cap = CHECK_CAP
         self.cells = 0
+        self.image_cells = 0
 
     def charge(self, cells: int) -> None:
         self.cells += cells
         if self.cells > self.cap:
             raise GuardrailError(
                 f"trace replays read {self.cells} argument cells, "
+                f"above the cap of {self.cap}"
+            )
+
+    def charge_image(self, op: Operation, sets: Sequence[frozenset[int]]) -> None:
+        """Charge the k * |B_1| * ... * |B_k| argument cells that the image
+        op(B_1, ..., B_k) reads."""
+        self.image_cells += op.arity * math.prod(map(len, sets))
+        if self.image_cells > self.cap:
+            raise GuardrailError(
+                f"set images read {self.image_cells} argument cells, "
                 f"above the cap of {self.cap}"
             )
 

@@ -232,9 +232,10 @@ def reference_op_image(op: Operation, sets) -> frozenset[int]:
     return frozenset(out)
 
 
-def reference_column_images(op: Operation, sources, n: int) -> list[frozenset[int]]:
+def reference_column_images(op: Operation, sources, n: int, budget=None) -> list[frozenset[int]]:
     """The replaced `collapsibility._column_images`: a set of the distinct
-    columns, each imaged by `reference_op_image`, read back per position."""
+    columns, each imaged by `reference_op_image`, read back per position.
+    It charges nothing to `budget`."""
     for s in sources:
         if len(s) != n:
             raise StructuralError("adversaries of different length")

@@ -505,6 +505,44 @@ class TestExitCodes:
             f"above the cap of {polymorph.CHECK_CAP}\n"
         )
 
+    def test_verify_charges_the_set_images_it_computes(
+        self, files, capsys, tmp_path, monkeypatch
+    ):
+        # 18 axioms over the 153 pairs of them: at column {i, j} axioms i and
+        # j read {0} and the others read *, so each column's image under
+        # p18.1 reads 18 * 2^16 argument cells, and all 153 would read about
+        # 180 million; the budget refuses at the ninth, before computing it
+        pairs = list(itertools.combinations(range(18), 2))
+        n = len(pairs)
+        axioms = "".join(
+            f"axiom {i}: " + " ".join("{0}" if i in pair else "*" for pair in pairs) + "\n"
+            for i in range(18)
+        )
+        cert_path = tmp_path / "wide_images.cert"
+        cert_path.write_text(
+            f"certificate n={n} width={n} source=0 target=0,1 domain=2\n{axioms}"
+            f"step 18: {' '.join(['*'] * n)} <= p18.1({', '.join(map(str, range(18)))})\n"
+            "result 18\n",
+            encoding="utf-8",
+        )
+        computed = []
+        original = polymorph._compute_image
+
+        def counted(op, sets):
+            computed.append(sets)
+            return original(op, sets)
+
+        monkeypatch.setattr(polymorph, "_compute_image", counted)
+        assert main(["verify", files["and"], "--certificate", str(cert_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"guardrail: set images read {9 * 18 * 2**16} argument cells, "
+            f"above the cap of {polymorph.CHECK_CAP}\n"
+        )
+        # the projection's table (18 * 2^18 cells) is charged apart
+        assert len(computed) == 8
+
     @pytest.mark.parametrize("depth", [1_200, 100_000])
     def test_verify_refuses_a_trace_nested_too_deep(self, files, capsys, tmp_path, depth):
         # (g0 (g0 ... (g0 p2.1 p2.2) ... p2.2) p2.2) is x AND y at any depth

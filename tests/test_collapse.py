@@ -1,8 +1,12 @@
 import itertools
+import random
+from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
 from conftest import eq_rel, formula, reference_game, rel
+from qcollapse import model
 from qcollapse.collapse import (
     Collapsing,
     collapse_verdicts,
@@ -18,11 +22,13 @@ from qcollapse.collapse import (
 )
 from qcollapse.collapsibility import adv_family
 from qcollapse.corpus import CorpusSpec, instances
-from qcollapse.cspsolve import solve_csp
+from qcollapse.cspsolve import CspInstance, IndexedConstraint, solve_csp
 from qcollapse.errors import GuardrailError, StructuralError
 from qcollapse.game import evaluate_truth
-from qcollapse.model import Constraint, serialize_instance
+from qcollapse.model import Constraint, Relation, parse_document, serialize_instance
 from qcollapse.ops import and_op, majority_op, minority_op
+
+LEDGER_INPUTS = Path(__file__).resolve().parent / "ledger" / "inputs"
 
 
 def example_formula():
@@ -323,3 +329,190 @@ class TestEncodingGuardrail:
         monkeypatch.setattr("qcollapse.collapse.ENCODING_CAP", size - 1)
         with pytest.raises(GuardrailError):
             collapse_verdicts(phi, 1, None)
+
+
+def replaced_collapsing_to_csp(col: Collapsing) -> CspInstance:
+    """The encoder as it was before the formula's body plan, verbatim: it
+    rebuilt the argument slots of every constraint for each collapsing."""
+    formula = col.origin
+    d = formula.domain.size
+    kept = col.kept_universals
+    width = len(kept)
+    universal = set(formula.universal_vars)
+    # The body reads its arguments from `values`, refilled for each
+    # assignment t (a mixed-radix number) of the kept universals: a kept
+    # universal at position i reads digit i, an existential after m kept
+    # universals reads base + the first m digits.
+    values: list[int] = []
+    slot: dict[str | int, int] = {}
+    kept_digits: list[tuple[int, int]] = []  # (slot, divisor)
+    existential_prefixes: list[tuple[int, int, int]] = []  # (slot, base, divisor)
+    base = 0
+    for x in formula.existential_vars:
+        m = sum(u in kept for u in formula.universals_before[x])
+        slot[x] = len(values)
+        values.append(base)
+        if m:
+            existential_prefixes.append((slot[x], base, d ** (width - m)))
+        base += d**m
+    for i, u in enumerate(kept):
+        slot[u] = len(values)
+        values.append(0)
+        kept_digits.append((slot[u], d ** (width - 1 - i)))
+    dynamic = {s for s, *_ in kept_digits + existential_prefixes}
+    # Each constraint is emitted once, at its first occurrence: `emitted`
+    # maps (relation id, args) to the constraint, in insertion order. A body
+    # constraint that reads no changing slot is the same for every
+    # assignment, so it is instantiated once; so is a repeated one.
+    emitted: dict[tuple[int, tuple[int, ...]], IndexedConstraint] = {}
+    body: dict[tuple, None] = {}
+    for c in formula.body:
+        slots = []
+        for a in c.args:
+            if a in universal and a not in slot:
+                a = col.constant
+            if a not in slot:
+                slot[a] = len(values)
+                values.append(~a)
+            slots.append(slot[a])
+        if dynamic.isdisjoint(slots):
+            args = tuple(values[s] for s in slots)
+            emitted[id(c.relation), args] = (c.relation, args)
+        else:
+            body[c.relation, tuple(slots)] = None
+    getters = [
+        (relation, id(relation),
+         itemgetter(*slots) if len(slots) > 1 else lambda vals, s=slots[0]: (vals[s],))
+        for relation, slots in body
+    ]
+    for t in range(d**width):
+        for s, divisor in kept_digits:
+            values[s] = ~(t // divisor % d)
+        for s, start, divisor in existential_prefixes:
+            values[s] = start + t // divisor
+        for relation, rid, get in getters:
+            args = get(values)
+            emitted[rid, args] = (relation, args)
+    constraints = list(emitted.values())
+    return CspInstance(d, base, constraints)
+
+
+def replaced_csp_variable_names(col: Collapsing) -> list[str]:
+    """The variable names as they were before the shared prefix walk, verbatim."""
+    formula = col.origin
+    kept = col.kept_universals
+    names = []
+    for x in formula.existential_vars:
+        before = kept[: sum(u in kept for u in formula.universals_before[x])]
+        for combo in itertools.product(range(formula.domain.size), repeat=len(before)):
+            names.append(f"{x}@" + ",".join(f"{u}={v}" for u, v in zip(before, combo)))
+    return names
+
+
+def assert_encoded_as_before(col: Collapsing) -> None:
+    """The same variables, names and constraints in the same order, each
+    applying the same relation object."""
+    got, expected = collapsing_to_csp(col), replaced_collapsing_to_csp(col)
+    assert got == expected
+    assert [(id(r), args) for r, args in got.constraints] == [
+        (id(r), args) for r, args in expected.constraints
+    ]
+    assert csp_variable_names(col) == replaced_csp_variable_names(col)
+
+
+def shaped_formula(rng: random.Random, d: int):
+    """A seeded formula with up to four universals over d elements. Its body
+    may repeat a constraint, apply a relation under a second name, read
+    literal constants, and leave universals unread."""
+    relations = [
+        rel(f"R{i}", arity, d, [
+            t for t in itertools.product(range(d), repeat=arity) if rng.random() < 0.6
+        ])
+        for i, arity in enumerate(rng.choices((1, 2, 3), k=3))
+    ]
+    relations.append(Relation("Alias", relations[0].arity, d, relations[0].tuples))
+    names = [f"v{i}" for i in range(rng.randint(1, 7))]
+    universals = rng.sample(names, min(len(names), rng.randint(0, 4)))
+    prefix = " ".join(("A" if v in universals else "E") + v for v in names)
+    body = []
+    for _ in range(rng.randint(1, 6)):
+        relation = rng.choice(relations)
+        args = tuple(
+            rng.randrange(d) if rng.random() < 0.25 else rng.choice(names)
+            for _ in range(relation.arity)
+        )
+        body.append(Constraint(relation, args))
+        if rng.random() < 0.3:
+            body.append(rng.choice(body))
+    return formula(d, prefix, body)
+
+
+class TestEncoderMatchesTheReplacedOne:
+    """`collapsing_to_csp` and `csp_variable_names` read the formula's body
+    plan and one prefix walk; they give what the encoder they replaced gave."""
+
+    def test_seeded_shapes_at_every_width_and_constant(self):
+        rng = random.Random(2028)
+        shapes = dict.fromkeys(
+            ("repeated", "aliased", "constant", "unread universal", "d=3", "width 3"), 0
+        )
+        for i in range(400):
+            d = 2 if i % 2 else 3
+            phi = shaped_formula(rng, d)
+            read = {a for c in phi.body for a in c.args}
+            relations = [c.relation for c in phi.body]
+            shapes["repeated"] += len(set(phi.body)) < len(phi.body)
+            shapes["aliased"] += len(set(relations)) < len(set(map(id, relations)))
+            shapes["constant"] += any(isinstance(a, int) for a in read)
+            shapes["unread universal"] += not read.issuperset(phi.universal_vars)
+            shapes["d=3"] += d == 3
+            shapes["width 3"] += len(phi.universal_vars) >= 3
+            for j in range(4):
+                for a in range(d):
+                    for col in enumerate_collapsings(phi, j, a):
+                        assert_encoded_as_before(col)
+        assert min(shapes.values()) >= 40, shapes
+
+    def test_acceptance_corpora(self):
+        for seed, op, width, source in (
+            (101, and_op(), 1, {1}), (103, minority_op(), 1, {0}), (107, majority_op(), 1, None),
+        ):
+            spec = CorpusSpec(
+                seed=seed, count=500, domain_size=2, max_vars=8, max_universals=4,
+                max_constraints=4, closure_ops=(op,),
+            )
+            for _, phi in instances(spec):
+                for col in relevant_collapsings(phi, width, source):
+                    assert_encoded_as_before(col)
+                    result = col.result
+                    assert_encoded_as_before(Collapsing(result, result.universal_vars, 0))
+
+    def test_ledger_formulas(self):
+        formulas = [
+            doc.formula
+            for path in sorted(LEDGER_INPUTS.glob("*.txt"))
+            if (doc := parse_document(path.read_text())).formula is not None
+        ]
+        assert len(formulas) >= 10
+        for phi in formulas:
+            for j in range(4):
+                for a in range(phi.domain.size):
+                    for col in enumerate_collapsings(phi, j, a):
+                        assert_encoded_as_before(col)
+
+    def test_the_plan_is_built_once_per_formula(self, monkeypatch):
+        built = []
+        original = model.BodyPlan
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(model, "BodyPlan", counted)
+        phi = example_formula()
+        collapsings = enumerate_j_collapsings(phi, 3)
+        assert len(collapsings) == 15
+        for col in collapsings:
+            collapsing_to_csp(col)
+        assert collapse_verdicts(phi, 3, None)
+        assert len(built) == 1

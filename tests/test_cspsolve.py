@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import csp_satisfied, enumerate_solutions, eq_rel, reference_solve_csp, rel
+from qcollapse import cspsolve
 from qcollapse.cspsolve import NODE_CAP, CspInstance, solve_csp
 from qcollapse.errors import GuardrailError
 
@@ -132,3 +133,58 @@ class TestAgainstSnapshotSolver:
                 assert outcome(solve_csp, inst) == expected, (i, cap)
                 capped += isinstance(expected, str)
         assert capped > 100
+
+
+class TestSharedTables:
+    """One `tables` dict shared by unrelated calls compiles and wires each
+    constraint once, and changes no answer."""
+
+    def test_a_shared_dict_gives_what_fresh_dicts_give(self, monkeypatch):
+        rng = random.Random(2028)
+        pools = {
+            d: [
+                rel(f"R{i}", arity, d, [
+                    t for t in itertools.product(range(d), repeat=arity) if rng.random() < 0.6
+                ])
+                for i, arity in enumerate((1, 2, 2, 3))
+            ] + [rel("Never", 1, d, [])]
+            for d in (2, 3)
+        }
+        wired = []  # the constraints wired while a shared dict is in use
+        original = cspsolve._wire
+
+        def counted(relation, args, tables):
+            if tables is shared[relation.domain_size]:
+                wired.append((relation, args))
+            return original(relation, args, tables)
+
+        monkeypatch.setattr(cspsolve, "_wire", counted)
+        shared = {d: {} for d in pools}
+        shapes = {"patterns of one relation": 0, "empty unary": 0, "constant": 0, "sat": 0,
+                  "unsat": 0}
+        patterns = set()
+        total = 0
+        for _ in range(600):
+            d = rng.choice((2, 3))
+            var_count = rng.randint(1, 5)
+            constraints = []
+            for _ in range(rng.randint(1, 6)):
+                relation = rng.choice(pools[d][:-1] if rng.random() < 0.9 else pools[d])
+                args = tuple(
+                    ~rng.randrange(d) if rng.random() < 0.2 else rng.randrange(var_count)
+                    for _ in range(relation.arity)
+                )
+                constraints.append((relation, args))
+                patterns.add((relation, tuple(a if a < 0 else args.index(a) for a in args)))
+                shapes["empty unary"] += relation.name == "Never"
+                shapes["constant"] += any(a < 0 for a in args)
+            total += len(constraints)
+            inst = CspInstance(d, var_count, constraints)
+            fresh = solve_csp(inst)
+            assert solve_csp(inst, shared[d]) == fresh
+            shapes["sat" if fresh is not None else "unsat"] += 1
+        shapes["patterns of one relation"] = len(patterns) - len({r for r, _ in patterns})
+        assert min(shapes.values()) >= 20, shapes
+        # each distinct constraint is wired once over the whole run
+        assert len(wired) == len(set(wired)) > 200
+        assert total > 2 * len(wired)
