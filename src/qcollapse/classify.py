@@ -9,6 +9,7 @@ classification results relied on. Every capped search embeds its caps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -187,10 +188,12 @@ def find_polymorphism_with_shape(
     return None if table is None else Operation(name, arity, language.domain.size, table)
 
 
+@functools.lru_cache(maxsize=16)
 def _templates(d: int) -> tuple[tuple[str, str, dict[tuple[int, ...], int]], ...]:
     """The ternary templates as (report name, operation name, forced cells):
     the dual discriminator (every cell), Mal'tsev and majority, each the
-    cells of its identity."""
+    cells of its identity. Built once per domain size and shared, so callers
+    must not change the cells."""
     return (
         ("dual_discriminator", "dualdisc", identity_cells("dual_discriminator", d, 3)),
         ("maltsev", "maltsev", identity_cells("maltsev", d, 3)),
@@ -203,7 +206,10 @@ def discovered_generators(language: ConstraintLanguage) -> tuple[tuple[Operation
     kept below the first arity that hits a guardrail, topped up with the
     first table of each ternary template when the sweep stopped short of
     arity 3. Projections are dropped since they never constrain the
-    structure."""
+    structure. The sweep and the templates share each relation's cell tuples
+    (`polymorph.relation_cells`), so each relation's are built once per
+    arity; the dual discriminator forces every cell, so its table is checked
+    without search setup."""
     found: list[Operation] = []
     swept_to = 0
     try:

@@ -203,10 +203,11 @@ def cmd_collapse(args) -> int:
     document = _instance(args.file)
     formula = document.formula
     rows = collapse_verdicts(formula, args.j, _source(args, formula.domain))
+    language = document.language
     out = ["index\tconstant\tkept\tverdict\tformula"]
     for i, (col, ok) in enumerate(rows):
         kept = ",".join(col.kept_universals) or "-"
-        rendered = serialize_instance(document.language, col.result).strip().splitlines()[-1]
+        rendered = serialize_instance(language, col.result).strip().splitlines()[-1]
         out.append(
             f"{i}\t{formula.domain.name_of(col.constant)}\t{kept}\t{int(ok)}\t{rendered}"
         )

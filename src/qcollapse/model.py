@@ -90,6 +90,12 @@ class Relation:
     def __contains__(self, t: tuple[int, ...]) -> bool:
         return t in self.tuples
 
+    @cached_property
+    def _cells(self) -> dict[int, frozenset[tuple[int, ...]]]:
+        """`polymorph.relation_cells`' memo, arity -> cell tuples; it lives in
+        the instance `__dict__` and takes no part in equality, hash or repr."""
+        return {}
+
     def sorted_tuples(self) -> list[tuple[int, ...]]:
         return sorted(self.tuples)
 

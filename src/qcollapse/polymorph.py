@@ -522,7 +522,7 @@ def generate_term_operations(algebra: Algebra, arity_cap: int) -> TermOperationS
     return TermOperationSet(tuple(operations), traces, truncated)
 
 
-def relation_cells(rel: Relation, k: int) -> set[tuple[int, ...]]:
+def relation_cells(rel: Relation, k: int) -> frozenset[tuple[int, ...]]:
     """The table-cell index tuples that the k-row choices of the relation
     read: choosing rows t_1, ..., t_k, coordinate j of the image is the cell
     at index t_1[j]*d^(k-1) + ... + t_k[j]. A k-ary operation preserves the
@@ -531,17 +531,43 @@ def relation_cells(rel: Relation, k: int) -> set[tuple[int, ...]]:
     Built one row at a time: the tuples for k rows are those for k-1 rows,
     shifted one place, plus a last row. Choices that read the same cells give
     one tuple, so each step extends only distinct tuples.
+
+    Each relation keeps its tuples of every arity up to k in `rel._cells`
+    (outside equality, hash and repr), and an arity is built from the kept
+    one below it, so discovery builds each relation's tuples once per arity
+    and nothing outlives the relation. Callers may read `rel._cells`
+    directly and call here on a miss.
     """
-    d = rel.domain_size
-    rows = rel.sorted_tuples()
-    cells = set(rows)
-    for _ in range(k - 1):
-        cells = {
-            tuple(map(operator.add, base, c))
-            for base in [[i * d for i in prefix] for prefix in cells]
-            for c in rows
-        }
+    memo = rel._cells
+    cells = memo.get(k)
+    if cells is None:
+        d = rel.domain_size
+        rows = rel.sorted_tuples()
+        cells = memo.setdefault(1, frozenset(rows))
+        for j in range(2, k + 1):
+            if j not in memo:
+                memo[j] = frozenset({
+                    tuple(map(operator.add, base, c))
+                    for base in [[i * d for i in prefix] for prefix in cells]
+                    for c in rows
+                })
+            cells = memo[j]
     return cells
+
+
+@functools.lru_cache(maxsize=256)
+def _forced_table(
+    d: int, k: int, forced: tuple[tuple[tuple[int, ...], int], ...]
+) -> tuple[tuple[int, ...], bool]:
+    """The arity-k table holding each forced (argument tuple, value) entry,
+    -1 at every free cell, and whether every entry is diagonal and holds its
+    argument. A template's table is built once per domain size."""
+    table = [-1] * d**k
+    for args, value in forced:
+        if len(args) != k or not all(0 <= a < d for a in args) or not 0 <= value < d:
+            raise StructuralError("forced entry out of range")
+        table[sum(a * d**i for i, a in enumerate(reversed(args)))] = value
+    return tuple(table), all(args == (value,) * k for args, value in forced)
 
 
 def polymorphism_tables(
@@ -553,30 +579,40 @@ def polymorphism_tables(
     each forced argument tuple, in `itertools.product` order of the free
     cells, which are filled depth-first in index order, values ascending.
 
-    A relation's cell tuple is checked at the last free cell it reads, or
-    once before the search if it reads only forced cells, unless these are
-    diagonal cells holding their argument (then it maps a row onto itself).
-    A cell whose values all fail jumps back to the last earlier free cell
-    read by its checked tuples or passed up by the cells that jumped back to
-    it (graph-based backjumping); a cell below which a table was found since
-    it was entered steps back one cell. Only branches without a table are
-    skipped, so the order holds. GuardrailError: before any setup, for a
+    Relations that hold every tuple are passed over. With no free cell the
+    forced table is checked directly against every relation's cell tuples.
+    Otherwise a relation's cell tuple is checked at the last free cell it
+    reads, or once before the search if it reads only forced cells, unless
+    these are diagonal cells holding their argument (then it maps a row onto
+    itself). A cell whose values all fail jumps back to the last earlier free
+    cell read by its checked tuples or passed up by the cells that jumped back
+    to it (graph-based backjumping); a cell below which a table was found
+    since it was entered steps back one cell. Only branches without a table
+    are skipped, so the order holds. GuardrailError: before any setup, for a
     relation with over CHECK_CAP k-row choices; after FILL_CAP fills.
     """
     for n in (len(rel.tuples) for rel in language.relations):
         if n**k > CHECK_CAP:
             raise GuardrailError(f"{n}^{k} tuple combinations exceed the cap of {CHECK_CAP}")
     d = language.domain.size
-    table = [-1] * d**k
-    for args, value in forced.items():
-        if len(args) != k or not all(0 <= a < d for a in args) or not 0 <= value < d:
-            raise StructuralError("forced entry out of range")
-        table[sum(a * d**i for i, a in enumerate(reversed(args)))] = value
-    free = [c for c, value in enumerate(table) if value < 0]
-    idempotent = all(args == (value,) * k for args, value in forced.items())
+    template, idempotent = _forced_table(d, k, tuple(forced.items()))
+    free = [c for c, value in enumerate(template) if value < 0]
     if idempotent and not free:  # every tuple maps a row onto itself
-        yield tuple(table)
+        yield template
         return
+    # a relation holding every tuple is preserved by every table
+    relations = [rel for rel in language.relations if len(rel.tuples) < d**rel.arity]
+    cell_sets = [rel._cells.get(k) or relation_cells(rel, k) for rel in relations]
+    if not free:
+        get = template.__getitem__
+        if all(
+            tuple(map(get, cells)) in rel.tuples
+            for rel, rel_cells in zip(relations, cell_sets)
+            for cells in rel_cells
+        ):
+            yield template
+        return
+    table = list(template)
     rank = [-1] * d**k  # position of each free cell in `free`
     for p, c in enumerate(free):
         rank[c] = p
@@ -586,11 +622,9 @@ def polymorphism_tables(
     # the last entry holds the tuples that read forced cells only
     checks: list[list[tuple]] = [[] for _ in range(len(free) + 1)]
     parents = [0] * len(checks)  # bitmask of the earlier free cells those tuples read
-    for rel in language.relations:
-        if len(rel.tuples) == d**rel.arity:  # holds every tuple: every table preserves it
-            continue
+    for rel, rel_cells in zip(relations, cell_sets):
         attached: list[list[int]] = [[] for _ in checks]
-        for cells in relation_cells(rel, k):
+        for cells in rel_cells:
             last = max(map(rank.__getitem__, cells))
             if last >= 0 or not idempotent:
                 attached[last].extend(cells)
@@ -603,9 +637,6 @@ def polymorphism_tables(
     for getter, arity, rows in checks[-1]:
         if not rows.issuperset(zip(*[iter(getter(table))] * arity)):
             return
-    if not free:
-        yield tuple(table)
-        return
     induced = [0] * len(free)  # causes passed up by the cells that jumped back
     solved = 0  # the cells before this one have had a table found below them
     fills = 0

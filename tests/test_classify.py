@@ -435,6 +435,29 @@ class TestShapeSearch:
         with pytest.raises(GuardrailError, match=r"^3\^3 tuple combinations exceed the cap of 26$"):
             next(polymorph.polymorphism_tables(language, 3, maltsev))
 
+    def test_fully_forced_table_is_checked_directly(self, monkeypatch):
+        # the dual discriminator forces every cell: its template gives the
+        # operation, by name and table, exactly when it preserves the
+        # language, and a failing table yields nothing without a fill
+        rng = random.Random(29)
+        monkeypatch.setattr(polymorph, "FILL_CAP", 0)
+        seen = set()
+        for d in (2, 3, 4):
+            label, name, forced = classify._templates(d)[0]
+            assert label == "dual_discriminator" and len(forced) == d**3
+            dd = dual_discriminator(d)
+            for _ in range(40):
+                language = random_language(rng, d)
+                holds = is_polymorphism_of_language(dd, language)
+                got = find_polymorphism_with_shape(language, 3, forced, name)
+                if holds:
+                    assert (got.name, got.table) == ("dualdisc", dd.table)
+                else:
+                    assert got is None
+                    assert list(polymorph.polymorphism_tables(language, 3, forced)) == []
+                seen.add((d, holds))
+        assert seen == {(d, holds) for d in (2, 3, 4) for holds in (False, True)}
+
     def test_out_of_range_entries_are_refused(self):
         language = lang(2, nae_rel())
         for forced in ({(0, 0): 0}, {(0, 0, 2): 0}, {(0, 0, 1): 2}):
@@ -481,6 +504,24 @@ class TestDiscoveredGenerators:
         _, caps = discovered_generators(language)
         assert caps["exhaustive_arity"] == 2
         assert swept == [(1, 3), (2, 3), (3, 27), (3, 15), (3, 21)]
+
+
+    def test_builds_each_relations_cells_once_per_arity(self, monkeypatch):
+        # the sweep at arity 2 (arity 1 has only diagonal cells, all forced)
+        # and the three ternary templates share each relation's cell tuples:
+        # one build per relation and arity
+        built = collections.Counter()
+        cells = polymorph.relation_cells
+
+        def recording(relation, k):
+            built[relation.name, k] += 1
+            return cells(relation, k)
+
+        monkeypatch.setattr(polymorph, "relation_cells", recording)
+        language = lang(3, rel("Lt", 2, 3, [(0, 1), (0, 2), (1, 2)]), rel("One", 1, 3, [(1,)]))
+        _, caps = discovered_generators(language)
+        assert caps["exhaustive_arity"] == 2 and len(caps["targeted_templates"]) == 3
+        assert built == {(name, k): 1 for name in ("Lt", "One") for k in (2, 3)}
 
 
 class TestThreeElement:
